@@ -38,13 +38,23 @@
 //!
 //! The pre-state condition is tracked dynamically: the sweep stores each
 //! pattern's packed settled state (2 bits/net via
-//! [`LevelSim::snapshot_values`]) and, after every replayed pattern,
+//! [`LevelSim::snapshot_into`]) and, after every replayed pattern,
 //! compares the new post-state against the recorded one. On a mismatch it
 //! enters *cascade* mode — subsequent patterns are replayed regardless of
 //! their touched sets (their recorded pre-state is stale) — and leaves it
 //! as soon as a replayed pattern's post-state reconverges. Skipped
 //! patterns keep their recorded state; before the next replay the kernel
 //! is rewound with [`LevelSim::restore_values`].
+//!
+//! # Per-pattern state
+//!
+//! Each pattern's touched set is the kernel's own bitset
+//! ([`LevelSim::touched_gates`], 1 bit/gate), so a pattern costs
+//! ⌈gates/64⌉·8 + ⌈nets/32⌉·8 bytes of cone state however many gates it
+//! visits. Both records live in flat arenas with one fixed-size slot per
+//! settled state, written in place; a year allocates nothing per pattern,
+//! and the dirty-cone test is a word-wise `AND` against the year's
+//! changed-gate bitset.
 //!
 //! The result is byte-identical to a from-scratch
 //! [`MultiplierDesign::profile`] of the same (quantized) factors — the
@@ -72,8 +82,8 @@ pub struct SweepCounters {
     /// Years answered entirely from the previous year's profile because
     /// the quantized factor vectors were identical.
     pub identical_years: u64,
-    /// Patterns replayed because their touched set intersected a
-    /// changed-delay cone.
+    /// Patterns replayed because their touched set contained a
+    /// changed-delay gate.
     pub cone_resims: u64,
     /// Patterns replayed because a preceding replay diverged the settled
     /// trajectory (cascade mode).
@@ -95,15 +105,60 @@ struct SweepState {
     /// Quantized factor vector of the profiled year (`None` = fresh).
     quantized: Option<Vec<f64>>,
     profile: Arc<PatternProfile>,
-    /// `snapshots[0]` is the post-settle state; `snapshots[i + 1]` the
-    /// settled state after pattern `i`. Packed 2 bits/net.
-    snapshots: Vec<Vec<u64>>,
-    /// `touched[0]` is the settle's visited-gate set; `touched[i + 1]`
-    /// pattern `i`'s. Ascending gate indices.
-    touched: Vec<Vec<u32>>,
+    cones: ConeArena,
     /// Per-pattern gate-output toggles, so the workload mean reconstructs
     /// from the exact integer sum regardless of which patterns replayed.
     toggles: Vec<u64>,
+}
+
+/// The per-pattern cone state, one fixed-size slot per settled state:
+/// slot 0 is the initial settle, slot `i + 1` pattern `i`.
+struct ConeArena {
+    /// Words per slot: ⌈gates/64⌉ in `touched`, ⌈nets/32⌉ in `snapshots`.
+    touched_words: usize,
+    snapshot_words: usize,
+    /// Touched-gate bitsets ([`LevelSim::touched_gates`]).
+    touched: Vec<u64>,
+    /// Packed settled states ([`LevelSim::snapshot_into`], 2 bits/net).
+    snapshots: Vec<u64>,
+    /// Scratch the fresh snapshot is packed into before it is compared
+    /// against the recorded one.
+    scratch: Vec<u64>,
+}
+
+impl ConeArena {
+    fn new(design: &MultiplierDesign, slots: usize) -> Self {
+        let netlist = design.circuit().netlist();
+        let touched_words = netlist.gate_count().div_ceil(64);
+        let snapshot_words = netlist.net_count().div_ceil(32);
+        ConeArena {
+            touched_words,
+            snapshot_words,
+            touched: vec![0; slots * touched_words],
+            snapshots: vec![0; slots * snapshot_words],
+            scratch: vec![0; snapshot_words],
+        }
+    }
+
+    fn touched(&self, slot: usize) -> &[u64] {
+        &self.touched[slot * self.touched_words..][..self.touched_words]
+    }
+
+    fn snapshot(&self, slot: usize) -> &[u64] {
+        &self.snapshots[slot * self.snapshot_words..][..self.snapshot_words]
+    }
+
+    /// Records `sim`'s touched set and settled state in `slot`, returning
+    /// whether the settled state equals the one the slot held before.
+    fn store(&mut self, slot: usize, sim: &LevelSim<'_>) -> bool {
+        let (tw, sw) = (self.touched_words, self.snapshot_words);
+        self.touched[slot * tw..][..tw].copy_from_slice(sim.touched_gates());
+        sim.snapshot_into(&mut self.scratch);
+        let recorded = &mut self.snapshots[slot * sw..][..sw];
+        let same = *recorded == *self.scratch;
+        recorded.copy_from_slice(&self.scratch);
+        same
+    }
 }
 
 /// Incremental multi-year profiling driver over one design + workload.
@@ -223,12 +278,16 @@ impl<'a> AgingSweep<'a> {
                 self.run_full(quantized, delays)
             }
             Some(prev) => {
-                // Per-gate diff of the quantized factor vectors; a `None`
-                // side reads as the uniform factor 1.0.
+                // Per-gate diff of the quantized factor vectors as a bitset
+                // laid out like the touched sets; a `None` side reads as
+                // the uniform factor 1.0.
                 let at = |q: &Option<Vec<f64>>, g: usize| q.as_ref().map_or(1.0, |v| v[g]);
-                let changed: Vec<bool> = (0..gate_count)
-                    .map(|g| at(&prev.quantized, g) != at(&quantized, g))
-                    .collect();
+                let mut changed = vec![0u64; gate_count.div_ceil(64)];
+                for g in 0..gate_count {
+                    if at(&prev.quantized, g) != at(&quantized, g) {
+                        changed[g / 64] |= 1 << (g % 64);
+                    }
+                }
                 self.run_incremental(prev, quantized, delays, &changed)
             }
         }
@@ -248,24 +307,21 @@ impl<'a> AgingSweep<'a> {
             self.design.topology(),
             delays,
         );
-        let mut snapshots = Vec::with_capacity(n + 1);
-        let mut touched = Vec::with_capacity(n + 1);
+        let mut cones = ConeArena::new(self.design, n + 1);
         let mut toggles = Vec::with_capacity(n);
         let mut records = Vec::with_capacity(n);
 
         sim.settle(&self.zeros)?;
-        touched.push(collect_touched(&sim));
-        snapshots.push(sim.snapshot_values());
+        cones.store(0, &sim);
 
         for (i, &(a, b)) in self.pairs.iter().enumerate() {
             let timing = sim.step(&self.encoded[i])?;
-            touched.push(collect_touched(&sim));
-            snapshots.push(sim.snapshot_values());
+            cones.store(i + 1, &sim);
             toggles.push(timing.gate_toggles);
             records.push(self.record(a, b, timing.delay_ns));
         }
 
-        Ok(self.commit(quantized, records, snapshots, touched, toggles))
+        Ok(self.commit(quantized, records, cones, toggles))
     }
 
     /// Incremental year: replay only dirty-cone (and cascaded) patterns,
@@ -275,7 +331,7 @@ impl<'a> AgingSweep<'a> {
         prev: SweepState,
         quantized: Option<Vec<f64>>,
         delays: agemul_netlist::DelayAssignment,
-        changed: &[bool],
+        changed: &[u64],
     ) -> Result<Arc<PatternProfile>, CoreError> {
         let n = self.pairs.len();
         let mut sim = LevelSim::new(
@@ -284,8 +340,7 @@ impl<'a> AgingSweep<'a> {
             delays,
         );
         let SweepState {
-            mut snapshots,
-            mut touched,
+            mut cones,
             mut toggles,
             profile: prev_profile,
             ..
@@ -293,7 +348,7 @@ impl<'a> AgingSweep<'a> {
         let prev_records = prev_profile.records();
         let mut records = Vec::with_capacity(n);
 
-        let hits = |set: &[u32]| set.iter().any(|&g| changed[g as usize]);
+        let hits = |set: &[u64]| set.iter().zip(changed).any(|(&t, &c)| t & c != 0);
 
         // Whether the settled trajectory under the new delays still matches
         // the recorded one (reuse is only sound while it does).
@@ -306,19 +361,16 @@ impl<'a> AgingSweep<'a> {
         // The initial settle is "pattern −1": its pre-state (functional
         // re-initialization) is delay-independent, so only its own touched
         // set gates whether it must be replayed.
-        if hits(&touched[0]) {
+        if hits(cones.touched(0)) {
             sim.settle(&self.zeros)?;
-            let snap = sim.snapshot_values();
-            in_sync = snap == snapshots[0];
-            touched[0] = collect_touched(&sim);
-            snapshots[0] = snap;
+            in_sync = cones.store(0, &sim);
             sim_at = Some(0);
         } else {
             in_sync = true;
         }
 
         for (i, &(a, b)) in self.pairs.iter().enumerate() {
-            if in_sync && !hits(&touched[i + 1]) {
+            if in_sync && !hits(cones.touched(i + 1)) {
                 self.counters.patterns_reused += 1;
                 records.push(prev_records[i]);
                 continue;
@@ -329,19 +381,16 @@ impl<'a> AgingSweep<'a> {
                 self.counters.cascade_resims += 1;
             }
             if sim_at != Some(i) {
-                sim.restore_values(&snapshots[i]);
+                sim.restore_values(cones.snapshot(i));
             }
             let timing = sim.step(&self.encoded[i])?;
-            let snap = sim.snapshot_values();
-            in_sync = snap == snapshots[i + 1];
-            touched[i + 1] = collect_touched(&sim);
-            snapshots[i + 1] = snap;
+            in_sync = cones.store(i + 1, &sim);
             toggles[i] = timing.gate_toggles;
             records.push(self.record(a, b, timing.delay_ns));
             sim_at = Some(i + 1);
         }
 
-        Ok(self.commit(quantized, records, snapshots, touched, toggles))
+        Ok(self.commit(quantized, records, cones, toggles))
     }
 
     fn record(&self, a: u64, b: u64, delay_ns: f64) -> PatternRecord {
@@ -365,8 +414,7 @@ impl<'a> AgingSweep<'a> {
         &mut self,
         quantized: Option<Vec<f64>>,
         records: Vec<PatternRecord>,
-        snapshots: Vec<Vec<u64>>,
-        touched: Vec<Vec<u32>>,
+        cones: ConeArena,
         toggles: Vec<u64>,
     ) -> Arc<PatternProfile> {
         let avg_toggles = if records.is_empty() {
@@ -383,19 +431,11 @@ impl<'a> AgingSweep<'a> {
         self.state = Some(SweepState {
             quantized,
             profile: profile.clone(),
-            snapshots,
-            touched,
+            cones,
             toggles,
         });
         profile
     }
-}
-
-/// The gates the kernel visited in its most recent step, ascending.
-fn collect_touched(sim: &LevelSim<'_>) -> Vec<u32> {
-    let mut v = Vec::new();
-    sim.for_each_touched_gate(|g| v.push(g as u32));
-    v
 }
 
 #[cfg(test)]
@@ -441,6 +481,61 @@ mod tests {
         // (no-transition) patterns.
         assert!(c.patterns_reused >= 4 * 30, "{c:?}");
         assert!(c.cone_resims > 0, "{c:?}");
+    }
+
+    /// Aging exactly one gate replays exactly the patterns whose recorded
+    /// touched set holds it, for a gate in the first bitset word and one
+    /// in the last, partial word, and the year stays byte-identical to a
+    /// from-scratch profile. Each pair repeats back to back, so half the
+    /// patterns touch nothing, and the aged gate is one that only some of
+    /// the busy patterns touch.
+    #[test]
+    fn single_gate_drift_replays_exactly_its_cone() {
+        for kind in [MultiplierKind::ColumnBypass, MultiplierKind::RowBypass] {
+            let d = MultiplierDesign::new(kind, 8).unwrap();
+            let circuit = d.circuit();
+            let gates = circuit.netlist().gate_count();
+            assert_ne!(gates % 64, 0, "{kind:?}: the last word must be partial");
+            let base = PatternSet::uniform(8, 40, 5);
+            let pairs: Vec<(u64, u64)> = base.pairs().iter().flat_map(|&p| [p, p]).collect();
+
+            // From-scratch touched sets under fresh delays: per gate, the
+            // number of patterns (the settle excluded) that visit it.
+            let delays = d.delay_assignment(None).unwrap();
+            let mut sim = LevelSim::new(circuit.netlist(), d.topology(), delays);
+            sim.settle(&circuit.encode_inputs(0, 0).unwrap()).unwrap();
+            let mut visits = vec![0u64; gates];
+            let mut busy = 0;
+            for &(a, b) in &pairs {
+                sim.step(&circuit.encode_inputs(a, b).unwrap()).unwrap();
+                busy += u64::from(sim.touched_gates().iter().any(|&w| w != 0));
+                for (g, v) in visits.iter_mut().enumerate() {
+                    *v += (sim.touched_gates()[g / 64] >> (g % 64)) & 1;
+                }
+            }
+            let partial = |g: &usize| (1..busy).contains(&visits[*g]);
+            let first = (0..64).find(partial).unwrap();
+            let last = ((gates - 1) / 64 * 64..gates).rev().find(partial).unwrap();
+
+            for g in [first, last] {
+                let mut sweep = AgingSweep::new(&d, &pairs).unwrap();
+                sweep.profile_year(None).unwrap();
+                let mut factors = vec![1.0; gates];
+                factors[g] = 1.5;
+                let inc = sweep.profile_year(Some(&factors)).unwrap();
+                let scratch = d
+                    .profile(&pairs, Some(&quantize_factors(&factors)))
+                    .unwrap();
+                assert_eq!(inc.records(), scratch.records(), "{kind:?} gate {g}");
+                assert_eq!(
+                    inc.avg_gate_toggles().to_bits(),
+                    scratch.avg_gate_toggles().to_bits(),
+                    "{kind:?} gate {g}"
+                );
+                let c = sweep.counters();
+                assert_eq!(c.cone_resims, visits[g], "{kind:?} gate {g}: {c:?}");
+            }
+        }
     }
 
     /// A sub-grid ΔVth step reuses the entire previous year.

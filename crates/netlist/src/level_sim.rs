@@ -40,11 +40,12 @@
 //!
 //! Between consecutive patterns only the fan-out cones of *changed* input
 //! bits are touched: changed inputs seed per-level dirty queues
-//! (epoch-deduplicated), gates outside every cone are never visited, and
-//! their nets keep their settled values. On bypass multipliers, where a
-//! typical workload pattern flips a fraction of the operand bits, this skips
-//! most of the array per pattern — the second lever (besides removing heap
-//! pops) behind the profiling speedup.
+//! (deduplicated by a 1-bit-per-gate touched set, which
+//! [`LevelSim::touched_gates`] exposes), gates outside every cone are never
+//! visited, and their nets keep their settled values. On bypass
+//! multipliers, where a typical workload pattern flips a fraction of the
+//! operand bits, this skips most of the array per pattern — the second
+//! lever (besides removing heap pops) behind the profiling speedup.
 //!
 //! Waveforms live in one flat arena reset per step; per-net epoch stamps
 //! make "no events this step" a constant-time check instead of a clear.
@@ -110,8 +111,10 @@ pub struct LevelSim<'a> {
     waves: Vec<WaveMeta>,
     /// Nets that received events this step (commit list).
     dirty_nets: Vec<u32>,
-    /// Per-gate dirty stamp (dedup for `queues`).
-    gate_epoch: Vec<u64>,
+    /// Gates queued this step, 1 bit per gate (bit `g % 64` of word
+    /// `g / 64`): the dedup for `queues` and the step's touched set.
+    touched: Vec<u64>,
+    /// Step counter validating `waves` entries.
     epoch: u64,
     /// Dirty gates per topological level, drained in ascending order.
     queues: Vec<Vec<u32>>,
@@ -235,7 +238,7 @@ impl<'a> LevelSim<'a> {
             arena: Vec::new(),
             waves: vec![WaveMeta::default(); netlist.net_count()],
             dirty_nets: Vec::new(),
-            gate_epoch: vec![0; netlist.gate_count()],
+            touched: vec![0; netlist.gate_count().div_ceil(64)],
             epoch: 0,
             queues,
             toggles_per_gate: vec![0; netlist.gate_count()],
@@ -308,6 +311,7 @@ impl<'a> LevelSim<'a> {
         self.toggles_per_gate.iter_mut().for_each(|c| *c = 0);
         // Stale waveforms must not leak into the next step's merges.
         self.epoch += 1;
+        self.touched.fill(0);
     }
 
     /// Installs a [`CancelToken`](crate::CancelToken): subsequent
@@ -404,6 +408,9 @@ impl<'a> LevelSim<'a> {
         self.epoch += 1;
         self.arena.clear();
         self.dirty_nets.clear();
+        // The touched set is per step; this also drops the bits a cancelled
+        // step left behind.
+        self.touched.fill(0);
 
         let mut timing = PatternTiming::default();
         let mut last_out_fs: u64 = 0;
@@ -743,14 +750,16 @@ impl<'a> LevelSim<'a> {
         self.mark_fanout(out_net);
     }
 
-    /// Marks `net`'s fanout gates dirty (once per step, via epoch stamps).
+    /// Marks `net`'s fanout gates dirty (once per step, via the touched
+    /// bitset).
     fn mark_fanout(&mut self, net: usize) {
         for &g in self.plan.fanout_of(net) {
             let gi = g as usize;
-            if self.gate_epoch[gi] != self.epoch {
-                self.gate_epoch[gi] = self.epoch;
+            let (word, bit) = (gi / 64, 1u64 << (gi % 64));
+            if self.touched[word] & bit == 0 {
+                self.touched[word] |= bit;
                 let lvl = self.plan.level_of(gi) as usize;
-                self.queues[lvl].push(gi as u32);
+                self.queues[lvl].push(g);
             }
         }
     }
@@ -765,12 +774,32 @@ impl<'a> LevelSim<'a> {
     /// discriminant), 32 nets per `u64` — the compact state record the
     /// incremental aging sweep stores per pattern so it can
     /// [`restore_values`](Self::restore_values) across skipped patterns.
+    /// Allocating wrapper around [`snapshot_into`](Self::snapshot_into).
     pub fn snapshot_values(&self) -> Vec<u64> {
         let mut packed = vec![0u64; self.values.len().div_ceil(32)];
-        for (idx, &v) in self.values.iter().enumerate() {
-            packed[idx / 32] |= (v as u64) << ((idx % 32) * 2);
-        }
+        self.snapshot_into(&mut packed);
         packed
+    }
+
+    /// Writes the [`snapshot_values`](Self::snapshot_values) record into
+    /// `out` without allocating: net `n` lands in bits `2·(n % 32)..` of
+    /// word `n / 32`, and the unused high bits of the last word are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` holds exactly ⌈nets/32⌉ words.
+    pub fn snapshot_into(&self, out: &mut [u64]) {
+        assert_eq!(
+            out.len(),
+            self.values.len().div_ceil(32),
+            "snapshot size mismatch"
+        );
+        for (word, nets) in out.iter_mut().zip(self.values.chunks(32)) {
+            *word = nets
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (i, &v)| acc | (v as u64) << (2 * i));
+        }
     }
 
     /// Restores every net's settled value from a
@@ -788,25 +817,30 @@ impl<'a> LevelSim<'a> {
             self.values.len().div_ceil(32),
             "snapshot size mismatch"
         );
-        for (idx, v) in self.values.iter_mut().enumerate() {
-            *v = LEVELS[((packed[idx / 32] >> ((idx % 32) * 2)) & 3) as usize];
+        for (&word, nets) in packed.iter().zip(self.values.chunks_mut(32)) {
+            for (i, v) in nets.iter_mut().enumerate() {
+                *v = LEVELS[((word >> (2 * i)) & 3) as usize];
+            }
         }
         // Stale waveforms must not leak into the next step's merges.
         self.epoch += 1;
+        self.touched.fill(0);
     }
 
-    /// Calls `f` with the index of every gate whose output waveform was
-    /// (re)computed during the most recent [`step`](Self::step) — the
-    /// pattern's *touched set*. A gate outside this set saw no input event,
-    /// so its contribution to timing and toggles is independent of its own
-    /// delay; the incremental aging sweep uses this to prove a pattern's
-    /// profile is unchanged when no touched gate's delay changed.
-    pub fn for_each_touched_gate(&self, mut f: impl FnMut(usize)) {
-        for (g, &e) in self.gate_epoch.iter().enumerate() {
-            if e == self.epoch {
-                f(g);
-            }
-        }
+    /// The gates whose output waveform was (re)computed during the most
+    /// recent [`step`](Self::step) — the pattern's *touched set* — as a
+    /// bitset indexed by [`GateId::index`](crate::GateId::index): gate `g`
+    /// is bit `g % 64` of word `g / 64`, ⌈gates/64⌉ words, and no bit past
+    /// the gate count is ever set. A gate is touched iff one of its input
+    /// nets carried an event this step. A gate outside the set saw no
+    /// input event, so its contribution to timing and toggles is
+    /// independent of its own delay; the incremental aging sweep uses this
+    /// to prove a pattern's profile is unchanged when no touched gate's
+    /// delay changed. All zero after [`reset`](Self::reset),
+    /// [`retime`](Self::retime) and [`restore_values`](Self::restore_values).
+    #[inline]
+    pub fn touched_gates(&self) -> &[u64] {
+        &self.touched
     }
 
     /// Settled primary output values in declaration order.
@@ -1069,10 +1103,8 @@ mod tests {
         assert_eq!(t_restored, t_fresh);
     }
 
-    #[test]
-    fn touched_gates_cover_exactly_the_resimulated_cone() {
-        // Two independent inverter chains; toggling only the first input
-        // must touch only the first chain's gates.
+    /// Two independent inverters, `a → x` (gate 0) and `b → y` (gate 1).
+    fn twin_inverters() -> Netlist {
         let mut n = Netlist::new();
         let a = n.add_input("a");
         let b = n.add_input("b");
@@ -1080,14 +1112,82 @@ mod tests {
         let y = n.add_gate(GateKind::Not, &[b]).unwrap();
         n.mark_output(x, "x");
         n.mark_output(y, "y");
+        n
+    }
+
+    #[test]
+    fn touched_gates_cover_exactly_the_resimulated_cone() {
+        // Toggling only the first input must touch only the first chain.
+        let n = twin_inverters();
         let t = n.topology().unwrap();
         let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
         let mut sim = LevelSim::new(&n, &t, d);
         sim.settle(&[Logic::Zero, Logic::Zero]).unwrap();
         sim.step(&[Logic::One, Logic::Zero]).unwrap();
-        let mut touched = Vec::new();
-        sim.for_each_touched_gate(|g| touched.push(g));
-        assert_eq!(touched, vec![0]);
+        assert_eq!(sim.touched_gates(), &[0b01]);
+    }
+
+    #[test]
+    fn touched_gates_clear_on_reset_retime_and_restore() {
+        let n = twin_inverters();
+        let t = n.topology().unwrap();
+        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        let mut sim = LevelSim::new(&n, &t, d.clone());
+        sim.settle(&[Logic::Zero, Logic::Zero]).unwrap();
+        let snap = sim.snapshot_values();
+        let both = [Logic::One, Logic::One];
+
+        sim.step(&both).unwrap();
+        assert_eq!(sim.touched_gates(), &[0b11]);
+        sim.reset();
+        assert_eq!(sim.touched_gates(), &[0]);
+
+        sim.step(&both).unwrap();
+        assert_eq!(sim.touched_gates(), &[0b11]);
+        sim.retime(&d);
+        assert_eq!(sim.touched_gates(), &[0]);
+
+        sim.restore_values(&snap);
+        sim.step(&both).unwrap();
+        assert_eq!(sim.touched_gates(), &[0b11]);
+        sim.restore_values(&snap);
+        assert_eq!(sim.touched_gates(), &[0]);
+    }
+
+    #[test]
+    fn cancelled_step_leaves_no_stale_touched_bits() {
+        use crate::CancelToken;
+        let n = twin_inverters();
+        let t = n.topology().unwrap();
+        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        let mut sim = LevelSim::new(&n, &t, d);
+        sim.settle(&[Logic::Zero, Logic::Zero]).unwrap();
+
+        // The seed marks gate 0 before the first level polls the token.
+        let token = CancelToken::new();
+        token.cancel();
+        sim.set_cancel_token(Some(token));
+        let err = sim.step(&[Logic::One, Logic::Zero]).unwrap_err();
+        assert_eq!(err, NetlistError::Cancelled);
+        assert_eq!(sim.touched_gates(), &[0b01]);
+
+        // A cancelled step commits nothing, so input `a` is still 0: the
+        // next step toggles only `b` and must report gate 1 alone.
+        sim.set_cancel_token(None);
+        sim.step(&[Logic::Zero, Logic::One]).unwrap();
+        assert_eq!(sim.touched_gates(), &[0b10]);
+    }
+
+    #[test]
+    fn snapshot_into_matches_snapshot_values() {
+        let n = inverter_chain();
+        let t = n.topology().unwrap();
+        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        let mut sim = LevelSim::new(&n, &t, d);
+        sim.settle(&[Logic::One]).unwrap();
+        let mut out = vec![u64::MAX; n.net_count().div_ceil(32)];
+        sim.snapshot_into(&mut out);
+        assert_eq!(out, sim.snapshot_values());
     }
 
     #[test]

@@ -50,8 +50,74 @@ fn assert_locked_steps(
     }
 }
 
+/// Steps both kernels through `seqs` and checks `LevelSim`'s touched set
+/// against an oracle built from `EventSim`: gate `g` is touched iff one of
+/// its input nets carried an event this step — a primary input whose
+/// value changed, or a net whose driving gate's toggle counter grew.
+fn assert_touched_oracle(
+    n: &Netlist,
+    level: &mut LevelSim,
+    event: &mut EventSim,
+    inputs: usize,
+    seqs: &[u64],
+) {
+    let gates = n.gate_count();
+    let mut driver = vec![None; n.net_count()];
+    for (g, gate) in n.gates().iter().enumerate() {
+        driver[gate.output().index()] = Some(g);
+    }
+    for &bits in seqs {
+        let v = input_vector(bits, inputs);
+        let pis_before: Vec<_> = n.inputs().iter().map(|&i| event.value(i)).collect();
+        let toggles_before = event.gate_toggle_counts().to_vec();
+        level.step(&v).unwrap();
+        event.step(&v).unwrap();
+
+        let mut carried = vec![false; n.net_count()];
+        for (&pi, before) in n.inputs().iter().zip(pis_before) {
+            carried[pi.index()] = event.value(pi) != before;
+        }
+        for (net, d) in driver.iter().enumerate() {
+            if let Some(g) = *d {
+                carried[net] = event.gate_toggle_counts()[g] > toggles_before[g];
+            }
+        }
+
+        let touched = level.touched_gates();
+        prop_assert_eq!(touched.len(), gates.div_ceil(64));
+        for (g, gate) in n.gates().iter().enumerate() {
+            let expect = gate.inputs().iter().any(|i| carried[i.index()]);
+            let got = (touched[g / 64] >> (g % 64)) & 1 == 1;
+            prop_assert_eq!(got, expect, "gate {} on bits {:#x}", g, bits);
+        }
+        if !gates.is_multiple_of(64) {
+            let spare = touched[gates / 64] >> (gates % 64);
+            prop_assert_eq!(spare, 0, "bits past gate {} set on {:#x}", gates, bits);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The touched bitset is exactly the set of gates with an input event,
+    /// on netlists whose gate count leaves the last bitset word partial.
+    #[test]
+    fn touched_gates_match_event_oracle(
+        recipes in proptest::collection::vec(arb_gate(), 1..200),
+        seqs in proptest::collection::vec(any::<u64>(), 1..10),
+    ) {
+        // One gate per recipe: drop one where the count is a multiple of 64.
+        let keep = recipes.len() - usize::from(recipes.len().is_multiple_of(64));
+        let inputs = GEN_INPUTS;
+        let n = build_netlist(&recipes[..keep], inputs);
+        prop_assert!(!n.gate_count().is_multiple_of(64));
+        let topo = n.topology().unwrap();
+        let delays = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        let mut level = LevelSim::new(&n, &topo, delays.clone());
+        let mut event = EventSim::new(&n, &topo, delays);
+        assert_touched_oracle(&n, &mut level, &mut event, inputs, &seqs);
+    }
 
     /// Uniform nominal delays: both kernels agree femtosecond-for-
     /// femtosecond across whole vector sequences (the incremental cone
