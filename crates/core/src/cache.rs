@@ -16,7 +16,10 @@
 //!
 //! Equal keys therefore mean equal profiles (up to 64-bit fingerprint
 //! collision), and a hit returns the cached [`Arc`] without touching a
-//! simulator.
+//! simulator. The key is a public [`ProfileKey`]: a caller that repeats a
+//! question can build it once and look up with
+//! [`ProfileCache::get_or_insert_keyed`], skipping the fingerprinting that
+//! otherwise dominates a hit.
 //!
 //! # Sharding, bounding, and poison recovery
 //!
@@ -114,12 +117,31 @@ fn kind_tag(kind: MultiplierKind) -> u64 {
     }
 }
 
+/// The exact identity of one cached profile: (kind, width, delay-assignment
+/// fingerprint, workload fingerprint).
+///
+/// Building a key hashes the whole per-gate delay vector and every operand
+/// pair, which costs more than the lookup it feeds. A caller that asks the
+/// same question repeatedly (the `agemul-serve` hit path) builds the key
+/// once and looks up with [`ProfileCache::get_or_insert_keyed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct CacheKey {
+pub struct ProfileKey {
     kind: MultiplierKind,
     width: usize,
     delay_fingerprint: u64,
     workload_fingerprint: u64,
+}
+
+impl ProfileKey {
+    /// The key of `design`'s profile of `pairs` under `delays`.
+    pub fn new(design: &MultiplierDesign, delays: &DelayAssignment, pairs: &[(u64, u64)]) -> Self {
+        ProfileKey {
+            kind: design.kind(),
+            width: design.width(),
+            delay_fingerprint: delays.fingerprint(),
+            workload_fingerprint: workload_fingerprint(pairs),
+        }
+    }
 }
 
 /// Lock-free tallies for one shard (the shard mutex is *not* held while
@@ -159,7 +181,7 @@ struct Entry {
 /// One shard: a map plus the shard-local LRU clock.
 #[derive(Default)]
 struct Shard {
-    map: HashMap<CacheKey, Entry>,
+    map: HashMap<ProfileKey, Entry>,
     clock: u64,
 }
 
@@ -359,13 +381,13 @@ impl ProfileCache {
     /// the hit/miss counters nor eviction stats count the insert; a full
     /// shard evicts as usual.
     pub fn seed_entry(&self, entry: &CacheEntry) {
-        let key = CacheKey {
+        let key = ProfileKey {
             kind: entry.kind,
             width: entry.width,
             delay_fingerprint: entry.delay_fingerprint,
             workload_fingerprint: entry.workload_fingerprint,
         };
-        let index = Self::shard_index(entry.kind, entry.width);
+        let index = Self::shard_index(key.kind, key.width);
         let mut shard = self.lock_shard(index);
         let stamp = shard.tick();
         self.evict_if_full(index, &mut shard, &key);
@@ -382,7 +404,7 @@ impl ProfileCache {
     /// overflow a bounded shard. (No-op when `incoming` is already
     /// present — a replace does not grow the map.) `index` is the shard's
     /// position, used only to tally the eviction.
-    fn evict_if_full(&self, index: usize, shard: &mut Shard, incoming: &CacheKey) {
+    fn evict_if_full(&self, index: usize, shard: &mut Shard, incoming: &ProfileKey) {
         if self.capacity == 0 || shard.map.len() < self.capacity || shard.map.contains_key(incoming)
         {
             return;
@@ -450,12 +472,23 @@ impl ProfileCache {
         pairs: &[(u64, u64)],
         build: impl FnOnce() -> Result<PatternProfile, E>,
     ) -> Result<Arc<PatternProfile>, E> {
-        let key = CacheKey {
-            kind: design.kind(),
-            width: design.width(),
-            delay_fingerprint: delays.fingerprint(),
-            workload_fingerprint: workload_fingerprint(pairs),
-        };
+        self.get_or_insert_keyed(ProfileKey::new(design, delays, pairs), build)
+    }
+
+    /// [`get_or_insert_with`](Self::get_or_insert_with) on a key the
+    /// caller already built: a hit costs one shard lock and one map lookup,
+    /// with no fingerprinting.
+    ///
+    /// The caller promises that `build` produces the profile `key` names.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `build` errors; errors are not cached.
+    pub fn get_or_insert_keyed<E>(
+        &self,
+        key: ProfileKey,
+        build: impl FnOnce() -> Result<PatternProfile, E>,
+    ) -> Result<Arc<PatternProfile>, E> {
         let index = Self::shard_index(key.kind, key.width);
         {
             let mut shard = self.lock_shard(index);

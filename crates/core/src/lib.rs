@@ -79,8 +79,8 @@ pub use ahl::{Ahl, AhlConfig, AhlState, CycleDecision};
 pub use ahl_netlist::GateLevelAhl;
 pub use area::{area_report, Architecture, AreaReport};
 pub use cache::{
-    quantize_factor, quantize_factors, CacheEntry, ProfileCache, ShardStats, AGING_FACTOR_GRID,
-    SHARD_COUNT as CACHE_SHARD_COUNT,
+    quantize_factor, quantize_factors, CacheEntry, ProfileCache, ProfileKey, ShardStats,
+    AGING_FACTOR_GRID, SHARD_COUNT as CACHE_SHARD_COUNT,
 };
 pub use calibrate::{calibrated_delay_model, measure_critical_delay, PAPER_AM16_CRITICAL_NS};
 pub use design::{CornerProfiler, LaneWidth, MultiplierDesign, SimEngine};

@@ -9,7 +9,7 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use agemul::{MultiplierDesign, PatternProfile, PatternSet, ProfileCache};
+use agemul::{MultiplierDesign, PatternProfile, PatternSet, ProfileCache, ProfileKey};
 use agemul_circuits::MultiplierKind;
 use agemul_netlist::{DelayAssignment, GateId};
 
@@ -195,4 +195,102 @@ fn evicted_entries_rebuild_coherently() {
     assert!(!Arc::ptr_eq(&first, &rebuilt), "rebuild, not a stale hit");
     assert_eq!(first.records(), rebuilt.records());
     assert_eq!(bounded.misses(), 3);
+}
+
+/// A placeholder build for keyed lookups (no simulation).
+fn placeholder(design: &MultiplierDesign) -> Result<PatternProfile, Infallible> {
+    Ok(PatternProfile::from_records(
+        design.kind(),
+        design.width(),
+        vec![],
+    ))
+}
+
+/// `get_or_insert_with` is `get_or_insert_keyed` on `ProfileKey::new` of
+/// the same parts: each finds the other's entries.
+#[test]
+fn keyed_and_unkeyed_lookups_share_entries() {
+    let d = MultiplierDesign::new(MultiplierKind::ColumnBypass, 8).unwrap();
+    let pairs = [(3u64, 5u64), (7, 9)];
+    let fresh = d.delay_assignment(None).unwrap();
+    let aged = epoch(&d, 1.5);
+    let cache = ProfileCache::new();
+
+    // Unkeyed insert, keyed hit.
+    let a = cache
+        .get_or_insert_with(&d, &fresh, &pairs, || placeholder(&d))
+        .unwrap();
+    let a_keyed = cache
+        .get_or_insert_keyed(
+            ProfileKey::new(&d, &fresh, &pairs),
+            || -> Result<_, Infallible> { panic!("keyed lookup of an unkeyed insert must hit") },
+        )
+        .unwrap();
+    assert!(Arc::ptr_eq(&a, &a_keyed));
+
+    // Keyed insert, unkeyed hit.
+    let b = cache
+        .get_or_insert_keyed(ProfileKey::new(&d, &aged, &pairs), || placeholder(&d))
+        .unwrap();
+    let b_unkeyed = cache
+        .get_or_insert_with(&d, &aged, &pairs, || -> Result<_, Infallible> {
+            panic!("unkeyed lookup of a keyed insert must hit")
+        })
+        .unwrap();
+    assert!(Arc::ptr_eq(&b, &b_unkeyed));
+    assert!(!Arc::ptr_eq(&a, &b), "distinct delay epochs, distinct keys");
+    assert_eq!(cache.len(), 2);
+}
+
+/// An entry exported by `entries()` and re-seeded into a cold cache is
+/// found by a keyed lookup on the key its parts were built from.
+#[test]
+fn seeded_entries_hit_keyed_lookups() {
+    let d = MultiplierDesign::new(MultiplierKind::RowBypass, 8).unwrap();
+    let patterns = PatternSet::uniform(8, 12, 4);
+    // On the aging-factor grid, so `profile`'s quantization is the identity.
+    let factors = vec![1.25; d.circuit().netlist().gate_count()];
+    let delays = d.delay_assignment(Some(&factors)).unwrap();
+    let warm = ProfileCache::new();
+    let original = warm.profile(&d, patterns.pairs(), Some(&factors)).unwrap();
+
+    let cold = ProfileCache::new();
+    for entry in warm.entries() {
+        cold.seed_entry(&entry);
+    }
+    let served = cold
+        .get_or_insert_keyed(
+            ProfileKey::new(&d, &delays, patterns.pairs()),
+            || -> Result<_, Infallible> { panic!("a seeded entry must hit") },
+        )
+        .unwrap();
+    assert!(Arc::ptr_eq(&original, &served));
+    assert_eq!((cold.hits(), cold.misses()), (1, 0));
+}
+
+/// Keyed lookups tally hits and misses (globally and in the design's
+/// shard) exactly as unkeyed ones do.
+#[test]
+fn keyed_lookups_tally_like_unkeyed_ones() {
+    let d = MultiplierDesign::new(MultiplierKind::Array, 8).unwrap();
+    let pairs = [(1u64, 2u64)];
+    let runs = |keyed: bool| {
+        let cache = ProfileCache::new();
+        for factor in [1.0, 1.5, 1.0, 2.0, 1.5, 1.5] {
+            let delays = epoch(&d, factor);
+            if keyed {
+                cache
+                    .get_or_insert_keyed(ProfileKey::new(&d, &delays, &pairs), || placeholder(&d))
+                    .unwrap();
+            } else {
+                cache
+                    .get_or_insert_with(&d, &delays, &pairs, || placeholder(&d))
+                    .unwrap();
+            }
+        }
+        (cache.hits(), cache.misses(), cache.shard_stats())
+    };
+    let (hits, misses, shards) = runs(true);
+    assert_eq!((hits, misses), (3, 3));
+    assert_eq!(runs(false), (hits, misses, shards));
 }

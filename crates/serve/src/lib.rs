@@ -47,7 +47,7 @@ mod state;
 pub use flight::{FlightError, FlightRole, SingleFlight};
 pub use proto::{
     parse_kind, read_frame, response_error, response_ok, response_overloaded, write_frame,
-    DesignQuery, FrameAccumulator, FramePoll, Request, RequestBody, MAX_FRAME_BYTES,
+    DesignQuery, FrameAccumulator, FramePoll, Request, RequestBody, MAX_COUNT, MAX_FRAME_BYTES,
 };
 pub use server::{spawn, Endpoint, ServeConfig, ServerHandle};
 pub use state::{CacheOutcome, ServerState, SNAPSHOT_KEY};

@@ -18,6 +18,14 @@ use agemul_conformance::Json;
 /// fast instead of allocating gigabytes.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
+/// Largest accepted value of every request count that sizes an allocation
+/// before any work runs: `patterns` (65,536 is the paper's largest
+/// workload), `corners`, `faults` and `nodes`, and the lifetime points of
+/// an `mc` request. A larger count is a typed decode error: the allocation
+/// it would size can abort the process, which no `catch_unwind` catches.
+/// (`epochs` allocates per epoch as it runs, so it is not capped.)
+pub const MAX_COUNT: usize = 65_536;
+
 /// Writes one frame: big-endian `u32` length, then the JSON text.
 ///
 /// # Errors
@@ -322,6 +330,15 @@ fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
 }
 
+/// A count field in `1..=`[`MAX_COUNT`].
+fn get_count(v: &Json, key: &str) -> Result<usize, String> {
+    let n = get_u64(v, key)?;
+    if n == 0 || n > MAX_COUNT as u64 {
+        return Err(format!("{key} must be in 1..={MAX_COUNT}, got {n}"));
+    }
+    Ok(n as usize)
+}
+
 fn query_from_json(v: &Json) -> Result<DesignQuery, String> {
     let kind = parse_kind(
         v.get("kind")
@@ -338,10 +355,7 @@ fn query_from_json(v: &Json) -> Result<DesignQuery, String> {
             "years must be finite and non-negative, got {years}"
         ));
     }
-    let patterns = get_u64(v, "patterns")? as usize;
-    if patterns == 0 {
-        return Err("patterns must be positive".into());
-    }
+    let patterns = get_count(v, "patterns")?;
     let seed = get_u64(v, "seed")?;
     Ok(DesignQuery {
         kind,
@@ -418,10 +432,7 @@ impl Request {
                 }
             }
             "campaign" => {
-                let faults = get_u64(v, "faults")? as usize;
-                if faults == 0 {
-                    return Err("campaign needs at least one fault".into());
-                }
+                let faults = get_count(v, "faults")?;
                 RequestBody::Campaign {
                     query: query_from_json(v)?,
                     faults,
@@ -431,18 +442,23 @@ impl Request {
                 }
             }
             "mc" => {
-                let corners = get_u64(v, "corners")? as usize;
-                if corners == 0 {
-                    return Err("mc needs at least one corner".into());
-                }
+                let corners = get_count(v, "corners")?;
                 let sigma = get_f64(v, "sigma")?;
                 if !sigma.is_finite() || sigma < 0.0 {
                     return Err(format!(
                         "sigma must be finite and non-negative, got {sigma}"
                     ));
                 }
+                let query = query_from_json(v)?;
+                // `mc` evaluates lifetime points 0..=floor(years).
+                if query.years >= MAX_COUNT as f64 {
+                    return Err(format!(
+                        "mc lifetime years must be below {MAX_COUNT}, got {}",
+                        query.years
+                    ));
+                }
                 RequestBody::Mc {
-                    query: query_from_json(v)?,
+                    query,
                     corners,
                     sigma,
                     mc_seed: get_u64(v, "mc_seed")?,
@@ -451,10 +467,7 @@ impl Request {
                 }
             }
             "fleet" => {
-                let nodes = get_u64(v, "nodes")? as usize;
-                if nodes == 0 {
-                    return Err("fleet needs at least one node".into());
-                }
+                let nodes = get_count(v, "nodes")?;
                 let epochs = get_u64(v, "epochs")? as usize;
                 if epochs == 0 {
                     return Err("fleet needs at least one epoch".into());
@@ -732,6 +745,83 @@ mod tests {
         for (doc, needle) in bad {
             let err = Request::from_json(&doc).unwrap_err();
             assert!(err.contains(needle), "{err:?} lacks {needle:?}");
+        }
+    }
+
+    /// Counts that size an allocation are capped at decode: the cap is
+    /// accepted, one past it (or zero) is a typed error naming the field.
+    #[test]
+    fn allocation_sized_counts_are_capped() {
+        let decode = |op: &str, field: &str, value: u64| {
+            let body = match op {
+                "profile" => RequestBody::Profile(query()),
+                "campaign" => RequestBody::Campaign {
+                    query: query(),
+                    faults: 1,
+                    fault_seed: 1,
+                    skip: 1,
+                },
+                "mc" => RequestBody::Mc {
+                    query: query(),
+                    corners: 1,
+                    sigma: 0.05,
+                    mc_seed: 1,
+                    skip: 1,
+                },
+                _ => RequestBody::Fleet {
+                    query: query(),
+                    nodes: 1,
+                    epochs: 1,
+                    policy: "round-robin".into(),
+                    skip: 1,
+                },
+            };
+            let mut obj = Request {
+                id: 1,
+                deadline_ms: None,
+                body,
+            }
+            .to_json();
+            if let Json::Obj(pairs) = &mut obj {
+                pairs.retain(|(k, _)| k != field);
+                pairs.push((field.into(), Json::UInt(value)));
+            }
+            Request::from_json(&obj)
+        };
+        let counts = [
+            ("profile", "patterns"),
+            ("campaign", "faults"),
+            ("mc", "corners"),
+            ("fleet", "nodes"),
+        ];
+        for (op, field) in counts {
+            assert!(decode(op, field, MAX_COUNT as u64).is_ok(), "{op}.{field}");
+            for bad in [0, MAX_COUNT as u64 + 1, 1 << 40, u64::MAX] {
+                let err = decode(op, field, bad).unwrap_err();
+                assert!(err.contains(field), "{op}.{field}={bad}: {err}");
+            }
+        }
+
+        let mc_years = |years: f64| {
+            Request::from_json(
+                &Request {
+                    id: 1,
+                    deadline_ms: None,
+                    body: RequestBody::Mc {
+                        query: DesignQuery { years, ..query() },
+                        corners: 1,
+                        sigma: 0.05,
+                        mc_seed: 1,
+                        skip: 1,
+                    },
+                }
+                .to_json(),
+            )
+        };
+        assert!(mc_years(MAX_COUNT as f64 - 0.5).is_ok());
+        for bad in [MAX_COUNT as f64, 1e300] {
+            let err = mc_years(bad).unwrap_err();
+            assert!(err.contains("lifetime"), "{err}");
         }
     }
 

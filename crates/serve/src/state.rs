@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use agemul::{
     quantize_factors, CacheEntry, CancelToken, MultiplierDesign, PatternProfile, PatternSet,
-    ProfileCache, SimEngine,
+    ProfileCache, ProfileKey, SimEngine,
 };
 use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::MultiplierKind;
@@ -68,23 +68,48 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Keyed store of workload statistics: (kind, width, patterns, seed).
 type StatsMap = HashMap<(MultiplierKind, usize, usize, u64), Arc<WorkloadStats>>;
-/// Keyed store of aging factors: (kind, width, patterns, seed, years).
-type FactorsMap = HashMap<(MultiplierKind, usize, usize, u64, u32), Arc<Vec<f64>>>;
 
-fn years_key(years: f64) -> u32 {
-    (years * 100.0).round() as u32
-}
-
-/// Single-flight key: one in-flight simulation per design × aging epoch ×
-/// workload × engine.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct FlightKey {
+/// The exact identity of a [`DesignQuery`]: every field, with `years` by
+/// its bits. Distinct queries never share per-query state, so an answer
+/// cannot depend on which query came first. `-0.0` folds into `0.0`: both
+/// are the fresh design.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct QueryKey {
     kind: MultiplierKind,
     width: usize,
-    years_c: u32,
+    years_bits: u64,
     patterns: usize,
     seed: u64,
+}
+
+impl QueryKey {
+    fn new(query: &DesignQuery) -> Self {
+        let years = if query.years == 0.0 { 0.0 } else { query.years };
+        QueryKey {
+            kind: query.kind,
+            width: query.width,
+            years_bits: years.to_bits(),
+            patterns: query.patterns,
+            seed: query.seed,
+        }
+    }
+}
+
+/// Single-flight key: one in-flight simulation per query × engine.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct FlightKey {
+    query: QueryKey,
     engine: u8,
+}
+
+/// Everything a query's profile build needs, plus the cache key it
+/// resolves to.
+struct Resolved {
+    design: Arc<MultiplierDesign>,
+    workload: Arc<PatternSet>,
+    /// Aging factors snapped onto the cache's grid (`None` = fresh).
+    factors: Option<Vec<f64>>,
+    key: ProfileKey,
 }
 
 /// The server's shared artifact store. Cheap lookups (designs, workloads,
@@ -98,7 +123,10 @@ pub struct ServerState {
     designs: Mutex<HashMap<(MultiplierKind, usize), Arc<MultiplierDesign>>>,
     workloads: Mutex<HashMap<(usize, usize, u64), Arc<PatternSet>>>,
     stats: Mutex<StatsMap>,
-    factors: Mutex<FactorsMap>,
+    factors: Mutex<HashMap<QueryKey, Arc<Vec<f64>>>>,
+    /// Query → cache key memo: a repeated query skips rebuilding and
+    /// fingerprinting its per-gate delay assignment.
+    keys: Mutex<HashMap<QueryKey, ProfileKey>>,
     /// Connections shed by the acceptor with a typed `overloaded`
     /// response (surfaced in the `stats` op).
     shed: std::sync::atomic::AtomicU64,
@@ -132,6 +160,7 @@ impl ServerState {
             workloads: Mutex::new(HashMap::new()),
             stats: Mutex::new(HashMap::new()),
             factors: Mutex::new(HashMap::new()),
+            keys: Mutex::new(HashMap::new()),
             shed: std::sync::atomic::AtomicU64::new(0),
             chaos_scope: scope,
         }
@@ -152,6 +181,13 @@ impl ServerState {
     /// request for its key, so soaks assert this drains).
     pub fn in_flight(&self) -> usize {
         self.flight.in_flight()
+    }
+
+    /// Distinct queries resolved to a cache key so far (the size of the
+    /// query → [`ProfileKey`] memo; a query whose resolution failed is
+    /// not counted).
+    pub fn resolved_queries(&self) -> usize {
+        lock(&self.keys).len()
     }
 
     /// The profile cache (shared with campaign preparation).
@@ -217,13 +253,7 @@ impl ServerState {
         if query.years <= 0.0 {
             return Ok(None);
         }
-        let key = (
-            query.kind,
-            query.width,
-            query.patterns,
-            query.seed,
-            years_key(query.years),
-        );
+        let key = QueryKey::new(query);
         if let Some(f) = lock(&self.factors).get(&key) {
             return Ok(Some(Arc::clone(f)));
         }
@@ -259,9 +289,32 @@ impl ServerState {
         Ok(Arc::clone(s))
     }
 
+    /// Resolves a query to its build inputs and cache key: design, aging
+    /// factors, workload, and the fingerprints of the delay assignment and
+    /// operand pairs.
+    fn resolve(&self, query: &DesignQuery) -> Result<Resolved, String> {
+        let design = self.design(query.kind, query.width)?;
+        let factors = self.factors(query)?.map(|f| quantize_factors(&f));
+        let delays = design
+            .delay_assignment(factors.as_deref())
+            .map_err(|e| e.to_string())?;
+        let workload = self.workload(query.width, query.patterns, query.seed);
+        let key = ProfileKey::new(&design, &delays, workload.pairs());
+        Ok(Resolved {
+            design,
+            workload,
+            factors,
+            key,
+        })
+    }
+
     /// The query's timing profile: through the single-flight coalescer,
     /// then the sharded cache, simulating (on `engine`, under `cancel`)
     /// only on a true miss. Returns the profile and how it was obtained.
+    ///
+    /// Each distinct query resolves to its cache key once; later lookups
+    /// read the memo and touch neither the design nor its delays unless
+    /// the profile must be simulated.
     ///
     /// # Errors
     ///
@@ -275,22 +328,19 @@ impl ServerState {
         engine: SimEngine,
         cancel: Option<&CancelToken>,
     ) -> Result<(Arc<PatternProfile>, CacheOutcome), FlightError> {
-        let design = self
-            .design(query.kind, query.width)
-            .map_err(FlightError::Build)?;
-        let factors = self.factors(query).map_err(FlightError::Build)?;
-        let quantized = factors.map(|f| quantize_factors(&f));
-        let delays = design
-            .delay_assignment(quantized.as_deref())
-            .map_err(|e| FlightError::Build(e.to_string()))?;
-        let workload = self.workload(query.width, query.patterns, query.seed);
+        let query_key = QueryKey::new(query);
+        let memo = lock(&self.keys).get(&query_key).copied();
+        let (key, resolved) = match memo {
+            Some(key) => (key, None),
+            None => {
+                let resolved = self.resolve(query).map_err(FlightError::Build)?;
+                lock(&self.keys).insert(query_key, resolved.key);
+                (resolved.key, Some(resolved))
+            }
+        };
 
         let flight_key = FlightKey {
-            kind: query.kind,
-            width: query.width,
-            years_c: years_key(query.years),
-            patterns: query.patterns,
-            seed: query.seed,
+            query: query_key,
             engine: match engine {
                 SimEngine::Level => 0,
                 SimEngine::Event => 1,
@@ -312,23 +362,28 @@ impl ServerState {
                     ),
                 );
             }
-            self.cache
-                .get_or_insert_with(&design, &delays, workload.pairs(), || {
-                    simulated.set(true);
-                    design.profile_supervised(
-                        workload.pairs(),
-                        quantized.as_deref(),
+            self.cache.get_or_insert_keyed(key, || {
+                simulated.set(true);
+                let build = match resolved {
+                    Some(build) => build,
+                    None => self.resolve(query).map_err(FlightError::Build)?,
+                };
+                build
+                    .design
+                    .profile_supervised(
+                        build.workload.pairs(),
+                        build.factors.as_deref(),
                         engine,
                         cancel,
                     )
-                })
-                .map_err(|e| {
-                    if is_cancellation(&e) {
-                        FlightError::Cancelled
-                    } else {
-                        FlightError::Build(e.to_string())
-                    }
-                })
+                    .map_err(|e| {
+                        if is_cancellation(&e) {
+                            FlightError::Cancelled
+                        } else {
+                            FlightError::Build(e.to_string())
+                        }
+                    })
+            })
         });
         let profile = outcome?;
         let how = match role {
@@ -341,7 +396,8 @@ impl ServerState {
 
     /// Cache/coalescer statistics as the `stats` op's result payload.
     ///
-    /// The global totals are followed by a `shards` array — one row per
+    /// The global totals (including `resolved_queries`, the memo's size)
+    /// are followed by a `shards` array — one row per
     /// cache shard with its resident entries and hit/miss/eviction tallies
     /// (shards are keyed by (kind, width), so a hot row is a hot design) —
     /// and a `flight` object with the single-flight coalescer's
@@ -374,6 +430,10 @@ impl ServerState {
                     .map_or(Json::Null, |c| Json::UInt(c as u64)),
             ),
             ("shed".into(), Json::UInt(self.shed())),
+            (
+                "resolved_queries".into(),
+                Json::UInt(self.resolved_queries() as u64),
+            ),
             ("shards".into(), Json::Arr(shards)),
             (
                 "flight".into(),

@@ -16,10 +16,13 @@ fmt-check:
 clippy:
 	cargo clippy --workspace --all-targets --all-features -- -D warnings
 
-# Tier-1 gate: release build + full test suite.
+# Tier-1 gate: release build + full test suite, then the benchmark
+# package's own tests (a separate package under `benchmark/`, outside the
+# workspace; they include serve-open's served ≡ in-process check).
 test:
 	cargo build --release --workspace
 	cargo test -q --workspace
+	cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Tests again with the parallel fan-out compiled in.
 test-parallel:

@@ -8,6 +8,8 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
+# The benchmark package's own tests (outside the workspace).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Fault-campaign smoke: a reduced-scale end-to-end injection run.
 cargo run --release -p agemul-repro -- --quick faults >/dev/null
 # Timing-kernel equivalence smoke: LevelSim vs EventSim on an 8×8
