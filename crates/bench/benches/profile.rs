@@ -63,7 +63,7 @@ fn bench_profile(c: &mut Criterion) {
         });
 
         // The wide-lane batch kernel under profiling's functional
-        // verification sweep: 64, 256, and 512 lanes per block.
+        // verification sweep: 64 and 256 lanes per block.
         for lanes in LaneWidth::ALL {
             g.bench_function(format!("{label}_verify_wide{}", lanes.lanes()), |b| {
                 b.iter(|| design.verify_functional_wide(pairs, lanes).unwrap())

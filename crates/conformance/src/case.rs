@@ -6,7 +6,7 @@ use agemul_netlist::{DelayAssignment, FaultKind, FaultOverlay, GateId, NetId, Ne
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::gen::{build_netlist, GateRecipe, GEN_INPUTS};
-use crate::json::Json;
+use agemul::Json;
 
 /// The delay-assignment axis of a case.
 #[derive(Clone, Debug, PartialEq)]
@@ -225,27 +225,14 @@ impl Case {
     /// Returns a description of the first syntax or schema error.
     pub fn from_json(text: &str) -> Result<Case, String> {
         let doc = Json::parse(text)?;
-        let req_u64 = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-        };
-        let seed = req_u64("seed")?;
-        let inputs = req_u64("inputs")? as usize;
+        let seed = doc.get_u64("seed")?;
+        let inputs = doc.get_u64("inputs")? as usize;
         let gates = doc
-            .get("gates")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'gates' array")?
+            .get_arr("gates")?
             .iter()
             .map(|g| {
-                let kind_sel = g
-                    .get("kind")
-                    .and_then(Json::as_u64)
-                    .ok_or("gate missing 'kind'")? as u8;
-                let picks = g
-                    .get("picks")
-                    .and_then(Json::as_arr)
-                    .ok_or("gate missing 'picks'")?;
+                let kind_sel = g.get_u64("kind")? as u8;
+                let picks = g.get_arr("picks")?;
                 if picks.len() != 3 {
                     return Err("gate 'picks' must have 3 entries".to_string());
                 }
@@ -257,9 +244,7 @@ impl Case {
             })
             .collect::<Result<Vec<_>, String>>()?;
         let workload = doc
-            .get("workload")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'workload' array")?
+            .get_arr("workload")?
             .iter()
             .map(|w| {
                 w.as_u64()
@@ -267,26 +252,17 @@ impl Case {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let delay_doc = doc.get("delay").ok_or("missing 'delay'")?;
-        let delay = match delay_doc.get("mode").and_then(Json::as_str) {
-            Some("uniform") => DelaySpec::Uniform,
-            Some("aged") => {
+        let delay = match delay_doc.get_str("mode")? {
+            "uniform" => DelaySpec::Uniform,
+            "aged" => {
                 let factors = delay_doc
-                    .get("factors")
-                    .and_then(Json::as_arr)
-                    .ok_or("aged delay missing 'factors'")?
+                    .get_arr("factors")?
                     .iter()
                     .map(|f| f.as_f64().ok_or_else(|| "non-numeric factor".to_string()))
                     .collect::<Result<Vec<_>, _>>()?;
                 let hot = match delay_doc.get("hot") {
                     None => None,
-                    Some(h) => Some((
-                        h.get("gate")
-                            .and_then(Json::as_u64)
-                            .ok_or("hot missing 'gate'")? as u16,
-                        h.get("factor")
-                            .and_then(Json::as_f64)
-                            .ok_or("hot missing 'factor'")?,
-                    )),
+                    Some(h) => Some((h.get_u64("gate")? as u16, h.get_f64("factor")?)),
                 };
                 DelaySpec::Aged { factors, hot }
             }
@@ -295,14 +271,11 @@ impl Case {
         let fault = match doc.get("fault") {
             None | Some(Json::Null) => None,
             Some(f) => Some(FaultCase {
-                net_pick: f
-                    .get("net")
-                    .and_then(Json::as_u64)
-                    .ok_or("fault missing 'net'")? as u16,
-                kind: match f.get("kind").and_then(Json::as_str) {
-                    Some("stuck0") => FaultKind::StuckAt0,
-                    Some("stuck1") => FaultKind::StuckAt1,
-                    Some("flip") => FaultKind::Flip,
+                net_pick: f.get_u64("net")? as u16,
+                kind: match f.get_str("kind")? {
+                    "stuck0" => FaultKind::StuckAt0,
+                    "stuck1" => FaultKind::StuckAt1,
+                    "flip" => FaultKind::Flip,
                     _ => return Err("unknown fault kind".into()),
                 },
             }),

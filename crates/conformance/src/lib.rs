@@ -49,13 +49,13 @@ mod case;
 mod gate;
 pub mod gen;
 mod invariants;
-mod json;
 mod oracle;
 mod shrink;
 
+/// Re-exported from `agemul`, where the JSON model lives.
+pub use agemul::Json;
 pub use case::{Case, DelaySpec, FaultCase};
 pub use gate::{case_seed, run_gate, DivergentCase, GateOutcome};
 pub use invariants::{check_multiplier_conformance, check_profile_laws, Violation};
-pub use json::Json;
 pub use oracle::{check_case, reference_eval, Divergence, EngineId};
 pub use shrink::{repro_artifact, shrink_case};

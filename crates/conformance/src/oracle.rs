@@ -126,10 +126,10 @@ pub fn reference_eval(
 /// 2. [`BatchSim`] (all lanes, clean and overlay) vs the per-step scalar
 ///    results — the overlay masks lane 0 only, so lane 0 of each batch
 ///    compares against the faulted scalar run and the other lanes against
-///    the clean one; the same axis then re-runs at 256 and 512 lanes
-///    ([`BlockSim<4>`](BlockSim)/[`BlockSim<8>`](BlockSim)), where the
-///    overlay's 64-bit mask replicates per chunk (lane `i` of a block is
-///    faulted iff bit `i % 64` is set);
+///    the clean one; the same axis then re-runs at 256 lanes
+///    ([`BlockSim<4>`](BlockSim)), where the overlay's 64-bit mask
+///    replicates per chunk (lane `i` of a block is faulted iff bit
+///    `i % 64` is set);
 /// 3. [`EventSim`] vs [`LevelSim`] in lockstep — identical
 ///    [`PatternTiming`] (femtosecond-derived fields compare with `==`),
 ///    identical values on every net, identical cumulative per-gate toggle
@@ -221,11 +221,9 @@ pub fn check_case(case: &Case) -> Result<Vec<Divergence>, NetlistError> {
         }
     }
 
-    // Axis 2, wide lanes: the same lanes-vs-scalar diff at 256 and 512
-    // lanes, sampling the width-generic kernel the wide profiling paths
-    // use.
+    // Axis 2, wide lanes: the same lanes-vs-scalar diff at 256 lanes,
+    // sampling the width-generic kernel the wide profiling path uses.
     wide_batch_axis::<4>(&mut divs, &n, &topo, &patterns, overlay.as_ref(), &mut fsim)?;
-    wide_batch_axis::<8>(&mut divs, &n, &topo, &patterns, overlay.as_ref(), &mut fsim)?;
 
     // Axis 3: EventSim vs LevelSim in lockstep, clean → overlay → detach.
     let mut esim = EventSim::new(&n, &topo, delays.clone());

@@ -9,8 +9,8 @@
 //! the failure disappear.
 
 use crate::case::{Case, DelaySpec};
-use crate::json::Json;
 use crate::oracle::Divergence;
+use agemul::Json;
 
 /// Reduces `case` to a locally minimal one that still satisfies `fails`.
 ///

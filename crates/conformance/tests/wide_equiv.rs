@@ -1,5 +1,5 @@
-//! Wide-lane bit-identity: the scalar, 64-lane, 256-lane, and 512-lane
-//! kernels must agree on every net of every pattern over the conformance
+//! Wide-lane bit-identity: the scalar, 64-lane, and 256-lane kernels
+//! must agree on every net of every pattern over the conformance
 //! generator's random netlists — clean and under lane-masked fault
 //! overlays, where a block replicates the 64-bit mask per chunk.
 
@@ -76,7 +76,6 @@ proptest! {
 
         prop_assert_eq!(&run_wide::<1>(&n, &patterns, None), &scalar);
         prop_assert_eq!(&run_wide::<4>(&n, &patterns, None), &scalar);
-        prop_assert_eq!(&run_wide::<8>(&n, &patterns, None), &scalar);
     }
 
     /// Overlay sweeps: a wide batch with an arbitrary lane-masked overlay
@@ -97,7 +96,6 @@ proptest! {
 
         let narrow = run_wide::<1>(&n, &patterns, Some(&overlay));
         prop_assert_eq!(&run_wide::<4>(&n, &patterns, Some(&overlay)), &narrow);
-        prop_assert_eq!(&run_wide::<8>(&n, &patterns, Some(&overlay)), &narrow);
 
         // Lane 0 of the masked run additionally matches the scalar view.
         let topo = n.topology().unwrap();

@@ -58,7 +58,7 @@
 //!
 //! The result is byte-identical to a from-scratch
 //! [`MultiplierDesign::profile`] of the same (quantized) factors — the
-//! property `just incremental-equiv` locks in — at a fraction of the
+//! property this module's tests lock in — at a fraction of the
 //! simulated work, which [`SweepCounters`] quantifies.
 
 use std::sync::Arc;

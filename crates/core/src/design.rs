@@ -28,12 +28,11 @@ pub enum SimEngine {
 /// Batch width for the bit-parallel functional sweeps: how many patterns
 /// one [`BlockSim`](agemul_netlist::BlockSim) pass carries.
 ///
-/// The three widths are bit-identical (the wide kernels are per-chunk
-/// replicas of the 64-lane one — property-tested in `agemul-netlist` and
+/// The two widths are bit-identical (the wide kernel is a per-chunk
+/// replica of the 64-lane one — property-tested in `agemul-netlist` and
 /// `agemul-conformance`); they trade register pressure for fewer sweep
-/// passes. 64 lanes is the conservative default; 256/512 let the
-/// auto-vectorizer issue full-width SIMD loads on AVX2/AVX-512-class
-/// cores.
+/// passes. 64 lanes is the conservative default; 256 lets the
+/// auto-vectorizer issue full-width SIMD loads on AVX2-class cores.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LaneWidth {
     /// 64 patterns per pass (one `u64` chunk per plane).
@@ -41,13 +40,11 @@ pub enum LaneWidth {
     W64,
     /// 256 patterns per pass (4 chunks — auto-vectorizes to 256-bit ops).
     W256,
-    /// 512 patterns per pass (8 chunks — auto-vectorizes to 512-bit ops).
-    W512,
 }
 
 impl LaneWidth {
     /// Every supported width, narrowest first.
-    pub const ALL: [LaneWidth; 3] = [LaneWidth::W64, LaneWidth::W256, LaneWidth::W512];
+    pub const ALL: [LaneWidth; 2] = [LaneWidth::W64, LaneWidth::W256];
 
     /// The number of lanes this width carries per pass.
     #[inline]
@@ -55,16 +52,14 @@ impl LaneWidth {
         match self {
             LaneWidth::W64 => 64,
             LaneWidth::W256 => 256,
-            LaneWidth::W512 => 512,
         }
     }
 
-    /// Parses a lane count (`64`, `256`, `512`).
+    /// Parses a lane count (`64` or `256`).
     pub fn from_lanes(lanes: usize) -> Option<LaneWidth> {
         match lanes {
             64 => Some(LaneWidth::W64),
             256 => Some(LaneWidth::W256),
-            512 => Some(LaneWidth::W512),
             _ => None,
         }
     }
@@ -477,9 +472,9 @@ impl MultiplierDesign {
     }
 
     /// [`verify_functional`](Self::verify_functional) with an explicit
-    /// batch width: 256/512 lanes carry 4×/8× more patterns per sweep
-    /// pass with identical results (the wide kernels are per-chunk
-    /// replicas of the 64-lane one).
+    /// batch width: 256 lanes carry 4× more patterns per sweep pass with
+    /// identical results (the wide kernel is a per-chunk replica of the
+    /// 64-lane one).
     ///
     /// # Errors
     ///
@@ -492,7 +487,6 @@ impl MultiplierDesign {
         match width {
             LaneWidth::W64 => self.verify_pairs_fanout::<1>(pairs),
             LaneWidth::W256 => self.verify_pairs_fanout::<4>(pairs),
-            LaneWidth::W512 => self.verify_pairs_fanout::<8>(pairs),
         }
     }
 
@@ -576,7 +570,6 @@ impl MultiplierDesign {
         match width {
             LaneWidth::W64 => self.observe_probabilities::<1>(&mut stats, &encoded)?,
             LaneWidth::W256 => self.observe_probabilities::<4>(&mut stats, &encoded)?,
-            LaneWidth::W512 => self.observe_probabilities::<8>(&mut stats, &encoded)?,
         }
 
         let delays = self.delay_assignment(None)?;

@@ -65,6 +65,7 @@ mod design;
 mod energy;
 mod engine;
 mod error;
+mod json;
 mod judging;
 mod metrics;
 mod montecarlo;
@@ -87,6 +88,7 @@ pub use design::{CornerProfiler, LaneWidth, MultiplierDesign, SimEngine};
 pub use energy::{energy_report, EnergyInputs};
 pub use engine::{run_engine, run_engine_traced, run_fixed_latency, EngineConfig, EngineTrace};
 pub use error::CoreError;
+pub use json::Json;
 pub use judging::{count_zeros, JudgingBlock};
 pub use metrics::RunMetrics;
 pub use montecarlo::{CornerOutcome, McConfig, McReport, MonteCarloCampaign, YearOutcome};

@@ -473,12 +473,18 @@ impl<'a> MonteCarloCampaign<'a> {
                 .map(|&corner| self.run_corner(&mut profiler, corner, cancel))
                 .collect()
         };
-        let corners = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(McReport {
+        Ok(self.report(results.into_iter().collect::<Result<_, _>>()?))
+    }
+
+    /// Assembles this campaign's report from corner outcomes in corner
+    /// order — all of them ([`run`](Self::run)), or the subset a
+    /// supervised run completed.
+    pub fn report(&self, corners: Vec<CornerOutcome>) -> McReport {
+        McReport {
             years: self.config.years.clone(),
             cycle_ns: self.config.cycle_ns,
             corners,
-        })
+        }
     }
 }
 

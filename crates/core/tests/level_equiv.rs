@@ -38,7 +38,7 @@ fn aged_factors(design: &MultiplierDesign) -> Vec<f64> {
         .collect()
 }
 
-/// The `just timing-equiv` smoke target: LevelSim vs EventSim bit-identity
+/// Timing-kernel smoke: LevelSim vs EventSim bit-identity
 /// on the 8×8 column-bypassing multiplier under a uniform workload.
 #[test]
 fn timing_equiv_smoke_cb8() {

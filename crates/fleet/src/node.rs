@@ -7,8 +7,7 @@
 //! round-trips losslessly through the dependency-free `Json` model, which
 //! is what makes mid-campaign checkpoint/resume byte-identical.
 
-use agemul::{Ahl, AhlConfig, AhlState};
-use agemul_conformance::Json;
+use agemul::{Ahl, AhlConfig, AhlState, Json};
 
 /// A node's operational status.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,6 +69,33 @@ impl NodeCounters {
     /// one-cycle operation pays anyway).
     pub fn recovery_cycles(&self, penalty: u32) -> u64 {
         self.errors * u64::from(penalty)
+    }
+
+    /// The counters as object fields, in their serialized order.
+    pub(crate) fn json_pairs(&self) -> [(String, Json); 7] {
+        [
+            ("ops".into(), Json::UInt(self.ops)),
+            ("one_cycle_ops".into(), Json::UInt(self.one_cycle_ops)),
+            ("two_cycle_ops".into(), Json::UInt(self.two_cycle_ops)),
+            ("errors".into(), Json::UInt(self.errors)),
+            ("undetected".into(), Json::UInt(self.undetected)),
+            ("cycles".into(), Json::UInt(self.cycles)),
+            ("busy_fs".into(), Json::UInt(self.busy_fs)),
+        ]
+    }
+
+    /// Reads the [`json_pairs`](Self::json_pairs) fields back out of an
+    /// object.
+    pub(crate) fn from_json(v: &Json) -> Result<NodeCounters, String> {
+        Ok(NodeCounters {
+            ops: v.get_u64("ops")?,
+            one_cycle_ops: v.get_u64("one_cycle_ops")?,
+            two_cycle_ops: v.get_u64("two_cycle_ops")?,
+            errors: v.get_u64("errors")?,
+            undetected: v.get_u64("undetected")?,
+            cycles: v.get_u64("cycles")?,
+            busy_fs: v.get_u64("busy_fs")?,
+        })
     }
 }
 
@@ -166,24 +192,12 @@ impl NodeState {
                 Json::UInt(u64::from(ahl.errors_in_window)),
             ),
             ("ahl_transitions".into(), Json::UInt(ahl.transitions)),
-            ("ops".into(), Json::UInt(self.counters.ops)),
-            (
-                "one_cycle_ops".into(),
-                Json::UInt(self.counters.one_cycle_ops),
-            ),
-            (
-                "two_cycle_ops".into(),
-                Json::UInt(self.counters.two_cycle_ops),
-            ),
-            ("errors".into(), Json::UInt(self.counters.errors)),
-            ("undetected".into(), Json::UInt(self.counters.undetected)),
-            ("cycles".into(), Json::UInt(self.counters.cycles)),
-            ("busy_fs".into(), Json::UInt(self.counters.busy_fs)),
-            (
-                "profile_max_delay_ns".into(),
-                Json::Num(self.profile_max_delay_ns),
-            ),
         ];
+        pairs.extend(self.counters.json_pairs());
+        pairs.push((
+            "profile_max_delay_ns".into(),
+            Json::Num(self.profile_max_delay_ns),
+        ));
         if let Some(epoch) = self.retired_at_epoch {
             pairs.push(("retired_at_epoch".into(), Json::UInt(u64::from(epoch))));
         }
@@ -198,68 +212,34 @@ impl NodeState {
     ///
     /// Describes the first missing or mistyped field.
     pub fn from_json(v: &Json, skip: u32) -> Result<NodeState, String> {
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("node: missing or non-integer field {key:?}"))
+        let decode = || {
+            let mut ahl = Ahl::adaptive(skip, AhlConfig::paper());
+            ahl.restore(AhlState {
+                aged: v.get_bool("ahl_aged")?,
+                ops_in_window: v.get_u32("ahl_ops")?,
+                errors_in_window: v.get_u32("ahl_errors")?,
+                transitions: v.get_u64("ahl_transitions")?,
+            });
+            Ok(NodeState {
+                id: v.get_u32("id")?,
+                corner_seed: v.get_u64("corner_seed")?,
+                age_years: v.get_f64("age_years")?,
+                status: NodeStatus::parse(v.get_str("status")?)?,
+                retired_at_epoch: v.get_opt_u32("retired_at_epoch")?,
+                downclocks: v.get_u32("downclocks")?,
+                cycle_fs: v.get_u64("cycle_fs")?,
+                busy_until_fs: v.get_u64("busy_until_fs")?,
+                ahl,
+                counters: NodeCounters::from_json(v)?,
+                profile_max_delay_ns: v.get_f64("profile_max_delay_ns")?,
+                // Snapshots are taken at epoch boundaries, where the policy
+                // window is always empty.
+                epoch_ops: 0,
+                epoch_errors: 0,
+                epoch_undetected: 0,
+            })
         };
-        let f = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("node: missing or non-numeric field {key:?}"))
-        };
-        let status = NodeStatus::parse(
-            v.get("status")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "node: missing or non-string field \"status\"".to_string())?,
-        )?;
-        let mut ahl = Ahl::adaptive(skip, AhlConfig::paper());
-        ahl.restore(AhlState {
-            aged: v
-                .get("ahl_aged")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| "node: missing or non-bool field \"ahl_aged\"".to_string())?,
-            ops_in_window: u32::try_from(u("ahl_ops")?)
-                .map_err(|_| "node: ahl_ops out of range".to_string())?,
-            errors_in_window: u32::try_from(u("ahl_errors")?)
-                .map_err(|_| "node: ahl_errors out of range".to_string())?,
-            transitions: u("ahl_transitions")?,
-        });
-        Ok(NodeState {
-            id: u32::try_from(u("id")?).map_err(|_| "node: id out of range".to_string())?,
-            corner_seed: u("corner_seed")?,
-            age_years: f("age_years")?,
-            status,
-            retired_at_epoch: match v.get("retired_at_epoch") {
-                None | Some(Json::Null) => None,
-                Some(x) => Some(
-                    u32::try_from(x.as_u64().ok_or_else(|| {
-                        "node: non-integer field \"retired_at_epoch\"".to_string()
-                    })?)
-                    .map_err(|_| "node: retired_at_epoch out of range".to_string())?,
-                ),
-            },
-            downclocks: u32::try_from(u("downclocks")?)
-                .map_err(|_| "node: downclocks out of range".to_string())?,
-            cycle_fs: u("cycle_fs")?,
-            busy_until_fs: u("busy_until_fs")?,
-            ahl,
-            counters: NodeCounters {
-                ops: u("ops")?,
-                one_cycle_ops: u("one_cycle_ops")?,
-                two_cycle_ops: u("two_cycle_ops")?,
-                errors: u("errors")?,
-                undetected: u("undetected")?,
-                cycles: u("cycles")?,
-                busy_fs: u("busy_fs")?,
-            },
-            profile_max_delay_ns: f("profile_max_delay_ns")?,
-            // Snapshots are taken at epoch boundaries, where the policy
-            // window is always empty.
-            epoch_ops: 0,
-            epoch_errors: 0,
-            epoch_undetected: 0,
-        })
+        decode().map_err(|e: String| format!("node: {e}"))
     }
 }
 

@@ -37,11 +37,10 @@
 use std::sync::Arc;
 
 use agemul::{
-    quantize_factors, CancelToken, CoreError, CornerProfiler, CycleDecision, DetectOutcome,
+    quantize_factors, CancelToken, CoreError, CornerProfiler, CycleDecision, DetectOutcome, Json,
     MultiplierDesign, PatternProfile, ProfileCache, RazorBank, RazorConfig, SimEngine,
 };
 use agemul_aging::{stress_probabilities, BtiModel, VariationModel};
-use agemul_conformance::Json;
 
 use crate::event::{fnv1a64, Event, EventKind, EventQueue};
 use crate::node::{NodeCounters, NodeState, NodeStatus};
@@ -768,69 +767,44 @@ impl<'a, 'b> FleetSim<'a, 'b> {
     ///
     /// Rejects schema or fingerprint mismatches and malformed fields.
     pub fn restore(campaign: &'b FleetCampaign<'a>, snapshot: &Json) -> Result<Self, String> {
-        let schema = snapshot
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "snapshot: missing schema".to_string())?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(format!(
-                "snapshot: schema {schema:?} is not {SNAPSHOT_SCHEMA:?}"
-            ));
-        }
-        let fingerprint = snapshot
-            .get("fingerprint")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "snapshot: missing fingerprint".to_string())?;
-        if fingerprint != campaign.fingerprint {
-            return Err(format!(
-                "snapshot: fingerprint {:#x} does not match campaign {:#x} — \
-                 refusing to resume under a different configuration",
-                fingerprint, campaign.fingerprint
-            ));
-        }
-        let u = |key: &str| {
-            snapshot
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("snapshot: missing or non-integer field {key:?}"))
+        let decode = || {
+            let schema = snapshot.get_str("schema")?;
+            if schema != SNAPSHOT_SCHEMA {
+                return Err(format!("schema {schema:?} is not {SNAPSHOT_SCHEMA:?}"));
+            }
+            let fingerprint = snapshot.get_u64("fingerprint")?;
+            if fingerprint != campaign.fingerprint {
+                return Err(format!(
+                    "fingerprint {:#x} does not match campaign {:#x} — \
+                     refusing to resume under a different configuration",
+                    fingerprint, campaign.fingerprint
+                ));
+            }
+            let nodes_json = snapshot.get_arr("nodes")?;
+            if nodes_json.len() != campaign.config.nodes {
+                return Err(format!(
+                    "{} nodes, campaign expects {}",
+                    nodes_json.len(),
+                    campaign.config.nodes
+                ));
+            }
+            let nodes = nodes_json
+                .iter()
+                .map(|v| NodeState::from_json(v, campaign.config.skip))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(FleetSim {
+                campaign,
+                nodes,
+                epoch: snapshot.get_u32("epoch")?,
+                rr_cursor: snapshot.get_u32("rr_cursor")?,
+                log: EventLog::default(),
+                completed_ops: snapshot.get_u64("completed_ops")?,
+                dropped_ops: snapshot.get_u64("dropped_ops")?,
+                last_completion_fs: snapshot.get_u64("last_completion_fs")?,
+                lifetime_epoch: snapshot.get_opt_u32("lifetime_epoch")?,
+            })
         };
-        let nodes_json = snapshot
-            .get("nodes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "snapshot: missing node array".to_string())?;
-        if nodes_json.len() != campaign.config.nodes {
-            return Err(format!(
-                "snapshot: {} nodes, campaign expects {}",
-                nodes_json.len(),
-                campaign.config.nodes
-            ));
-        }
-        let nodes = nodes_json
-            .iter()
-            .map(|v| NodeState::from_json(v, campaign.config.skip))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FleetSim {
-            campaign,
-            nodes,
-            epoch: u32::try_from(u("epoch")?)
-                .map_err(|_| "snapshot: epoch out of range".to_string())?,
-            rr_cursor: u32::try_from(u("rr_cursor")?)
-                .map_err(|_| "snapshot: rr_cursor out of range".to_string())?,
-            log: EventLog::default(),
-            completed_ops: u("completed_ops")?,
-            dropped_ops: u("dropped_ops")?,
-            last_completion_fs: u("last_completion_fs")?,
-            lifetime_epoch: match snapshot.get("lifetime_epoch") {
-                None | Some(Json::Null) => None,
-                Some(x) => Some(
-                    u32::try_from(
-                        x.as_u64()
-                            .ok_or_else(|| "snapshot: non-integer lifetime_epoch".to_string())?,
-                    )
-                    .map_err(|_| "snapshot: lifetime_epoch out of range".to_string())?,
-                ),
-            },
-        })
+        decode().map_err(|e: String| format!("snapshot: {e}"))
     }
 
     /// The campaign summary at the current epoch.
@@ -960,20 +934,8 @@ impl NodeReport {
             ("status".into(), Json::Str(self.status.clone())),
             ("downclocks".into(), Json::UInt(u64::from(self.downclocks))),
             ("cycle_fs".into(), Json::UInt(self.cycle_fs)),
-            ("ops".into(), Json::UInt(self.counters.ops)),
-            (
-                "one_cycle_ops".into(),
-                Json::UInt(self.counters.one_cycle_ops),
-            ),
-            (
-                "two_cycle_ops".into(),
-                Json::UInt(self.counters.two_cycle_ops),
-            ),
-            ("errors".into(), Json::UInt(self.counters.errors)),
-            ("undetected".into(), Json::UInt(self.counters.undetected)),
-            ("cycles".into(), Json::UInt(self.counters.cycles)),
-            ("busy_fs".into(), Json::UInt(self.counters.busy_fs)),
         ];
+        pairs.extend(self.counters.json_pairs());
         if let Some(epoch) = self.retired_at_epoch {
             pairs.push(("retired_at_epoch".into(), Json::UInt(u64::from(epoch))));
         }
@@ -986,46 +948,18 @@ impl NodeReport {
     ///
     /// Describes the first missing or mistyped field.
     pub fn from_json(v: &Json) -> Result<NodeReport, String> {
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("node report: missing or non-integer field {key:?}"))
+        let decode = || {
+            Ok(NodeReport {
+                id: v.get_u32("id")?,
+                age_years: v.get_f64("age_years")?,
+                status: v.get_str("status")?.to_string(),
+                retired_at_epoch: v.get_opt_u32("retired_at_epoch")?,
+                downclocks: v.get_u32("downclocks")?,
+                cycle_fs: v.get_u64("cycle_fs")?,
+                counters: NodeCounters::from_json(v)?,
+            })
         };
-        Ok(NodeReport {
-            id: u32::try_from(u("id")?).map_err(|_| "node report: id out of range".to_string())?,
-            age_years: v
-                .get("age_years")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| "node report: missing age_years".to_string())?,
-            status: v
-                .get("status")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "node report: missing status".to_string())?
-                .to_string(),
-            retired_at_epoch: match v.get("retired_at_epoch") {
-                None | Some(Json::Null) => None,
-                Some(x) => {
-                    Some(
-                        u32::try_from(x.as_u64().ok_or_else(|| {
-                            "node report: non-integer retired_at_epoch".to_string()
-                        })?)
-                        .map_err(|_| "node report: retired_at_epoch out of range".to_string())?,
-                    )
-                }
-            },
-            downclocks: u32::try_from(u("downclocks")?)
-                .map_err(|_| "node report: downclocks out of range".to_string())?,
-            cycle_fs: u("cycle_fs")?,
-            counters: NodeCounters {
-                ops: u("ops")?,
-                one_cycle_ops: u("one_cycle_ops")?,
-                two_cycle_ops: u("two_cycle_ops")?,
-                errors: u("errors")?,
-                undetected: u("undetected")?,
-                cycles: u("cycles")?,
-                busy_fs: u("busy_fs")?,
-            },
-        })
+        decode().map_err(|e: String| format!("node report: {e}"))
     }
 }
 
@@ -1130,59 +1064,35 @@ impl FleetSummary {
     ///
     /// Describes the first missing or mistyped field.
     pub fn from_json(v: &Json) -> Result<FleetSummary, String> {
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("fleet summary: missing or non-integer field {key:?}"))
+        let decode = || {
+            Ok(FleetSummary {
+                policy: v.get_str("policy")?.to_string(),
+                trace: v.get_str("trace")?.to_string(),
+                nodes: v.get_u64("nodes")? as usize,
+                epochs: v.get_u32("epochs")?,
+                quorum: v.get_u64("quorum")? as usize,
+                completed_ops: v.get_u64("completed_ops")?,
+                dropped_ops: v.get_u64("dropped_ops")?,
+                cycles: v.get_u64("cycles")?,
+                one_cycle_ops: v.get_u64("one_cycle_ops")?,
+                two_cycle_ops: v.get_u64("two_cycle_ops")?,
+                errors: v.get_u64("errors")?,
+                undetected: v.get_u64("undetected")?,
+                recovery_cycles: v.get_u64("recovery_cycles")?,
+                retired_nodes: v.get_u64("retired_nodes")? as usize,
+                lifetime_epochs: v.get_opt_u32("lifetime_epochs")?,
+                makespan_fs: v.get_u64("makespan_fs")?,
+                throughput_ops_per_us: v.get_f64("throughput_ops_per_us")?,
+                log_records: v.get_u64("log_records")?,
+                log_hash: v.get_u64("log_hash")?,
+                node_reports: v
+                    .get_arr("node_reports")?
+                    .iter()
+                    .map(NodeReport::from_json)
+                    .collect::<Result<Vec<_>, _>>()?,
+            })
         };
-        let s = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("fleet summary: missing or non-string field {key:?}"))
-        };
-        Ok(FleetSummary {
-            policy: s("policy")?,
-            trace: s("trace")?,
-            nodes: u("nodes")? as usize,
-            epochs: u32::try_from(u("epochs")?)
-                .map_err(|_| "fleet summary: epochs out of range".to_string())?,
-            quorum: u("quorum")? as usize,
-            completed_ops: u("completed_ops")?,
-            dropped_ops: u("dropped_ops")?,
-            cycles: u("cycles")?,
-            one_cycle_ops: u("one_cycle_ops")?,
-            two_cycle_ops: u("two_cycle_ops")?,
-            errors: u("errors")?,
-            undetected: u("undetected")?,
-            recovery_cycles: u("recovery_cycles")?,
-            retired_nodes: u("retired_nodes")? as usize,
-            lifetime_epochs: match v.get("lifetime_epochs") {
-                None | Some(Json::Null) => None,
-                Some(x) => {
-                    Some(
-                        u32::try_from(x.as_u64().ok_or_else(|| {
-                            "fleet summary: non-integer lifetime_epochs".to_string()
-                        })?)
-                        .map_err(|_| "fleet summary: lifetime_epochs out of range".to_string())?,
-                    )
-                }
-            },
-            makespan_fs: u("makespan_fs")?,
-            throughput_ops_per_us: v
-                .get("throughput_ops_per_us")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| "fleet summary: missing throughput_ops_per_us".to_string())?,
-            log_records: u("log_records")?,
-            log_hash: u("log_hash")?,
-            node_reports: v
-                .get("node_reports")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| "fleet summary: missing node_reports".to_string())?
-                .iter()
-                .map(NodeReport::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
+        decode().map_err(|e: String| format!("fleet summary: {e}"))
     }
 }
 

@@ -42,7 +42,7 @@ fn scenario(seed: u64, trace: TraceKind, routing: RoutingPolicy) -> FleetConfig 
 
 /// Runs a scenario to completion; returns the log bytes and the final
 /// state snapshot (which covers every node counter, age, and status).
-fn run_to_end(config: &FleetConfig) -> (Vec<u8>, agemul_conformance::Json) {
+fn run_to_end(config: &FleetConfig) -> (Vec<u8>, agemul::Json) {
     let design = design();
     let bti = bti();
     let campaign = FleetCampaign::new(&design, &bti, config.clone()).unwrap();

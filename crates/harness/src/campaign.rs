@@ -11,14 +11,11 @@
 
 use std::path::Path;
 
-use agemul::MultiplierDesign;
-use agemul_conformance::Json;
-use agemul_faults::{prepare_baseline, prepare_fault, Campaign, FaultError, FaultSpec};
+use agemul::{Json, MultiplierDesign};
+use agemul_faults::{prepare_baseline, prepare_fault, Campaign, FaultSpec};
 
 use crate::checkpoint::CaseStatus;
-use crate::snapshot::{
-    evidence_from_json, evidence_to_json, is_cancellation, profile_from_json, profile_to_json,
-};
+use crate::snapshot::{evidence_from_json, evidence_to_json, profile_from_json, profile_to_json};
 use crate::supervisor::{Attempt, CaseError, Resume, RunLedger, Supervisor, SupervisorConfig};
 use crate::HarnessError;
 
@@ -73,14 +70,6 @@ pub struct SupervisedCampaign {
     pub ledger: RunLedger,
 }
 
-fn fault_case_error(e: FaultError) -> CaseError {
-    if is_cancellation(&e) {
-        CaseError::Cancelled
-    } else {
-        CaseError::Failed(e.to_string())
-    }
-}
-
 /// Prepares a fault campaign under supervision.
 ///
 /// Case 0 is the fault-free baseline profile; case `1 + i` is `faults[i]`.
@@ -120,45 +109,36 @@ pub fn run_campaign_supervised(
         let cancel = attempt.cancel.as_ref();
         if attempt.index == 0 {
             let profile = prepare_baseline(design, pairs, attempt.engine, cancel)
-                .map_err(fault_case_error)?;
+                .map_err(|e| CaseError::from_error(&e))?;
             Ok(profile_to_json(&profile))
         } else {
             let spec = &faults[attempt.index - 1];
             let evidence = prepare_fault(design, pairs, spec, attempt.engine, cancel)
-                .map_err(fault_case_error)?;
+                .map_err(|e| CaseError::from_error(&e))?;
             Ok(evidence_to_json(&evidence))
         }
     };
     let ledger = supervisor.run(&worker, checkpoint, resume)?;
 
-    let baseline = match &ledger.records[0].status {
-        CaseStatus::Done { value } => {
-            profile_from_json(value).map_err(|reason| HarnessError::Decode {
-                what: "baseline profile".into(),
-                reason,
-            })?
-        }
-        CaseStatus::Quarantined { reason } => {
-            return Err(HarnessError::PoisonedBaseline {
-                reason: reason.clone(),
-            })
-        }
-    };
-    let mut entries = Vec::with_capacity(faults.len());
-    let mut quarantined = Vec::new();
-    for (i, spec) in faults.iter().enumerate() {
-        match &ledger.records[i + 1].status {
-            CaseStatus::Done { value } => {
-                let evidence =
-                    evidence_from_json(value).map_err(|reason| HarnessError::Decode {
-                        what: format!("evidence for fault {}", spec.label()),
-                        reason,
-                    })?;
-                entries.push((*spec, evidence));
-            }
-            CaseStatus::Quarantined { .. } => quarantined.push(spec.label()),
-        }
+    if let CaseStatus::Quarantined { reason } = &ledger.records[0].status {
+        return Err(HarnessError::PoisonedBaseline {
+            reason: reason.clone(),
+        });
     }
+    let (_, baseline) = ledger
+        .decode(..1, profile_from_json)?
+        .pop()
+        .ok_or(HarnessError::NoUsableCases)?;
+    let entries = ledger
+        .decode(1.., evidence_from_json)?
+        .into_iter()
+        .map(|(index, evidence)| (faults[index - 1], evidence))
+        .collect();
+    let quarantined = ledger
+        .quarantined()
+        .into_iter()
+        .map(|index| faults[index - 1].label())
+        .collect();
     Ok(SupervisedCampaign {
         campaign: Campaign::assemble(baseline, entries, quarantined),
         ledger,

@@ -26,7 +26,7 @@
 use std::fmt;
 use std::path::Path;
 
-use agemul_conformance::Json;
+use agemul::Json;
 
 /// Schema tag every checkpoint document must carry.
 pub const SCHEMA: &str = "agemul-harness-ckpt/1";
@@ -209,24 +209,18 @@ impl Checkpoint {
     /// [`CheckpointError::Checksum`] when the payload does not hash to the
     /// recorded CRC.
     pub fn from_document(text: &str) -> Result<Self, CheckpointError> {
-        let doc = Json::parse(text).map_err(|message| CheckpointError::Parse { message })?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| parse_err("missing schema field"))?;
+        let parse_err = |message| CheckpointError::Parse { message };
+        let doc = Json::parse(text).map_err(parse_err)?;
+        let schema = doc.get_str("schema").map_err(parse_err)?;
         if schema != SCHEMA {
             return Err(CheckpointError::Schema {
                 found: schema.to_string(),
             });
         }
-        let expected = doc
-            .get("crc")
-            .and_then(Json::as_u64)
-            .and_then(|u| u32::try_from(u).ok())
-            .ok_or_else(|| parse_err("missing or oversized crc field"))?;
+        let expected = doc.get_u32("crc").map_err(parse_err)?;
         let payload = doc
             .get("payload")
-            .ok_or_else(|| parse_err("missing payload field"))?;
+            .ok_or_else(|| parse_err("missing payload field".into()))?;
         let found = crc32(payload.to_string().as_bytes());
         if found != expected {
             return Err(CheckpointError::Checksum { expected, found });
@@ -235,74 +229,37 @@ impl Checkpoint {
     }
 
     fn decode_payload(payload: &Json) -> Result<Self, CheckpointError> {
-        let run_key = payload
-            .get("run_key")
-            .and_then(Json::as_str)
-            .ok_or_else(|| parse_err("payload missing run_key"))?
-            .to_string();
-        let total = payload
-            .get("total")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| parse_err("payload missing total"))? as usize;
-        let raw = payload
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| parse_err("payload missing entries"))?;
-        let mut entries = Vec::with_capacity(raw.len());
-        for e in raw {
-            let index = e
-                .get("index")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| parse_err("entry missing index"))? as usize;
-            let label = e
-                .get("label")
-                .and_then(Json::as_str)
-                .ok_or_else(|| parse_err("entry missing label"))?
-                .to_string();
-            let engine = e
-                .get("engine")
-                .and_then(Json::as_str)
-                .ok_or_else(|| parse_err("entry missing engine"))?
-                .to_string();
-            let retries = e
-                .get("retries")
-                .and_then(Json::as_u64)
-                .and_then(|u| u32::try_from(u).ok())
-                .ok_or_else(|| parse_err("entry missing retries"))?;
-            let degraded = e
-                .get("degraded")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| parse_err("entry missing degraded"))?;
-            let status = match e.get("status").and_then(Json::as_str) {
-                Some("done") => CaseStatus::Done {
-                    value: e
-                        .get("value")
-                        .ok_or_else(|| parse_err("done entry missing value"))?
-                        .clone(),
+        let entry = |e: &Json| -> Result<CaseRecord, String> {
+            let status = match e.get_str("status")? {
+                "done" => CaseStatus::Done {
+                    value: e.get("value").ok_or("done entry missing value")?.clone(),
                 },
-                Some("quarantined") => CaseStatus::Quarantined {
-                    reason: e
-                        .get("reason")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| parse_err("quarantined entry missing reason"))?
-                        .to_string(),
+                "quarantined" => CaseStatus::Quarantined {
+                    reason: e.get_str("reason")?.to_string(),
                 },
-                _ => return Err(parse_err("entry has unknown status")),
+                other => return Err(format!("entry has unknown status {other:?}")),
             };
-            entries.push(CaseRecord {
-                index,
-                label,
-                engine,
-                retries,
-                degraded,
+            Ok(CaseRecord {
+                index: e.get_u64("index")? as usize,
+                label: e.get_str("label")?.to_string(),
+                engine: e.get_str("engine")?.to_string(),
+                retries: e.get_u32("retries")?,
+                degraded: e.get_bool("degraded")?,
                 status,
-            });
-        }
-        Ok(Checkpoint {
-            run_key,
-            total,
-            entries,
-        })
+            })
+        };
+        let decode = || -> Result<Self, String> {
+            Ok(Checkpoint {
+                run_key: payload.get_str("run_key")?.to_string(),
+                total: payload.get_u64("total")? as usize,
+                entries: payload
+                    .get_arr("entries")?
+                    .iter()
+                    .map(entry)
+                    .collect::<Result<_, _>>()?,
+            })
+        };
+        decode().map_err(|message| CheckpointError::Parse { message })
     }
 
     /// Writes the snapshot atomically: serialize to `<path>.tmp`, then
@@ -403,12 +360,6 @@ impl Checkpoint {
 fn io_err(e: std::io::Error) -> CheckpointError {
     CheckpointError::Io {
         message: e.to_string(),
-    }
-}
-
-fn parse_err(message: &str) -> CheckpointError {
-    CheckpointError::Parse {
-        message: message.to_string(),
     }
 }
 

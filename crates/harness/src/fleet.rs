@@ -18,14 +18,11 @@
 
 use std::path::Path;
 
-use agemul::MultiplierDesign;
+use agemul::{Json, MultiplierDesign};
 use agemul_aging::BtiModel;
-use agemul_conformance::Json;
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetSim, FleetSummary};
 
 use crate::campaign::fnv1a64;
-use crate::checkpoint::CaseStatus;
-use crate::snapshot::is_cancellation;
 use crate::supervisor::{Attempt, CaseError, Resume, RunLedger, Supervisor, SupervisorConfig};
 use crate::HarnessError;
 
@@ -54,12 +51,9 @@ impl FleetScenario {
 #[derive(Clone, Debug)]
 pub struct SupervisedFleet {
     /// Completed scenarios as `(scenario index, summary)`, ascending.
-    /// Quarantined scenarios are absent; check
-    /// [`SupervisedFleet::quarantined_scenarios`] before treating the
-    /// study as complete.
+    /// Quarantined scenarios are absent; check `ledger.quarantined()`
+    /// before treating the study as complete.
     pub summaries: Vec<(usize, FleetSummary)>,
-    /// Scenario indices whose case was quarantined, ascending.
-    pub quarantined_scenarios: Vec<usize>,
     /// The full per-case execution record.
     pub ledger: RunLedger,
 }
@@ -114,14 +108,6 @@ pub fn fleet_run_key(design: &MultiplierDesign, scenarios: &[FleetScenario]) -> 
     )
 }
 
-fn fleet_case_error(e: agemul::CoreError) -> CaseError {
-    if is_cancellation(&e) {
-        CaseError::Cancelled
-    } else {
-        CaseError::Failed(e.to_string())
-    }
-}
-
 /// Runs a fleet policy study under supervision, one case per scenario.
 ///
 /// Primary attempts use the levelized kernel with the plan-reuse corner
@@ -130,8 +116,8 @@ fn fleet_case_error(e: agemul::CoreError) -> CaseError {
 /// The fleet layer pins both engines to byte-identical event logs, so a
 /// ledger mixing engines still assembles one coherent study.
 ///
-/// Quarantined scenarios are omitted from the summaries and listed in
-/// [`SupervisedFleet::quarantined_scenarios`]; the whole study fails with
+/// Quarantined scenarios are omitted from the summaries and listed by the
+/// ledger's [`quarantined`](RunLedger::quarantined); the whole study fails with
 /// [`HarnessError::NoUsableCases`] only if *every* scenario was
 /// quarantined.
 ///
@@ -156,39 +142,20 @@ pub fn run_fleet_supervised(
 
     let worker = |attempt: &Attempt| -> Result<Json, CaseError> {
         let scenario = &scenarios[attempt.index];
-        let campaign =
-            FleetCampaign::new(design, bti, scenario.config.clone()).map_err(fleet_case_error)?;
-        let mut sim = FleetSim::new(&campaign);
-        let summary = sim
+        let campaign = FleetCampaign::new(design, bti, scenario.config.clone())
+            .map_err(|e| CaseError::from_error(&e))?;
+        let summary = FleetSim::new(&campaign)
             .run(attempt.engine, attempt.cancel.as_ref())
-            .map_err(fleet_case_error)?;
+            .map_err(|e| CaseError::from_error(&e))?;
         Ok(summary.to_json())
     };
     let ledger = supervisor.run(&worker, checkpoint, resume)?;
 
-    let mut summaries = Vec::with_capacity(scenarios.len());
-    let mut quarantined_scenarios = Vec::new();
-    for (i, record) in ledger.records.iter().enumerate() {
-        match &record.status {
-            CaseStatus::Done { value } => {
-                let summary =
-                    FleetSummary::from_json(value).map_err(|reason| HarnessError::Decode {
-                        what: format!("summary for scenario {i}"),
-                        reason,
-                    })?;
-                summaries.push((i, summary));
-            }
-            CaseStatus::Quarantined { .. } => quarantined_scenarios.push(i),
-        }
-    }
+    let summaries = ledger.decode(.., FleetSummary::from_json)?;
     if summaries.is_empty() && !scenarios.is_empty() {
         return Err(HarnessError::NoUsableCases);
     }
-    Ok(SupervisedFleet {
-        summaries,
-        quarantined_scenarios,
-        ledger,
-    })
+    Ok(SupervisedFleet { summaries, ledger })
 }
 
 #[cfg(test)]
@@ -232,7 +199,7 @@ mod tests {
         let scenarios = scenarios();
         let supervised =
             run_fleet_supervised(&design, &bti, &scenarios, &sup(), None, Resume::Fresh).unwrap();
-        assert!(supervised.quarantined_scenarios.is_empty());
+        assert!(supervised.ledger.quarantined().is_empty());
         assert_eq!(supervised.summaries.len(), scenarios.len());
         for (i, scenario) in scenarios.iter().enumerate() {
             let campaign = FleetCampaign::new(&design, &bti, scenario.config.clone()).unwrap();

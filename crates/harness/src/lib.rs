@@ -2,10 +2,10 @@
 //!
 //! The paper's architecture keeps delivering correct products while the
 //! hardware degrades for *years*; this crate applies the same philosophy
-//! to the simulations themselves. Paper-scale fault campaigns, conformance
-//! gates, and period sweeps run minutes to hours, and before this crate a
-//! single panic, wedged case, or killed process discarded every completed
-//! case. The [`Supervisor`] wraps any indexed list of cases in four
+//! to the simulations themselves. Paper-scale fault campaigns, Monte Carlo
+//! yield studies, and fleet policy studies run minutes to hours, and
+//! before this crate a single panic, wedged case, or killed process
+//! discarded every completed case. The [`Supervisor`] wraps any indexed list of cases in four
 //! protections:
 //!
 //! * **crash-safe checkpointing** — completed-case ledgers are snapshotted
@@ -20,25 +20,25 @@
 //!   wall-clock deadline is enforced cooperatively through
 //!   [`CancelToken`](agemul::CancelToken), which the `EventSim`/`LevelSim`
 //!   step loops and the campaign evaluation loops poll; an overrun case is
-//!   retried with exponential backoff and a deterministic seed
-//!   perturbation before quarantining;
+//!   retried with exponential backoff before quarantining;
 //! * **graceful degradation** — after the retry budget is exhausted on the
 //!   fast levelized kernel, one final attempt runs on the event-driven
 //!   reference engine ([`SimEngine::Event`](agemul::SimEngine)), and the
 //!   downgrade is recorded — the AHL's trade of latency for correctness,
 //!   applied to the runtime.
 //!
-//! Adapters wire the supervisor over the tree's existing work units:
+//! Adapters wire the supervisor over the tree's existing work units, each
+//! one generic [`Supervisor::run`] plus one generic ledger decode:
 //! [`run_campaign_supervised`] (one case per fault plus the baseline,
 //! reassembled with [`Campaign::assemble`](agemul_faults::Campaign::assemble)),
-//! [`run_sweep_supervised`] (one case per period),
-//! [`run_gate_supervised`] (one case per conformance seed), and
 //! [`run_mc_supervised`] (one case per Monte Carlo process corner, with
 //! the retimed plan-reuse profiler on primary attempts), and
 //! [`run_fleet_supervised`] (one case per fleet policy scenario, with
 //! engine degradation pinned byte-identical by `agemul-fleet`'s event
-//! log). The `soak` binary drives a kill → resume → diff smoke test
-//! (`just soak-smoke`).
+//! log). [`run_request_supervised`] runs one service request as a single
+//! case — same protections, no ledger or checkpoint. Workers classify
+//! their failures with [`CaseError::from_error`]. The `soak` binary drives
+//! a kill → resume → diff smoke test (`scripts/soak_smoke.sh`).
 //!
 //! # Example
 //!
@@ -70,25 +70,20 @@
 
 mod campaign;
 mod checkpoint;
-mod conformance;
 mod error;
 mod fleet;
 mod mc;
 mod request;
 mod snapshot;
 mod supervisor;
-mod sweep;
 
 pub use campaign::{campaign_run_key, run_campaign_supervised, SupervisedCampaign};
 pub use checkpoint::{crc32, CaseRecord, CaseStatus, Checkpoint, CheckpointError, SCHEMA};
-pub use conformance::{run_gate_supervised, SupervisedGateOutcome};
 pub use error::HarnessError;
 pub use fleet::{fleet_run_key, run_fleet_supervised, FleetScenario, SupervisedFleet};
 pub use mc::{corner_from_json, corner_to_json, mc_run_key, run_mc_supervised, SupervisedMc};
 pub use request::run_request_supervised;
 pub use snapshot::{
-    evidence_from_json, evidence_to_json, is_cancellation, metrics_from_json, metrics_to_json,
-    profile_from_json, profile_to_json,
+    evidence_from_json, evidence_to_json, is_cancellation, profile_from_json, profile_to_json,
 };
 pub use supervisor::{Attempt, CaseError, Resume, RunLedger, Supervisor, SupervisorConfig};
-pub use sweep::{run_sweep_supervised, SupervisedSweep};

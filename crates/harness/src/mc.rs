@@ -14,17 +14,14 @@
 //!
 //! Corner evidence round-trips bit-identically through the checkpoint
 //! JSON, so a killed campaign resumed with [`Resume::Attempt`] assembles
-//! the same [`McReport`] an uninterrupted run would (`just mc-smoke`
-//! exercises the kill → resume → diff loop).
+//! the same [`McReport`] an uninterrupted run would (pinned by
+//! `truncated_checkpoint_resumes_identically` below).
 
 use std::path::Path;
 
-use agemul::{CornerOutcome, McReport, MonteCarloCampaign, SimEngine, YearOutcome};
-use agemul_conformance::Json;
+use agemul::{CornerOutcome, Json, McReport, MonteCarloCampaign, SimEngine, YearOutcome};
 
 use crate::campaign::fnv1a64;
-use crate::checkpoint::CaseStatus;
-use crate::snapshot::is_cancellation;
 use crate::supervisor::{Attempt, CaseError, Resume, RunLedger, Supervisor, SupervisorConfig};
 use crate::HarnessError;
 
@@ -33,12 +30,10 @@ use crate::HarnessError;
 #[derive(Clone, Debug)]
 pub struct SupervisedMc {
     /// The yield report over every corner whose evaluation completed.
-    /// Yield fractions are over the *usable* corners; compare
-    /// `report.corners.len()` against the configured corner count (or
-    /// check `quarantined_corners`) before quoting them.
+    /// Yield fractions are over the *usable* corners; check
+    /// `ledger.quarantined()` (the quarantined corner indices) before
+    /// quoting them.
     pub report: McReport,
-    /// Corner indices whose case was quarantined, ascending.
-    pub quarantined_corners: Vec<usize>,
     /// The full per-case execution record.
     pub ledger: RunLedger,
 }
@@ -74,24 +69,6 @@ pub fn mc_run_key(campaign: &MonteCarloCampaign<'_>) -> String {
     )
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing or non-boolean field {key:?}"))
-}
-
 /// Serializes one corner's evidence losslessly (floats as
 /// shortest-round-trip, so `to_bits` survives the checkpoint).
 pub fn corner_to_json(c: &CornerOutcome) -> Json {
@@ -123,35 +100,26 @@ pub fn corner_to_json(c: &CornerOutcome) -> Json {
 ///
 /// A rendered description of the first missing or mistyped field.
 pub fn corner_from_json(v: &Json) -> Result<CornerOutcome, String> {
-    let raw = v
-        .get("outcomes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing outcomes array".to_string())?;
-    let mut outcomes = Vec::with_capacity(raw.len());
-    for o in raw {
-        outcomes.push(YearOutcome {
-            years: get_f64(o, "years")?,
-            max_delay_ns: get_f64(o, "max_delay_ns")?,
-            baseline_pass: get_bool(o, "baseline_pass")?,
-            errors_per_10k: get_f64(o, "errors_per_10k")?,
-            undetected: get_u64(o, "undetected")?,
-            aged_mode_entered: get_bool(o, "aged_mode_entered")?,
-            adaptive_pass: get_bool(o, "adaptive_pass")?,
-        });
-    }
+    let outcomes = v
+        .get_arr("outcomes")?
+        .iter()
+        .map(|o| {
+            Ok(YearOutcome {
+                years: o.get_f64("years")?,
+                max_delay_ns: o.get_f64("max_delay_ns")?,
+                baseline_pass: o.get_bool("baseline_pass")?,
+                errors_per_10k: o.get_f64("errors_per_10k")?,
+                undetected: o.get_u64("undetected")?,
+                aged_mode_entered: o.get_bool("aged_mode_entered")?,
+                adaptive_pass: o.get_bool("adaptive_pass")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
     Ok(CornerOutcome {
-        corner: get_u64(v, "corner")? as usize,
-        seed: get_u64(v, "seed")?,
+        corner: v.get_u64("corner")? as usize,
+        seed: v.get_u64("seed")?,
         outcomes,
     })
-}
-
-fn mc_case_error(e: agemul::CoreError) -> CaseError {
-    if is_cancellation(&e) {
-        CaseError::Cancelled
-    } else {
-        CaseError::Failed(e.to_string())
-    }
 }
 
 /// Runs a [`MonteCarloCampaign`] under supervision, one case per corner.
@@ -164,8 +132,8 @@ fn mc_case_error(e: agemul::CoreError) -> CaseError {
 /// tests), so a ledger mixing engines still assembles one coherent
 /// report.
 ///
-/// Quarantined corners are omitted from the report and listed in
-/// [`SupervisedMc::quarantined_corners`]; the whole run fails with
+/// Quarantined corners are omitted from the report and listed by the
+/// ledger's [`quarantined`](RunLedger::quarantined); the whole run fails with
 /// [`HarnessError::NoUsableCases`] only if *every* corner was
 /// quarantined.
 ///
@@ -191,42 +159,28 @@ pub fn run_mc_supervised(
                 // lifetime axis. (Per-case construction keeps each case
                 // hermetic for retry/quarantine; the plan reuse across
                 // years is where the profiling time goes anyway.)
-                let mut profiler = campaign.profiler().map_err(mc_case_error)?;
+                let mut profiler = campaign.profiler().map_err(|e| CaseError::from_error(&e))?;
                 campaign.run_corner(&mut profiler, attempt.index, cancel)
             }
             SimEngine::Event => {
                 campaign.run_corner_from_scratch(attempt.index, SimEngine::Event, cancel)
             }
         }
-        .map_err(mc_case_error)?;
+        .map_err(|e| CaseError::from_error(&e))?;
         Ok(corner_to_json(&outcome))
     };
     let ledger = supervisor.run(&worker, checkpoint, resume)?;
 
-    let mut usable = Vec::with_capacity(corners);
-    let mut quarantined_corners = Vec::new();
-    for (i, record) in ledger.records.iter().enumerate() {
-        match &record.status {
-            CaseStatus::Done { value } => {
-                let outcome = corner_from_json(value).map_err(|reason| HarnessError::Decode {
-                    what: format!("evidence for corner {i}"),
-                    reason,
-                })?;
-                usable.push(outcome);
-            }
-            CaseStatus::Quarantined { .. } => quarantined_corners.push(i),
-        }
-    }
+    let usable: Vec<CornerOutcome> = ledger
+        .decode(.., corner_from_json)?
+        .into_iter()
+        .map(|(_, outcome)| outcome)
+        .collect();
     if usable.is_empty() && corners > 0 {
         return Err(HarnessError::NoUsableCases);
     }
     Ok(SupervisedMc {
-        report: McReport {
-            years: campaign.config().years.clone(),
-            cycle_ns: campaign.config().cycle_ns,
-            corners: usable,
-        },
-        quarantined_corners,
+        report: campaign.report(usable),
         ledger,
     })
 }
@@ -268,7 +222,7 @@ mod tests {
         let supervised = run_mc_supervised(&mc, &sup(), None, Resume::Fresh).unwrap();
         let unsupervised = mc.run(None).unwrap();
         assert_eq!(supervised.report, unsupervised);
-        assert!(supervised.quarantined_corners.is_empty());
+        assert!(supervised.ledger.quarantined().is_empty());
     }
 
     /// Corner evidence round-trips bit-identically through checkpoint

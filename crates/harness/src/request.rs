@@ -3,16 +3,15 @@
 //! A resident server (`agemul-serve`) runs each incoming request under the
 //! same protections as a batch case: panic isolation, a cooperative
 //! deadline via [`CancelToken`](agemul::CancelToken), bounded retry, and a
-//! final Level→Event degradation attempt. [`run_request_supervised`] is
-//! the one-case specialization of [`Supervisor::run`] — no checkpoint (a
-//! request is retried by its client, not resumed from disk), and the
-//! outcome is the single [`CaseRecord`] instead of a ledger.
+//! final Level→Event degradation attempt. [`run_request_supervised`] runs
+//! that one case directly — no run key, no ledger, no checkpoint (a
+//! request is retried by its client, not resumed from disk) — and returns
+//! its [`CaseRecord`].
 
-use agemul_conformance::Json;
+use agemul::Json;
 
 use crate::checkpoint::CaseRecord;
-use crate::supervisor::{Attempt, CaseError, Resume, Supervisor, SupervisorConfig};
-use crate::HarnessError;
+use crate::supervisor::{run_case, Attempt, CaseError, SupervisorConfig};
 
 /// Runs one request under full supervision and returns its record.
 ///
@@ -21,46 +20,24 @@ use crate::HarnessError;
 /// budget-exhausted request comes back as
 /// [`CaseStatus::Quarantined`](crate::CaseStatus) rather than as an `Err`,
 /// so the caller can render a structured failure response instead of
-/// dying. `label` names the request in quarantine reasons and run keys.
-///
-/// # Errors
-///
-/// Only internal supervisor failures (never produced by the request
-/// itself); quarantines are reported inside the returned record.
+/// dying. The record's label is `request`.
 ///
 /// # Example
 ///
 /// ```
-/// use agemul_conformance::Json;
+/// use agemul::Json;
 /// use agemul_harness::{run_request_supervised, CaseStatus, SupervisorConfig};
 ///
-/// let record = run_request_supervised(
-///     "profile/CB16",
-///     &SupervisorConfig::default(),
-///     &|attempt| Ok(Json::Str(format!("{:?}", attempt.engine))),
-/// )?;
+/// let record = run_request_supervised(&SupervisorConfig::default(), &|attempt| {
+///     Ok(Json::Str(format!("{:?}", attempt.engine)))
+/// });
 /// assert!(matches!(record.status, CaseStatus::Done { .. }));
-/// # Ok::<(), agemul_harness::HarnessError>(())
 /// ```
-pub fn run_request_supervised<W>(
-    label: &str,
-    config: &SupervisorConfig,
-    worker: &W,
-) -> Result<CaseRecord, HarnessError>
+pub fn run_request_supervised<W>(config: &SupervisorConfig, worker: &W) -> CaseRecord
 where
-    W: Fn(&Attempt) -> Result<Json, CaseError> + Sync,
+    W: Fn(&Attempt) -> Result<Json, CaseError>,
 {
-    let supervisor = Supervisor::new(
-        format!("request/{label}"),
-        vec![label.to_string()],
-        config.clone(),
-    );
-    let ledger = supervisor.run(worker, None, Resume::Fresh)?;
-    ledger
-        .records
-        .into_iter()
-        .next()
-        .ok_or(HarnessError::NoUsableCases)
+    run_case(config, 0, "request", worker)
 }
 
 #[cfg(test)]
@@ -82,10 +59,8 @@ mod tests {
 
     #[test]
     fn successful_request_returns_done_record() {
-        let record =
-            run_request_supervised("ok", &cfg(), &|a: &Attempt| Ok(Json::UInt(a.index as u64)))
-                .unwrap();
-        assert_eq!(record.label, "ok");
+        let record = run_request_supervised(&cfg(), &|a: &Attempt| Ok(Json::UInt(a.index as u64)));
+        assert_eq!(record.label, "request");
         assert!(!record.degraded);
         assert_eq!(
             record.status,
@@ -97,12 +72,9 @@ mod tests {
 
     #[test]
     fn panicking_request_is_quarantined_not_propagated() {
-        let record = run_request_supervised(
-            "poison",
-            &cfg(),
-            &|_: &Attempt| -> Result<Json, CaseError> { panic!("request poison") },
-        )
-        .unwrap();
+        let record = run_request_supervised(&cfg(), &|_: &Attempt| -> Result<Json, CaseError> {
+            panic!("request poison")
+        });
         assert!(
             matches!(&record.status, CaseStatus::Quarantined { reason } if reason.contains("request poison"))
         );
@@ -112,7 +84,6 @@ mod tests {
     fn deadline_overrun_degrades_to_event_engine() {
         let attempts = AtomicU32::new(0);
         let record = run_request_supervised(
-            "slow",
             &SupervisorConfig {
                 max_retries: 1,
                 ..cfg()
@@ -124,8 +95,7 @@ mod tests {
                     SimEngine::Event => Ok(Json::Str("degraded".into())),
                 }
             },
-        )
-        .unwrap();
+        );
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
         assert!(record.degraded);
         assert_eq!(record.engine, "event");

@@ -3,13 +3,12 @@
 //! Everything a supervised run checkpoints must round-trip
 //! **bit-identically** — a resumed run replays recorded evidence instead
 //! of recomputing it, and the resume-identity guarantee only holds if the
-//! trip through JSON is lossless. The `agemul-conformance` [`Json`] model
-//! was built for exactly this: `u64` is a distinct variant and floats
-//! print in shortest round-trip form, so `f64::to_bits` survives.
+//! trip through JSON is lossless. The `agemul` [`Json`] model was built
+//! for exactly this: `u64` is a distinct variant and floats print in
+//! shortest round-trip form, so `f64::to_bits` survives.
 
-use agemul::{PatternProfile, PatternRecord, RunMetrics};
+use agemul::{Json, PatternProfile, PatternRecord};
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
 use agemul_faults::FaultEvidence;
 use agemul_netlist::NetlistError;
 
@@ -26,24 +25,6 @@ fn kind_from_label(label: &str) -> Result<MultiplierKind, String> {
         "BOOTH" => Ok(MultiplierKind::Booth),
         other => Err(format!("unknown multiplier kind label {other:?}")),
     }
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn get_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
 }
 
 /// Serializes a [`PatternProfile`] losslessly (operands as integers,
@@ -75,61 +56,24 @@ pub fn profile_to_json(p: &PatternProfile) -> Json {
 ///
 /// A rendered description of the first missing or mistyped field.
 pub fn profile_from_json(v: &Json) -> Result<PatternProfile, String> {
-    let kind = kind_from_label(get_str(v, "kind")?)?;
-    let width = get_u64(v, "width")? as usize;
-    let toggles = get_f64(v, "avg_gate_toggles")?;
-    let raw = v
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing records array".to_string())?;
-    let mut records = Vec::with_capacity(raw.len());
-    for r in raw {
-        records.push(PatternRecord {
-            a: get_u64(r, "a")?,
-            b: get_u64(r, "b")?,
-            zeros: u32::try_from(get_u64(r, "zeros")?)
-                .map_err(|_| "zeros out of u32 range".to_string())?,
-            delay_ns: get_f64(r, "delay_ns")?,
-        });
-    }
+    let kind = kind_from_label(v.get_str("kind")?)?;
+    let width = v.get_u64("width")? as usize;
+    let toggles = v.get_f64("avg_gate_toggles")?;
+    let records = v
+        .get_arr("records")?
+        .iter()
+        .map(|r| {
+            Ok(PatternRecord {
+                a: r.get_u64("a")?,
+                b: r.get_u64("b")?,
+                zeros: r.get_u32("zeros")?,
+                delay_ns: r.get_f64("delay_ns")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
     Ok(PatternProfile::from_records_with_toggles(
         kind, width, records, toggles,
     ))
-}
-
-/// Serializes [`RunMetrics`] field by field.
-pub fn metrics_to_json(m: &RunMetrics) -> Json {
-    Json::Obj(vec![
-        ("operations".into(), Json::UInt(m.operations)),
-        ("cycles".into(), Json::UInt(m.cycles)),
-        ("errors".into(), Json::UInt(m.errors)),
-        ("one_cycle_ops".into(), Json::UInt(m.one_cycle_ops)),
-        ("two_cycle_ops".into(), Json::UInt(m.two_cycle_ops)),
-        ("undetected".into(), Json::UInt(m.undetected)),
-        ("cycle_ns".into(), Json::Num(m.cycle_ns)),
-        ("aged_mode_entered".into(), Json::Bool(m.aged_mode_entered)),
-    ])
-}
-
-/// Rebuilds [`RunMetrics`] from [`metrics_to_json`] output.
-///
-/// # Errors
-///
-/// A rendered description of the first missing or mistyped field.
-pub fn metrics_from_json(v: &Json) -> Result<RunMetrics, String> {
-    Ok(RunMetrics {
-        operations: get_u64(v, "operations")?,
-        cycles: get_u64(v, "cycles")?,
-        errors: get_u64(v, "errors")?,
-        one_cycle_ops: get_u64(v, "one_cycle_ops")?,
-        two_cycle_ops: get_u64(v, "two_cycle_ops")?,
-        undetected: get_u64(v, "undetected")?,
-        cycle_ns: get_f64(v, "cycle_ns")?,
-        aged_mode_entered: v
-            .get("aged_mode_entered")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| "missing aged_mode_entered".to_string())?,
-    })
 }
 
 /// Serializes one fault's [`FaultEvidence`].
@@ -159,16 +103,10 @@ pub fn evidence_to_json(ev: &FaultEvidence) -> Json {
 ///
 /// A rendered description of the first missing or mistyped field.
 pub fn evidence_from_json(v: &Json) -> Result<FaultEvidence, String> {
-    match get_str(v, "family")? {
+    match v.get_str("family")? {
         "logic" => Ok(FaultEvidence::Logic {
-            corrupted_ops: get_u64(v, "corrupted_ops")?,
-            first_corrupted_op: match v.get("first_corrupted_op") {
-                Some(Json::Null) | None => None,
-                Some(x) => Some(
-                    x.as_u64()
-                        .ok_or_else(|| "non-integer first_corrupted_op".to_string())?,
-                ),
-            },
+            corrupted_ops: v.get_u64("corrupted_ops")?,
+            first_corrupted_op: v.get_opt_u64("first_corrupted_op")?,
         }),
         "delay" => Ok(FaultEvidence::Delay {
             profile: profile_from_json(
@@ -182,8 +120,9 @@ pub fn evidence_from_json(v: &Json) -> Result<FaultEvidence, String> {
 
 /// Whether `err`'s source chain bottoms out in
 /// [`NetlistError::Cancelled`] — i.e. the failure is a cooperative
-/// deadline firing, not a real fault. Supervised workers use this to remap
-/// propagation errors onto [`CaseError::Cancelled`](crate::CaseError).
+/// deadline firing, not a real fault. [`CaseError::from_error`](crate::CaseError::from_error)
+/// uses this to remap propagation errors onto
+/// [`CaseError::Cancelled`](crate::CaseError).
 pub fn is_cancellation(err: &(dyn std::error::Error + 'static)) -> bool {
     let mut cur: Option<&(dyn std::error::Error + 'static)> = Some(err);
     while let Some(e) = cur {
@@ -239,24 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_round_trip() {
-        let m = RunMetrics {
-            operations: 10_000,
-            cycles: 13_337,
-            errors: 41,
-            one_cycle_ops: 7_001,
-            two_cycle_ops: 2_999,
-            undetected: 3,
-            cycle_ns: 0.9500000000000001,
-            aged_mode_entered: true,
-        };
-        let text = metrics_to_json(&m).to_string();
-        let back = metrics_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.cycle_ns.to_bits(), m.cycle_ns.to_bits());
-    }
-
-    #[test]
     fn evidence_round_trips_both_families() {
         let logic = FaultEvidence::Logic {
             corrupted_ops: 7,
@@ -301,12 +222,31 @@ mod tests {
     fn cancellation_is_detected_through_error_chains() {
         use agemul::CoreError;
         use agemul_faults::FaultError;
+
+        use crate::CaseError;
+
+        let core = CoreError::from(NetlistError::Cancelled);
         let nested = FaultError::from(CoreError::from(NetlistError::Cancelled));
+        let boxed: Box<dyn std::error::Error> =
+            Box::new(FaultError::from(CoreError::from(NetlistError::Cancelled)));
         assert!(is_cancellation(&nested));
+        assert_eq!(CaseError::from_error(&core), CaseError::Cancelled);
+        assert_eq!(CaseError::from_error(&nested), CaseError::Cancelled);
+        assert_eq!(CaseError::from_error(&*boxed), CaseError::Cancelled);
+
         let other = FaultError::InvalidSpec {
             label: "x".into(),
             reason: "y".into(),
         };
         assert!(!is_cancellation(&other));
+        assert_eq!(
+            CaseError::from_error(&other),
+            CaseError::Failed(other.to_string())
+        );
+        let boxed_other: Box<dyn std::error::Error> = Box::new(other.clone());
+        assert_eq!(
+            CaseError::from_error(&*boxed_other),
+            CaseError::Failed(other.to_string())
+        );
     }
 }

@@ -3,12 +3,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::slice::SliceIndex;
 use std::time::Duration;
 
-use agemul::{CancelToken, SimEngine};
-use agemul_conformance::Json;
+use agemul::{CancelToken, Json, SimEngine};
 
 use crate::checkpoint::{CaseRecord, CaseStatus, Checkpoint, CheckpointError};
+use crate::snapshot::is_cancellation;
 use crate::HarnessError;
 
 /// Supervision policy for one run.
@@ -18,15 +19,13 @@ pub struct SupervisorConfig {
     /// attempt's [`CancelToken`]. `None` disables deadlines.
     pub deadline: Option<Duration>,
     /// Retries after the first attempt (on the primary engine) before the
-    /// degradation attempt. 0 means one try.
+    /// final attempt on the event-driven reference engine. 0 means one
+    /// primary try.
     pub max_retries: u32,
     /// Base backoff before retry `r` (sleeps `backoff << (r-1)`, capped at
     /// 1024×). Keep small; this exists to let transient load pass, not to
     /// pace a scheduler.
     pub retry_backoff: Duration,
-    /// Whether to make one final attempt on the event-driven reference
-    /// engine after the primary-engine budget is exhausted.
-    pub degrade: bool,
     /// Cases to complete between checkpoint writes (min 1).
     pub checkpoint_every: usize,
     /// Artificial pause before every attempt — a soak-test knob that
@@ -41,7 +40,6 @@ impl Default for SupervisorConfig {
             deadline: None,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
-            degrade: true,
             checkpoint_every: 8,
             stall_per_case: None,
         }
@@ -72,15 +70,9 @@ pub struct Attempt {
     pub index: usize,
     /// Which retry this is (0 = first attempt).
     pub retry: u32,
-    /// Deterministic seed perturbation for this attempt: 0 on the first
-    /// attempt, a SplitMix64-mixed value of `(index, retry)` afterwards.
-    /// Workers with stochastic elements may fold it into their seed so a
-    /// retry explores a perturbed trajectory; deterministic workers ignore
-    /// it.
-    pub seed_bump: u64,
     /// The timing kernel this attempt should use. The supervisor hands out
     /// the fast levelized kernel until the retry budget is exhausted, then
-    /// (if degradation is enabled) the event-driven reference engine.
+    /// the event-driven reference engine for one final attempt.
     pub engine: SimEngine,
     /// Deadline token for this attempt, if the policy sets one. Workers
     /// thread it into the simulation layers ([`agemul::MultiplierDesign::
@@ -96,6 +88,20 @@ pub enum CaseError {
     Cancelled,
     /// Any other failure, rendered.
     Failed(String),
+}
+
+impl CaseError {
+    /// Classifies a worker's failure: [`CaseError::Cancelled`] when `err`'s
+    /// source chain bottoms out in a cooperative deadline
+    /// ([`NetlistError::Cancelled`](agemul_netlist::NetlistError::Cancelled)),
+    /// [`CaseError::Failed`] with the rendered error otherwise.
+    pub fn from_error(err: &(dyn std::error::Error + 'static)) -> CaseError {
+        if is_cancellation(err) {
+            CaseError::Cancelled
+        } else {
+            CaseError::Failed(err.to_string())
+        }
+    }
 }
 
 /// The completed ledger of a supervised run: every case accounted for, in
@@ -126,6 +132,36 @@ impl RunLedger {
             .map(|r| r.index)
             .collect()
     }
+
+    /// Decodes the completed cases among `cases` (a range of case
+    /// indices, `..` for all) as `(index, value)` pairs in index order.
+    /// Quarantined cases are skipped; [`quarantined`](Self::quarantined)
+    /// lists them.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::Decode`] naming the first completed case whose
+    /// recorded value `decode` rejects.
+    pub(crate) fn decode<T, R>(
+        &self,
+        cases: R,
+        decode: impl Fn(&Json) -> Result<T, String>,
+    ) -> Result<Vec<(usize, T)>, HarnessError>
+    where
+        R: SliceIndex<[CaseRecord], Output = [CaseRecord]>,
+    {
+        let mut done = Vec::new();
+        for record in self.records.get(cases).unwrap_or_default() {
+            if let CaseStatus::Done { value } = &record.status {
+                let value = decode(value).map_err(|reason| HarnessError::Decode {
+                    what: format!("case {} ({})", record.index, record.label),
+                    reason,
+                })?;
+                done.push((record.index, value));
+            }
+        }
+        Ok(done)
+    }
 }
 
 /// Runs an indexed list of cases under the crate's four protections.
@@ -137,22 +173,11 @@ pub struct Supervisor {
     config: SupervisorConfig,
 }
 
-const LEVEL: &str = "level";
-const EVENT: &str = "event";
-
 fn engine_name(engine: SimEngine) -> &'static str {
     match engine {
-        SimEngine::Level => LEVEL,
-        SimEngine::Event => EVENT,
+        SimEngine::Level => "level",
+        SimEngine::Event => "event",
     }
-}
-
-/// SplitMix64 finalizer — the retry seed perturbation.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -184,9 +209,9 @@ impl Supervisor {
     /// `worker` evaluates one [`Attempt`] to its serialized evidence. It
     /// runs under `catch_unwind`; a panic quarantines the case. Returning
     /// [`CaseError::Cancelled`] (deadline) or [`CaseError::Failed`]
-    /// consumes a retry; once the budget — and, if enabled, the
-    /// degradation attempt on the reference engine — is exhausted, the
-    /// case is quarantined with the last failure reason.
+    /// consumes a retry; once the budget — and the final attempt on the
+    /// reference engine — is exhausted, the case is quarantined with the
+    /// last failure reason.
     ///
     /// With the `parallel` feature, the pending cases of each checkpoint
     /// batch fan out across threads with dynamic work stealing (case
@@ -247,7 +272,7 @@ impl Supervisor {
         let pending: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
         let batch_size = self.config.checkpoint_every.max(1);
         for batch in pending.chunks(batch_size) {
-            let eval = |&index: &usize| self.run_case(index, worker);
+            let eval = |&index: &usize| run_case(&self.config, index, &self.labels[index], worker);
             // Claim granularity 1: one supervised case (attempts, retries,
             // possibly a degradation pass) is plenty to amortize a claim.
             #[cfg(feature = "parallel")]
@@ -290,97 +315,79 @@ impl Supervisor {
             entries: slots.iter().flatten().cloned().collect(),
         }
     }
+}
 
-    fn run_case<W>(&self, index: usize, worker: &W) -> CaseRecord
-    where
-        W: Fn(&Attempt) -> Result<Json, CaseError> + Sync,
-    {
-        let cfg = &self.config;
-        let mut plan: Vec<(u32, SimEngine, bool)> = (0..=cfg.max_retries)
-            .map(|r| (r, SimEngine::Level, false))
-            .collect();
-        if cfg.degrade {
-            plan.push((cfg.max_retries.saturating_add(1), SimEngine::Event, true));
-        }
-
-        let mut last_reason = String::from("no attempt ran");
-        for (retry, engine, is_degraded) in plan {
-            if retry > 0 {
-                let shift = retry.saturating_sub(1).min(10);
-                let backoff = cfg.retry_backoff.saturating_mul(1 << shift);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-            if let Some(stall) = cfg.stall_per_case {
-                if !stall.is_zero() {
-                    std::thread::sleep(stall);
-                }
-            }
-            let attempt = Attempt {
-                index,
-                retry,
-                seed_bump: if retry == 0 {
-                    0
-                } else {
-                    splitmix((index as u64) ^ (u64::from(retry) << 32))
-                },
-                engine,
-                cancel: cfg.deadline.map(CancelToken::with_deadline),
-            };
-            match catch_unwind(AssertUnwindSafe(|| worker(&attempt))) {
-                Ok(Ok(value)) => {
-                    return CaseRecord {
-                        index,
-                        label: self.labels[index].clone(),
-                        engine: engine_name(engine).into(),
-                        retries: retry,
-                        degraded: is_degraded,
-                        status: CaseStatus::Done { value },
-                    }
-                }
-                Ok(Err(CaseError::Cancelled)) => {
-                    last_reason = format!(
-                        "deadline exceeded on {} engine (attempt {})",
-                        engine_name(engine),
-                        retry + 1
-                    );
-                }
-                Ok(Err(CaseError::Failed(msg))) => {
-                    last_reason = format!(
-                        "failed on {} engine (attempt {}): {msg}",
-                        engine_name(engine),
-                        retry + 1
-                    );
-                }
-                Err(payload) => {
-                    // A panic is deterministic poison: no retry, no
-                    // degradation — quarantine immediately with the
-                    // message.
-                    return CaseRecord {
-                        index,
-                        label: self.labels[index].clone(),
-                        engine: engine_name(engine).into(),
-                        retries: retry,
-                        degraded: is_degraded,
-                        status: CaseStatus::Quarantined {
-                            reason: format!("panic: {}", panic_message(payload)),
-                        },
-                    };
-                }
+/// Runs one case to its record: attempts on the levelized kernel with
+/// exponential backoff until the retry budget is spent, then one final
+/// attempt on the event-driven reference engine. A panic quarantines the
+/// case at once; so does a failed final attempt, with its reason.
+pub(crate) fn run_case<W>(
+    config: &SupervisorConfig,
+    index: usize,
+    label: &str,
+    worker: &W,
+) -> CaseRecord
+where
+    W: Fn(&Attempt) -> Result<Json, CaseError>,
+{
+    let record = |engine: SimEngine, retries: u32, status: CaseStatus| CaseRecord {
+        index,
+        label: label.to_string(),
+        engine: engine_name(engine).into(),
+        retries,
+        degraded: engine == SimEngine::Event,
+        status,
+    };
+    let degrade_at = config.max_retries.saturating_add(1);
+    let mut last_reason = String::from("no attempt ran");
+    for retry in 0..=degrade_at {
+        let engine = if retry == degrade_at {
+            SimEngine::Event
+        } else {
+            SimEngine::Level
+        };
+        if retry > 0 {
+            let shift = retry.saturating_sub(1).min(10);
+            let backoff = config.retry_backoff.saturating_mul(1 << shift);
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
             }
         }
-        CaseRecord {
+        if let Some(stall) = config.stall_per_case {
+            if !stall.is_zero() {
+                std::thread::sleep(stall);
+            }
+        }
+        let attempt = Attempt {
             index,
-            label: self.labels[index].clone(),
-            engine: if cfg.degrade { EVENT } else { LEVEL }.into(),
-            retries: cfg.max_retries,
-            degraded: cfg.degrade,
-            status: CaseStatus::Quarantined {
-                reason: last_reason,
-            },
+            retry,
+            engine,
+            cancel: config.deadline.map(CancelToken::with_deadline),
+        };
+        let name = engine_name(engine);
+        match catch_unwind(AssertUnwindSafe(|| worker(&attempt))) {
+            Ok(Ok(value)) => return record(engine, retry, CaseStatus::Done { value }),
+            Ok(Err(CaseError::Cancelled)) => {
+                last_reason = format!("deadline exceeded on {name} engine (attempt {})", retry + 1);
+            }
+            Ok(Err(CaseError::Failed(msg))) => {
+                last_reason = format!("failed on {name} engine (attempt {}): {msg}", retry + 1);
+            }
+            // A panic is deterministic poison: no retry, no degradation —
+            // quarantine immediately with the message.
+            Err(payload) => {
+                let reason = format!("panic: {}", panic_message(payload));
+                return record(engine, retry, CaseStatus::Quarantined { reason });
+            }
         }
     }
+    record(
+        SimEngine::Event,
+        config.max_retries,
+        CaseStatus::Quarantined {
+            reason: last_reason,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -485,7 +492,6 @@ mod tests {
             labels(1),
             SupervisorConfig {
                 max_retries: 1,
-                degrade: false,
                 ..cfg()
             },
         );
@@ -498,41 +504,60 @@ mod tests {
             .unwrap();
         let r = &ledger.records[0];
         assert!(
-            matches!(&r.status, CaseStatus::Quarantined { reason } if reason.contains("deadline exceeded")),
+            matches!(&r.status, CaseStatus::Quarantined { reason } if reason.contains("deadline exceeded on event engine (attempt 3)")),
             "{r:?}"
         );
-        assert!(!r.degraded);
+        assert!(r.degraded);
+        assert_eq!(r.engine, "event");
+        assert_eq!(r.retries, 1);
     }
 
     #[test]
-    fn seed_bump_is_zero_first_then_deterministic() {
-        use std::sync::Mutex;
-        let seen = Mutex::new(Vec::new());
-        let sup = Supervisor::new(
-            "k",
-            labels(1),
-            SupervisorConfig {
-                max_retries: 2,
-                degrade: false,
-                ..cfg()
-            },
-        );
-        let _ = sup.run(
-            &|a: &Attempt| {
-                seen.lock().unwrap().push(a.seed_bump);
-                Err(CaseError::Failed("again".into()))
-            },
-            None,
-            Resume::Fresh,
-        );
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 3);
-        assert_eq!(seen[0], 0);
-        assert_ne!(seen[1], 0);
-        assert_ne!(seen[1], seen[2]);
-        // Re-running reproduces the same perturbations.
-        // Case index 0, retry 1 → mix input is (0 ^ (1 << 32)).
-        assert_eq!(seen[1], splitmix(1u64 << 32));
+    fn ledger_decode_splits_done_from_quarantined_and_names_bad_cases() {
+        let record = |index: usize, status: CaseStatus| CaseRecord {
+            index,
+            label: format!("case{index}"),
+            engine: "level".into(),
+            retries: 0,
+            degraded: false,
+            status,
+        };
+        let ledger = RunLedger {
+            run_key: "k".into(),
+            records: vec![
+                record(
+                    0,
+                    CaseStatus::Done {
+                        value: Json::UInt(7),
+                    },
+                ),
+                record(
+                    1,
+                    CaseStatus::Quarantined {
+                        reason: "panic: boom".into(),
+                    },
+                ),
+                record(
+                    2,
+                    CaseStatus::Done {
+                        value: Json::Str("not a number".into()),
+                    },
+                ),
+            ],
+        };
+        let as_u64 = |v: &Json| v.as_u64().ok_or_else(|| "not an integer".to_string());
+
+        assert_eq!(ledger.decode(..2, as_u64).unwrap(), vec![(0, 7)]);
+        assert_eq!(ledger.quarantined(), vec![1]);
+        match ledger.decode(.., as_u64) {
+            Err(HarnessError::Decode { what, reason }) => {
+                assert_eq!(what, "case 2 (case2)");
+                assert_eq!(reason, "not an integer");
+            }
+            other => panic!("expected a Decode error, got {other:?}"),
+        }
+        assert!(ledger.decode(1.., as_u64).is_err());
+        assert_eq!(ledger.decode(5.., as_u64).unwrap(), vec![]);
     }
 
     #[test]

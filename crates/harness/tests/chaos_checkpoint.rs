@@ -10,8 +10,8 @@
 
 use std::path::{Path, PathBuf};
 
+use agemul::Json;
 use agemul_chaos::{arm, ChaosPlan, FaultKind, PPM};
-use agemul_conformance::Json;
 use agemul_harness::{
     Attempt, CaseStatus, Checkpoint, CheckpointError, Resume, RunLedger, Supervisor,
     SupervisorConfig,

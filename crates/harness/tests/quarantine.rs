@@ -12,10 +12,7 @@ use std::time::Duration;
 use agemul::{EngineConfig, MultiplierDesign, PatternSet};
 use agemul_circuits::MultiplierKind;
 use agemul_faults::FaultSpec;
-use agemul_harness::{
-    run_campaign_supervised, run_gate_supervised, Checkpoint, HarnessError, Resume,
-    SupervisorConfig,
-};
+use agemul_harness::{run_campaign_supervised, HarnessError, Resume, SupervisorConfig};
 
 fn design() -> MultiplierDesign {
     MultiplierDesign::new(MultiplierKind::ColumnBypass, 4).unwrap()
@@ -155,21 +152,4 @@ fn generous_deadline_completes_without_retries_or_degradation() {
         assert_eq!(rec.retries, 0);
         assert_eq!(rec.engine, "level");
     }
-}
-
-#[test]
-fn supervised_gate_is_clean_and_checkpoints() {
-    let path = temp_path("gate");
-    let outcome = run_gate_supervised(0xC0FFEE, 6, &config(), Some(&path), Resume::Fresh).unwrap();
-    assert!(outcome.is_clean(), "divergent: {:?}", outcome.divergent);
-    assert_eq!(outcome.cases, 6);
-    assert_eq!(outcome.ledger.records.len(), 6);
-
-    // The checkpoint holds all six cases; resuming evaluates nothing new
-    // and reproduces the ledger.
-    let ck = Checkpoint::load(&path, None).unwrap();
-    assert_eq!(ck.entries.len(), 6);
-    let resumed =
-        run_gate_supervised(0xC0FFEE, 6, &config(), Some(&path), Resume::Require).unwrap();
-    assert_eq!(resumed.ledger, outcome.ledger);
 }

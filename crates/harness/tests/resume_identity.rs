@@ -10,12 +10,10 @@
 
 use std::path::PathBuf;
 
-use agemul::{EngineConfig, MultiplierDesign, PatternSet, PeriodSweep};
+use agemul::{EngineConfig, MultiplierDesign, PatternSet};
 use agemul_circuits::MultiplierKind;
 use agemul_faults::{Campaign, FaultSpec};
-use agemul_harness::{
-    run_campaign_supervised, run_sweep_supervised, Checkpoint, Resume, SupervisorConfig,
-};
+use agemul_harness::{run_campaign_supervised, Checkpoint, Resume, SupervisorConfig};
 use proptest::prelude::*;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -102,50 +100,6 @@ fn campaign_resumed_from_truncated_checkpoint_is_bit_identical() {
         // The rewritten checkpoint is complete and still keyed to the run.
         let after = Checkpoint::load(&cut, Some(&run_key)).unwrap();
         assert_eq!(after.entries.len(), full.ledger.records.len());
-    }
-}
-
-#[test]
-fn sweep_resumed_mid_grid_matches_uninterrupted_sweep() {
-    let d = design();
-    let patterns = PatternSet::uniform(4, 40, 9);
-    let profile = d.profile(patterns.pairs(), None).unwrap();
-    let cfg = EngineConfig::adaptive(1.0, 2);
-    let periods: Vec<f64> = (0..8).map(|i| 0.6 + 0.1 * f64::from(i)).collect();
-
-    let reference = PeriodSweep::run(&profile, &cfg, &periods);
-
-    let path = temp_path("sweep");
-    let full = run_sweep_supervised(
-        &profile,
-        &cfg,
-        &periods,
-        &config(),
-        Some(&path),
-        Resume::Fresh,
-    )
-    .unwrap();
-    assert_eq!(full.sweep.points(), reference.points());
-    assert!(full.quarantined_periods.is_empty());
-
-    let mut ck = Checkpoint::load(&path, None).unwrap();
-    ck.entries.truncate(3);
-    ck.save_atomic(&path).unwrap();
-    let resumed = run_sweep_supervised(
-        &profile,
-        &cfg,
-        &periods,
-        &config(),
-        Some(&path),
-        Resume::Require,
-    )
-    .unwrap();
-    assert_eq!(resumed.sweep.points(), reference.points());
-    assert_eq!(resumed.ledger, full.ledger);
-    // Bit-level spot check on the floats that crossed the JSON boundary.
-    for (a, b) in resumed.sweep.points().iter().zip(reference.points()) {
-        assert_eq!(a.0.to_bits(), b.0.to_bits());
-        assert_eq!(a.1.cycle_ns.to_bits(), b.1.cycle_ns.to_bits());
     }
 }
 

@@ -109,10 +109,10 @@ fn fleet_study(
         Resume::Fresh,
     )?;
     let elapsed = t0.elapsed().as_secs_f64();
-    if !run.quarantined_scenarios.is_empty() {
+    let quarantined = run.ledger.quarantined();
+    if !quarantined.is_empty() {
         return Err(format!(
-            "fleet: scenario(s) {:?} quarantined; the policy comparison is invalid",
-            run.quarantined_scenarios
+            "fleet: scenario(s) {quarantined:?} quarantined; the policy comparison is invalid"
         )
         .into());
     }

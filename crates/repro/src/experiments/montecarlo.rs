@@ -110,7 +110,7 @@ fn mc_study(ctx: &mut Context, width: usize, corners: usize, id: &str) -> Result
         }
         t.note(format!(
             "{usable}/{corners} corners usable ({} quarantined), evaluated in {elapsed:.1}s",
-            run.quarantined_corners.len()
+            run.ledger.quarantined().len()
         ));
         t.note(format!(
             "cycle {} ns (fresh nominal observed max × {GUARDBAND}), base seed {MC_SEED:#010x}, \

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--quick | --paper] [--csv <dir>] [--list]
-//!       [--lanes <64|256|512>] [--incremental]
+//!       [--lanes <64|256>] [--incremental]
 //!       [--resume <ckpt>] [--deadline-ms <N>] [--max-retries <N>]
 //!       <experiment>... | all
 //! repro serve [--addr <host:port> | --unix <path>] [--workers <N>]
@@ -25,7 +25,7 @@
 //! degrade to the event-driven reference engine before giving up.
 //!
 //! Every value-taking flag may be given at most once — `--lanes 64
-//! --lanes 512` is rejected instead of silently keeping the last value —
+//! --lanes 256` is rejected instead of silently keeping the last value —
 //! and `--deadline-ms 0` is rejected (a zero budget would quarantine
 //! every experiment; omit the flag to disable the deadline).
 
@@ -35,11 +35,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use agemul::LaneWidth;
-use agemul_conformance::Json;
-use agemul_harness::{
-    is_cancellation, Attempt, CaseError, CaseStatus, Resume, Supervisor, SupervisorConfig,
-};
+use agemul::{Json, LaneWidth};
+use agemul_fleet::RoutingPolicy;
+use agemul_harness::{Attempt, CaseError, CaseStatus, Resume, Supervisor, SupervisorConfig};
 use agemul_repro::{experiments, Context, Report, Scale};
 use agemul_serve::{
     parse_kind, roundtrip, DesignQuery, Endpoint, Request, RequestBody, ServeConfig,
@@ -48,7 +46,7 @@ use agemul_serve::{
 fn usage() {
     eprintln!(
         "usage: repro [--quick | --paper] [--csv <dir>] [--list] \
-         [--lanes <64|256|512>] [--incremental] \
+         [--lanes <64|256>] [--incremental] \
          [--resume <ckpt>] [--deadline-ms <N>] [--max-retries <N>] <experiment>... | all"
     );
     eprintln!(
@@ -209,7 +207,7 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
                     .parse::<usize>()
                     .ok()
                     .and_then(LaneWidth::from_lanes)
-                    .ok_or_else(|| format!("--lanes: want 64, 256, or 512, got {v}"))?;
+                    .ok_or_else(|| format!("--lanes: want 64 or 256, got {v}"))?;
                 set_once(&mut lanes, "--lanes", w)?;
             }
             "--incremental" => incremental = true,
@@ -330,7 +328,7 @@ fn parse_query(args: &[String]) -> Result<Command, String> {
     let mut mc_seed: Option<u64> = None;
     let mut nodes: Option<usize> = None;
     let mut epochs: Option<usize> = None;
-    let mut policy: Option<String> = None;
+    let mut policy: Option<RoutingPolicy> = None;
     let mut deadline: Option<Duration> = None;
 
     let mut i = 0;
@@ -459,7 +457,7 @@ fn parse_query(args: &[String]) -> Result<Command, String> {
             }
             "--policy" => {
                 let v = next_value(args, &mut i, "--policy")?;
-                set_once(&mut policy, "--policy", v.to_string())?;
+                set_once(&mut policy, "--policy", RoutingPolicy::parse(v)?)?;
             }
             "--deadline-ms" => {
                 let v = next_value(args, &mut i, "--deadline-ms")?;
@@ -509,7 +507,7 @@ fn parse_query(args: &[String]) -> Result<Command, String> {
             query: design_query(&kind)?,
             nodes: nodes.ok_or("--op fleet needs --nodes")?,
             epochs: epochs.ok_or("--op fleet needs --epochs")?,
-            policy: policy.unwrap_or_else(|| "aging-aware".into()),
+            policy: policy.unwrap_or(RoutingPolicy::AgingAware),
             skip: skip.unwrap_or(7),
         },
         "stats" => RequestBody::Stats,
@@ -695,13 +693,8 @@ fn run_supervised(run: &RunArgs, tuning: Tuning) -> ExitCode {
         let mut ctx = Context::new(scale);
         tuning.apply(&mut ctx);
         ctx.set_supervision(attempt.engine, attempt.cancel.clone());
-        let report = experiments::run_by_id(&mut ctx, id).map_err(|e| {
-            if is_cancellation(&*e) {
-                CaseError::Cancelled
-            } else {
-                CaseError::Failed(e.to_string())
-            }
-        })?;
+        let report =
+            experiments::run_by_id(&mut ctx, id).map_err(|e| CaseError::from_error(&*e))?;
         Ok(report_to_json(&report))
     };
 
@@ -915,7 +908,7 @@ mod tests {
         // The old parser silently kept the last value of a repeated flag;
         // each of these must now fail with a message naming the flag.
         let cases = [
-            argv(&["--lanes", "64", "--lanes", "512", "all"]),
+            argv(&["--lanes", "64", "--lanes", "256", "all"]),
             argv(&["--csv", "a", "--csv", "b", "all"]),
             argv(&["--resume", "x.json", "--resume", "y.json", "all"]),
             argv(&["--deadline-ms", "100", "--deadline-ms", "200", "all"]),
@@ -944,7 +937,7 @@ mod tests {
         let cmd = parse_cli(&argv(&[
             "--quick",
             "--lanes",
-            "512",
+            "256",
             "--deadline-ms",
             "250",
             "--csv",
@@ -956,10 +949,13 @@ mod tests {
             panic!("expected run command");
         };
         assert_eq!(run.scale, Scale::Quick);
-        assert_eq!(run.lanes, LaneWidth::from_lanes(512).unwrap());
+        assert_eq!(run.lanes, LaneWidth::W256);
         assert_eq!(run.deadline, Some(Duration::from_millis(250)));
         assert_eq!(run.csv_dir.as_deref(), Some(Path::new("out")));
         assert_eq!(run.ids, vec!["table4".to_string()]);
+
+        let err = parse_cli(&argv(&["--lanes", "512", "all"])).unwrap_err();
+        assert!(err.contains("want 64 or 256"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use agemul_conformance::Json;
+use agemul::Json;
 use agemul_serve::{roundtrip, spawn, Endpoint, ServeConfig};
 
 /// One client's view of the run: latency samples split by how the server

@@ -40,10 +40,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use agemul::SimEngine;
+use agemul::{Json, SimEngine};
 use agemul_chaos::{arm, ChaosPlan, FaultKind, PPM};
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
 use agemul_harness::{
     Attempt, CaseError, Checkpoint, CheckpointError, Resume, RunLedger, Supervisor,
     SupervisorConfig,

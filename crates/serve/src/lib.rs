@@ -52,7 +52,7 @@ pub use proto::{
 pub use server::{spawn, Endpoint, ServeConfig, ServerHandle};
 pub use state::{CacheOutcome, ServerState, SNAPSHOT_KEY};
 
-use agemul_conformance::Json;
+use agemul::Json;
 use std::io::{Read, Write};
 
 /// A minimal blocking client helper: writes `request` as one frame and

@@ -1,17 +1,18 @@
 //! Length-prefixed JSON wire protocol.
 //!
 //! Each frame is a big-endian `u32` byte length followed by one UTF-8
-//! JSON document (the dependency-free [`Json`] model from
-//! `agemul-conformance`, whose distinct `u64` variant keeps workload
-//! seeds lossless). A frame carries either a single request object or a
+//! JSON document (the dependency-free [`Json`] model from `agemul`,
+//! whose distinct `u64` variant keeps workload seeds lossless). A frame
+//! carries either a single request object or a
 //! `{"op":"batch","requests":[...]}` envelope; responses mirror the
 //! shape. Frames above [`MAX_FRAME_BYTES`] are rejected before any
 //! allocation, so a corrupt length prefix cannot balloon the server.
 
 use std::io::{self, Read, Write};
 
-use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
+use agemul::Json;
+use agemul_circuits::{MultiplierKind, MAX_WIDTH, MIN_WIDTH};
+use agemul_fleet::RoutingPolicy;
 
 /// Upper bound on one frame's payload (16 MiB) — far above any legitimate
 /// request or response, small enough that a garbage length prefix fails
@@ -231,7 +232,7 @@ pub fn parse_kind(label: &str) -> Result<MultiplierKind, String> {
 pub struct DesignQuery {
     /// Multiplier architecture.
     pub kind: MultiplierKind,
-    /// Operand width in bits.
+    /// Operand width in bits, in `MIN_WIDTH..=MAX_WIDTH`.
     pub width: usize,
     /// Aging epoch in years (0 = fresh).
     pub years: f64,
@@ -293,9 +294,9 @@ pub enum RequestBody {
         nodes: usize,
         /// Epochs to simulate.
         epochs: usize,
-        /// Routing policy label (`round-robin`, `least-loaded`,
-        /// `aging-aware`); validated when the op executes.
-        policy: String,
+        /// Routing policy (wire label `round-robin`, `least-loaded` or
+        /// `aging-aware`).
+        policy: RoutingPolicy,
         /// AHL skip threshold shared by every node.
         skip: u32,
     },
@@ -318,21 +319,9 @@ pub struct Request {
     pub body: RequestBody,
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn get_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
 /// A count field in `1..=`[`MAX_COUNT`].
 fn get_count(v: &Json, key: &str) -> Result<usize, String> {
-    let n = get_u64(v, key)?;
+    let n = v.get_u64(key)?;
     if n == 0 || n > MAX_COUNT as u64 {
         return Err(format!("{key} must be in 1..={MAX_COUNT}, got {n}"));
     }
@@ -340,26 +329,24 @@ fn get_count(v: &Json, key: &str) -> Result<usize, String> {
 }
 
 fn query_from_json(v: &Json) -> Result<DesignQuery, String> {
-    let kind = parse_kind(
-        v.get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing or non-string field \"kind\"".to_string())?,
-    )?;
-    let width = get_u64(v, "width")? as usize;
-    if width == 0 {
-        return Err("width must be positive".into());
+    let kind = parse_kind(v.get_str("kind")?)?;
+    let width = v.get_u64("width")?;
+    if !(MIN_WIDTH as u64..=MAX_WIDTH as u64).contains(&width) {
+        return Err(format!(
+            "width must be in {MIN_WIDTH}..={MAX_WIDTH}, got {width}"
+        ));
     }
-    let years = get_f64(v, "years")?;
+    let years = v.get_f64("years")?;
     if !years.is_finite() || years < 0.0 {
         return Err(format!(
             "years must be finite and non-negative, got {years}"
         ));
     }
     let patterns = get_count(v, "patterns")?;
-    let seed = get_u64(v, "seed")?;
+    let seed = v.get_u64("seed")?;
     Ok(DesignQuery {
         kind,
-        width,
+        width: width as usize,
         years,
         patterns,
         seed,
@@ -382,37 +369,23 @@ impl Request {
     /// # Errors
     ///
     /// A rendered description of the first missing, mistyped, or
-    /// out-of-range field. A `deadline_ms` of 0 is rejected — a budget of
-    /// nothing would quarantine every attempt; omit the field to disable
-    /// the deadline.
+    /// out-of-range field — including widths outside
+    /// `MIN_WIDTH..=MAX_WIDTH` and unknown fleet policies, so an impossible
+    /// request never reaches supervision. A `deadline_ms` of 0 is rejected
+    /// — a budget of nothing would quarantine every attempt; omit the
+    /// field to disable the deadline.
     pub fn from_json(v: &Json) -> Result<Request, String> {
-        let id = get_u64(v, "id")?;
-        let deadline_ms = match v.get("deadline_ms") {
-            None | Some(Json::Null) => None,
-            Some(x) => {
-                let ms = x
-                    .as_u64()
-                    .ok_or_else(|| "non-integer deadline_ms".to_string())?;
-                if ms == 0 {
-                    return Err(
-                        "deadline_ms must be positive (omit the field to disable the deadline)"
-                            .into(),
-                    );
-                }
-                Some(ms)
-            }
-        };
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing or non-string field \"op\"".to_string())?;
-        let body = match op {
+        let id = v.get_u64("id")?;
+        let deadline_ms = v.get_opt_u64("deadline_ms")?;
+        if deadline_ms == Some(0) {
+            return Err(
+                "deadline_ms must be positive (omit the field to disable the deadline)".into(),
+            );
+        }
+        let body = match v.get_str("op")? {
             "profile" => RequestBody::Profile(query_from_json(v)?),
             "sweep" => {
-                let raw = v
-                    .get("periods")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| "sweep needs a periods array".to_string())?;
+                let raw = v.get_arr("periods")?;
                 if raw.is_empty() {
                     return Err("sweep needs at least one period".into());
                 }
@@ -427,8 +400,7 @@ impl Request {
                 RequestBody::Sweep {
                     query: query_from_json(v)?,
                     periods,
-                    skip: u32::try_from(get_u64(v, "skip")?)
-                        .map_err(|_| "skip out of u32 range".to_string())?,
+                    skip: v.get_u32("skip")?,
                 }
             }
             "campaign" => {
@@ -436,14 +408,13 @@ impl Request {
                 RequestBody::Campaign {
                     query: query_from_json(v)?,
                     faults,
-                    fault_seed: get_u64(v, "fault_seed")?,
-                    skip: u32::try_from(get_u64(v, "skip")?)
-                        .map_err(|_| "skip out of u32 range".to_string())?,
+                    fault_seed: v.get_u64("fault_seed")?,
+                    skip: v.get_u32("skip")?,
                 }
             }
             "mc" => {
                 let corners = get_count(v, "corners")?;
-                let sigma = get_f64(v, "sigma")?;
+                let sigma = v.get_f64("sigma")?;
                 if !sigma.is_finite() || sigma < 0.0 {
                     return Err(format!(
                         "sigma must be finite and non-negative, got {sigma}"
@@ -461,29 +432,22 @@ impl Request {
                     query,
                     corners,
                     sigma,
-                    mc_seed: get_u64(v, "mc_seed")?,
-                    skip: u32::try_from(get_u64(v, "skip")?)
-                        .map_err(|_| "skip out of u32 range".to_string())?,
+                    mc_seed: v.get_u64("mc_seed")?,
+                    skip: v.get_u32("skip")?,
                 }
             }
             "fleet" => {
                 let nodes = get_count(v, "nodes")?;
-                let epochs = get_u64(v, "epochs")? as usize;
+                let epochs = v.get_u64("epochs")? as usize;
                 if epochs == 0 {
                     return Err("fleet needs at least one epoch".into());
                 }
-                let policy = v
-                    .get("policy")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing or non-string field \"policy\"".to_string())?
-                    .to_string();
                 RequestBody::Fleet {
                     query: query_from_json(v)?,
                     nodes,
                     epochs,
-                    policy,
-                    skip: u32::try_from(get_u64(v, "skip")?)
-                        .map_err(|_| "skip out of u32 range".to_string())?,
+                    policy: RoutingPolicy::parse(v.get_str("policy")?)?,
+                    skip: v.get_u32("skip")?,
                 }
             }
             "stats" => RequestBody::Stats,
@@ -558,7 +522,7 @@ impl Request {
                 pairs.extend(query_to_json(query));
                 pairs.push(("nodes".into(), Json::UInt(*nodes as u64)));
                 pairs.push(("epochs".into(), Json::UInt(*epochs as u64)));
-                pairs.push(("policy".into(), Json::Str(policy.clone())));
+                pairs.push(("policy".into(), Json::Str(policy.label().into())));
                 pairs.push(("skip".into(), Json::UInt(u64::from(*skip))));
             }
             RequestBody::Stats => pairs.push(("op".into(), Json::Str("stats".into()))),
@@ -686,7 +650,7 @@ mod tests {
                     query: query(),
                     nodes: 4,
                     epochs: 20,
-                    policy: "aging-aware".into(),
+                    policy: RoutingPolicy::AgingAware,
                     skip: 7,
                 },
             },
@@ -772,7 +736,7 @@ mod tests {
                     query: query(),
                     nodes: 1,
                     epochs: 1,
-                    policy: "round-robin".into(),
+                    policy: RoutingPolicy::RoundRobin,
                     skip: 1,
                 },
             };

@@ -26,13 +26,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use agemul::{EngineConfig, McConfig, McReport, MonteCarloCampaign, PeriodSweep, SimEngine};
-use agemul_conformance::Json;
+use agemul::{EngineConfig, Json, McConfig, MonteCarloCampaign, PeriodSweep, SimEngine};
 use agemul_faults::{Campaign, FaultSpec};
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetPolicy, FleetSim, RoutingPolicy};
-use agemul_harness::{
-    is_cancellation, run_request_supervised, Attempt, CaseError, CaseStatus, SupervisorConfig,
-};
+use agemul_harness::{run_request_supervised, Attempt, CaseError, CaseStatus, SupervisorConfig};
 
 use agemul_chaos::ChaosStream;
 
@@ -691,21 +688,15 @@ fn run_supervised_op(
     body: &RequestBody,
     max_retries: u32,
 ) -> Json {
-    let label = op_label(body);
     let config = SupervisorConfig {
         deadline: request.deadline_ms.map(Duration::from_millis),
         max_retries,
         retry_backoff: Duration::from_millis(1),
-        degrade: true,
         checkpoint_every: 1,
         stall_per_case: None,
     };
-    let record = match run_request_supervised(&label, &config, &|attempt: &Attempt| {
-        eval_op(state, body, attempt)
-    }) {
-        Ok(record) => record,
-        Err(e) => return response_error(request.id, &format!("supervisor failure: {e}")),
-    };
+    let record =
+        run_request_supervised(&config, &|attempt: &Attempt| eval_op(state, body, attempt));
     match record.status {
         CaseStatus::Done { value } => response_ok(
             request.id,
@@ -716,26 +707,6 @@ fn run_supervised_op(
         ),
         CaseStatus::Quarantined { reason } => response_error(request.id, &reason),
     }
-}
-
-fn op_label(body: &RequestBody) -> String {
-    let (op, q) = match body {
-        RequestBody::Profile(q) => ("profile", q),
-        RequestBody::Sweep { query, .. } => ("sweep", query),
-        RequestBody::Campaign { query, .. } => ("campaign", query),
-        RequestBody::Mc { query, .. } => ("mc", query),
-        RequestBody::Fleet { query, .. } => ("fleet", query),
-        // Stats/Shutdown never reach supervision.
-        RequestBody::Stats | RequestBody::Shutdown => return "stats".into(),
-    };
-    format!(
-        "{op}/{}{}@{}y/{}x{:#x}",
-        q.kind.label(),
-        q.width,
-        q.years,
-        q.patterns,
-        q.seed
-    )
 }
 
 fn flight_to_case(e: FlightError) -> CaseError {
@@ -814,7 +785,7 @@ fn eval_op(state: &ServerState, body: &RequestBody, attempt: &Attempt) -> Result
             epochs,
             policy,
             skip,
-        } => eval_fleet(state, query, *nodes, *epochs, policy, *skip, attempt),
+        } => eval_fleet(state, query, *nodes, *epochs, *policy, *skip, attempt),
         RequestBody::Stats | RequestBody::Shutdown => Err(CaseError::Failed(
             "op does not run under supervision".into(),
         )),
@@ -838,13 +809,7 @@ fn eval_campaign(
     let workload = state.workload(query.width, query.patterns, query.seed);
     let specs = FaultSpec::sample(&design, workload.pairs().len(), faults, fault_seed);
     let campaign = Campaign::prepare_cached(&design, workload.pairs(), &specs, state.cache())
-        .map_err(|e| {
-            if is_cancellation(&e) {
-                CaseError::Cancelled
-            } else {
-                CaseError::Failed(e.to_string())
-            }
-        })?;
+        .map_err(|e| CaseError::from_error(&e))?;
     let cycle_ns = 0.95
         * design
             .critical_delay_ns(None)
@@ -852,14 +817,6 @@ fn eval_campaign(
     let report = campaign.run(&EngineConfig::adaptive(cycle_ns, skip));
     Json::parse(&report.to_json())
         .map_err(|e| CaseError::Failed(format!("campaign report serialization: {e}")))
-}
-
-fn core_to_case(e: agemul::CoreError) -> CaseError {
-    if is_cancellation(&e) {
-        CaseError::Cancelled
-    } else {
-        CaseError::Failed(e.to_string())
-    }
 }
 
 /// Runs a Monte Carlo yield campaign: `corners` sampled dies, each
@@ -888,26 +845,19 @@ fn eval_mc(
     config.skip = skip;
     config.years = (0..=query.years.floor() as u64).map(|y| y as f64).collect();
     let campaign = MonteCarloCampaign::new(&design, workload.pairs(), state.bti(), config)
-        .map_err(core_to_case)?;
+        .map_err(|e| CaseError::from_error(&e))?;
 
     let cancel = attempt.cancel.as_ref();
     let report = match attempt.engine {
-        SimEngine::Level => campaign.run(cancel).map_err(core_to_case)?,
-        SimEngine::Event => {
-            let mut outcomes = Vec::with_capacity(corners);
-            for c in 0..corners {
-                outcomes.push(
-                    campaign
-                        .run_corner_from_scratch(c, SimEngine::Event, cancel)
-                        .map_err(core_to_case)?,
-                );
-            }
-            McReport {
-                years: campaign.config().years.clone(),
-                cycle_ns: campaign.config().cycle_ns,
-                corners: outcomes,
-            }
-        }
+        SimEngine::Level => campaign
+            .run(cancel)
+            .map_err(|e| CaseError::from_error(&e))?,
+        SimEngine::Event => campaign.report(
+            (0..corners)
+                .map(|c| campaign.run_corner_from_scratch(c, SimEngine::Event, cancel))
+                .collect::<Result<_, _>>()
+                .map_err(|e| CaseError::from_error(&e))?,
+        ),
     };
 
     let curve = |adaptive: bool| {
@@ -944,29 +894,23 @@ fn eval_fleet(
     query: &DesignQuery,
     nodes: usize,
     epochs: usize,
-    policy: &str,
+    policy: RoutingPolicy,
     skip: u32,
     attempt: &Attempt,
 ) -> Result<Json, CaseError> {
-    let routing = RoutingPolicy::parse(policy).map_err(CaseError::Failed)?;
     let design = state
         .design(query.kind, query.width)
         .map_err(CaseError::Failed)?;
-    if !query.years.is_finite() || query.years < 0.0 {
-        return Err(CaseError::Failed(format!(
-            "fleet years-per-epoch must be finite and non-negative, got {}",
-            query.years
-        )));
-    }
     let mut config = FleetConfig::new(nodes, epochs, query.patterns, query.seed);
     config.skip = skip;
     config.years_per_epoch = query.years;
-    config.policy = FleetPolicy::baseline(routing);
-    let campaign = FleetCampaign::new(&design, state.bti(), config).map_err(core_to_case)?;
+    config.policy = FleetPolicy::baseline(policy);
+    let campaign =
+        FleetCampaign::new(&design, state.bti(), config).map_err(|e| CaseError::from_error(&e))?;
     let mut sim = FleetSim::new(&campaign);
     let summary = sim
         .run(attempt.engine, attempt.cancel.as_ref())
-        .map_err(core_to_case)?;
+        .map_err(|e| CaseError::from_error(&e))?;
     Ok(summary.to_json())
 }
 
@@ -1051,14 +995,14 @@ mod tests {
         }
     }
 
-    fn frame_bytes(msg: &agemul_conformance::Json) -> Vec<u8> {
+    fn frame_bytes(msg: &agemul::Json) -> Vec<u8> {
         let mut buf = Vec::new();
         write_frame(&mut buf, msg).unwrap();
         buf
     }
 
-    fn stats_request() -> agemul_conformance::Json {
-        agemul_conformance::Json::parse(r#"{"op":"stats","id":1}"#).unwrap()
+    fn stats_request() -> agemul::Json {
+        agemul::Json::parse(r#"{"op":"stats","id":1}"#).unwrap()
     }
 
     fn bound() -> Bound {
@@ -1105,14 +1049,12 @@ mod tests {
         let bytes = written.lock().unwrap().clone();
         let response = read_frame(&mut &bytes[..]).unwrap().unwrap();
         assert_eq!(
-            response
-                .get("ok")
-                .and_then(agemul_conformance::Json::as_bool),
+            response.get("ok").and_then(agemul::Json::as_bool),
             Some(false)
         );
         let error = response
             .get("error")
-            .and_then(agemul_conformance::Json::as_str)
+            .and_then(agemul::Json::as_str)
             .unwrap();
         assert!(error.contains("slow client"), "got: {error}");
     }
@@ -1142,9 +1084,7 @@ mod tests {
         let bytes = written.lock().unwrap().clone();
         let response = read_frame(&mut &bytes[..]).unwrap().unwrap();
         assert_eq!(
-            response
-                .get("ok")
-                .and_then(agemul_conformance::Json::as_bool),
+            response.get("ok").and_then(agemul::Json::as_bool),
             Some(true),
             "idle client must still be served: {response}"
         );

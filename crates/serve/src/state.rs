@@ -14,12 +14,11 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use agemul::{
-    quantize_factors, CacheEntry, CancelToken, MultiplierDesign, PatternProfile, PatternSet,
+    quantize_factors, CacheEntry, CancelToken, Json, MultiplierDesign, PatternProfile, PatternSet,
     ProfileCache, ProfileKey, SimEngine,
 };
 use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
 use agemul_harness::{
     is_cancellation, profile_from_json, profile_to_json, CaseRecord, CaseStatus, Checkpoint,
 };
@@ -508,34 +507,18 @@ impl ServerState {
             let CaseStatus::Done { value } = &record.status else {
                 continue;
             };
-            let kind = parse_kind(
-                value
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("snapshot entry {} has no kind", record.index))?,
-            )?;
-            let entry = CacheEntry {
-                kind,
-                width: value
-                    .get("width")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("snapshot entry {} has no width", record.index))?
-                    as usize,
-                delay_fingerprint: value
-                    .get("delay_fp")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("snapshot entry {} has no delay_fp", record.index))?,
-                workload_fingerprint: value
-                    .get("workload_fp")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("snapshot entry {} has no workload_fp", record.index))?,
-                profile: Arc::new(
-                    profile_from_json(value.get("profile").ok_or_else(|| {
-                        format!("snapshot entry {} has no profile", record.index)
-                    })?)
-                    .map_err(|e| format!("snapshot entry {}: {e}", record.index))?,
-                ),
+            let decode = || -> Result<CacheEntry, String> {
+                Ok(CacheEntry {
+                    kind: parse_kind(value.get_str("kind")?)?,
+                    width: value.get_u64("width")? as usize,
+                    delay_fingerprint: value.get_u64("delay_fp")?,
+                    workload_fingerprint: value.get_u64("workload_fp")?,
+                    profile: Arc::new(profile_from_json(
+                        value.get("profile").ok_or("missing profile")?,
+                    )?),
+                })
             };
+            let entry = decode().map_err(|e| format!("snapshot entry {}: {e}", record.index))?;
             self.cache.seed_entry(&entry);
             seeded += 1;
         }

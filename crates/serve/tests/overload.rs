@@ -10,7 +10,7 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use agemul_conformance::Json;
+use agemul::Json;
 use agemul_serve::chaos::overload_probe;
 use agemul_serve::{read_frame, spawn, write_frame, ServeConfig};
 

@@ -17,7 +17,7 @@
 
 use std::io::{self, Read};
 
-use agemul_conformance::Json;
+use agemul::Json;
 use agemul_serve::{read_frame, write_frame, FrameAccumulator, FramePoll, MAX_FRAME_BYTES};
 use proptest::prelude::*;
 

@@ -1,8 +1,9 @@
-//! Well-formed but hostile `profile` requests through a live server.
+//! Well-formed but hostile requests through a live server.
 //!
 //! Every response must be either a result equal to the query's profile
 //! computed in-process from scratch, or a typed error response (`ok:
-//! false`, the request's id, a message naming the offending field); the
+//! false`, the request's id, a message naming the offending field) that
+//! the request decoder produced before any supervised attempt ran; the
 //! server must keep answering afterwards. Unchecked, a count past
 //! [`MAX_COUNT`](agemul_serve::MAX_COUNT) would reach `PatternSet`'s
 //! allocation and abort the whole process.
@@ -10,10 +11,9 @@
 use std::collections::HashMap;
 use std::net::TcpStream;
 
-use agemul::{quantize_factors, PatternSet};
+use agemul::{quantize_factors, Json, PatternSet};
 use agemul_aging::aging_factors;
 use agemul_circuits::{MultiplierKind, MAX_WIDTH, MIN_WIDTH};
-use agemul_conformance::Json;
 use agemul_serve::{roundtrip, spawn, Endpoint, ServeConfig, ServerHandle, ServerState, MAX_COUNT};
 
 fn spawn_tcp() -> ServerHandle {
@@ -52,7 +52,8 @@ fn stats(conn: &mut TcpStream) -> Json {
     response
 }
 
-/// Asserts `response` is the typed error for request `id`, naming `field`.
+/// Asserts `response` is the typed decode error for request `id`, naming
+/// `field` — rejected up front, not after a supervised attempt failed.
 fn assert_typed_error(response: &Json, id: u64, field: &str) {
     assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
     assert_eq!(
@@ -68,6 +69,10 @@ fn assert_typed_error(response: &Json, id: u64, field: &str) {
         error.contains(field),
         "request {id}: {error:?} lacks {field:?}"
     );
+    assert!(
+        !error.contains("engine (attempt"),
+        "request {id} reached supervision: {error:?}"
+    );
 }
 
 #[test]
@@ -81,6 +86,33 @@ fn oversized_patterns_get_a_typed_error_and_the_server_keeps_serving() {
     }
     stats(&mut conn);
     let ok = roundtrip(&mut conn, &profile_frame(4, "CB", 8, 0.0, 24, 1)).expect("profile");
+    assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok}");
+    drop(conn);
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn unknown_fleet_policy_is_rejected_at_decode() {
+    let server = spawn_tcp();
+    let mut conn = TcpStream::connect(server.tcp_addr().expect("addr")).expect("connect");
+    let frame = |id: u64, policy: &str| {
+        Json::Obj(vec![
+            ("id".into(), Json::UInt(id)),
+            ("op".into(), Json::Str("fleet".into())),
+            ("kind".into(), Json::Str("CB".into())),
+            ("width".into(), Json::UInt(8)),
+            ("years".into(), Json::Num(1.0)),
+            ("patterns".into(), Json::UInt(16)),
+            ("seed".into(), Json::UInt(1)),
+            ("nodes".into(), Json::UInt(2)),
+            ("epochs".into(), Json::UInt(1)),
+            ("policy".into(), Json::Str(policy.into())),
+            ("skip".into(), Json::UInt(7)),
+        ])
+    };
+    let response = roundtrip(&mut conn, &frame(1, "nope")).expect("the server answers");
+    assert_typed_error(&response, 1, "policy");
+    let ok = roundtrip(&mut conn, &frame(2, "round-robin")).expect("fleet");
     assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok}");
     drop(conn);
     server.shutdown().expect("clean shutdown");
@@ -208,13 +240,13 @@ fn hostile_profile_requests_get_correct_results_or_typed_errors() {
             .unwrap_or_else(|e| panic!("request {id} ({frame}) got no response: {e}"));
 
         let width = case.width as usize;
-        if width > 0 && case.patterns > MAX_COUNT as u64 {
-            assert_typed_error(&response, id, "patterns");
+        if !(MIN_WIDTH..=MAX_WIDTH).contains(&width) {
+            assert_typed_error(&response, id, "width");
             errors += 1;
             continue;
         }
-        if !(MIN_WIDTH..=MAX_WIDTH).contains(&width) {
-            assert_typed_error(&response, id, "width");
+        if case.patterns > MAX_COUNT as u64 {
+            assert_typed_error(&response, id, "patterns");
             errors += 1;
             continue;
         }

@@ -5,9 +5,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::sync::Barrier;
 
-use agemul::SimEngine;
+use agemul::{Json, SimEngine};
 use agemul_circuits::MultiplierKind;
-use agemul_conformance::Json;
 use agemul_serve::{
     roundtrip, spawn, CacheOutcome, DesignQuery, Endpoint, ServeConfig, ServerState,
 };
