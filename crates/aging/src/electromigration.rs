@@ -13,7 +13,7 @@
 //! folded into a single rate constant. The per-gate delay factor composes
 //! multiplicatively with the BTI factor.
 
-use agemul_netlist::{Netlist, WorkloadStats};
+use agemul_netlist::{GateId, Netlist, SwitchingActivity};
 
 /// A first-order electromigration model.
 ///
@@ -81,12 +81,14 @@ impl EmModel {
     /// Per-gate electromigration delay factors for a netlist, driven by the
     /// workload's recorded switching activity. Composes multiplicatively
     /// with [`crate::aging_factors`].
-    pub fn wire_factors(&self, netlist: &Netlist, stats: &WorkloadStats, years: f64) -> Vec<f64> {
+    pub fn wire_factors(
+        &self,
+        netlist: &Netlist,
+        activity: &SwitchingActivity,
+        years: f64,
+    ) -> Vec<f64> {
         (0..netlist.gate_count())
-            .map(|i| {
-                let activity = stats.gate_activity(agemul_netlist::GateId::from_index(i));
-                self.delay_factor(years, activity)
-            })
+            .map(|i| self.delay_factor(years, activity.gate_activity(GateId::from_index(i))))
             .collect()
     }
 }

@@ -4,7 +4,7 @@ use agemul_aging::electromigration::{compose_factors, EmModel};
 use agemul_aging::{aging_factors, stress_probabilities, worst_gate_factor, BtiModel};
 use agemul_circuits::{MultiplierCircuit, MultiplierKind};
 use agemul_logic::{DelayModel, Logic, Technology};
-use agemul_netlist::{static_critical_path_ns, DelayAssignment, WorkloadStats};
+use agemul_netlist::{static_critical_path_ns, DelayAssignment, SwitchingActivity, WorkloadStats};
 
 fn workload_stats(m: &MultiplierCircuit, count: usize, seed: u64) -> WorkloadStats {
     let topo = m.netlist().topology().unwrap();
@@ -90,7 +90,7 @@ fn electromigration_composes_with_bti() {
     let m = MultiplierCircuit::generate(MultiplierKind::ColumnBypass, 8).unwrap();
     let topo = m.netlist().topology().unwrap();
     // Toggle data for the EM model's activity input.
-    let mut stats = workload_stats(&m, 200, 11);
+    let stats = workload_stats(&m, 200, 11);
     let delays = DelayAssignment::uniform(m.netlist(), &DelayModel::nominal());
     let mut sim = agemul_netlist::EventSim::new(m.netlist(), &topo, delays);
     sim.settle(&m.encode_inputs(0, 0).unwrap()).unwrap();
@@ -102,11 +102,14 @@ fn electromigration_composes_with_bti() {
         let b = (state >> 9) & 0xFF;
         sim.step(&m.encode_inputs(a, b).unwrap()).unwrap();
     }
-    stats.record_toggles(sim.gate_toggle_counts(), 200).unwrap();
+    let mut activity = SwitchingActivity::new(m.netlist());
+    activity
+        .record_toggles(sim.gate_toggle_counts(), 200)
+        .unwrap();
 
     let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
     let bti_factors = aging_factors(m.netlist(), &stats, &bti, 7.0);
-    let em_factors = EmModel::nominal().wire_factors(m.netlist(), &stats, 7.0);
+    let em_factors = EmModel::nominal().wire_factors(m.netlist(), &activity, 7.0);
     let combined = compose_factors(&bti_factors, &em_factors);
 
     // EM only adds on top of BTI, and only where wires actually switch.

@@ -3,8 +3,8 @@
 use agemul_circuits::{MultiplierCircuit, MultiplierKind, Operand};
 use agemul_logic::{DelayModel, Logic};
 use agemul_netlist::{
-    BlockSim, CancelToken, DelayAssignment, EventSim, LevelSim, PatternTiming, Topology,
-    WorkloadStats,
+    BlockSim, CancelToken, DelayAssignment, EventSim, LevelSim, PatternTiming, SwitchingActivity,
+    Topology, WorkloadStats,
 };
 
 use crate::{calibrated_delay_model, count_zeros, CoreError, PatternProfile, PatternRecord};
@@ -527,18 +527,15 @@ impl MultiplierDesign {
         Ok(())
     }
 
-    /// Collects workload statistics (signal probabilities for the aging
-    /// model and switching activity for the power model) over `pairs`.
+    /// Collects the workload's signal probabilities (the aging model's
+    /// stress input) over `pairs`.
     ///
-    /// Signal probabilities come from a bit-parallel functional sweep (64
-    /// patterns per pass); toggle counts from a timed [`LevelSim`] run with
-    /// nominal delays (toggle-identical to the event-driven reference).
-    /// With the `parallel` feature the functional sweep is fanned out over
-    /// pattern chunks and merged in workload order — the accumulated
-    /// statistics are bit-identical to the serial path. The timed half
-    /// stays a single sequential simulation by design: its tri-state hold
-    /// semantics make every step depend on the previous pattern's settled
-    /// state.
+    /// One bit-parallel functional sweep, 64 patterns per pass; no timing
+    /// kernel is built. With the `parallel` feature the sweep is fanned out
+    /// over pattern chunks and merged in workload order — the accumulated
+    /// statistics are bit-identical to the serial path. Switching activity
+    /// for the power model comes from
+    /// [`switching_activity`](Self::switching_activity).
     ///
     /// # Errors
     ///
@@ -548,10 +545,9 @@ impl MultiplierDesign {
     }
 
     /// [`workload_stats`](Self::workload_stats) with an explicit batch
-    /// width for the bit-parallel probability sweep. All widths accumulate
-    /// bit-identical statistics (the per-net weights are exact multiples
-    /// of 0.5, so the wide and chunked sums agree exactly); the timed
-    /// toggle pass is width-independent.
+    /// width. All widths accumulate bit-identical statistics (the per-net
+    /// weights are exact multiples of 0.5, so the wide and chunked sums
+    /// agree exactly).
     ///
     /// # Errors
     ///
@@ -571,19 +567,32 @@ impl MultiplierDesign {
             LaneWidth::W64 => self.observe_probabilities::<1>(&mut stats, &encoded)?,
             LaneWidth::W256 => self.observe_probabilities::<4>(&mut stats, &encoded)?,
         }
+        Ok(stats)
+    }
 
+    /// Counts per-gate switching activity (the power and electromigration
+    /// models' input) over `pairs`: a timed [`LevelSim`] run at nominal
+    /// delays from the all-zero settled state, glitches included
+    /// (toggle-identical to the event-driven reference). It stays one
+    /// sequential simulation by design: tri-state hold semantics make
+    /// every step depend on the previous pattern's settled state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Circuit`] if an operand overflows the width.
+    pub fn switching_activity(&self, pairs: &[(u64, u64)]) -> Result<SwitchingActivity, CoreError> {
         let delays = self.delay_assignment(None)?;
         let mut sim = LevelSim::new(self.circuit.netlist(), &self.topology, delays);
-        let mut zeros = Vec::with_capacity(2 * self.width());
-        self.circuit.encode_inputs_into(0, 0, &mut zeros)?;
-        sim.settle(&zeros)?;
-        // The probability pass already encoded every pattern; the timed
-        // pass replays those buffers instead of re-encoding per pair.
-        for pattern in &encoded {
-            sim.step(pattern)?;
+        let mut pattern = Vec::with_capacity(2 * self.width());
+        self.circuit.encode_inputs_into(0, 0, &mut pattern)?;
+        sim.settle(&pattern)?;
+        for &(a, b) in pairs {
+            self.circuit.encode_inputs_into(a, b, &mut pattern)?;
+            sim.step(&pattern)?;
         }
-        stats.record_toggles(sim.gate_toggle_counts(), pairs.len() as u64)?;
-        Ok(stats)
+        let mut activity = SwitchingActivity::new(self.circuit.netlist());
+        activity.record_toggles(sim.gate_toggle_counts(), pairs.len() as u64)?;
+        Ok(activity)
     }
 
     /// Accumulates signal probabilities for `encoded` into `stats` —
@@ -785,6 +794,8 @@ mod tests {
         let patterns = PatternSet::uniform(4, 64, 3);
         let stats = d.workload_stats(patterns.pairs()).unwrap();
         assert_eq!(stats.pattern_count(), 64);
-        assert!(stats.total_toggles() > 0);
+        let activity = d.switching_activity(patterns.pairs()).unwrap();
+        assert_eq!(activity.pattern_count(), 64);
+        assert!(activity.total_toggles() > 0);
     }
 }

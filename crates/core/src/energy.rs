@@ -1,6 +1,6 @@
 //! Architecture-level energy accounting (paper Figs. 26/27).
 
-use agemul_netlist::WorkloadStats;
+use agemul_netlist::SwitchingActivity;
 use agemul_power::{EnergyBreakdown, PowerModel};
 
 use crate::{AreaReport, MultiplierDesign};
@@ -16,8 +16,8 @@ use crate::{AreaReport, MultiplierDesign};
 pub struct EnergyInputs<'a> {
     /// Technology power coefficients.
     pub power: &'a PowerModel,
-    /// Workload switching statistics (drives dynamic energy).
-    pub stats: &'a WorkloadStats,
+    /// Workload switching activity (drives dynamic energy).
+    pub activity: &'a SwitchingActivity,
     /// Architecture area/flip-flop population.
     pub area: &'a AreaReport,
     /// Mean clock cycles per operation (1 for fixed latency).
@@ -53,7 +53,7 @@ pub struct EnergyInputs<'a> {
 ///
 /// let d = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16)?;
 /// let patterns = PatternSet::uniform(16, 1000, 11);
-/// let stats = d.workload_stats(patterns.pairs())?;
+/// let activity = d.switching_activity(patterns.pairs())?;
 /// let area = area_report(&d, Architecture::AdaptiveVariableLatency, 7)?;
 /// let power = PowerModel::ptm_32nm_hk();
 ///
@@ -61,7 +61,7 @@ pub struct EnergyInputs<'a> {
 ///     &d,
 ///     EnergyInputs {
 ///         power: &power,
-///         stats: &stats,
+///         activity: &activity,
 ///         area: &area,
 ///         avg_cycles_per_op: 1.3,
 ///         avg_latency_ns: 1.17,
@@ -79,7 +79,7 @@ pub fn energy_report(design: &MultiplierDesign, inputs: EnergyInputs<'_>) -> Ene
     );
     let dynamic_fj = inputs
         .power
-        .dynamic_energy_per_op_fj(design.circuit().netlist(), inputs.stats);
+        .dynamic_energy_per_op_fj(design.circuit().netlist(), inputs.activity);
 
     let per_edge = inputs
         .power
@@ -110,23 +110,23 @@ mod tests {
 
     use super::*;
 
-    fn fixture() -> (MultiplierDesign, WorkloadStats) {
+    fn fixture() -> (MultiplierDesign, SwitchingActivity) {
         let d = MultiplierDesign::new(MultiplierKind::ColumnBypass, 8).unwrap();
         let patterns = PatternSet::uniform(8, 60, 5);
-        let stats = d.workload_stats(patterns.pairs()).unwrap();
-        (d, stats)
+        let activity = d.switching_activity(patterns.pairs()).unwrap();
+        (d, activity)
     }
 
     #[test]
     fn breakdown_components_positive() {
-        let (d, stats) = fixture();
+        let (d, activity) = fixture();
         let area = area_report(&d, Architecture::AdaptiveVariableLatency, 4).unwrap();
         let power = PowerModel::ptm_32nm_hk();
         let e = energy_report(
             &d,
             EnergyInputs {
                 power: &power,
-                stats: &stats,
+                activity: &activity,
                 area: &area,
                 avg_cycles_per_op: 1.2,
                 avg_latency_ns: 1.0,
@@ -140,12 +140,12 @@ mod tests {
 
     #[test]
     fn aging_reduces_energy() {
-        let (d, stats) = fixture();
+        let (d, activity) = fixture();
         let area = area_report(&d, Architecture::AdaptiveVariableLatency, 4).unwrap();
         let power = PowerModel::ptm_32nm_hk();
         let base = EnergyInputs {
             power: &power,
-            stats: &stats,
+            activity: &activity,
             area: &area,
             avg_cycles_per_op: 1.2,
             avg_latency_ns: 1.0,
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn razor_outputs_cost_more_than_plain() {
-        let (d, stats) = fixture();
+        let (d, activity) = fixture();
         let power = PowerModel::ptm_32nm_hk();
         let fl_area = area_report(&d, Architecture::FixedLatency, 4).unwrap();
         let avl_area = area_report(&d, Architecture::AdaptiveVariableLatency, 4).unwrap();
@@ -174,7 +174,7 @@ mod tests {
                 &d,
                 EnergyInputs {
                     power: &power,
-                    stats: &stats,
+                    activity: &activity,
                     area,
                     avg_cycles_per_op: 1.0,
                     avg_latency_ns: 1.0,

@@ -64,6 +64,15 @@ pub enum NetlistError {
         /// The rendered I/O error message.
         message: String,
     },
+    /// A per-gate delay factor is unusable: not finite and positive, or it
+    /// scales the gate's delay to 0 fs or past the timing kernels'
+    /// timestamp range.
+    BadDelayFactor {
+        /// The gate the factor applies to.
+        gate: GateId,
+        /// The factor, rendered for display (keeps the error `Eq`).
+        factor: String,
+    },
     /// A simulation was cooperatively cancelled via a
     /// [`CancelToken`](crate::CancelToken) (explicit cancel or expired
     /// deadline). Simulator state is unspecified after a cancelled step;
@@ -103,6 +112,9 @@ impl fmt::Display for NetlistError {
             NetlistError::Io { message } => {
                 write!(f, "i/o failure: {message}")
             }
+            NetlistError::BadDelayFactor { gate, factor } => {
+                write!(f, "delay factor {factor} of gate {gate} is out of range")
+            }
             NetlistError::Cancelled => {
                 write!(
                     f,
@@ -136,6 +148,10 @@ mod tests {
             NetlistError::BatchSize { got: 65 },
             NetlistError::Io {
                 message: "disk full".into(),
+            },
+            NetlistError::BadDelayFactor {
+                gate: GateId(3),
+                factor: "inf".into(),
             },
             NetlistError::Cancelled,
         ];

@@ -78,7 +78,10 @@ impl DelayAssignment {
     /// # Errors
     ///
     /// Returns [`NetlistError::WidthMismatch`] if `factors.len()` differs
-    /// from the gate count.
+    /// from the gate count, and [`NetlistError::BadDelayFactor`] for the
+    /// first factor that is not finite and positive, or whose scaled delay
+    /// rounds to 0 fs or leaves too little timestamp headroom for a path
+    /// through every gate (the timing kernels' delay contract).
     pub fn with_factors(
         netlist: &Netlist,
         model: &DelayModel,
@@ -90,19 +93,27 @@ impl DelayAssignment {
                 got: factors.len(),
             });
         }
-        let per_gate_fs = netlist
+        // No path is deeper than the gate count, so this cap keeps every
+        // path's delay sum inside the kernels' 62-bit timestamps.
+        let max_fs = ((1u64 << 62) / (netlist.gate_count() as u64 + 1)) as f64;
+        netlist
             .gates()
             .iter()
             .zip(factors)
-            .map(|(g, &f)| {
-                assert!(
-                    f.is_finite() && f > 0.0,
-                    "delay factor must be finite and positive, got {f}"
-                );
-                (model.delay_ns(g.kind()) * f * FS_PER_NS).round() as u64
+            .enumerate()
+            .map(|(i, (g, &f))| {
+                let fs = (model.delay_ns(g.kind()) * f * FS_PER_NS).round();
+                if f.is_finite() && f > 0.0 && fs >= 1.0 && fs < max_fs {
+                    Ok(fs as u64)
+                } else {
+                    Err(NetlistError::BadDelayFactor {
+                        gate: GateId::from_index(i),
+                        factor: f.to_string(),
+                    })
+                }
             })
-            .collect();
-        Ok(DelayAssignment { per_gate_fs })
+            .collect::<Result<_, _>>()
+            .map(|per_gate_fs| DelayAssignment { per_gate_fs })
     }
 
     /// Multiplies one gate's delay by `factor` — a localized BTI hot spot
@@ -814,6 +825,31 @@ mod tests {
         let n = inverter_chain();
         let err = DelayAssignment::with_factors(&n, &DelayModel::nominal(), &[1.0]).unwrap_err();
         assert!(matches!(err, NetlistError::WidthMismatch { .. }));
+    }
+
+    #[test]
+    fn unusable_factors_are_typed_errors() {
+        let n = inverter_chain();
+        let model = DelayModel::nominal();
+        for bad in [
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-30,
+            1e300,
+        ] {
+            let err = DelayAssignment::with_factors(&n, &model, &[1.0, bad]).unwrap_err();
+            assert_eq!(
+                err,
+                NetlistError::BadDelayFactor {
+                    gate: GateId::from_index(1),
+                    factor: bad.to_string(),
+                },
+                "factor {bad}"
+            );
+        }
     }
 
     #[test]

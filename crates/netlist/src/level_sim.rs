@@ -1248,7 +1248,10 @@ mod tests {
         let n = inverter_chain();
         let t = n.topology().unwrap();
         let good = DelayAssignment::uniform(&n, &DelayModel::nominal());
-        let bad = DelayAssignment::with_factors(&n, &DelayModel::nominal(), &[1e-12, 1.0]).unwrap();
+        // `with_factors` refuses a factor that rounds a delay to 0 fs, so
+        // the zero is made by shrinking one gate in place.
+        let mut bad = good.clone();
+        bad.inflate(GateId::from_index(0), 1e-12);
         let mut sim = LevelSim::new(&n, &t, good);
         sim.retime(&bad);
     }
@@ -1272,8 +1275,9 @@ mod tests {
     fn zero_delay_rejected() {
         let n = inverter_chain();
         let t = n.topology().unwrap();
-        // A sub-femtosecond per-kind delay rounds to 0 fs.
-        let d = DelayAssignment::with_factors(&n, &DelayModel::nominal(), &[1e-12, 1.0]).unwrap();
+        // A sub-femtosecond gate delay rounds to 0 fs.
+        let mut d = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        d.inflate(GateId::from_index(0), 1e-12);
         LevelSim::new(&n, &t, d);
     }
 }

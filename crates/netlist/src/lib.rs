@@ -24,9 +24,10 @@
 //!   each pattern touches only the fan-out cones of changed input bits.
 //!   Femtosecond-identical to [`EventSim`] (property-tested), an order of
 //!   magnitude faster on the profiling hot path.
-//! * [`WorkloadStats`] — per-net signal probabilities and per-gate switching
-//!   activity accumulated over a workload, feeding the BTI aging model and
-//!   the power model.
+//! * [`WorkloadStats`] — per-net signal probabilities accumulated over a
+//!   workload by a functional sweep, feeding the BTI aging model.
+//! * [`SwitchingActivity`] — per-gate toggle counts from a timed run,
+//!   feeding the power and electromigration models.
 //! * [`FaultOverlay`] — a lane-masked fault-injection overlay (stuck-at,
 //!   bit-flip) applied through dedicated `*_with_overlay` entry points so
 //!   the fault-free simulation paths stay untouched.
@@ -94,7 +95,7 @@ pub use level_sim::LevelSim;
 pub use netlist::{Gate, Netlist};
 pub use report::NetlistReport;
 pub use sta::static_critical_path_ns;
-pub use stats::WorkloadStats;
+pub use stats::{SwitchingActivity, WorkloadStats};
 pub use topology::Topology;
 pub use vcd::write_vcd;
 pub use verilog::write_verilog;

@@ -4,17 +4,13 @@ use agemul_logic::Logic;
 
 use crate::{BlockSim, GateId, NetId, Netlist, NetlistError, Topology};
 
-/// Per-net signal probabilities and per-gate switching activity accumulated
-/// over a workload.
+/// Per-net signal probabilities accumulated over a workload.
 ///
-/// Two downstream consumers:
-///
-/// * the **BTI aging model** needs the fraction of time each gate's
-///   transistors spend under stress, which this type approximates with the
-///   settled high-probability of each net (`α(S)` in Eq. 1 of the paper);
-/// * the **power model** needs per-gate switching activity, which the
-///   event-driven simulator accumulates (including glitches) and hands over
-///   via [`WorkloadStats::record_toggles`].
+/// The **BTI aging model** needs the fraction of time each gate's
+/// transistors spend under stress, which this type approximates with the
+/// settled high-probability of each net (`α(S)` in Eq. 1 of the paper).
+/// It comes from a zero-delay functional sweep; the timed per-gate toggle
+/// counts the power model needs live in [`SwitchingActivity`].
 ///
 /// # Example
 ///
@@ -37,8 +33,6 @@ use crate::{BlockSim, GateId, NetId, Netlist, NetlistError, Topology};
 pub struct WorkloadStats {
     patterns: u64,
     net_high_weight: Vec<f64>,
-    gate_toggles: Vec<u64>,
-    toggle_patterns: u64,
 }
 
 impl WorkloadStats {
@@ -47,8 +41,6 @@ impl WorkloadStats {
         WorkloadStats {
             patterns: 0,
             net_high_weight: vec![0.0; netlist.net_count()],
-            gate_toggles: vec![0; netlist.gate_count()],
-            toggle_patterns: 0,
         }
     }
 
@@ -136,53 +128,18 @@ impl WorkloadStats {
     /// # Errors
     ///
     /// Returns [`NetlistError::WidthMismatch`] if `other` was sized for a
-    /// different netlist.
+    /// netlist with a different net count.
     pub fn merge(&mut self, other: &WorkloadStats) -> Result<(), NetlistError> {
-        // Check each dimension separately so the error reports the one that
-        // actually mismatched (nets and gates can disagree independently).
         if other.net_high_weight.len() != self.net_high_weight.len() {
             return Err(NetlistError::WidthMismatch {
                 expected: self.net_high_weight.len(),
                 got: other.net_high_weight.len(),
             });
         }
-        if other.gate_toggles.len() != self.gate_toggles.len() {
-            return Err(NetlistError::WidthMismatch {
-                expected: self.gate_toggles.len(),
-                got: other.gate_toggles.len(),
-            });
-        }
         self.patterns += other.patterns;
-        self.toggle_patterns += other.toggle_patterns;
         for (w, &o) in self.net_high_weight.iter_mut().zip(&other.net_high_weight) {
             *w += o;
         }
-        for (t, &o) in self.gate_toggles.iter_mut().zip(&other.gate_toggles) {
-            *t += o;
-        }
-        Ok(())
-    }
-
-    /// Merges per-gate toggle counters from an [`EventSim`] run covering
-    /// `patterns` applied input vectors.
-    ///
-    /// [`EventSim`]: crate::EventSim
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::WidthMismatch`] if `toggles` does not cover
-    /// exactly the gate population this accumulator was sized for.
-    pub fn record_toggles(&mut self, toggles: &[u64], patterns: u64) -> Result<(), NetlistError> {
-        if toggles.len() != self.gate_toggles.len() {
-            return Err(NetlistError::WidthMismatch {
-                expected: self.gate_toggles.len(),
-                got: toggles.len(),
-            });
-        }
-        for (acc, &t) in self.gate_toggles.iter_mut().zip(toggles) {
-            *acc += t;
-        }
-        self.toggle_patterns += patterns;
         Ok(())
     }
 
@@ -200,14 +157,85 @@ impl WorkloadStats {
         }
         self.net_high_weight[net.index()] / self.patterns as f64
     }
+}
+
+/// Per-gate switching activity accumulated over a workload: output toggles
+/// (glitches included) counted by a timing simulator, and the number of
+/// applied patterns they cover.
+///
+/// The **power model** (dynamic energy) and the electromigration model
+/// read it; the aging model does not, so flows that only need
+/// [`WorkloadStats`] never run a timed simulation.
+///
+/// # Example
+///
+/// ```
+/// use agemul_logic::{DelayModel, GateKind, Logic};
+/// use agemul_netlist::{DelayAssignment, EventSim, GateId, Netlist, SwitchingActivity};
+///
+/// let mut n = Netlist::new();
+/// let a = n.add_input("a");
+/// let y = n.add_gate(GateKind::Not, &[a])?;
+/// n.mark_output(y, "y");
+/// let topo = n.topology()?;
+///
+/// let mut sim = EventSim::new(&n, &topo, DelayAssignment::uniform(&n, &DelayModel::nominal()));
+/// sim.settle(&[Logic::Zero])?;
+/// sim.step(&[Logic::One])?;
+/// sim.step(&[Logic::One])?;
+///
+/// let mut activity = SwitchingActivity::new(&n);
+/// activity.record_toggles(sim.gate_toggle_counts(), 2)?;
+/// assert_eq!(activity.total_toggles(), 1);
+/// assert!((activity.gate_activity(GateId::from_index(0)) - 0.5).abs() < 1e-12);
+/// # Ok::<(), agemul_netlist::NetlistError>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct SwitchingActivity {
+    gate_toggles: Vec<u64>,
+    patterns: u64,
+}
+
+impl SwitchingActivity {
+    /// Creates an empty accumulator sized for `netlist`.
+    pub fn new(netlist: &Netlist) -> Self {
+        SwitchingActivity {
+            gate_toggles: vec![0; netlist.gate_count()],
+            patterns: 0,
+        }
+    }
+
+    /// Adds per-gate toggle counters from an [`EventSim`] or [`LevelSim`]
+    /// run covering `patterns` applied input vectors.
+    ///
+    /// [`EventSim`]: crate::EventSim
+    /// [`LevelSim`]: crate::LevelSim
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::WidthMismatch`] if `toggles` does not cover
+    /// exactly the gate population this accumulator was sized for.
+    pub fn record_toggles(&mut self, toggles: &[u64], patterns: u64) -> Result<(), NetlistError> {
+        if toggles.len() != self.gate_toggles.len() {
+            return Err(NetlistError::WidthMismatch {
+                expected: self.gate_toggles.len(),
+                got: toggles.len(),
+            });
+        }
+        for (acc, &t) in self.gate_toggles.iter_mut().zip(toggles) {
+            *acc += t;
+        }
+        self.patterns += patterns;
+        Ok(())
+    }
 
     /// Average output toggles per applied pattern for `gate` (glitches
-    /// included), or 0 if no toggle data was recorded.
+    /// included), or 0 if nothing was recorded.
     pub fn gate_activity(&self, gate: GateId) -> f64 {
-        if self.toggle_patterns == 0 {
+        if self.patterns == 0 {
             return 0.0;
         }
-        self.gate_toggles[gate.index()] as f64 / self.toggle_patterns as f64
+        self.gate_toggles[gate.index()] as f64 / self.patterns as f64
     }
 
     /// Total recorded toggles across all gates.
@@ -215,10 +243,10 @@ impl WorkloadStats {
         self.gate_toggles.iter().sum()
     }
 
-    /// Number of patterns covered by toggle recording.
+    /// Number of applied patterns the recorded toggles cover.
     #[inline]
-    pub fn toggle_pattern_count(&self) -> u64 {
-        self.toggle_patterns
+    pub fn pattern_count(&self) -> u64 {
+        self.patterns
     }
 }
 
@@ -262,7 +290,8 @@ mod tests {
         let n = not_netlist();
         let stats = WorkloadStats::new(&n);
         assert_eq!(stats.net_high_probability(n.inputs()[0]), 0.5);
-        assert_eq!(stats.gate_activity(GateId::from_index(0)), 0.0);
+        let activity = SwitchingActivity::new(&n);
+        assert_eq!(activity.gate_activity(GateId::from_index(0)), 0.0);
     }
 
     #[test]
@@ -274,17 +303,26 @@ mod tests {
         sim.step(&[Logic::One]).unwrap();
         sim.step(&[Logic::Zero]).unwrap();
 
-        let mut stats = WorkloadStats::new(&n);
-        stats.record_toggles(sim.gate_toggle_counts(), 2).unwrap();
-        assert_eq!(stats.total_toggles(), 2);
-        assert!((stats.gate_activity(GateId::from_index(0)) - 1.0).abs() < 1e-12);
+        let mut activity = SwitchingActivity::new(&n);
+        activity
+            .record_toggles(sim.gate_toggle_counts(), 2)
+            .unwrap();
+        assert_eq!(activity.total_toggles(), 2);
+        assert_eq!(activity.pattern_count(), 2);
+        assert!((activity.gate_activity(GateId::from_index(0)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn toggle_width_checked() {
         let n = not_netlist();
-        let mut stats = WorkloadStats::new(&n);
-        assert!(stats.record_toggles(&[1, 2], 1).is_err());
+        let mut activity = SwitchingActivity::new(&n);
+        assert_eq!(
+            activity.record_toggles(&[1, 2], 1).unwrap_err(),
+            NetlistError::WidthMismatch {
+                expected: 1,
+                got: 2,
+            }
+        );
     }
 
     #[test]
@@ -391,35 +429,18 @@ mod tests {
 
     #[test]
     fn merge_reports_the_mismatched_dimension() {
-        // Netlists engineered so the *net* counts agree (3 each) while the
-        // *gate* counts differ (1 vs 2): the reported mismatch must name
-        // the gate dimension, not the net dimension.
+        // Probabilities are per net, so the net count is the one dimension
+        // a merge checks, and the error names it.
         let mut a = Netlist::new();
         let a0 = a.add_input("a0");
         let a1 = a.add_input("a1");
         a.add_gate(GateKind::And, &[a0, a1]).unwrap();
 
-        let mut b = Netlist::new();
-        let b0 = b.add_input("b0");
-        let x = b.add_gate(GateKind::Not, &[b0]).unwrap();
-        b.add_gate(GateKind::Not, &[x]).unwrap();
-
-        assert_eq!(a.net_count(), b.net_count());
-        assert_ne!(a.gate_count(), b.gate_count());
-
-        let mut stats = WorkloadStats::new(&a);
-        let foreign = WorkloadStats::new(&b);
-        assert_eq!(
-            stats.merge(&foreign).unwrap_err(),
-            NetlistError::WidthMismatch {
-                expected: a.gate_count(),
-                got: b.gate_count(),
-            }
-        );
-
-        // And when the net dimension is the mismatched one, it is reported.
         let mut c = Netlist::new();
         c.add_input("c0");
+        assert_ne!(a.net_count(), c.net_count());
+
+        let mut stats = WorkloadStats::new(&a);
         let foreign_nets = WorkloadStats::new(&c);
         assert_eq!(
             stats.merge(&foreign_nets).unwrap_err(),

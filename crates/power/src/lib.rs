@@ -35,7 +35,7 @@
 #![warn(missing_docs)]
 
 use agemul_logic::{AreaModel, FlopKind, Technology};
-use agemul_netlist::{GateId, Netlist, WorkloadStats};
+use agemul_netlist::{GateId, Netlist, SwitchingActivity};
 
 /// Per-operation energy breakdown of a multiplier architecture.
 ///
@@ -138,14 +138,14 @@ impl PowerModel {
 
     /// Average combinational switching energy per applied pattern,
     /// femtojoules, from recorded workload activity.
-    pub fn dynamic_energy_per_op_fj(&self, netlist: &Netlist, stats: &WorkloadStats) -> f64 {
+    pub fn dynamic_energy_per_op_fj(&self, netlist: &Netlist, activity: &SwitchingActivity) -> f64 {
         netlist
             .gates()
             .iter()
             .enumerate()
             .map(|(i, g)| {
                 let t = self.area.gate_transistors(g.kind(), g.inputs().len());
-                stats.gate_activity(GateId::from_index(i)) * self.toggle_energy_fj(t)
+                activity.gate_activity(GateId::from_index(i)) * self.toggle_energy_fj(t)
             })
             .sum()
     }
@@ -241,11 +241,11 @@ mod tests {
             for &p in pats {
                 sim.step(&[p]).unwrap();
             }
-            let mut stats = WorkloadStats::new(&n);
-            stats
+            let mut activity = SwitchingActivity::new(&n);
+            activity
                 .record_toggles(sim.gate_toggle_counts(), pats.len() as u64)
                 .unwrap();
-            pm.dynamic_energy_per_op_fj(&n, &stats)
+            pm.dynamic_energy_per_op_fj(&n, &activity)
         };
 
         let busy = run(&[Logic::One, Logic::Zero, Logic::One, Logic::Zero]);

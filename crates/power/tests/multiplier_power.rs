@@ -2,10 +2,10 @@
 
 use agemul_circuits::{MultiplierCircuit, MultiplierKind};
 use agemul_logic::{DelayModel, FlopKind};
-use agemul_netlist::{DelayAssignment, EventSim, WorkloadStats};
+use agemul_netlist::{DelayAssignment, EventSim, SwitchingActivity};
 use agemul_power::{EnergyBreakdown, PowerModel};
 
-fn stats_with_toggles(m: &MultiplierCircuit, count: usize, seed: u64) -> WorkloadStats {
+fn recorded_activity(m: &MultiplierCircuit, count: usize, seed: u64) -> SwitchingActivity {
     let topo = m.netlist().topology().unwrap();
     let delays = DelayAssignment::uniform(m.netlist(), &DelayModel::nominal());
     let mut sim = EventSim::new(m.netlist(), &topo, delays);
@@ -20,11 +20,11 @@ fn stats_with_toggles(m: &MultiplierCircuit, count: usize, seed: u64) -> Workloa
         let b = (state >> 9) & mask;
         sim.step(&m.encode_inputs(a, b).unwrap()).unwrap();
     }
-    let mut stats = WorkloadStats::new(m.netlist());
-    stats
+    let mut activity = SwitchingActivity::new(m.netlist());
+    activity
         .record_toggles(sim.gate_toggle_counts(), count as u64)
         .unwrap();
-    stats
+    activity
 }
 
 #[test]
@@ -32,8 +32,8 @@ fn dynamic_energy_scales_with_operand_width() {
     let pm = PowerModel::ptm_32nm_hk();
     let energy = |width: usize| {
         let m = MultiplierCircuit::generate(MultiplierKind::Array, width).unwrap();
-        let stats = stats_with_toggles(&m, 150, 3);
-        pm.dynamic_energy_per_op_fj(m.netlist(), &stats)
+        let activity = recorded_activity(&m, 150, 3);
+        pm.dynamic_energy_per_op_fj(m.netlist(), &activity)
     };
     let e8 = energy(8);
     let e16 = energy(16);
@@ -52,9 +52,11 @@ fn idle_workload_burns_no_dynamic_energy() {
     for _ in 0..50 {
         sim.step(&m.encode_inputs(123, 45).unwrap()).unwrap();
     }
-    let mut stats = WorkloadStats::new(m.netlist());
-    stats.record_toggles(sim.gate_toggle_counts(), 50).unwrap();
-    assert_eq!(pm.dynamic_energy_per_op_fj(m.netlist(), &stats), 0.0);
+    let mut activity = SwitchingActivity::new(m.netlist());
+    activity
+        .record_toggles(sim.gate_toggle_counts(), 50)
+        .unwrap();
+    assert_eq!(pm.dynamic_energy_per_op_fj(m.netlist(), &activity), 0.0);
 }
 
 #[test]
@@ -81,9 +83,9 @@ fn leakage_tracks_area_and_aging_across_designs() {
 fn breakdown_composes_into_sane_power() {
     let pm = PowerModel::ptm_32nm_hk();
     let m = MultiplierCircuit::generate(MultiplierKind::ColumnBypass, 16).unwrap();
-    let stats = stats_with_toggles(&m, 200, 7);
+    let activity = recorded_activity(&m, 200, 7);
     let e = EnergyBreakdown {
-        dynamic_fj: pm.dynamic_energy_per_op_fj(m.netlist(), &stats),
+        dynamic_fj: pm.dynamic_energy_per_op_fj(m.netlist(), &activity),
         sequential_fj: pm.flop_energy_fj(FlopKind::Dff, 32)
             + pm.flop_energy_fj(FlopKind::RazorFf, 32),
         leakage_fj: pm.leakage_energy_fj(m.netlist().transistor_count(pm.area_model()), 0.0, 1.2),
@@ -118,9 +120,11 @@ fn bypassing_reduces_per_gate_switching_under_sparse_selects() {
             let b = (state >> 9) & 0xFFFF;
             sim.step(&m.encode_inputs(a, b).unwrap()).unwrap();
         }
-        let mut stats = WorkloadStats::new(m.netlist());
-        stats.record_toggles(sim.gate_toggle_counts(), 150).unwrap();
-        pm.dynamic_energy_per_op_fj(m.netlist(), &stats)
+        let mut activity = SwitchingActivity::new(m.netlist());
+        activity
+            .record_toggles(sim.gate_toggle_counts(), 150)
+            .unwrap();
+        pm.dynamic_energy_per_op_fj(m.netlist(), &activity)
     };
 
     let sparse = energy_for(0x0003, 21); // multiplicand uses 2 bits

@@ -9,14 +9,14 @@ fn main() {
     let pats = PatternSet::uniform(16, 800, 0x0A6E_0001);
     for kind in MultiplierKind::ALL {
         let d = MultiplierDesign::new(kind, 16).unwrap();
-        let stats = d.workload_stats(pats.pairs()).unwrap();
+        let activity = d.switching_activity(pats.pairs()).unwrap();
         let profile = d.profile(pats.pairs(), None).unwrap();
         let area = area_report(&d, Architecture::FixedLatency, 7).unwrap();
         let e = energy_report(
             &d,
             EnergyInputs {
                 power: &pm,
-                stats: &stats,
+                activity: &activity,
                 area: &area,
                 avg_cycles_per_op: 1.0,
                 avg_latency_ns: 1.5,

@@ -7,7 +7,7 @@ use agemul::{CancelToken, LaneWidth, MultiplierDesign, PatternProfile, PatternSe
 use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::MultiplierKind;
 use agemul_logic::Technology;
-use agemul_netlist::WorkloadStats;
+use agemul_netlist::{SwitchingActivity, WorkloadStats};
 
 /// Convenience result type for the harness.
 pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error + Send + Sync>>;
@@ -152,8 +152,8 @@ fn years_key(years: f64) -> u32 {
 }
 
 /// Lazily computed, cached artifacts shared across experiments: designs,
-/// workload statistics, aging factors, timing profiles, and critical-path
-/// measurements.
+/// workload statistics and switching activity, aging factors, timing
+/// profiles, and critical-path measurements.
 ///
 /// Building a profile is the expensive step (one event-driven simulation
 /// over the whole workload); everything downstream — period sweeps, skip
@@ -169,6 +169,7 @@ pub struct Context {
     designs: HashMap<(MultiplierKind, usize), Rc<MultiplierDesign>>,
     workloads: HashMap<(usize, usize), Rc<PatternSet>>,
     stats: HashMap<(MultiplierKind, usize), Rc<WorkloadStats>>,
+    activity: HashMap<(MultiplierKind, usize), Rc<SwitchingActivity>>,
     factors: HashMap<(MultiplierKind, usize, u32), Rc<Vec<f64>>>,
     profiles: HashMap<(MultiplierKind, usize, u32, usize), Rc<PatternProfile>>,
     criticals: HashMap<(MultiplierKind, usize, u32), f64>,
@@ -190,6 +191,7 @@ impl Context {
             designs: HashMap::new(),
             workloads: HashMap::new(),
             stats: HashMap::new(),
+            activity: HashMap::new(),
             factors: HashMap::new(),
             profiles: HashMap::new(),
             criticals: HashMap::new(),
@@ -275,19 +277,42 @@ impl Context {
         w
     }
 
-    /// Workload statistics (signal probabilities + switching activity) for
-    /// a design under the standard uniform workload (cached).
+    /// Workload statistics (signal probabilities) for a design under the
+    /// standard uniform workload (cached).
     pub fn stats(&mut self, kind: MultiplierKind, width: usize) -> Result<Rc<WorkloadStats>> {
         if let Some(s) = self.stats.get(&(kind, width)) {
             return Ok(Rc::clone(s));
         }
         let design = self.design(kind, width)?;
-        // Statistics stabilize quickly; a moderate sample keeps this cheap.
-        let count = self.scale.year_patterns(width);
-        let workload = self.uniform_workload(width, count);
+        let workload = self.stats_workload(width);
         let s = Rc::new(design.workload_stats_wide(workload.pairs(), self.lanes)?);
         self.stats.insert((kind, width), Rc::clone(&s));
         Ok(s)
+    }
+
+    /// Switching activity for a design under the same workload as
+    /// [`stats`](Self::stats) (cached).
+    pub fn activity(
+        &mut self,
+        kind: MultiplierKind,
+        width: usize,
+    ) -> Result<Rc<SwitchingActivity>> {
+        if let Some(a) = self.activity.get(&(kind, width)) {
+            return Ok(Rc::clone(a));
+        }
+        let design = self.design(kind, width)?;
+        let workload = self.stats_workload(width);
+        let a = Rc::new(design.switching_activity(workload.pairs())?);
+        self.activity.insert((kind, width), Rc::clone(&a));
+        Ok(a)
+    }
+
+    /// The workload behind [`stats`](Self::stats) and
+    /// [`activity`](Self::activity). Statistics stabilize quickly; a
+    /// moderate sample keeps them cheap.
+    fn stats_workload(&mut self, width: usize) -> Rc<PatternSet> {
+        let count = self.scale.year_patterns(width);
+        self.uniform_workload(width, count)
     }
 
     /// Per-gate BTI aging factors for a design at `years` (cached).

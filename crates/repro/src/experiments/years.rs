@@ -35,7 +35,7 @@ fn seven_year_study(
         ("FLRB", MultiplierKind::RowBypass),
     ] {
         let design = ctx.design(kind, width)?;
-        let stats = ctx.stats(kind, width)?;
+        let activity = ctx.activity(kind, width)?;
         let area = area_report(&design, Architecture::FixedLatency, skip)?;
         let mut s = Series {
             name,
@@ -51,7 +51,7 @@ fn seven_year_study(
                 &design,
                 EnergyInputs {
                     power: &power_model,
-                    stats: &stats,
+                    activity: &activity,
                     area: &area,
                     avg_cycles_per_op: 1.0,
                     avg_latency_ns: latency,
@@ -71,7 +71,7 @@ fn seven_year_study(
         ("A-VLRB", MultiplierKind::RowBypass),
     ] {
         let design = ctx.design(kind, width)?;
-        let stats = ctx.stats(kind, width)?;
+        let activity = ctx.activity(kind, width)?;
         let area = area_report(&design, Architecture::AdaptiveVariableLatency, skip)?;
         let mut s = Series {
             name,
@@ -90,7 +90,7 @@ fn seven_year_study(
                 &design,
                 EnergyInputs {
                     power: &power_model,
-                    stats: &stats,
+                    activity: &activity,
                     area: &area,
                     avg_cycles_per_op: metrics.avg_cycles(),
                     avg_latency_ns: latency,

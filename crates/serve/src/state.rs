@@ -3,7 +3,7 @@
 //!
 //! This is the resident-process counterpart of the repro crate's
 //! single-threaded `Context`: the same lazily built artifacts (designs,
-//! workload statistics, BTI aging factors, timing profiles), but behind
+//! workloads, BTI aging factors, timing profiles), but behind
 //! poison-recovering locks and `Arc`s so hundreds of concurrent requests
 //! share one copy of everything. Profiles go through the sharded
 //! [`ProfileCache`] *behind* a [`SingleFlight`] coalescer, so N identical
@@ -23,7 +23,6 @@ use agemul_harness::{
     is_cancellation, profile_from_json, profile_to_json, CaseRecord, CaseStatus, Checkpoint,
 };
 use agemul_logic::Technology;
-use agemul_netlist::WorkloadStats;
 
 use crate::flight::{FlightError, FlightRole, SingleFlight};
 use crate::proto::{parse_kind, DesignQuery};
@@ -64,9 +63,6 @@ impl CacheOutcome {
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// Keyed store of workload statistics: (kind, width, patterns, seed).
-type StatsMap = HashMap<(MultiplierKind, usize, usize, u64), Arc<WorkloadStats>>;
 
 /// The exact identity of a [`DesignQuery`]: every field, with `years` by
 /// its bits. Distinct queries never share per-query state, so an answer
@@ -112,7 +108,7 @@ struct Resolved {
 }
 
 /// The server's shared artifact store. Cheap lookups (designs, workloads,
-/// stats, factors) live in plain poison-recovering maps; profiles — the
+/// factors) live in plain poison-recovering maps; profiles — the
 /// expensive artifact — go through the sharded bounded [`ProfileCache`]
 /// behind the [`SingleFlight`] coalescer.
 pub struct ServerState {
@@ -121,7 +117,6 @@ pub struct ServerState {
     flight: SingleFlight<FlightKey, Arc<PatternProfile>>,
     designs: Mutex<HashMap<(MultiplierKind, usize), Arc<MultiplierDesign>>>,
     workloads: Mutex<HashMap<(usize, usize, u64), Arc<PatternSet>>>,
-    stats: Mutex<StatsMap>,
     factors: Mutex<HashMap<QueryKey, Arc<Vec<f64>>>>,
     /// Query → cache key memo: a repeated query skips rebuilding and
     /// fingerprinting its per-gate delay assignment.
@@ -157,7 +152,6 @@ impl ServerState {
             flight: SingleFlight::with_scope(scope.clone()),
             designs: Mutex::new(HashMap::new()),
             workloads: Mutex::new(HashMap::new()),
-            stats: Mutex::new(HashMap::new()),
             factors: Mutex::new(HashMap::new()),
             keys: Mutex::new(HashMap::new()),
             shed: std::sync::atomic::AtomicU64::new(0),
@@ -242,8 +236,9 @@ impl ServerState {
     }
 
     /// Per-gate BTI aging factors for the query's design under its own
-    /// workload's duty cycles (cached). Fresh designs (`years == 0`) have
-    /// no factors.
+    /// workload's duty cycles (cached). The signal probabilities behind
+    /// them are one functional sweep, recomputed on a factors miss rather
+    /// than kept per query. Fresh designs (`years == 0`) have no factors.
     ///
     /// # Errors
     ///
@@ -257,7 +252,10 @@ impl ServerState {
             return Ok(Some(Arc::clone(f)));
         }
         let design = self.design(query.kind, query.width)?;
-        let stats = self.workload_stats(query)?;
+        let workload = self.workload(query.width, query.patterns, query.seed);
+        let stats = design
+            .workload_stats(workload.pairs())
+            .map_err(|e| e.to_string())?;
         let built = Arc::new(aging_factors(
             design.circuit().netlist(),
             &stats,
@@ -267,25 +265,6 @@ impl ServerState {
         let mut factors = lock(&self.factors);
         let f = factors.entry(key).or_insert_with(|| Arc::clone(&built));
         Ok(Some(Arc::clone(f)))
-    }
-
-    /// Workload statistics for the query's design under its own workload
-    /// (cached) — the stress input to the aging model.
-    fn workload_stats(&self, query: &DesignQuery) -> Result<Arc<WorkloadStats>, String> {
-        let key = (query.kind, query.width, query.patterns, query.seed);
-        if let Some(s) = lock(&self.stats).get(&key) {
-            return Ok(Arc::clone(s));
-        }
-        let design = self.design(query.kind, query.width)?;
-        let workload = self.workload(query.width, query.patterns, query.seed);
-        let built = Arc::new(
-            design
-                .workload_stats(workload.pairs())
-                .map_err(|e| e.to_string())?,
-        );
-        let mut stats = lock(&self.stats);
-        let s = stats.entry(key).or_insert_with(|| Arc::clone(&built));
-        Ok(Arc::clone(s))
     }
 
     /// Resolves a query to its build inputs and cache key: design, aging

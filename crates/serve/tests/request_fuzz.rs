@@ -118,6 +118,48 @@ fn unknown_fleet_policy_is_rejected_at_decode() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// A huge but finite σ passes decode and draws per-gate variation factors
+/// of 0 or ∞. The corner's delay assignment must refuse them with a typed
+/// error, not panic inside the worker.
+#[test]
+fn extreme_mc_sigma_gets_a_typed_error_and_the_server_keeps_serving() {
+    let server = spawn_tcp();
+    let mut conn = TcpStream::connect(server.tcp_addr().expect("addr")).expect("connect");
+    let frame = |id: u64, sigma: f64| {
+        Json::Obj(vec![
+            ("id".into(), Json::UInt(id)),
+            ("op".into(), Json::Str("mc".into())),
+            ("kind".into(), Json::Str("CB".into())),
+            ("width".into(), Json::UInt(8)),
+            ("years".into(), Json::Num(1.0)),
+            ("patterns".into(), Json::UInt(16)),
+            ("seed".into(), Json::UInt(1)),
+            ("corners".into(), Json::UInt(2)),
+            ("sigma".into(), Json::Num(sigma)),
+            ("mc_seed".into(), Json::UInt(3)),
+            ("skip".into(), Json::UInt(7)),
+        ])
+    };
+    let response = roundtrip(&mut conn, &frame(1, 1e3)).expect("the server answers");
+    assert_eq!(response.get("id").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        response.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{response}"
+    );
+    let error = response
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(error.contains("delay factor"), "{error:?}");
+    assert!(!error.contains("panic"), "{error:?}");
+    stats(&mut conn);
+    let ok = roundtrip(&mut conn, &frame(2, 0.05)).expect("mc");
+    assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok}");
+    drop(conn);
+    server.shutdown().expect("clean shutdown");
+}
+
 /// SplitMix64: a tiny seeded generator, so the suite needs no RNG crate.
 struct SplitMix(u64);
 

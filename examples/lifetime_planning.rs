@@ -13,6 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16)?;
     let patterns = PatternSet::uniform(16, 3_000, 99);
     let stats = design.workload_stats(patterns.pairs())?;
+    let activity = design.switching_activity(patterns.pairs())?;
     let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
     let em = EmModel::nominal();
 
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for year in 0..=10 {
         let y = f64::from(year);
         let bti_factors = aging_factors(design.circuit().netlist(), &stats, &bti, y);
-        let em_factors = em.wire_factors(design.circuit().netlist(), &stats, y);
+        let em_factors = em.wire_factors(design.circuit().netlist(), &activity, y);
         let factors = compose_factors(&bti_factors, &em_factors);
 
         let crit = design.critical_delay_ns(Some(&factors))?;

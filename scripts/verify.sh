@@ -18,11 +18,13 @@ cargo test -q -p agemul -p agemul-faults -p agemul-repro -p agemul-harness -p ag
 # The benchmark package's own tests (outside the workspace; they include
 # serve-open's served ≡ in-process check).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-# Reduced-scale experiments that assert their own claims: fault
-# classification, the 200-case cross-engine conformance gate (divergences
-# shrink to JSON repros), AHL yield ≥ baseline (mc), aging-aware fleet
-# lifetime > round-robin, and zero chaos-schedule violations.
-cargo run --release -p agemul-repro -- --quick faults conformance mc fleet chaos >/dev/null
+# Every reduced-scale experiment, each CSV checked against its pinned
+# digest in results/quick.digests. The experiments also assert their own
+# claims: fault classification, the 200-case cross-engine conformance gate
+# (divergences shrink to JSON repros), AHL yield ≥ baseline (mc),
+# aging-aware fleet lifetime > round-robin, and zero chaos-schedule
+# violations.
+scripts/quick_digests.sh
 # Incremental sweep: asserts its own sweep counters and re-derives the
 # final year from scratch, failing on divergence.
 cargo run --release -p agemul-repro -- --quick --incremental sweep >/dev/null

@@ -75,7 +75,7 @@ fn area_and_energy_orderings() {
     let power = PowerModel::ptm_32nm_hk();
     let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16).unwrap();
     let patterns = PatternSet::uniform(16, 400, 9);
-    let stats = design.workload_stats(patterns.pairs()).unwrap();
+    let activity = design.switching_activity(patterns.pairs()).unwrap();
 
     let fl = area_report(&design, Architecture::FixedLatency, 7).unwrap();
     let avl = area_report(&design, Architecture::AdaptiveVariableLatency, 7).unwrap();
@@ -86,7 +86,7 @@ fn area_and_energy_orderings() {
             &design,
             EnergyInputs {
                 power: &power,
-                stats: &stats,
+                activity: &activity,
                 area,
                 avg_cycles_per_op: 1.3,
                 avg_latency_ns: 1.2,

@@ -93,10 +93,11 @@ fn triple_aging_stack_is_absorbed() {
     let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16).unwrap();
     let patterns = PatternSet::uniform(16, 500, 10);
     let stats = design.workload_stats(patterns.pairs()).unwrap();
+    let activity = design.switching_activity(patterns.pairs()).unwrap();
     let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
 
     let f_bti = aging_factors(design.circuit().netlist(), &stats, &bti, 7.0);
-    let f_em = EmModel::nominal().wire_factors(design.circuit().netlist(), &stats, 7.0);
+    let f_em = EmModel::nominal().wire_factors(design.circuit().netlist(), &activity, 7.0);
     let f_var = VariationModel::new(0.05).factors(design.circuit().netlist(), 77);
     let combined = compose_factors(&compose_factors(&f_bti, &f_em), &f_var);
 
