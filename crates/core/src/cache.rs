@@ -61,10 +61,10 @@ use crate::{MultiplierDesign, PatternProfile};
 /// observable timing difference at femtosecond rounding) before a delay
 /// assignment is built from them.
 ///
-/// Both the cache key and the incremental sweep's year-over-year diff
+/// Both the cache key and the sweep's identical-year check
 /// ([`AgingSweep`](crate::AgingSweep)) operate on *quantized* factors, so
 /// the two agree by construction: a ΔVth step too small to move any factor
-/// across a grid line is a cache hit *and* a zero-gate diff.
+/// across a grid line is a cache hit *and* an identical year.
 pub const AGING_FACTOR_GRID: f64 = 4096.0;
 
 /// Number of independently locked shards in a [`ProfileCache`].
@@ -430,8 +430,8 @@ impl ProfileCache {
     /// delay assignment is built, so two factor vectors that differ by less
     /// than the grid step produce the *same* assignment (and fingerprint):
     /// a sub-threshold ΔVth aging step is an honest cache hit, not a
-    /// near-duplicate entry. This is the same grid the incremental
-    /// [`AgingSweep`](crate::AgingSweep) diff uses.
+    /// near-duplicate entry. This is the same grid the
+    /// [`AgingSweep`](crate::AgingSweep) identical-year check uses.
     ///
     /// # Errors
     ///

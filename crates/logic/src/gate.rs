@@ -295,6 +295,14 @@ mod tests {
         }
     }
 
+    /// Tables indexed by `kind as usize` rely on this order.
+    #[test]
+    fn all_lists_kinds_in_declaration_order() {
+        for (i, kind) in GateKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
+    }
+
     #[test]
     fn display_names_are_unique() {
         let mut names: Vec<String> = GateKind::ALL.iter().map(|k| k.to_string()).collect();

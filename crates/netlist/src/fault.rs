@@ -98,14 +98,18 @@ impl FaultOverlay {
     /// # Errors
     ///
     /// Returns [`NetlistError::UnknownNet`] if `net` is out of range for
-    /// the netlist this overlay was sized for.
+    /// the netlist this overlay was sized for, or if the overlay already
+    /// faults `u32::MAX` nets (its slot indices are 32-bit).
     pub fn add(&mut self, net: NetId, kind: FaultKind, lanes: u64) -> Result<(), NetlistError> {
         let idx = net.index();
         if idx >= self.slot.len() {
             return Err(NetlistError::UnknownNet { net });
         }
         let s = if self.slot[idx] == SLOT_NONE {
-            let s = u32::try_from(self.masks.len()).expect("fewer than 2^32 faulted nets");
+            let s = match u32::try_from(self.masks.len()) {
+                Ok(s) if s != SLOT_NONE => s,
+                _ => return Err(NetlistError::UnknownNet { net }),
+            };
             self.slot[idx] = s;
             self.masks.push(LaneMasks::default());
             self.nets.push(net);

@@ -40,12 +40,12 @@
 //!
 //! Between consecutive patterns only the fan-out cones of *changed* input
 //! bits are touched: changed inputs seed per-level dirty queues
-//! (deduplicated by a 1-bit-per-gate touched set, which
-//! [`LevelSim::touched_gates`] exposes), gates outside every cone are never
-//! visited, and their nets keep their settled values. On bypass
-//! multipliers, where a typical workload pattern flips a fraction of the
-//! operand bits, this skips most of the array per pattern — the second
-//! lever (besides removing heap pops) behind the profiling speedup.
+//! (deduplicated by a 1-bit-per-gate touched set, cleared at the start of
+//! every step), gates outside every cone are never visited, and their
+//! nets keep their settled values. On bypass multipliers, where a typical
+//! workload pattern flips a fraction of the operand bits, this skips most
+//! of the array per pattern — the second lever (besides removing heap
+//! pops) behind the profiling speedup.
 //!
 //! Waveforms live in one flat arena reset per step; per-net epoch stamps
 //! make "no events this step" a constant-time check instead of a clear.
@@ -112,7 +112,8 @@ pub struct LevelSim<'a> {
     /// Nets that received events this step (commit list).
     dirty_nets: Vec<u32>,
     /// Gates queued this step, 1 bit per gate (bit `g % 64` of word
-    /// `g / 64`): the dedup for `queues` and the step's touched set.
+    /// `g / 64`): the dedup for `queues`, cleared at the start of every
+    /// step.
     touched: Vec<u64>,
     /// Step counter validating `waves` entries.
     epoch: u64,
@@ -311,7 +312,6 @@ impl<'a> LevelSim<'a> {
         self.toggles_per_gate.iter_mut().for_each(|c| *c = 0);
         // Stale waveforms must not leak into the next step's merges.
         self.epoch += 1;
-        self.touched.fill(0);
     }
 
     /// Installs a [`CancelToken`](crate::CancelToken): subsequent
@@ -408,8 +408,8 @@ impl<'a> LevelSim<'a> {
         self.epoch += 1;
         self.arena.clear();
         self.dirty_nets.clear();
-        // The touched set is per step; this also drops the bits a cancelled
-        // step left behind.
+        // The touched set is per step: drop the bits the previous step,
+        // cancelled or not, left behind.
         self.touched.fill(0);
 
         let mut timing = PatternTiming::default();
@@ -770,79 +770,6 @@ impl<'a> LevelSim<'a> {
         self.values[net.index()]
     }
 
-    /// Packs every net's settled value into 2 bits (the [`Logic`]
-    /// discriminant), 32 nets per `u64` — the compact state record the
-    /// incremental aging sweep stores per pattern so it can
-    /// [`restore_values`](Self::restore_values) across skipped patterns.
-    /// Allocating wrapper around [`snapshot_into`](Self::snapshot_into).
-    pub fn snapshot_values(&self) -> Vec<u64> {
-        let mut packed = vec![0u64; self.values.len().div_ceil(32)];
-        self.snapshot_into(&mut packed);
-        packed
-    }
-
-    /// Writes the [`snapshot_values`](Self::snapshot_values) record into
-    /// `out` without allocating: net `n` lands in bits `2·(n % 32)..` of
-    /// word `n / 32`, and the unused high bits of the last word are zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `out` holds exactly ⌈nets/32⌉ words.
-    pub fn snapshot_into(&self, out: &mut [u64]) {
-        assert_eq!(
-            out.len(),
-            self.values.len().div_ceil(32),
-            "snapshot size mismatch"
-        );
-        for (word, nets) in out.iter_mut().zip(self.values.chunks(32)) {
-            *word = nets
-                .iter()
-                .enumerate()
-                .fold(0, |acc, (i, &v)| acc | (v as u64) << (2 * i));
-        }
-    }
-
-    /// Restores every net's settled value from a
-    /// [`snapshot_values`](Self::snapshot_values) record taken on a
-    /// simulator over the same netlist. Pending per-step scratch is
-    /// invalidated; the next [`step`](Self::step) treats the restored
-    /// values as the previous vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packed` was taken from a different-sized netlist.
-    pub fn restore_values(&mut self, packed: &[u64]) {
-        assert_eq!(
-            packed.len(),
-            self.values.len().div_ceil(32),
-            "snapshot size mismatch"
-        );
-        for (&word, nets) in packed.iter().zip(self.values.chunks_mut(32)) {
-            for (i, v) in nets.iter_mut().enumerate() {
-                *v = LEVELS[((word >> (2 * i)) & 3) as usize];
-            }
-        }
-        // Stale waveforms must not leak into the next step's merges.
-        self.epoch += 1;
-        self.touched.fill(0);
-    }
-
-    /// The gates whose output waveform was (re)computed during the most
-    /// recent [`step`](Self::step) — the pattern's *touched set* — as a
-    /// bitset indexed by [`GateId::index`](crate::GateId::index): gate `g`
-    /// is bit `g % 64` of word `g / 64`, ⌈gates/64⌉ words, and no bit past
-    /// the gate count is ever set. A gate is touched iff one of its input
-    /// nets carried an event this step. A gate outside the set saw no
-    /// input event, so its contribution to timing and toggles is
-    /// independent of its own delay; the incremental aging sweep uses this
-    /// to prove a pattern's profile is unchanged when no touched gate's
-    /// delay changed. All zero after [`reset`](Self::reset),
-    /// [`retime`](Self::retime) and [`restore_values`](Self::restore_values).
-    #[inline]
-    pub fn touched_gates(&self) -> &[u64] {
-        &self.touched
-    }
-
     /// Settled primary output values in declaration order.
     pub fn output_values(&self) -> Vec<Logic> {
         self.netlist
@@ -1076,33 +1003,6 @@ mod tests {
         assert_eq!(sim.value(n.outputs()[0]), Logic::One);
     }
 
-    #[test]
-    fn snapshot_restore_round_trips_settled_state() {
-        let n = inverter_chain();
-        let t = n.topology().unwrap();
-        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
-        let mut sim = LevelSim::new(&n, &t, d);
-        sim.settle(&[Logic::Zero]).unwrap();
-        let snap = sim.snapshot_values();
-        let before: Vec<Logic> = (0..n.net_count())
-            .map(|i| sim.value(NetId::from_index(i)))
-            .collect();
-
-        // Perturb the state, then restore: the next step must behave as if
-        // the perturbation never happened.
-        sim.step(&[Logic::One]).unwrap();
-        sim.restore_values(&snap);
-        for (i, &v) in before.iter().enumerate() {
-            assert_eq!(sim.value(NetId::from_index(i)), v);
-        }
-        let t_restored = sim.step(&[Logic::One]).unwrap();
-
-        let mut fresh = LevelSim::new(&n, &t, DelayAssignment::uniform(&n, &DelayModel::nominal()));
-        fresh.settle(&[Logic::Zero]).unwrap();
-        let t_fresh = fresh.step(&[Logic::One]).unwrap();
-        assert_eq!(t_restored, t_fresh);
-    }
-
     /// Two independent inverters, `a → x` (gate 0) and `b → y` (gate 1).
     fn twin_inverters() -> Netlist {
         let mut n = Netlist::new();
@@ -1116,51 +1016,12 @@ mod tests {
     }
 
     #[test]
-    fn touched_gates_cover_exactly_the_resimulated_cone() {
-        // Toggling only the first input must touch only the first chain.
-        let n = twin_inverters();
-        let t = n.topology().unwrap();
-        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
-        let mut sim = LevelSim::new(&n, &t, d);
-        sim.settle(&[Logic::Zero, Logic::Zero]).unwrap();
-        sim.step(&[Logic::One, Logic::Zero]).unwrap();
-        assert_eq!(sim.touched_gates(), &[0b01]);
-    }
-
-    #[test]
-    fn touched_gates_clear_on_reset_retime_and_restore() {
-        let n = twin_inverters();
-        let t = n.topology().unwrap();
-        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
-        let mut sim = LevelSim::new(&n, &t, d.clone());
-        sim.settle(&[Logic::Zero, Logic::Zero]).unwrap();
-        let snap = sim.snapshot_values();
-        let both = [Logic::One, Logic::One];
-
-        sim.step(&both).unwrap();
-        assert_eq!(sim.touched_gates(), &[0b11]);
-        sim.reset();
-        assert_eq!(sim.touched_gates(), &[0]);
-
-        sim.step(&both).unwrap();
-        assert_eq!(sim.touched_gates(), &[0b11]);
-        sim.retime(&d);
-        assert_eq!(sim.touched_gates(), &[0]);
-
-        sim.restore_values(&snap);
-        sim.step(&both).unwrap();
-        assert_eq!(sim.touched_gates(), &[0b11]);
-        sim.restore_values(&snap);
-        assert_eq!(sim.touched_gates(), &[0]);
-    }
-
-    #[test]
     fn cancelled_step_leaves_no_stale_touched_bits() {
         use crate::CancelToken;
         let n = twin_inverters();
         let t = n.topology().unwrap();
         let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
-        let mut sim = LevelSim::new(&n, &t, d);
+        let mut sim = LevelSim::new(&n, &t, d.clone());
         sim.settle(&[Logic::Zero, Logic::Zero]).unwrap();
 
         // The seed marks gate 0 before the first level polls the token.
@@ -1169,25 +1030,16 @@ mod tests {
         sim.set_cancel_token(Some(token));
         let err = sim.step(&[Logic::One, Logic::Zero]).unwrap_err();
         assert_eq!(err, NetlistError::Cancelled);
-        assert_eq!(sim.touched_gates(), &[0b01]);
 
         // A cancelled step commits nothing, so input `a` is still 0: the
-        // next step toggles only `b` and must report gate 1 alone.
+        // next step toggles only `b` and must behave exactly like a fresh
+        // kernel stepped from (0,0) to (0,1).
         sim.set_cancel_token(None);
-        sim.step(&[Logic::Zero, Logic::One]).unwrap();
-        assert_eq!(sim.touched_gates(), &[0b10]);
-    }
-
-    #[test]
-    fn snapshot_into_matches_snapshot_values() {
-        let n = inverter_chain();
-        let t = n.topology().unwrap();
-        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
-        let mut sim = LevelSim::new(&n, &t, d);
-        sim.settle(&[Logic::One]).unwrap();
-        let mut out = vec![u64::MAX; n.net_count().div_ceil(32)];
-        sim.snapshot_into(&mut out);
-        assert_eq!(out, sim.snapshot_values());
+        let timing = sim.step(&[Logic::Zero, Logic::One]).unwrap();
+        let mut fresh = LevelSim::new(&n, &t, d);
+        fresh.settle(&[Logic::Zero, Logic::Zero]).unwrap();
+        assert_eq!(timing, fresh.step(&[Logic::Zero, Logic::One]).unwrap());
+        assert_eq!(sim.output_values(), fresh.output_values());
     }
 
     #[test]

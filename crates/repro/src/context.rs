@@ -164,7 +164,6 @@ pub struct Context {
     engine: SimEngine,
     cancel: Option<CancelToken>,
     lanes: LaneWidth,
-    incremental: bool,
     bti: BtiModel,
     designs: HashMap<(MultiplierKind, usize), Rc<MultiplierDesign>>,
     workloads: HashMap<(usize, usize), Rc<PatternSet>>,
@@ -186,7 +185,6 @@ impl Context {
             engine: SimEngine::Level,
             cancel: None,
             lanes: LaneWidth::default(),
-            incremental: false,
             bti: BtiModel::calibrated(Technology::ptm_32nm_hk(), REFERENCE_GATE_7Y_FACTOR),
             designs: HashMap::new(),
             workloads: HashMap::new(),
@@ -227,23 +225,6 @@ impl Context {
     /// verification sweeps and workload statistics). Defaults to 64 lanes.
     pub fn set_lanes(&mut self, lanes: LaneWidth) {
         self.lanes = lanes;
-    }
-
-    /// The configured batch width.
-    pub fn lanes(&self) -> LaneWidth {
-        self.lanes
-    }
-
-    /// Switches the aging-sweep experiments to the incremental
-    /// re-profiling driver (see `agemul::AgingSweep`). Off by default:
-    /// the baseline re-profiles every sweep configuration from scratch.
-    pub fn set_incremental(&mut self, incremental: bool) {
-        self.incremental = incremental;
-    }
-
-    /// Whether incremental aging re-profiling is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
     }
 
     /// The simulation engine profiles run on (levelized by default,

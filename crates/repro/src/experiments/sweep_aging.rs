@@ -7,33 +7,15 @@
 //! needs a timing profile per configuration before it can replay the
 //! variable-latency engine.
 //!
-//! Two drivers are compared (selected by `repro --incremental` /
-//! [`Context::set_incremental`]):
-//!
-//! * **from-scratch** (default): the cache-less grid driver every sweep
-//!   harness starts as — each configuration re-profiles the workload in
-//!   full, because without delta awareness the driver cannot know which
-//!   configuration parameters the profile actually depends on.
-//! * **incremental**: one [`AgingSweep`] per design. Configurations whose
-//!   quantized factor vector matches the previous call are answered from
-//!   the held profile (`identical_years`); a year boundary diffs the
-//!   quantized per-gate factors and re-simulates only patterns whose
-//!   recorded sensitized cone touched a changed gate (`cone_resims`, plus
-//!   `cascade_resims` while the settled trajectory is out of sync).
-//!
-//! Both drivers quantize factors onto the shared
-//! [`AGING_FACTOR_GRID`](agemul::AGING_FACTOR_GRID), so their latency
-//! tables are byte-identical — the incremental run re-derives its final
-//! year from scratch and fails the experiment on any divergence, and the
-//! sweep counters are asserted (`full profiles == 1` per design,
-//! `cone resims > 0`) so the verify gate catches a silently degraded
-//! incremental path.
+//! The profile depends on the year only, so each year is profiled once,
+//! from scratch under factors quantized onto the shared
+//! [`AGING_FACTOR_GRID`](agemul::AGING_FACTOR_GRID), and every period of
+//! that year replays the engine over it. Profiling runs on the context's
+//! engine and deadline token, so a supervisor can degrade or cancel it.
 
-use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Instant;
 
-use agemul::{quantize_factors, run_engine, AgingSweep, EngineConfig, PatternProfile};
+use agemul::{quantize_factors, run_engine, EngineConfig};
 use agemul_circuits::MultiplierKind;
 
 use super::{f3, period_grid, skips};
@@ -48,21 +30,13 @@ fn sweep_study(
 ) -> Result<Report> {
     let count = ctx.scale().year_patterns(width);
     let years: Vec<f64> = (0..=7).map(f64::from).collect();
-    let incremental = ctx.incremental();
     let configs = years.len() * periods.len();
 
     let mut report = Report::new(
         id,
         format!(
-            "{width}×{width}, Skip-{skip}, years 0–7 × {} periods ({count} patterns/yr), \
-             {} driver, {}-lane batches",
+            "{width}×{width}, Skip-{skip}, years 0–7 × {} periods ({count} patterns/yr)",
             periods.len(),
-            if incremental {
-                "incremental"
-            } else {
-                "from-scratch"
-            },
-            ctx.lanes().lanes(),
         ),
     );
 
@@ -74,59 +48,30 @@ fn sweep_study(
         let workload = ctx.uniform_workload(width, count);
         let pairs = workload.pairs();
 
-        // Factor vectors per year, outside the profiling clock: the BTI
-        // pipeline (workload statistics + aging model) is shared by both
-        // drivers and is not what this experiment measures.
-        let mut factors: Vec<Option<Rc<Vec<f64>>>> = Vec::with_capacity(years.len());
-        for &y in &years {
-            factors.push(if y > 0.0 {
-                Some(ctx.factors(kind, width, y)?)
-            } else {
-                None
-            });
-        }
-        // The from-scratch driver profiles under pre-quantized factors so
-        // both drivers sit on the same delay grid (and thus agree exactly).
-        let quant: Vec<Option<Vec<f64>>> = factors
-            .iter()
-            .map(|f| f.as_ref().map(|v| quantize_factors(v)))
-            .collect();
-
-        let mut sweep = if incremental {
-            Some(AgingSweep::with_lanes(&design, pairs, ctx.lanes())?)
-        } else {
-            None
-        };
-
         let mut rows: Vec<Vec<String>> = periods.iter().map(|p| vec![f3(*p)]).collect();
-        let mut last_profile: Option<Arc<PatternProfile>> = None;
         let mut profiling = 0.0_f64;
         let mut replaying = 0.0_f64;
 
-        // The grid walk is year-major, but the driver is still asked for a
-        // profile once per configuration — the incremental driver's
-        // factor-identity check is what collapses the period axis, not the
-        // loop structure.
-        for (yi, _) in years.iter().enumerate() {
-            for (pi, &period) in periods.iter().enumerate() {
-                let t0 = Instant::now();
-                let profile: Arc<PatternProfile> = match &mut sweep {
-                    Some(s) => s.profile_year(factors[yi].as_ref().map(|f| f.as_slice()))?,
-                    None => Arc::new(design.profile_supervised(
-                        pairs,
-                        quant[yi].as_deref(),
-                        ctx.engine(),
-                        ctx.cancel(),
-                    )?),
-                };
-                profiling += t0.elapsed().as_secs_f64();
+        for &y in &years {
+            // The BTI pipeline (workload statistics + aging model) runs
+            // outside the profiling clock: it is not what this experiment
+            // measures.
+            let quant = if y > 0.0 {
+                Some(quantize_factors(&ctx.factors(kind, width, y)?))
+            } else {
+                None
+            };
+            let t0 = Instant::now();
+            let profile =
+                design.profile_supervised(pairs, quant.as_deref(), ctx.engine(), ctx.cancel())?;
+            profiling += t0.elapsed().as_secs_f64();
 
-                let t1 = Instant::now();
+            let t1 = Instant::now();
+            for (row, &period) in rows.iter_mut().zip(periods) {
                 let metrics = run_engine(&profile, &EngineConfig::adaptive(period, skip));
-                replaying += t1.elapsed().as_secs_f64();
-                rows[pi].push(f3(metrics.avg_latency_ns()));
-                last_profile = Some(profile);
+                row.push(f3(metrics.avg_latency_ns()));
             }
+            replaying += t1.elapsed().as_secs_f64();
         }
 
         let year_headers: Vec<String> = std::iter::once("period_ns".to_string())
@@ -141,63 +86,10 @@ fn sweep_study(
             t.row(row);
         }
         t.note(format!(
-            "{configs} configurations profiled in {profiling:.1}s, replayed in {replaying:.1}s"
+            "{configs} configurations from {} year profiles: profiled in {profiling:.1}s, \
+             replayed in {replaying:.1}s",
+            years.len()
         ));
-
-        if let Some(s) = &sweep {
-            let c = s.counters();
-            t.note(format!(
-                "sweep counters: full profiles {}, identical-year reuses {}, cone resims {}, \
-                 cascade resims {}, patterns reused {}",
-                c.full_profiles,
-                c.identical_years,
-                c.cone_resims,
-                c.cascade_resims,
-                c.patterns_reused
-            ));
-            // Smoke contract for the verify gate: the incremental driver
-            // must actually be incremental.
-            if c.full_profiles != 1 {
-                return Err(format!(
-                    "{name}: incremental driver recomputed {} full profiles (want 1)",
-                    c.full_profiles
-                )
-                .into());
-            }
-            if c.cone_resims == 0 {
-                return Err(
-                    format!("{name}: no dirty-cone re-simulations across 7 aging steps").into(),
-                );
-            }
-            let min_reuses = ((periods.len() - 1) * years.len()) as u64;
-            if c.identical_years < min_reuses {
-                return Err(format!(
-                    "{name}: only {} identical-year reuses (want >= {min_reuses})",
-                    c.identical_years
-                )
-                .into());
-            }
-
-            // End-to-end exactness anchor: the final incremental year must
-            // match a from-scratch profile of the same quantized factors.
-            let last = last_profile.expect("grid is non-empty");
-            let reference = design.profile_supervised(
-                pairs,
-                quant[years.len() - 1].as_deref(),
-                ctx.engine(),
-                ctx.cancel(),
-            )?;
-            if reference.records() != last.records()
-                || reference.avg_gate_toggles().to_bits() != last.avg_gate_toggles().to_bits()
-            {
-                return Err(format!(
-                    "{name}: incremental year 7 diverged from from-scratch profile"
-                )
-                .into());
-            }
-            t.note("year-7 profile verified byte-identical to a from-scratch run".to_string());
-        }
-
         report.push(t);
     }
     Ok(report)
@@ -205,46 +97,12 @@ fn sweep_study(
 
 /// `sweep` — 7-year × 17-period profiling-driver study on the 32×32
 /// column- and row-bypassing multipliers (Skip-15, the paper's 32-bit
-/// setting). See the module docs for the from-scratch vs incremental
-/// driver contract.
+/// setting).
 ///
 /// # Errors
 ///
-/// Propagates simulation failures; in incremental mode, also fails if the
-/// [`AgingSweep`] counters show the driver was not actually incremental or
-/// if its final year diverges from a from-scratch profile.
+/// Propagates simulation failures, including a supervisor's deadline
+/// cancellation.
 pub fn sweep(ctx: &mut Context) -> Result<Report> {
     sweep_study(ctx, 32, skips(32)[0], &period_grid(32), "sweep")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Scale;
-    use agemul::LaneWidth;
-
-    /// The two drivers must produce byte-identical latency tables — the
-    /// incremental path is an optimization, never an approximation.
-    #[test]
-    fn incremental_and_baseline_drivers_agree() {
-        let periods = [0.5, 0.8, 1.1];
-
-        let mut base_ctx = Context::new(Scale::Quick);
-        let base = sweep_study(&mut base_ctx, 8, 3, &periods, "sweep-test").unwrap();
-
-        let mut inc_ctx = Context::new(Scale::Quick);
-        inc_ctx.set_incremental(true);
-        inc_ctx.set_lanes(LaneWidth::W256);
-        let inc = sweep_study(&mut inc_ctx, 8, 3, &periods, "sweep-test").unwrap();
-
-        assert_eq!(base.tables.len(), inc.tables.len());
-        for (tb, ti) in base.tables.iter().zip(&inc.tables) {
-            assert_eq!(tb.row_count(), ti.row_count());
-            for r in 0..tb.row_count() {
-                for c in 0..=8 {
-                    assert_eq!(tb.cell(r, c), ti.cell(r, c), "row {r} col {c}");
-                }
-            }
-        }
-    }
 }

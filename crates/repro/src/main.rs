@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--quick | --paper] [--csv <dir>] [--list]
-//!       [--lanes <64|256>] [--incremental]
+//!       [--lanes <64|256>]
 //!       [--resume <ckpt>] [--deadline-ms <N>] [--max-retries <N>]
 //!       <experiment>... | all
 //! repro serve [--addr <host:port> | --unix <path>] [--workers <N>]
@@ -46,7 +46,7 @@ use agemul_serve::{
 fn usage() {
     eprintln!(
         "usage: repro [--quick | --paper] [--csv <dir>] [--list] \
-         [--lanes <64|256>] [--incremental] \
+         [--lanes <64|256>] \
          [--resume <ckpt>] [--deadline-ms <N>] [--max-retries <N>] <experiment>... | all"
     );
     eprintln!(
@@ -74,7 +74,6 @@ struct RunArgs {
     deadline: Option<Duration>,
     max_retries: Option<u32>,
     lanes: LaneWidth,
-    incremental: bool,
 }
 
 /// `repro serve` arguments.
@@ -164,7 +163,6 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
     let mut deadline: Option<Duration> = None;
     let mut max_retries: Option<u32> = None;
     let mut lanes: Option<LaneWidth> = None;
-    let mut incremental = false;
 
     let mut i = 0;
     while i < args.len() {
@@ -210,7 +208,6 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
                     .ok_or_else(|| format!("--lanes: want 64 or 256, got {v}"))?;
                 set_once(&mut lanes, "--lanes", w)?;
             }
-            "--incremental" => incremental = true,
             "--list" => return Ok(Command::List),
             "--help" | "-h" => return Ok(Command::Help),
             "all" => ids.extend(experiments::ALL_IDS.iter().map(|s| s.to_string())),
@@ -231,7 +228,6 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
         deadline,
         max_retries,
         lanes: lanes.unwrap_or_default(),
-        incremental,
     }))
 }
 
@@ -647,25 +643,10 @@ fn emit_json(id: &str, value: &Json, csv_dir: Option<&Path>) -> bool {
     true
 }
 
-/// Kernel tuning shared by every experiment context: batch width for the
-/// wide-lane sweeps and the incremental aging re-profiling driver.
-#[derive(Clone, Copy)]
-struct Tuning {
-    lanes: LaneWidth,
-    incremental: bool,
-}
-
-impl Tuning {
-    fn apply(self, ctx: &mut Context) {
-        ctx.set_lanes(self.lanes);
-        ctx.set_incremental(self.incremental);
-    }
-}
-
 /// Runs the batch under the harness supervisor: one case per experiment,
 /// each on a fresh [`Context`] with the attempt's engine and deadline
 /// token installed.
-fn run_supervised(run: &RunArgs, tuning: Tuning) -> ExitCode {
+fn run_supervised(run: &RunArgs) -> ExitCode {
     let ids = &run.ids;
     let scale = run.scale;
     let csv_dir = run.csv_dir.as_deref();
@@ -691,7 +672,7 @@ fn run_supervised(run: &RunArgs, tuning: Tuning) -> ExitCode {
     let worker = |attempt: &Attempt| -> Result<Json, CaseError> {
         let id = &ids[attempt.index];
         let mut ctx = Context::new(scale);
-        tuning.apply(&mut ctx);
+        ctx.set_lanes(run.lanes);
         ctx.set_supervision(attempt.engine, attempt.cancel.clone());
         let report =
             experiments::run_by_id(&mut ctx, id).map_err(|e| CaseError::from_error(&*e))?;
@@ -747,15 +728,12 @@ fn run_supervised(run: &RunArgs, tuning: Tuning) -> ExitCode {
 }
 
 fn run_batch(run: RunArgs) -> ExitCode {
-    let tuning = Tuning {
-        lanes: run.lanes,
-        incremental: run.incremental,
-    };
     if run.resume.is_some() || run.deadline.is_some() || run.max_retries.is_some() {
-        return run_supervised(&run, tuning);
+        return run_supervised(&run);
     }
 
     let scale = run.scale;
+    let lanes = run.lanes;
     let ids = run.ids;
     let csv_dir = run.csv_dir;
     let overall = Instant::now();
@@ -773,7 +751,7 @@ fn run_batch(run: RunArgs) -> ExitCode {
         let outcomes = agemul_par::par_map(&ids, |id| {
             let start = Instant::now();
             let mut ctx = Context::new(scale);
-            tuning.apply(&mut ctx);
+            ctx.set_lanes(lanes);
             let result = experiments::run_by_id(&mut ctx, id);
             (result, start.elapsed().as_secs_f64())
         });
@@ -785,7 +763,7 @@ fn run_batch(run: RunArgs) -> ExitCode {
     #[cfg(not(feature = "parallel"))]
     {
         let mut ctx = Context::new(scale);
-        tuning.apply(&mut ctx);
+        ctx.set_lanes(lanes);
         for id in &ids {
             let start = Instant::now();
             let outcome = experiments::run_by_id(&mut ctx, id);

@@ -21,10 +21,10 @@ pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Largest accepted value of every request count that sizes an allocation
 /// before any work runs: `patterns` (65,536 is the paper's largest
-/// workload), `corners`, `faults` and `nodes`, and the lifetime points of
-/// an `mc` request. A larger count is a typed decode error: the allocation
-/// it would size can abort the process, which no `catch_unwind` catches.
-/// (`epochs` allocates per epoch as it runs, so it is not capped.)
+/// workload), `corners`, `faults`, `nodes` and `epochs`, and the lifetime
+/// points of an `mc` request. A larger count is a typed decode error: the
+/// allocation it would size can abort the process, which no `catch_unwind`
+/// catches.
 pub const MAX_COUNT: usize = 65_536;
 
 /// Writes one frame: big-endian `u32` length, then the JSON text.
@@ -438,10 +438,7 @@ impl Request {
             }
             "fleet" => {
                 let nodes = get_count(v, "nodes")?;
-                let epochs = v.get_u64("epochs")? as usize;
-                if epochs == 0 {
-                    return Err("fleet needs at least one epoch".into());
-                }
+                let epochs = get_count(v, "epochs")?;
                 RequestBody::Fleet {
                     query: query_from_json(v)?,
                     nodes,
@@ -757,6 +754,7 @@ mod tests {
             ("campaign", "faults"),
             ("mc", "corners"),
             ("fleet", "nodes"),
+            ("fleet", "epochs"),
         ];
         for (op, field) in counts {
             assert!(decode(op, field, MAX_COUNT as u64).is_ok(), "{op}.{field}");

@@ -91,28 +91,45 @@ fn oversized_patterns_get_a_typed_error_and_the_server_keeps_serving() {
     server.shutdown().expect("clean shutdown");
 }
 
+fn fleet_frame(id: u64, policy: &str, epochs: u64) -> Json {
+    Json::Obj(vec![
+        ("id".into(), Json::UInt(id)),
+        ("op".into(), Json::Str("fleet".into())),
+        ("kind".into(), Json::Str("CB".into())),
+        ("width".into(), Json::UInt(8)),
+        ("years".into(), Json::Num(1.0)),
+        ("patterns".into(), Json::UInt(16)),
+        ("seed".into(), Json::UInt(1)),
+        ("nodes".into(), Json::UInt(2)),
+        ("epochs".into(), Json::UInt(epochs)),
+        ("policy".into(), Json::Str(policy.into())),
+        ("skip".into(), Json::UInt(7)),
+    ])
+}
+
 #[test]
 fn unknown_fleet_policy_is_rejected_at_decode() {
     let server = spawn_tcp();
     let mut conn = TcpStream::connect(server.tcp_addr().expect("addr")).expect("connect");
-    let frame = |id: u64, policy: &str| {
-        Json::Obj(vec![
-            ("id".into(), Json::UInt(id)),
-            ("op".into(), Json::Str("fleet".into())),
-            ("kind".into(), Json::Str("CB".into())),
-            ("width".into(), Json::UInt(8)),
-            ("years".into(), Json::Num(1.0)),
-            ("patterns".into(), Json::UInt(16)),
-            ("seed".into(), Json::UInt(1)),
-            ("nodes".into(), Json::UInt(2)),
-            ("epochs".into(), Json::UInt(1)),
-            ("policy".into(), Json::Str(policy.into())),
-            ("skip".into(), Json::UInt(7)),
-        ])
-    };
-    let response = roundtrip(&mut conn, &frame(1, "nope")).expect("the server answers");
+    let response = roundtrip(&mut conn, &fleet_frame(1, "nope", 1)).expect("the server answers");
     assert_typed_error(&response, 1, "policy");
-    let ok = roundtrip(&mut conn, &frame(2, "round-robin")).expect("fleet");
+    let ok = roundtrip(&mut conn, &fleet_frame(2, "round-robin", 1)).expect("fleet");
+    assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok}");
+    drop(conn);
+    server.shutdown().expect("clean shutdown");
+}
+
+/// The fleet simulator allocates per epoch as it runs, so an uncapped
+/// `epochs` would grow without bound inside a worker.
+#[test]
+fn oversized_fleet_epochs_get_a_typed_error_and_the_server_keeps_serving() {
+    let server = spawn_tcp();
+    let mut conn = TcpStream::connect(server.tcp_addr().expect("addr")).expect("connect");
+    let response =
+        roundtrip(&mut conn, &fleet_frame(1, "round-robin", 1 << 40)).expect("the server answers");
+    assert_typed_error(&response, 1, "epochs");
+    stats(&mut conn);
+    let ok = roundtrip(&mut conn, &fleet_frame(2, "round-robin", 1)).expect("fleet");
     assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok}");
     drop(conn);
     server.shutdown().expect("clean shutdown");

@@ -33,14 +33,6 @@ soak-smoke:
 fault-smoke:
 	cargo run --release -p agemul-repro -- --quick faults
 
-# Incremental sweep smoke: the 7-year × 17-period driver study at reduced
-# scale. The experiment itself asserts the sweep counters (exactly one
-# full profile per design, dirty-cone re-simulations present, the period
-# axis answered by factor identity) and re-derives its final year from
-# scratch, failing on any divergence.
-sweep-smoke:
-	cargo run --release -p agemul-repro -- --quick --incremental sweep
-
 # Conformance smoke: 200 fixed-seed cases through the differential oracle
 # (func/batch/event/level, with fault overlays and traced replays) plus
 # the metamorphic invariants on the paper architectures. Divergent cases
@@ -73,11 +65,6 @@ bench-sim:
 # wide-lane verification rows.
 bench-profile:
 	cargo bench -p agemul-bench --bench profile
-
-# Aging-sweep driver benches: incremental vs from-scratch over the
-# 7-year × 17-period grid; see BENCH_sim.json for the record.
-bench-sweep:
-	cargo bench -p agemul-bench --bench sweep
 
 # Monte Carlo corner-switch benches: plan-reuse re-timing vs from-scratch
 # kernel construction (the ≥10× marginal-cost target) plus end-to-end

@@ -7,9 +7,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 # Tier-1: release build + the whole workspace suite. It already holds the
-# timing-kernel (Level ≡ Event) and incremental-sweep equivalence tests,
-# supervised resume identity, the fleet replay goldens, and the chaos
-# engine's unit suite.
+# timing-kernel (Level ≡ Event) equivalence tests, the aging sweep's
+# byte-identity to from-scratch profiles, supervised resume identity, the
+# fleet replay goldens, and the chaos engine's unit suite.
 cargo build --release --workspace
 cargo test -q --workspace
 # The same suites with the parallel fan-out compiled in (serial ≡
@@ -25,9 +25,6 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # aging-aware fleet lifetime > round-robin, and zero chaos-schedule
 # violations.
 scripts/quick_digests.sh
-# Incremental sweep: asserts its own sweep counters and re-derives the
-# final year from scratch, failing on divergence.
-cargo run --release -p agemul-repro -- --quick --incremental sweep >/dev/null
 # Supervised kill/resume soak: SIGKILL a checkpointed campaign mid-run,
 # resume, and require byte-identical results — serial and parallel.
 scripts/soak_smoke.sh
