@@ -3,8 +3,7 @@
 //! The headline comparison for the 64-lane batch simulator: collecting
 //! signal probabilities and functionally verifying products over a fixed
 //! workload, scalar `FuncSim` (one sweep per pattern) against `BatchSim`
-//! (one sweep per 64 patterns). Build with `--features parallel` to also
-//! fan the batch passes out across threads.
+//! (one sweep per 64 patterns).
 //!
 //! Run with `cargo bench -p agemul-bench --bench batch_sim`; set
 //! `CRITERION_JSON=<file>` to append machine-readable results (see
@@ -71,8 +70,7 @@ fn bench_signal_prob(c: &mut Criterion) {
 }
 
 /// Functional product verification over 1024 operand pairs. The batch row
-/// uses `MultiplierDesign::verify_functional`, which also fans out across
-/// threads when the `parallel` feature is enabled.
+/// uses `MultiplierDesign::verify_functional`.
 fn bench_verify(c: &mut Criterion) {
     let mut g = c.benchmark_group("verify");
     g.sample_size(10);

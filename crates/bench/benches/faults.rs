@@ -8,8 +8,7 @@
 //! sweep workflow: the baseline and each inflated delay assignment are
 //! profiled once per design/workload (the cold cost is tracked by the
 //! `profile/*` benches), and every re-preparation after that replays
-//! memoized profiles. Build with `--features parallel` to fan preparation
-//! across threads.
+//! memoized profiles.
 //!
 //! Run with `cargo bench -p agemul-bench --bench faults`; set
 //! `CRITERION_JSON=<file>` to append machine-readable results (see

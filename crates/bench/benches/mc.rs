@@ -21,7 +21,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet};
+use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet, SimEngine};
 use agemul_aging::BtiModel;
 use agemul_circuits::MultiplierKind;
 use agemul_logic::Technology;
@@ -86,7 +86,7 @@ fn bench_mc(c: &mut Criterion) {
 
         // End-to-end context: the full campaign on the plan-reuse path.
         g.bench_function(format!("campaign_{CORNERS}corners_{label}"), |b| {
-            b.iter(|| black_box(campaign.run(None).unwrap()))
+            b.iter(|| black_box(campaign.run(SimEngine::Level, None).unwrap()))
         });
     }
     g.finish();

@@ -81,7 +81,7 @@ fn bench_level_sim(c: &mut Criterion) {
     for (label, kind, width) in CASES {
         let m = MultiplierCircuit::generate(kind, width).unwrap();
         let topo = m.netlist().topology().unwrap();
-        let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model());
+        let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model().unwrap());
         let encoded: Vec<Vec<Logic>> = PatternSet::uniform(width, OPS, 7)
             .pairs()
             .iter()

@@ -12,7 +12,7 @@ fn main() {
     let width = 32;
     let m = MultiplierCircuit::generate(MultiplierKind::ColumnBypass, width).unwrap();
     let topo = m.netlist().topology().unwrap();
-    let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model());
+    let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model().unwrap());
     let encoded: Vec<Vec<Logic>> = PatternSet::uniform(width, 256, 7)
         .pairs()
         .iter()

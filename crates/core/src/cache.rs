@@ -455,8 +455,8 @@ impl ProfileCache {
     /// The caller promises that `build` produces the profile of exactly
     /// this workload under exactly `delays` — campaign preparation uses
     /// this with its verification-free delay-fault profiler. The build runs
-    /// outside the cache lock, so concurrent callers (parallel campaign
-    /// tasks, server workers) never serialize their simulations; if two
+    /// outside the cache lock, so concurrent callers (server workers)
+    /// never serialize their simulations; if two
     /// race on the same key, the first inserted profile wins and both get
     /// the same `Arc`. For flows where N identical cold requests must cost
     /// *one* simulation rather than N racing ones, put a single-flight

@@ -6,6 +6,8 @@ use agemul_circuits::{MultiplierCircuit, MultiplierKind};
 use agemul_logic::{DelayModel, Logic};
 use agemul_netlist::{static_critical_path_ns, DelayAssignment, LevelSim, Netlist, Topology};
 
+use crate::CoreError;
+
 /// The paper's reported critical-path delay of the 16×16 array multiplier
 /// (Fig. 5): 1.32 ns. The workspace delay model is scaled so our simulated
 /// AM hits exactly this number (as a static longest-path bound); every
@@ -26,6 +28,11 @@ pub const PAPER_AM16_CRITICAL_NS: f64 = 1.32;
 /// ([`agemul_netlist::static_critical_path_ns`]) instead, and the test
 /// suite checks `measured ≤ static` as a simulator invariant.
 ///
+/// # Errors
+///
+/// Returns [`CoreError::Netlist`] if `width` does not match the
+/// netlist's operand inputs (`2 × width` primary inputs).
+///
 /// # Example
 ///
 /// ```
@@ -37,7 +44,7 @@ pub const PAPER_AM16_CRITICAL_NS: f64 = 1.32;
 /// let m = MultiplierCircuit::generate(MultiplierKind::Array, 8)?;
 /// let topo = m.netlist().topology()?;
 /// let delays = DelayAssignment::uniform(m.netlist(), &DelayModel::nominal());
-/// let crit = measure_critical_delay(m.netlist(), &topo, &delays, 8, 256);
+/// let crit = measure_critical_delay(m.netlist(), &topo, &delays, 8, 256)?;
 /// assert!(crit > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -47,7 +54,7 @@ pub fn measure_critical_delay(
     delays: &DelayAssignment,
     width: usize,
     samples: usize,
-) -> f64 {
+) -> Result<f64, CoreError> {
     let mask = if width >= 64 {
         u64::MAX
     } else {
@@ -103,13 +110,13 @@ pub fn measure_critical_delay(
         }
         v
     };
-    sim.settle(&encode(0, 0)).expect("input width matches");
+    sim.settle(&encode(0, 0))?;
     let mut worst: f64 = 0.0;
     for (a, b) in sequence {
-        let t = sim.step(&encode(a, b)).expect("input width matches");
+        let t = sim.step(&encode(a, b))?;
         worst = worst.max(t.delay_ns);
     }
-    worst
+    Ok(worst)
 }
 
 /// The workspace's calibrated delay table.
@@ -117,17 +124,24 @@ pub fn measure_critical_delay(
 /// Computed once per process: the nominal [`DelayModel`] is rescaled so the
 /// 16×16 array multiplier's *static* critical path equals
 /// [`PAPER_AM16_CRITICAL_NS`]. Fully deterministic.
-pub fn calibrated_delay_model() -> &'static DelayModel {
-    static MODEL: OnceLock<DelayModel> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let nominal = DelayModel::nominal();
-        let m = MultiplierCircuit::generate(MultiplierKind::Array, 16)
-            .expect("16 is a supported width");
-        let delays = DelayAssignment::uniform(m.netlist(), &nominal);
-        let measured =
-            static_critical_path_ns(m.netlist(), &delays).expect("assignment covers the netlist");
-        nominal.calibrated(PAPER_AM16_CRITICAL_NS, measured)
-    })
+///
+/// # Errors
+///
+/// Returns the error of generating or timing the 16×16 reference circuit;
+/// neither can fail for the built-in generator, but the failure is
+/// reported rather than panicking.
+pub fn calibrated_delay_model() -> Result<&'static DelayModel, CoreError> {
+    static MODEL: OnceLock<Result<DelayModel, CoreError>> = OnceLock::new();
+    MODEL
+        .get_or_init(|| {
+            let nominal = DelayModel::nominal();
+            let m = MultiplierCircuit::generate(MultiplierKind::Array, 16)?;
+            let delays = DelayAssignment::uniform(m.netlist(), &nominal);
+            let measured = static_critical_path_ns(m.netlist(), &delays)?;
+            Ok(nominal.calibrated(PAPER_AM16_CRITICAL_NS, measured))
+        })
+        .as_ref()
+        .map_err(Clone::clone)
 }
 
 #[cfg(test)]
@@ -136,7 +150,7 @@ mod tests {
 
     #[test]
     fn calibration_pins_am16_static_critical_path() {
-        let model = calibrated_delay_model();
+        let model = calibrated_delay_model().unwrap();
         let m = MultiplierCircuit::generate(MultiplierKind::Array, 16).unwrap();
         let delays = DelayAssignment::uniform(m.netlist(), model);
         let crit = static_critical_path_ns(m.netlist(), &delays).unwrap();
@@ -149,12 +163,12 @@ mod tests {
 
     #[test]
     fn dynamic_measurement_never_exceeds_static_bound() {
-        let model = calibrated_delay_model();
+        let model = calibrated_delay_model().unwrap();
         for kind in MultiplierKind::ALL {
             let m = MultiplierCircuit::generate(kind, 8).unwrap();
             let topo = m.netlist().topology().unwrap();
             let delays = DelayAssignment::uniform(m.netlist(), model);
-            let dynamic = measure_critical_delay(m.netlist(), &topo, &delays, 8, 512);
+            let dynamic = measure_critical_delay(m.netlist(), &topo, &delays, 8, 512).unwrap();
             let bound = static_critical_path_ns(m.netlist(), &delays).unwrap();
             assert!(dynamic <= bound + 1e-9, "{kind:?}: {dynamic} > {bound}");
         }
@@ -167,16 +181,16 @@ mod tests {
         let m = MultiplierCircuit::generate(MultiplierKind::Array, 8).unwrap();
         let topo = m.netlist().topology().unwrap();
         let delays = DelayAssignment::uniform(m.netlist(), &DelayModel::nominal());
-        let with_battery = measure_critical_delay(m.netlist(), &topo, &delays, 8, 0);
+        let with_battery = measure_critical_delay(m.netlist(), &topo, &delays, 8, 0).unwrap();
         assert!(with_battery > 0.0);
-        let with_more = measure_critical_delay(m.netlist(), &topo, &delays, 8, 512);
+        let with_more = measure_critical_delay(m.netlist(), &topo, &delays, 8, 512).unwrap();
         assert!(with_more >= with_battery);
     }
 
     #[test]
     fn calibrated_model_is_cached() {
-        let a = calibrated_delay_model() as *const DelayModel;
-        let b = calibrated_delay_model() as *const DelayModel;
+        let a = calibrated_delay_model().unwrap() as *const DelayModel;
+        let b = calibrated_delay_model().unwrap() as *const DelayModel;
         assert_eq!(a, b);
     }
 }

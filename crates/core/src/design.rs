@@ -133,9 +133,10 @@ impl MultiplierDesign {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Circuit`] for unsupported widths.
+    /// Returns [`CoreError::Circuit`] for unsupported widths, and any
+    /// [`calibrated_delay_model`] error.
     pub fn new(kind: MultiplierKind, width: usize) -> Result<Self, CoreError> {
-        Self::with_delay_model(kind, width, calibrated_delay_model().clone())
+        Self::with_delay_model(kind, width, calibrated_delay_model()?.clone())
     }
 
     /// Generates a design with an explicit delay model (ablation studies).
@@ -459,10 +460,6 @@ impl MultiplierDesign {
     /// using one bit-parallel [`BlockSim`] sweep per 64 pairs (~64× cheaper
     /// than a scalar functional simulation of the same workload).
     ///
-    /// With the `parallel` feature the pairs are additionally fanned out
-    /// across threads in contiguous chunks; the first failing pair in
-    /// workload order is still the one reported.
-    ///
     /// # Errors
     ///
     /// Returns [`CoreError::Circuit`] if an operand overflows the width, or
@@ -485,27 +482,12 @@ impl MultiplierDesign {
         width: LaneWidth,
     ) -> Result<(), CoreError> {
         match width {
-            LaneWidth::W64 => self.verify_pairs_fanout::<1>(pairs),
-            LaneWidth::W256 => self.verify_pairs_fanout::<4>(pairs),
+            LaneWidth::W64 => self.verify_pairs::<1>(pairs),
+            LaneWidth::W256 => self.verify_pairs::<4>(pairs),
         }
     }
 
-    fn verify_pairs_fanout<const W: usize>(&self, pairs: &[(u64, u64)]) -> Result<(), CoreError> {
-        #[cfg(feature = "parallel")]
-        {
-            let threads = agemul_par::thread_count(pairs.len().div_ceil(BlockSim::<W>::LANES));
-            if threads > 1 {
-                let per = pairs.len().div_ceil(threads);
-                let chunks: Vec<&[(u64, u64)]> = pairs.chunks(per.max(1)).collect();
-                return agemul_par::par_map(&chunks, |chunk| self.verify_pairs_serial::<W>(chunk))
-                    .into_iter()
-                    .collect();
-            }
-        }
-        self.verify_pairs_serial::<W>(pairs)
-    }
-
-    fn verify_pairs_serial<const W: usize>(&self, pairs: &[(u64, u64)]) -> Result<(), CoreError> {
+    fn verify_pairs<const W: usize>(&self, pairs: &[(u64, u64)]) -> Result<(), CoreError> {
         let mut sim = BlockSim::<W>::new(self.circuit.netlist(), &self.topology);
         let product = self.circuit.product();
         // One lane-slot buffer set for the whole workload: each chunk
@@ -531,9 +513,7 @@ impl MultiplierDesign {
     /// stress input) over `pairs`.
     ///
     /// One bit-parallel functional sweep, 64 patterns per pass; no timing
-    /// kernel is built. With the `parallel` feature the sweep is fanned out
-    /// over pattern chunks and merged in workload order — the accumulated
-    /// statistics are bit-identical to the serial path. Switching activity
+    /// kernel is built. Switching activity
     /// for the power model comes from
     /// [`switching_activity`](Self::switching_activity).
     ///
@@ -563,9 +543,14 @@ impl MultiplierDesign {
             .map(|&(a, b)| self.circuit.encode_inputs(a, b).map_err(CoreError::from))
             .collect();
         let encoded = encoded?;
+        let (netlist, topology) = (self.circuit.netlist(), &self.topology);
         match width {
-            LaneWidth::W64 => self.observe_probabilities::<1>(&mut stats, &encoded)?,
-            LaneWidth::W256 => self.observe_probabilities::<4>(&mut stats, &encoded)?,
+            LaneWidth::W64 => {
+                stats.observe_patterns_wide::<1, _, _>(netlist, topology, encoded.iter())?
+            }
+            LaneWidth::W256 => {
+                stats.observe_patterns_wide::<4, _, _>(netlist, topology, encoded.iter())?
+            }
         }
         Ok(stats)
     }
@@ -593,44 +578,6 @@ impl MultiplierDesign {
         let mut activity = SwitchingActivity::new(self.circuit.netlist());
         activity.record_toggles(sim.gate_toggle_counts(), pairs.len() as u64)?;
         Ok(activity)
-    }
-
-    /// Accumulates signal probabilities for `encoded` into `stats` —
-    /// chunked across threads under the `parallel` feature, serial
-    /// otherwise. Identical results either way: partial accumulators are
-    /// merged in chunk order and the weights sum exactly (multiples of 0.5).
-    fn observe_probabilities<const W: usize>(
-        &self,
-        stats: &mut WorkloadStats,
-        encoded: &[Vec<Logic>],
-    ) -> Result<(), CoreError> {
-        #[cfg(feature = "parallel")]
-        {
-            let threads = agemul_par::thread_count(encoded.len() / 256);
-            if threads > 1 {
-                let per = encoded.len().div_ceil(threads);
-                let chunks: Vec<&[Vec<Logic>]> = encoded.chunks(per.max(1)).collect();
-                let parts = agemul_par::par_map(&chunks, |chunk| {
-                    let mut part = WorkloadStats::new(self.circuit.netlist());
-                    part.observe_patterns_wide::<W, _, _>(
-                        self.circuit.netlist(),
-                        &self.topology,
-                        chunk.iter(),
-                    )
-                    .map(|()| part)
-                });
-                for part in parts {
-                    stats.merge(&part?)?;
-                }
-                return Ok(());
-            }
-        }
-        stats.observe_patterns_wide::<W, _, _>(
-            self.circuit.netlist(),
-            &self.topology,
-            encoded.iter(),
-        )?;
-        Ok(())
     }
 }
 

@@ -359,12 +359,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (bytes are valid UTF-8 by
-                // construction of `&str`).
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("input was a &str");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one
+                // piece. Both are ASCII, so the run ends on a character
+                // boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|_| format!("invalid UTF-8 in string at offset {}", *pos))?;
+                out.push_str(run);
+                *pos = end;
             }
             None => return Err("unterminated string".into()),
         }
@@ -388,7 +393,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             _ => break,
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
+    let text = std::str::from_utf8(&bytes[start..*pos])
+        .map_err(|_| format!("invalid number at offset {start}"))?;
     if text.is_empty() {
         return Err(format!("expected a value at offset {start}"));
     }

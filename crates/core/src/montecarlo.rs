@@ -29,19 +29,12 @@
 //! and kernel construction (levelized schedule, CSR fanout, truth-table
 //! LUTs, arena allocation, functional init sweep) dwarfs the actual
 //! workload replay for the small per-corner pattern sets a yield study
-//! uses. The campaign instead holds one [`CornerProfiler`] per worker
-//! thread and [`retime`](CornerProfiler::retime)s it for every corner:
+//! uses. The campaign instead holds one [`CornerProfiler`] and
+//! [`retime`](CornerProfiler::retime)s it for every corner:
 //! an in-place delay swap plus an `O(nets)` state restore, which drops
 //! the per-corner marginal cost an order of magnitude below a
 //! from-scratch build (the `mc/*` benchmark rows pin the ratio, and the
 //! `retime_equiv` property suite in `agemul-netlist` pins bit-identity).
-//!
-//! Corner costs are *uneven* — a slow corner sensitizes longer paths and
-//! replays more events — so the fan-out uses
-//! [`par_map_stealing_with`](agemul_par::par_map_stealing_with): workers
-//! claim corner chunks dynamically instead of being handed a static
-//! split, and results are stitched back in corner order so the report is
-//! bit-identical to a serial run.
 
 use agemul_aging::{aging_factors, BtiModel, VariationModel};
 
@@ -77,17 +70,12 @@ pub struct McConfig {
     /// `f64::INFINITY` (the [`new`](Self::new) default) to gate on
     /// undetected errors only — Razor corrects detected ones.
     pub error_limit_per_10k: f64,
-    /// Work-stealing claim granularity: corners claimed per atomic grab.
-    /// 1 (the default) balances best; raise it only if corner cost is so
-    /// small the claim overhead shows.
-    pub chunk: usize,
 }
 
 impl McConfig {
     /// A campaign over `corners` dies at lognormal `sigma`, seeded with
     /// `seed`: lifetime points 0–7 years, cycle anchored to the fresh
-    /// critical path, skip 7, undetected-only pass criterion, claim
-    /// granularity 1.
+    /// critical path, skip 7, and an undetected-only pass criterion.
     ///
     /// # Panics
     ///
@@ -105,7 +93,6 @@ impl McConfig {
             cycle_ns: 0.0,
             skip: 7,
             error_limit_per_10k: f64::INFINITY,
-            chunk: 1,
         }
     }
 }
@@ -155,8 +142,7 @@ pub struct McReport {
     pub years: Vec<f64>,
     /// Resolved short cycle period in ns.
     pub cycle_ns: f64,
-    /// Per-corner outcomes in corner order (bit-identical regardless of
-    /// worker count or chunk size).
+    /// Per-corner outcomes in corner order.
     pub corners: Vec<CornerOutcome>,
 }
 
@@ -212,14 +198,14 @@ fn corner_seed(base: u64, corner: usize) -> u64 {
 ///
 /// Construction pays everything shared across corners exactly once: the
 /// functional verification sweep, the workload's signal statistics, and
-/// one BTI factor vector per lifetime point. After that, corner
-/// evaluation is embarrassingly parallel and each corner-year costs one
+/// one BTI factor vector per lifetime point. After that, corners are
+/// independent and each corner-year costs one
 /// [`CornerProfiler::retime`] plus the workload replay.
 ///
 /// # Example
 ///
 /// ```no_run
-/// use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet};
+/// use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet, SimEngine};
 /// use agemul_aging::BtiModel;
 /// use agemul_circuits::MultiplierKind;
 /// use agemul_logic::Technology;
@@ -229,7 +215,7 @@ fn corner_seed(base: u64, corner: usize) -> u64 {
 /// let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
 /// let config = McConfig::new(200, 0.05, 7);
 /// let campaign = MonteCarloCampaign::new(&design, patterns.pairs(), &bti, config)?;
-/// let report = campaign.run(None)?;
+/// let report = campaign.run(SimEngine::Level, None)?;
 /// for (years, yield_frac) in report.yield_curve(true) {
 ///     println!("{years} y: {:.1} % yield with AHL", 100.0 * yield_frac);
 /// }
@@ -337,8 +323,7 @@ impl<'a> MonteCarloCampaign<'a> {
 
     /// Evaluates one corner across every configured lifetime point,
     /// reusing `profiler` (retimed per year, never rebuilt). This is the
-    /// resumable unit: the supervised campaign checkpoints on corner
-    /// index and replays exactly this call.
+    /// unit [`run`](Self::run) repeats per corner on the levelized kernel.
     ///
     /// # Errors
     ///
@@ -374,10 +359,9 @@ impl<'a> MonteCarloCampaign<'a> {
     /// [`run_corner`](Self::run_corner) without plan reuse: one
     /// from-scratch kernel per lifetime point on the requested `engine`.
     /// This is the slow reference path — the retimed fast path is
-    /// byte-identical to it (asserted in this module's tests), and the
-    /// supervised campaign's degradation attempt uses it to re-evaluate a
-    /// suspect corner on the event-driven reference engine, which has no
-    /// retime.
+    /// byte-identical to it (asserted in this module's tests), and
+    /// [`run`](Self::run) uses it on the event-driven reference engine,
+    /// which has no retime.
     ///
     /// # Errors
     ///
@@ -439,52 +423,41 @@ impl<'a> MonteCarloCampaign<'a> {
         }
     }
 
-    /// Runs the whole campaign.
+    /// Runs the whole campaign on `engine`, polling `cancel` inside every
+    /// corner-year's workload replay.
     ///
-    /// With the `parallel` feature, corners are fanned out through
-    /// [`par_map_stealing_with`](agemul_par::par_map_stealing_with): one
-    /// compiled profiler per worker, corners claimed in
-    /// [`McConfig::chunk`]-sized grabs so a worker that drew fast corners
-    /// immediately steals more instead of idling. Results are assembled
-    /// in corner order either way, so the report is bit-identical across
-    /// worker counts — and to the serial build.
+    /// [`SimEngine::Level`] shares one compiled profiler across all
+    /// corners ([`run_corner`](Self::run_corner)); [`SimEngine::Event`]
+    /// builds a from-scratch event-driven kernel per corner-year
+    /// ([`run_corner_from_scratch`](Self::run_corner_from_scratch)). Both
+    /// produce byte-identical reports.
     ///
     /// # Errors
     ///
     /// Propagates the first (in corner order) [`CoreError`] any corner
     /// produced; see [`run_corner`](Self::run_corner) for the cases.
-    pub fn run(&self, cancel: Option<&agemul_netlist::CancelToken>) -> Result<McReport, CoreError> {
-        let corners: Vec<usize> = (0..self.config.corners).collect();
-        #[cfg(feature = "parallel")]
-        let results: Vec<Result<CornerOutcome, CoreError>> = agemul_par::par_map_stealing_with(
-            &corners,
-            self.config.chunk,
-            || self.profiler(),
-            |profiler, &corner| match profiler {
-                Ok(p) => self.run_corner(p, corner, cancel),
-                Err(e) => Err(e.clone()),
-            },
-        );
-        #[cfg(not(feature = "parallel"))]
-        let results: Vec<Result<CornerOutcome, CoreError>> = {
-            let mut profiler = self.profiler()?;
-            corners
-                .iter()
-                .map(|&corner| self.run_corner(&mut profiler, corner, cancel))
-                .collect()
+    pub fn run(
+        &self,
+        engine: SimEngine,
+        cancel: Option<&agemul_netlist::CancelToken>,
+    ) -> Result<McReport, CoreError> {
+        let corners = 0..self.config.corners;
+        let outcomes = match engine {
+            SimEngine::Level => {
+                let mut profiler = self.profiler()?;
+                corners
+                    .map(|corner| self.run_corner(&mut profiler, corner, cancel))
+                    .collect::<Result<_, _>>()?
+            }
+            SimEngine::Event => corners
+                .map(|corner| self.run_corner_from_scratch(corner, engine, cancel))
+                .collect::<Result<_, _>>()?,
         };
-        Ok(self.report(results.into_iter().collect::<Result<_, _>>()?))
-    }
-
-    /// Assembles this campaign's report from corner outcomes in corner
-    /// order — all of them ([`run`](Self::run)), or the subset a
-    /// supervised run completed.
-    pub fn report(&self, corners: Vec<CornerOutcome>) -> McReport {
-        McReport {
+        Ok(McReport {
             years: self.config.years.clone(),
             cycle_ns: self.config.cycle_ns,
-            corners,
-        }
+            corners: outcomes,
+        })
     }
 }
 
@@ -515,7 +488,7 @@ mod tests {
         let mut config = McConfig::new(6, 0.08, 99);
         config.years = vec![0.0, 4.0, 7.0];
         let mc = campaign(&d, patterns.pairs(), config.clone());
-        let report = mc.run(None).unwrap();
+        let report = mc.run(SimEngine::Level, None).unwrap();
         assert_eq!(report.corners.len(), 6);
 
         for c in &report.corners {
@@ -553,10 +526,10 @@ mod tests {
         let mut config = McConfig::new(4, 0.1, 1234);
         config.years = vec![0.0, 7.0];
         let a = campaign(&d, patterns.pairs(), config.clone())
-            .run(None)
+            .run(SimEngine::Level, None)
             .unwrap();
         let b = campaign(&d, patterns.pairs(), config.clone())
-            .run(None)
+            .run(SimEngine::Level, None)
             .unwrap();
         assert_eq!(a, b);
 
@@ -581,7 +554,9 @@ mod tests {
         let patterns = PatternSet::uniform(8, 32, 5);
         let mut config = McConfig::new(12, 0.12, 77);
         config.years = vec![0.0, 3.0, 7.0];
-        let report = campaign(&d, patterns.pairs(), config).run(None).unwrap();
+        let report = campaign(&d, patterns.pairs(), config)
+            .run(SimEngine::Level, None)
+            .unwrap();
         let base = report.yield_curve(false);
         let ahl = report.yield_curve(true);
         assert_eq!(base.len(), 3);
@@ -616,6 +591,32 @@ mod tests {
         }
     }
 
+    /// `run` reports the same campaign on either engine, and a fired
+    /// token stops it with a cancellation on both.
+    #[test]
+    fn run_is_engine_invariant_and_cancellable() {
+        let d = MultiplierDesign::new(MultiplierKind::RowBypass, 8).unwrap();
+        let patterns = PatternSet::uniform(8, 16, 13);
+        let mut config = McConfig::new(3, 0.06, 31);
+        config.years = vec![0.0, 7.0];
+        let mc = campaign(&d, patterns.pairs(), config);
+        let level = mc.run(SimEngine::Level, None).unwrap();
+        assert_eq!(mc.run(SimEngine::Event, None).unwrap(), level);
+
+        let token = agemul_netlist::CancelToken::new();
+        token.cancel();
+        for engine in [SimEngine::Level, SimEngine::Event] {
+            let err = mc.run(engine, Some(&token)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::Netlist(agemul_netlist::NetlistError::Cancelled)
+                ),
+                "{engine:?}: {err:?}"
+            );
+        }
+    }
+
     /// The yield curve of an empty campaign is empty, not a division by
     /// zero.
     #[test]
@@ -624,7 +625,9 @@ mod tests {
         let patterns = PatternSet::uniform(4, 8, 1);
         let mut config = McConfig::new(0, 0.05, 9);
         config.years = vec![0.0];
-        let report = campaign(&d, patterns.pairs(), config).run(None).unwrap();
+        let report = campaign(&d, patterns.pairs(), config)
+            .run(SimEngine::Level, None)
+            .unwrap();
         assert!(report.corners.is_empty());
         assert!(report.yield_curve(true).is_empty());
     }

@@ -35,10 +35,6 @@ impl PeriodSweep {
     /// println!("best {:.3} ns at {best_period:.2} ns", best.avg_latency_ns());
     /// # Ok::<(), agemul::CoreError>(())
     /// ```
-    /// With the `parallel` feature, the periods are fanned out across
-    /// threads (each replay is an independent pure function of the profile)
-    /// and stitched back in period order, so the resulting metrics are
-    /// bit-identical to the serial sweep.
     pub fn run(profile: &PatternProfile, config: &EngineConfig, periods_ns: &[f64]) -> Self {
         assert!(!periods_ns.is_empty(), "sweep needs at least one period");
         for &p in periods_ns {
@@ -47,17 +43,16 @@ impl PeriodSweep {
                 "period must be finite and positive, got {p}"
             );
         }
-        let replay = |&p: &f64| {
-            let cfg = EngineConfig {
-                cycle_ns: p,
-                ..*config
-            };
-            (p, run_engine(profile, &cfg))
-        };
-        #[cfg(feature = "parallel")]
-        let points = agemul_par::par_map(periods_ns, replay);
-        #[cfg(not(feature = "parallel"))]
-        let points = periods_ns.iter().map(replay).collect();
+        let points = periods_ns
+            .iter()
+            .map(|&p| {
+                let cfg = EngineConfig {
+                    cycle_ns: p,
+                    ..*config
+                };
+                (p, run_engine(profile, &cfg))
+            })
+            .collect();
         PeriodSweep { points }
     }
 
@@ -114,13 +109,18 @@ impl PeriodSweep {
         &self.points
     }
 
-    /// The period with the lowest average latency.
+    /// The period with the lowest average latency (the first such period
+    /// on a tie).
     pub fn best_latency(&self) -> (f64, RunMetrics) {
-        self.points
-            .iter()
-            .min_by(|a, b| a.1.avg_latency_ns().total_cmp(&b.1.avg_latency_ns()))
-            .copied()
-            .expect("sweep is non-empty by construction")
+        // Both constructors reject an empty grid, so `points[0]` exists.
+        let latency = |p: &(f64, RunMetrics)| p.1.avg_latency_ns();
+        self.points[1..].iter().fold(self.points[0], |best, &p| {
+            if latency(&p).total_cmp(&latency(&best)).is_lt() {
+                p
+            } else {
+                best
+            }
+        })
     }
 
     /// The shortest period whose error rate (per operation) does not
@@ -189,9 +189,7 @@ mod tests {
         assert!((p_any - 0.4).abs() < 1e-12);
     }
 
-    /// The sweep must equal a hand-rolled serial replay loop exactly —
-    /// with the `parallel` feature enabled this is the bit-identity
-    /// guarantee for the threaded fan-out.
+    /// The sweep must equal a hand-rolled per-period replay loop exactly.
     #[test]
     fn sweep_is_bit_identical_to_serial_replay() {
         let design = MultiplierDesign::new(MultiplierKind::RowBypass, 8).unwrap();

@@ -60,27 +60,8 @@ pub enum FaultEvidence {
     },
 }
 
-/// One unit of preparation work, sized for fan-out.
-enum Task {
-    /// Up to 64 logic faults sharing one lane-masked batch sweep.
-    Chunk(Vec<FaultSpec>),
-    /// One delay fault's private timing profile.
-    Delay(GateId, f64),
-}
-
-/// The result of one [`Task`].
-enum TaskOut {
-    Chunk(Vec<(u64, Option<u64>)>),
-    Delay(PatternProfile),
-}
-
 impl Campaign {
     /// Prepares a campaign: baseline profile plus per-fault evidence.
-    ///
-    /// With the `parallel` feature the per-fault simulations (logic chunks
-    /// and delay profiles) fan out across threads; results are reassembled
-    /// in fault order, so the prepared campaign — and every report derived
-    /// from it — is bit-identical to [`prepare_serial`](Self::prepare_serial).
     ///
     /// An empty `faults` slice yields a campaign whose baseline is exactly
     /// `design.profile(pairs, None)` and whose reports carry no outcomes —
@@ -96,18 +77,7 @@ impl Campaign {
         pairs: &[(u64, u64)],
         faults: &[FaultSpec],
     ) -> Result<Self, FaultError> {
-        Self::prepare_impl(design, pairs, faults, true, None)
-    }
-
-    /// [`prepare`](Self::prepare) forced down the serial path — the
-    /// reference implementation the parallel fan-out must match
-    /// bit-for-bit (regression-tested under the `parallel` feature).
-    pub fn prepare_serial(
-        design: &MultiplierDesign,
-        pairs: &[(u64, u64)],
-        faults: &[FaultSpec],
-    ) -> Result<Self, FaultError> {
-        Self::prepare_impl(design, pairs, faults, false, None)
+        Self::prepare_impl(design, pairs, faults, None)
     }
 
     /// [`prepare`](Self::prepare) consulting a [`ProfileCache`] for the
@@ -135,14 +105,13 @@ impl Campaign {
         faults: &[FaultSpec],
         cache: &ProfileCache,
     ) -> Result<Self, FaultError> {
-        Self::prepare_impl(design, pairs, faults, true, Some(cache))
+        Self::prepare_impl(design, pairs, faults, Some(cache))
     }
 
     fn prepare_impl(
         design: &MultiplierDesign,
         pairs: &[(u64, u64)],
         faults: &[FaultSpec],
-        parallel: bool,
         cache: Option<&ProfileCache>,
     ) -> Result<Self, FaultError> {
         validate(design, faults)?;
@@ -157,46 +126,33 @@ impl Campaign {
             None => design.profile(pairs, None)?,
         };
 
+        // Logic faults share lane-masked batch sweeps, up to 64 per chunk.
         let logic: Vec<FaultSpec> = faults.iter().filter(|f| f.is_logic()).copied().collect();
-        let mut tasks: Vec<Task> = logic
-            .chunks(BatchSim::LANES)
-            .map(|c| Task::Chunk(c.to_vec()))
-            .collect();
-        for f in faults {
-            if let FaultSpec::Delay { gate, factor } = *f {
-                tasks.push(Task::Delay(gate, factor));
-            }
-        }
-
-        let outs = run_tasks(design, pairs, &tasks, parallel, cache)?;
         let mut logic_out: VecDeque<(u64, Option<u64>)> = VecDeque::new();
-        let mut delay_out: VecDeque<PatternProfile> = VecDeque::new();
-        for out in outs {
-            match out {
-                TaskOut::Chunk(rows) => logic_out.extend(rows),
-                TaskOut::Delay(profile) => delay_out.push_back(profile),
-            }
+        for chunk in logic.chunks(BatchSim::LANES) {
+            logic_out.extend(eval_logic_chunk(design, pairs, chunk)?);
         }
 
         let entries = faults
             .iter()
             .map(|&spec| {
-                let evidence = if spec.is_logic() {
-                    let (corrupted_ops, first_corrupted_op) = logic_out
-                        .pop_front()
-                        .expect("one logic result per logic fault");
-                    FaultEvidence::Logic {
-                        corrupted_ops,
-                        first_corrupted_op,
-                    }
-                } else {
-                    FaultEvidence::Delay {
-                        profile: delay_out.pop_front().expect("one profile per delay fault"),
+                let evidence = match spec {
+                    FaultSpec::Delay { gate, factor } => FaultEvidence::Delay {
+                        profile: profile_delay_fault(design, pairs, gate, factor, cache)?,
+                    },
+                    _ => {
+                        let (corrupted_ops, first_corrupted_op) = logic_out
+                            .pop_front()
+                            .expect("one logic result per logic fault");
+                        FaultEvidence::Logic {
+                            corrupted_ops,
+                            first_corrupted_op,
+                        }
                     }
                 };
-                (spec, evidence)
+                Ok((spec, evidence))
             })
-            .collect();
+            .collect::<Result<_, FaultError>>()?;
         Ok(Campaign {
             baseline,
             entries,
@@ -447,35 +403,6 @@ fn validate(design: &MultiplierDesign, faults: &[FaultSpec]) -> Result<(), Fault
         }
     }
     Ok(())
-}
-
-/// Runs the preparation tasks — threaded under the `parallel` feature when
-/// `parallel` is set and worthwhile, serial otherwise. Outputs are in task
-/// order either way.
-fn run_tasks(
-    design: &MultiplierDesign,
-    pairs: &[(u64, u64)],
-    tasks: &[Task],
-    parallel: bool,
-    cache: Option<&ProfileCache>,
-) -> Result<Vec<TaskOut>, FaultError> {
-    let eval = |task: &Task| -> Result<TaskOut, FaultError> {
-        match task {
-            Task::Chunk(chunk) => Ok(TaskOut::Chunk(eval_logic_chunk(design, pairs, chunk)?)),
-            Task::Delay(gate, factor) => Ok(TaskOut::Delay(profile_delay_fault(
-                design, pairs, *gate, *factor, cache,
-            )?)),
-        }
-    };
-    #[cfg(feature = "parallel")]
-    {
-        if parallel && agemul_par::thread_count(tasks.len()) > 1 {
-            return agemul_par::par_map(tasks, eval).into_iter().collect();
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = parallel;
-    tasks.iter().map(eval).collect()
 }
 
 /// Functionally evaluates up to 64 logic faults at once: fault `i` rides

@@ -57,8 +57,9 @@ pub struct FaultOutcome {
 /// A full campaign classification: configuration echo, baseline anchors,
 /// and one [`FaultOutcome`] per injected fault (in injection order).
 ///
-/// Derives `PartialEq` so the serial-vs-parallel identity guarantee is
-/// directly assertable on whole reports.
+/// Derives `PartialEq` so identity guarantees (cached ≡ uncached,
+/// supervised ≡ batch preparation) are directly assertable on whole
+/// reports.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignReport {
     /// Multiplier architecture label (e.g. `CB`, `RB`).

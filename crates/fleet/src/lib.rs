@@ -10,8 +10,8 @@
 //! retire, down-clock, or rest.
 //!
 //! The load-bearing property is **determinism**: a campaign is a pure
-//! function of its configuration, the parallel per-node profile sweep is
-//! bit-identical to serial, and a run resumed from a mid-campaign
+//! function of its configuration, the Level and Event timing engines
+//! produce the same event log, and a run resumed from a mid-campaign
 //! checkpoint continues the uninterrupted run's event log byte for byte.
 //! The replay test layer (`tests/`) pins all three.
 //!
@@ -23,6 +23,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod event;
 mod node;

@@ -11,9 +11,7 @@
 //! 1. every non-retired node recomputes its delay profile — corner
 //!    variation × BTI factors at the node's *effective age*, snapped onto
 //!    the shared 1/4096 grid, re-timed through a plan-reuse
-//!    [`CornerProfiler`] behind the cache (this sweep is the parallel
-//!    axis: work-stealing chunks, results stitched back in node order,
-//!    bit-identical to serial);
+//!    [`CornerProfiler`] behind the cache;
 //! 2. the epoch's trace arrivals flow through the [`EventQueue`]; the
 //!    routing policy picks a node per arrival, the node's persistent AHL
 //!    classifies the operation, the Razor bank checks it, and the cycle
@@ -30,8 +28,8 @@
 //! node id, the event order is total (`(time_fs, seq)`), and floats are
 //! only ever produced by the same code path in the same order. The
 //! replayable **event log** (arrivals, routing decisions, completions,
-//! policy actions, encoded as fixed-width bytes) is the witness: serial vs
-//! parallel and resumed vs uninterrupted runs must produce identical
+//! policy actions, encoded as fixed-width bytes) is the witness: Level vs
+//! Event engines and resumed vs uninterrupted runs must produce identical
 //! bytes, which `tests/replay_equiv.rs` pins.
 
 use std::sync::Arc;
@@ -105,8 +103,6 @@ pub struct FleetConfig {
     pub quorum: usize,
     /// Extra cycles charged per Razor-detected violation (paper: 3).
     pub error_penalty_cycles: u32,
-    /// Work-stealing claim granularity of the node re-profiling sweep.
-    pub chunk: usize,
 }
 
 impl FleetConfig {
@@ -131,7 +127,6 @@ impl FleetConfig {
             guardband: 1.05,
             quorum: 0,
             error_penalty_cycles: 3,
-            chunk: 1,
         }
     }
 }
@@ -566,20 +561,24 @@ impl<'a, 'b> FleetSim<'a, 'b> {
         let pairs = trace_pairs(&trace);
 
         // 3. Refresh every non-retired node's profile at its current
-        // effective age — the parallel axis. Results are stitched back in
-        // job order, so the parallel sweep is bit-identical to serial.
-        let jobs: Vec<(u32, u64, f64)> = self
-            .nodes
-            .iter()
-            .filter(|n| n.status != NodeStatus::Retired)
-            .map(|n| (n.id, n.corner_seed, n.age_years))
-            .collect();
-        let results = profile_sweep(campaign, &jobs, &pairs, engine, cancel, config.chunk);
+        // effective age, sharing one plan-reuse profiler slot.
+        let mut slot = None;
         let mut profiles: Vec<Option<Arc<PatternProfile>>> = vec![None; self.nodes.len()];
-        for (job, result) in jobs.iter().zip(results) {
-            let profile = result?;
-            self.nodes[job.0 as usize].profile_max_delay_ns = profile.max_delay_ns();
-            profiles[job.0 as usize] = Some(profile);
+        for node in self
+            .nodes
+            .iter_mut()
+            .filter(|n| n.status != NodeStatus::Retired)
+        {
+            let profile = campaign.node_profile(
+                &mut slot,
+                node.corner_seed,
+                node.age_years,
+                &pairs,
+                engine,
+                cancel,
+            )?;
+            node.profile_max_delay_ns = profile.max_delay_ns();
+            profiles[node.id as usize] = Some(profile);
         }
 
         // 4. The discrete-event loop.
@@ -599,11 +598,15 @@ impl<'a, 'b> FleetSim<'a, 'b> {
                             self.log.append_drop(op);
                         }
                         Some(id) => {
+                            // Only active nodes are routable, and step 3
+                            // profiled every node that is not retired.
+                            let Some(profile) = &profiles[id as usize] else {
+                                return Err(CoreError::InvalidConfig {
+                                    reason: format!("node {id} routed without a current profile"),
+                                });
+                            };
+                            let rec = profile.records()[op as usize];
                             let node = &mut self.nodes[id as usize];
-                            let rec = profiles[id as usize]
-                                .as_ref()
-                                .expect("routable node has a current profile")
-                                .records()[op as usize];
                             let cycle_ns = node.cycle_ns();
                             // Exactly `run_engine`'s accounting, with the
                             // node's own AHL and (possibly stretched)
@@ -853,45 +856,6 @@ impl<'a, 'b> FleetSim<'a, 'b> {
             node_reports: self.nodes.iter().map(NodeReport::of).collect(),
         }
     }
-}
-
-/// Runs the per-node profile refresh for `jobs` (id, corner seed, age),
-/// returning results in job order. With the `parallel` feature the sweep
-/// fans out over the work-stealing pool; order restoration makes it
-/// bit-identical to the serial fallback.
-#[cfg(feature = "parallel")]
-fn profile_sweep(
-    campaign: &FleetCampaign<'_>,
-    jobs: &[(u32, u64, f64)],
-    pairs: &[(u64, u64)],
-    engine: SimEngine,
-    cancel: Option<&CancelToken>,
-    chunk: usize,
-) -> Vec<Result<Arc<PatternProfile>, CoreError>> {
-    agemul_par::par_map_stealing_with(
-        jobs,
-        chunk.max(1),
-        || None,
-        |slot, job: &(u32, u64, f64)| {
-            campaign.node_profile(slot, job.1, job.2, pairs, engine, cancel)
-        },
-    )
-}
-
-/// Serial fallback: one plan-reuse profiler slot shared across the sweep.
-#[cfg(not(feature = "parallel"))]
-fn profile_sweep(
-    campaign: &FleetCampaign<'_>,
-    jobs: &[(u32, u64, f64)],
-    pairs: &[(u64, u64)],
-    engine: SimEngine,
-    cancel: Option<&CancelToken>,
-    _chunk: usize,
-) -> Vec<Result<Arc<PatternProfile>, CoreError>> {
-    let mut slot = None;
-    jobs.iter()
-        .map(|job| campaign.node_profile(&mut slot, job.1, job.2, pairs, engine, cancel))
-        .collect()
 }
 
 /// One node's line in a [`FleetSummary`].

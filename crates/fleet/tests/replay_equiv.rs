@@ -5,11 +5,10 @@
 //! 1. **Purity**: `(seed → event log)` is a pure function — re-running a
 //!    campaign from the same configuration yields byte-identical logs and
 //!    identical final fleet state, across traces and routing policies.
-//! 2. **Serial ≡ parallel**: the golden log hashes are constants pinned
-//!    across *build configurations*. The verify gate runs this suite both
-//!    with and without the `parallel` feature, so a work-stealing sweep
-//!    that reordered or perturbed anything would break the pinned hashes
-//!    even though each configuration stays self-consistent.
+//! 2. **Golden hashes**: the log hashes of a reference scenario are
+//!    constants, so a refactor of the epoch loop or the profile sweep
+//!    that reordered or perturbed anything breaks them even though each
+//!    run stays self-consistent.
 //! 3. **Resume identity**: a sim restored from a mid-campaign snapshot
 //!    continues the uninterrupted run's event log byte for byte and
 //!    converges to the same final state.
@@ -105,8 +104,8 @@ proptest! {
 }
 
 /// Pinned log fingerprints for two seeds of the reference scenario. These
-/// constants are the cross-build witness: serial and parallel builds, and
-/// any future refactor of the sweep, must keep reproducing them.
+/// constants are the cross-refactor witness: any change to the sweep or
+/// the epoch loop must keep reproducing them.
 const GOLDEN: [(u64, u64); 2] = [
     (0x0A6E_0005, 0xC32E_4F00_5E5D_A074),
     (0xD15E_A5ED_CAFE_F00D, 0x9357_50D7_B5BA_5CF4),

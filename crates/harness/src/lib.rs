@@ -27,16 +27,14 @@
 //!   downgrade is recorded — the AHL's trade of latency for correctness,
 //!   applied to the runtime.
 //!
-//! Adapters wire the supervisor over the tree's existing work units, each
-//! one generic [`Supervisor::run`] plus one generic ledger decode:
+//! Two adapters wire the supervisor over the tree's work units:
 //! [`run_campaign_supervised`] (one case per fault plus the baseline,
-//! reassembled with [`Campaign::assemble`](agemul_faults::Campaign::assemble)),
-//! [`run_mc_supervised`] (one case per Monte Carlo process corner, with
-//! the retimed plan-reuse profiler on primary attempts), and
-//! [`run_fleet_supervised`] (one case per fleet policy scenario, with
-//! engine degradation pinned byte-identical by `agemul-fleet`'s event
-//! log). [`run_request_supervised`] runs one service request as a single
-//! case — same protections, no ledger or checkpoint. Workers classify
+//! reassembled with [`Campaign::assemble`](agemul_faults::Campaign::assemble))
+//! and [`run_request_supervised`], which runs one service request as a
+//! single case — same protections, no ledger or checkpoint. Other
+//! long-running work (the `repro` experiments, including the Monte Carlo
+//! and fleet studies) runs one case per experiment and threads the
+//! attempt's engine and deadline token into its simulations. Workers classify
 //! their failures with [`CaseError::from_error`]. The `soak` binary drives
 //! a kill → resume → diff smoke test (`scripts/soak_smoke.sh`).
 //!
@@ -71,8 +69,6 @@
 mod campaign;
 mod checkpoint;
 mod error;
-mod fleet;
-mod mc;
 mod request;
 mod snapshot;
 mod supervisor;
@@ -80,8 +76,6 @@ mod supervisor;
 pub use campaign::{campaign_run_key, run_campaign_supervised, SupervisedCampaign};
 pub use checkpoint::{crc32, CaseRecord, CaseStatus, Checkpoint, CheckpointError, SCHEMA};
 pub use error::HarnessError;
-pub use fleet::{fleet_run_key, run_fleet_supervised, FleetScenario, SupervisedFleet};
-pub use mc::{corner_from_json, corner_to_json, mc_run_key, run_mc_supervised, SupervisedMc};
 pub use request::run_request_supervised;
 pub use snapshot::{
     evidence_from_json, evidence_to_json, is_cancellation, profile_from_json, profile_to_json,

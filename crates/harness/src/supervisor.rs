@@ -213,14 +213,6 @@ impl Supervisor {
     /// reference engine — is exhausted, the case is quarantined with the
     /// last failure reason.
     ///
-    /// With the `parallel` feature, the pending cases of each checkpoint
-    /// batch fan out across threads with dynamic work stealing (case
-    /// costs are uneven — retries, degradation, Monte Carlo corners of
-    /// different depth — so a static split would leave cores idle behind
-    /// the slowest chunk); records are merged back by case index, so the
-    /// checkpoint sequence and the final ledger are identical to a serial
-    /// run's.
-    ///
     /// # Errors
     ///
     /// Checkpoint I/O failures, and any load failure under
@@ -232,7 +224,7 @@ impl Supervisor {
         resume: Resume,
     ) -> Result<RunLedger, HarnessError>
     where
-        W: Fn(&Attempt) -> Result<Json, CaseError> + Sync,
+        W: Fn(&Attempt) -> Result<Json, CaseError>,
     {
         let total = self.labels.len();
         let mut slots: Vec<Option<CaseRecord>> = vec![None; total];
@@ -272,16 +264,8 @@ impl Supervisor {
         let pending: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
         let batch_size = self.config.checkpoint_every.max(1);
         for batch in pending.chunks(batch_size) {
-            let eval = |&index: &usize| run_case(&self.config, index, &self.labels[index], worker);
-            // Claim granularity 1: one supervised case (attempts, retries,
-            // possibly a degradation pass) is plenty to amortize a claim.
-            #[cfg(feature = "parallel")]
-            let records = agemul_par::par_map_stealing(batch, 1, eval);
-            #[cfg(not(feature = "parallel"))]
-            let records: Vec<CaseRecord> = batch.iter().map(eval).collect();
-            for rec in records {
-                let i = rec.index;
-                slots[i] = Some(rec);
+            for &index in batch {
+                slots[index] = Some(run_case(&self.config, index, &self.labels[index], worker));
             }
             if let Some(path) = checkpoint {
                 self.snapshot(&slots).save_atomic(path)?;

@@ -463,38 +463,12 @@ impl<'a> LevelSim<'a> {
             }
 
             // Gates on one level never feed each other, so a level's dirty
-            // set can be computed in any order (or in parallel chunks) and
-            // applied serially in queue order.
-            #[cfg(feature = "parallel")]
-            let computed_parallel = {
-                const PAR_MIN_GATES: usize = 128;
-                if queue.len() >= PAR_MIN_GATES && agemul_par::thread_count(queue.len()) > 1 {
-                    let this: &LevelSim<'a> = self;
-                    let waves: Vec<Vec<u64>> = agemul_par::par_map(&queue, |&g| {
-                        let mut out = Vec::new();
-                        this.compute_wave(g as usize, &mut out);
-                        out
-                    });
-                    for (&g, wave) in queue.iter().zip(&waves) {
-                        if !wave.is_empty() {
-                            self.apply_wave(g as usize, wave, &mut timing, &mut last_out_fs);
-                        }
-                    }
-                    true
-                } else {
-                    false
-                }
-            };
-            #[cfg(not(feature = "parallel"))]
-            let computed_parallel = false;
-
-            if !computed_parallel {
-                for &g in &queue {
-                    out_buf.clear();
-                    self.compute_wave(g as usize, &mut out_buf);
-                    if !out_buf.is_empty() {
-                        self.apply_wave(g as usize, &out_buf, &mut timing, &mut last_out_fs);
-                    }
+            // set can be computed in any order and applied in queue order.
+            for &g in &queue {
+                out_buf.clear();
+                self.compute_wave(g as usize, &mut out_buf);
+                if !out_buf.is_empty() {
+                    self.apply_wave(g as usize, &out_buf, &mut timing, &mut last_out_fs);
                 }
             }
 

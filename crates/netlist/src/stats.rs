@@ -120,8 +120,8 @@ impl WorkloadStats {
     }
 
     /// Folds another accumulator over the same netlist into this one —
-    /// the reduction step when pattern chunks are observed on parallel
-    /// workers. Addition order is fixed by the caller's fold order, and
+    /// the reduction step when pattern chunks are observed separately.
+    /// Addition order is fixed by the caller's fold order, and
     /// the weights are multiples of 0.5, so merging chunk accumulators
     /// yields bit-identical sums to serial observation.
     ///

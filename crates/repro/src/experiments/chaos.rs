@@ -7,8 +7,8 @@
 //! violation — a corrupt checkpoint that loaded, a resume that was not
 //! byte-identical, a cached injected error, a wedged server, or a shed
 //! request without a typed sub-10 ms `overloaded` answer — so a
-//! robustness regression breaks `repro chaos` (and `just chaos-smoke`)
-//! loudly.
+//! robustness regression breaks `repro chaos` (and the gate's
+//! `scripts/quick_digests.sh` step) loudly.
 //!
 //! Every schedule is a pure function of `(seed, site, invocation)`: the
 //! base seed below replays the identical fault sequence on every run, so

@@ -28,14 +28,16 @@
 //! per `(trace, seed, epoch)`; the cycle is anchored at the fresh
 //! one-cycle-eligible workload max (zeros ≥ skip) times a 5 % guardband,
 //! per the AHL contract — two-cycle operations need not fit. Scenarios
-//! run under the supervised harness; the event log's FNV-1a fingerprint
-//! per scenario is recorded as the replay witness.
+//! run on the context's engine and poll its deadline token; the event
+//! log's FNV-1a fingerprint per scenario is recorded as the replay
+//! witness.
 
 use std::time::Instant;
 
 use agemul_circuits::MultiplierKind;
-use agemul_fleet::{FleetConfig, FleetPolicy, FleetSummary, RoutingPolicy};
-use agemul_harness::{run_fleet_supervised, FleetScenario, Resume, SupervisorConfig};
+use agemul_fleet::{
+    FleetCampaign, FleetConfig, FleetPolicy, FleetSim, FleetSummary, RoutingPolicy,
+};
 
 use super::skips;
 use crate::{Context, Report, Result, Table};
@@ -58,7 +60,7 @@ const YEARS_PER_EPOCH: f64 = 0.5;
 const ROTATION_EPOCHS: u32 = 3;
 const ROTATION_RECOVERY_YEARS: f64 = 0.25;
 
-fn scenarios(epochs: usize, ops: usize) -> Vec<FleetScenario> {
+fn scenarios(epochs: usize, ops: usize) -> Vec<FleetConfig> {
     let policies = [
         FleetPolicy::baseline(RoutingPolicy::RoundRobin),
         FleetPolicy::baseline(RoutingPolicy::LeastLoaded),
@@ -76,7 +78,7 @@ fn scenarios(epochs: usize, ops: usize) -> Vec<FleetScenario> {
             config.skip = skips(16)[0];
             config.years_per_epoch = YEARS_PER_EPOCH;
             config.policy = policy;
-            FleetScenario::new(config.policy.label(), config)
+            config
         })
         .collect()
 }
@@ -88,7 +90,7 @@ fn lifetime_cell(s: &FleetSummary) -> String {
     }
 }
 
-fn fleet_study(
+pub(super) fn fleet_study(
     ctx: &mut Context,
     epochs: usize,
     ops: usize,
@@ -97,25 +99,16 @@ fn fleet_study(
 ) -> Result<Report> {
     let skip = skips(16)[0];
     let design = ctx.design(MultiplierKind::ColumnBypass, 16)?;
-    let scenarios = scenarios(epochs, ops);
 
     let t0 = Instant::now();
-    let run = run_fleet_supervised(
-        &design,
-        ctx.bti(),
-        &scenarios,
-        &SupervisorConfig::default(),
-        None,
-        Resume::Fresh,
-    )?;
+    let summaries = scenarios(epochs, ops)
+        .into_iter()
+        .map(|config| {
+            let campaign = FleetCampaign::new(&design, ctx.bti(), config)?;
+            FleetSim::new(&campaign).run(ctx.engine(), ctx.cancel())
+        })
+        .collect::<std::result::Result<Vec<FleetSummary>, _>>()?;
     let elapsed = t0.elapsed().as_secs_f64();
-    let quarantined = run.ledger.quarantined();
-    if !quarantined.is_empty() {
-        return Err(format!(
-            "fleet: scenario(s) {quarantined:?} quarantined; the policy comparison is invalid"
-        )
-        .into());
-    }
 
     let mut report = Report::new(
         id,
@@ -140,7 +133,7 @@ fn fleet_study(
             "log_hash",
         ],
     );
-    for (_, s) in &run.summaries {
+    for s in &summaries {
         t.row(&[
             s.policy.clone(),
             lifetime_cell(s),
@@ -155,8 +148,8 @@ fn fleet_study(
         ]);
     }
 
-    let round_robin = &run.summaries[0].1;
-    let aging_aware = &run.summaries[2].1;
+    let round_robin = &summaries[0];
+    let aging_aware = &summaries[2];
     if demand_separation {
         // The headline claim, enforced: aging-aware routing must keep the
         // fleet above quorum strictly longer than oblivious round-robin.
@@ -187,7 +180,7 @@ fn fleet_study(
     ));
     t.note(format!(
         "log_hash is the event log's FNV-1a replay witness (byte-identical across \
-         serial/parallel sweeps and Level/Event engines); evaluated in {elapsed:.1}s"
+         Level/Event engines); evaluated in {elapsed:.1}s"
     ));
     report.push(t);
     Ok(report)
@@ -199,9 +192,9 @@ fn fleet_study(
 ///
 /// # Errors
 ///
-/// Propagates campaign/harness failures, fails if any scenario was
-/// quarantined, and fails if aging-aware routing does not reach a
-/// strictly later quorum-loss epoch than round-robin.
+/// Propagates campaign failures (including cancellation), and fails if
+/// aging-aware routing does not reach a strictly later quorum-loss epoch
+/// than round-robin.
 pub fn fleet(ctx: &mut Context) -> Result<Report> {
     let epochs = ctx.scale().fleet_epochs();
     let ops = ctx.scale().fleet_ops_per_epoch();

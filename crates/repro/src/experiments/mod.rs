@@ -191,4 +191,35 @@ mod tests {
         assert_eq!(skips(16), [7, 8, 9]);
         assert_eq!(skips(32), [15, 16, 17]);
     }
+
+    /// The Monte Carlo and fleet studies observe the context's deadline
+    /// token: with the baseline profile already cached, a fired token
+    /// stops each study inside its campaign, and the batch supervisor
+    /// classifies the failure as a cancellation.
+    #[test]
+    fn mc_and_fleet_studies_observe_a_fired_deadline() {
+        use agemul::{CancelToken, SimEngine};
+        use agemul_harness::CaseError;
+
+        use crate::{Context, Scale};
+
+        let mut ctx = Context::new(Scale::Quick);
+        montecarlo::mc_study(&mut ctx, 8, 4, "mc-test").unwrap();
+
+        let token = CancelToken::new();
+        token.cancel();
+        ctx.set_supervision(SimEngine::Level, Some(token));
+        let mc = montecarlo::mc_study(&mut ctx, 8, 4, "mc-test").unwrap_err();
+        assert_eq!(
+            CaseError::from_error(&*mc),
+            CaseError::Cancelled,
+            "mc: {mc}"
+        );
+        let fleet = fleet::fleet_study(&mut ctx, 2, 48, false, "fleet-test").unwrap_err();
+        assert_eq!(
+            CaseError::from_error(&*fleet),
+            CaseError::Cancelled,
+            "fleet: {fleet}"
+        );
+    }
 }

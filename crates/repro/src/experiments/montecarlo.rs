@@ -14,9 +14,9 @@
 //!
 //! Each corner reuses one compiled levelized kernel across the lifetime
 //! axis ([`CornerProfiler`](agemul::CornerProfiler) re-timing; see
-//! `agemul::montecarlo`), and the whole campaign runs under the
-//! supervised harness — quarantined corners are excluded from the curve
-//! and reported in a note instead of aborting the experiment.
+//! `agemul::montecarlo`). The campaign runs on the context's engine and
+//! polls its deadline token, so a supervised `repro` batch can cancel or
+//! degrade it like any other experiment.
 //!
 //! Conventions (also recorded in `EXPERIMENTS.md`): σ = 0.05 lognormal,
 //! base seed `0x0A6E_0002`, corner seeds derived by a SplitMix64
@@ -34,7 +34,6 @@ use std::time::Instant;
 
 use agemul::{McConfig, MonteCarloCampaign};
 use agemul_circuits::MultiplierKind;
-use agemul_harness::{run_mc_supervised, Resume, SupervisorConfig};
 
 use super::{f3, skips};
 use crate::{Context, Report, Result, Table};
@@ -50,7 +49,12 @@ const MC_SEED: u64 = 0x0A6E_0002;
 /// module docs for why it sits inside the seven-year aging margin).
 const GUARDBAND: f64 = 1.10;
 
-fn mc_study(ctx: &mut Context, width: usize, corners: usize, id: &str) -> Result<Report> {
+pub(super) fn mc_study(
+    ctx: &mut Context,
+    width: usize,
+    corners: usize,
+    id: &str,
+) -> Result<Report> {
     let patterns = ctx.scale().mc_patterns(width);
     let skip = skips(width)[0];
 
@@ -78,12 +82,11 @@ fn mc_study(ctx: &mut Context, width: usize, corners: usize, id: &str) -> Result
         let campaign = MonteCarloCampaign::new(&design, workload.pairs(), ctx.bti(), config)?;
 
         let t0 = Instant::now();
-        let run = run_mc_supervised(&campaign, &SupervisorConfig::default(), None, Resume::Fresh)?;
+        let mc_report = campaign.run(ctx.engine(), ctx.cancel())?;
         let elapsed = t0.elapsed().as_secs_f64();
 
-        let baseline = run.report.yield_curve(false);
-        let adaptive = run.report.yield_curve(true);
-        let usable = run.report.corners.len();
+        let baseline = mc_report.yield_curve(false);
+        let adaptive = mc_report.yield_curve(true);
 
         let mut t = Table::new(
             format!("{name} yield vs lifetime"),
@@ -99,19 +102,15 @@ fn mc_study(ctx: &mut Context, width: usize, corners: usize, id: &str) -> Result
                 )
                 .into());
             }
-            let mean_max = run
-                .report
+            let mean_max = mc_report
                 .corners
                 .iter()
                 .map(|c| c.outcomes[yi].max_delay_ns)
                 .sum::<f64>()
-                / usable as f64;
+                / corners as f64;
             t.row(&[format!("{year:.0}"), f3(*base), f3(*ahl), f3(mean_max)]);
         }
-        t.note(format!(
-            "{usable}/{corners} corners usable ({} quarantined), evaluated in {elapsed:.1}s",
-            run.ledger.quarantined().len()
-        ));
+        t.note(format!("{corners} corners, evaluated in {elapsed:.1}s"));
         t.note(format!(
             "cycle {} ns (fresh nominal observed max × {GUARDBAND}), base seed {MC_SEED:#010x}, \
              σ {MC_SIGMA}",
@@ -128,9 +127,9 @@ fn mc_study(ctx: &mut Context, width: usize, corners: usize, id: &str) -> Result
 ///
 /// # Errors
 ///
-/// Propagates campaign/harness failures, and fails if the AHL yield drops
-/// below the fixed-latency baseline at any lifetime point (the adaptive
-/// engine must dominate).
+/// Propagates campaign failures (including cancellation), and fails if
+/// the AHL yield drops below the fixed-latency baseline at any lifetime
+/// point (the adaptive engine must dominate).
 pub fn mc(ctx: &mut Context) -> Result<Report> {
     mc_study(ctx, 16, ctx.scale().mc_corners(), "mc")
 }

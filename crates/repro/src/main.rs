@@ -655,12 +655,6 @@ fn run_supervised(run: &RunArgs) -> ExitCode {
         // Experiments are deterministic, so a failure repeats; retries
         // only pay off against deadline jitter.
         max_retries: run.max_retries.unwrap_or(0),
-        // Serial builds checkpoint after every experiment; parallel builds
-        // widen the batch so the fan-out has cases to spread (the batch is
-        // both the snapshot interval and the unit of parallelism).
-        #[cfg(feature = "parallel")]
-        checkpoint_every: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        #[cfg(not(feature = "parallel"))]
         checkpoint_every: 1,
         ..SupervisorConfig::default()
     };
@@ -739,38 +733,16 @@ fn run_batch(run: RunArgs) -> ExitCode {
     let overall = Instant::now();
     let mut results: Vec<(String, bool, f64)> = Vec::with_capacity(ids.len());
 
-    // With the `parallel` feature each experiment runs on its own thread
-    // with a private Context (the caches are not shareable across threads),
-    // and reports are emitted in request order afterwards. Workloads are
-    // seed-derived, so every number matches the serial run; the trade is
-    // recomputing artifacts a shared cache would have reused. The serial
-    // build keeps the original behaviour of streaming each report as soon
-    // as its experiment completes.
-    #[cfg(feature = "parallel")]
-    {
-        let outcomes = agemul_par::par_map(&ids, |id| {
-            let start = Instant::now();
-            let mut ctx = Context::new(scale);
-            ctx.set_lanes(lanes);
-            let result = experiments::run_by_id(&mut ctx, id);
-            (result, start.elapsed().as_secs_f64())
-        });
-        for (id, (outcome, secs)) in ids.iter().zip(outcomes) {
-            let ok = emit(id, outcome, secs, csv_dir.as_deref());
-            results.push((id.clone(), ok, secs));
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let mut ctx = Context::new(scale);
-        ctx.set_lanes(lanes);
-        for id in &ids {
-            let start = Instant::now();
-            let outcome = experiments::run_by_id(&mut ctx, id);
-            let secs = start.elapsed().as_secs_f64();
-            let ok = emit(id, outcome, secs, csv_dir.as_deref());
-            results.push((id.clone(), ok, secs));
-        }
+    // One shared Context streams each report as soon as its experiment
+    // completes.
+    let mut ctx = Context::new(scale);
+    ctx.set_lanes(lanes);
+    for id in &ids {
+        let start = Instant::now();
+        let outcome = experiments::run_by_id(&mut ctx, id);
+        let secs = start.elapsed().as_secs_f64();
+        let ok = emit(id, outcome, secs, csv_dir.as_deref());
+        results.push((id.clone(), ok, secs));
     }
     eprintln!(
         "all {} experiment(s) done in {:.1}s (scale: {scale:?})",

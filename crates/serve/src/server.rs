@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use agemul::{EngineConfig, Json, McConfig, MonteCarloCampaign, PeriodSweep, SimEngine};
+use agemul::{EngineConfig, Json, McConfig, MonteCarloCampaign, PatternSet, PeriodSweep};
 use agemul_faults::{Campaign, FaultSpec};
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetPolicy, FleetSim, RoutingPolicy};
 use agemul_harness::{run_request_supervised, Attempt, CaseError, CaseStatus, SupervisorConfig};
@@ -806,7 +806,7 @@ fn eval_campaign(
     let design = state
         .design(query.kind, query.width)
         .map_err(CaseError::Failed)?;
-    let workload = state.workload(query.width, query.patterns, query.seed);
+    let workload = PatternSet::uniform(query.width, query.patterns, query.seed);
     let specs = FaultSpec::sample(&design, workload.pairs().len(), faults, fault_seed);
     let campaign = Campaign::prepare_cached(&design, workload.pairs(), &specs, state.cache())
         .map_err(|e| CaseError::from_error(&e))?;
@@ -823,11 +823,11 @@ fn eval_campaign(
 /// evaluated at integer lifetime points `0..=floor(query.years)` with the
 /// short cycle anchored to the design's fresh critical path.
 ///
-/// The primary attempt uses the plan-reuse re-timing fast path (one
-/// compiled kernel per corner, re-timed across the lifetime axis); the
-/// degraded attempt rebuilds every kernel on the event-driven reference
-/// engine — both produce byte-identical reports (pinned in `agemul`'s
-/// campaign tests).
+/// The attempt's engine selects the path inside
+/// [`MonteCarloCampaign::run`]: the primary attempt re-times one compiled
+/// kernel across corners and lifetime points; the degraded attempt
+/// rebuilds every kernel on the event-driven reference engine — both
+/// produce byte-identical reports (pinned in `agemul`'s campaign tests).
 fn eval_mc(
     state: &ServerState,
     query: &DesignQuery,
@@ -840,25 +840,16 @@ fn eval_mc(
     let design = state
         .design(query.kind, query.width)
         .map_err(CaseError::Failed)?;
-    let workload = state.workload(query.width, query.patterns, query.seed);
+    let workload = PatternSet::uniform(query.width, query.patterns, query.seed);
     let mut config = McConfig::new(corners, sigma, mc_seed);
     config.skip = skip;
     config.years = (0..=query.years.floor() as u64).map(|y| y as f64).collect();
     let campaign = MonteCarloCampaign::new(&design, workload.pairs(), state.bti(), config)
         .map_err(|e| CaseError::from_error(&e))?;
 
-    let cancel = attempt.cancel.as_ref();
-    let report = match attempt.engine {
-        SimEngine::Level => campaign
-            .run(cancel)
-            .map_err(|e| CaseError::from_error(&e))?,
-        SimEngine::Event => campaign.report(
-            (0..corners)
-                .map(|c| campaign.run_corner_from_scratch(c, SimEngine::Event, cancel))
-                .collect::<Result<_, _>>()
-                .map_err(|e| CaseError::from_error(&e))?,
-        ),
-    };
+    let report = campaign
+        .run(attempt.engine, attempt.cancel.as_ref())
+        .map_err(|e| CaseError::from_error(&e))?;
 
     let curve = |adaptive: bool| {
         Json::Arr(

@@ -1,13 +1,16 @@
-//! Shared, thread-safe server state: designs, workloads, aging factors,
-//! the sharded profile cache, and the single-flight coalescer.
+//! Shared, thread-safe server state: designs, the sharded profile cache,
+//! the query → cache-key memo, and the single-flight coalescer.
 //!
 //! This is the resident-process counterpart of the repro crate's
-//! single-threaded `Context`: the same lazily built artifacts (designs,
-//! workloads, BTI aging factors, timing profiles), but behind
-//! poison-recovering locks and `Arc`s so hundreds of concurrent requests
-//! share one copy of everything. Profiles go through the sharded
-//! [`ProfileCache`] *behind* a [`SingleFlight`] coalescer, so N identical
-//! cold requests cost one simulation, not N racing ones.
+//! single-threaded `Context`, behind poison-recovering locks and `Arc`s so
+//! hundreds of concurrent requests share one copy of each design and
+//! profile. Profiles go through the sharded [`ProfileCache`] *behind* a
+//! [`SingleFlight`] coalescer, so N identical cold requests cost one
+//! simulation, not N racing ones. Workloads and aging factors are not
+//! kept: a query builds them when it resolves, and again only after its
+//! memo entry was cleared or its profile evicted — a uniform workload and
+//! one functional sweep cost little next to the timing simulation that
+//! follows.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -15,7 +18,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use agemul::{
     quantize_factors, CacheEntry, CancelToken, Json, MultiplierDesign, PatternProfile, PatternSet,
-    ProfileCache, ProfileKey, SimEngine,
+    ProfileCache, ProfileKey, SimEngine, CACHE_SHARD_COUNT,
 };
 use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::MultiplierKind;
@@ -101,25 +104,24 @@ struct FlightKey {
 /// resolves to.
 struct Resolved {
     design: Arc<MultiplierDesign>,
-    workload: Arc<PatternSet>,
+    workload: PatternSet,
     /// Aging factors snapped onto the cache's grid (`None` = fresh).
     factors: Option<Vec<f64>>,
     key: ProfileKey,
 }
 
-/// The server's shared artifact store. Cheap lookups (designs, workloads,
-/// factors) live in plain poison-recovering maps; profiles — the
-/// expensive artifact — go through the sharded bounded [`ProfileCache`]
-/// behind the [`SingleFlight`] coalescer.
+/// The server's shared artifact store. Designs live in a plain
+/// poison-recovering map; profiles — the expensive artifact — go through
+/// the sharded bounded [`ProfileCache`] behind the [`SingleFlight`]
+/// coalescer.
 pub struct ServerState {
     bti: BtiModel,
     cache: ProfileCache,
     flight: SingleFlight<FlightKey, Arc<PatternProfile>>,
     designs: Mutex<HashMap<(MultiplierKind, usize), Arc<MultiplierDesign>>>,
-    workloads: Mutex<HashMap<(usize, usize, u64), Arc<PatternSet>>>,
-    factors: Mutex<HashMap<QueryKey, Arc<Vec<f64>>>>,
     /// Query → cache key memo: a repeated query skips rebuilding and
-    /// fingerprinting its per-gate delay assignment.
+    /// fingerprinting its per-gate delay assignment. Cleared when it
+    /// reaches the cache's total capacity (see [`Self::memo_limit`]).
     keys: Mutex<HashMap<QueryKey, ProfileKey>>,
     /// Connections shed by the acceptor with a typed `overloaded`
     /// response (surfaced in the `stats` op).
@@ -151,8 +153,6 @@ impl ServerState {
             },
             flight: SingleFlight::with_scope(scope.clone()),
             designs: Mutex::new(HashMap::new()),
-            workloads: Mutex::new(HashMap::new()),
-            factors: Mutex::new(HashMap::new()),
             keys: Mutex::new(HashMap::new()),
             shed: std::sync::atomic::AtomicU64::new(0),
             chaos_scope: scope,
@@ -176,11 +176,22 @@ impl ServerState {
         self.flight.in_flight()
     }
 
-    /// Distinct queries resolved to a cache key so far (the size of the
-    /// query → [`ProfileKey`] memo; a query whose resolution failed is
-    /// not counted).
+    /// Distinct queries resolved to a cache key since the memo was last
+    /// cleared (the size of the query → [`ProfileKey`] memo; a query whose
+    /// resolution failed is not counted). Never above the profile cache's
+    /// total capacity.
     pub fn resolved_queries(&self) -> usize {
         lock(&self.keys).len()
+    }
+
+    /// The memo's entry bound: the profile cache's total capacity
+    /// (`shard_capacity × CACHE_SHARD_COUNT`), or `None` for an unbounded
+    /// cache. A memo entry whose profile was evicted only saves a
+    /// re-resolve, so a memo larger than the cache buys nothing.
+    fn memo_limit(&self) -> Option<usize> {
+        self.cache
+            .shard_capacity()
+            .map(|per_shard| per_shard.saturating_mul(CACHE_SHARD_COUNT))
     }
 
     /// The profile cache (shared with campaign preparation).
@@ -222,61 +233,51 @@ impl ServerState {
         Ok(Arc::clone(d))
     }
 
-    /// The seed-derived uniform workload (cached).
-    pub fn workload(&self, width: usize, patterns: usize, seed: u64) -> Arc<PatternSet> {
-        if let Some(w) = lock(&self.workloads).get(&(width, patterns, seed)) {
-            return Arc::clone(w);
-        }
-        let built = Arc::new(PatternSet::uniform(width, patterns, seed));
-        let mut workloads = lock(&self.workloads);
-        let w = workloads
-            .entry((width, patterns, seed))
-            .or_insert_with(|| Arc::clone(&built));
-        Arc::clone(w)
-    }
-
     /// Per-gate BTI aging factors for the query's design under its own
-    /// workload's duty cycles (cached). The signal probabilities behind
-    /// them are one functional sweep, recomputed on a factors miss rather
-    /// than kept per query. Fresh designs (`years == 0`) have no factors.
+    /// workload's duty cycles, or `None` for a fresh design
+    /// (`years <= 0`). Recomputed on every call: one functional sweep.
     ///
     /// # Errors
     ///
     /// Rendered design/statistics errors.
-    pub fn factors(&self, query: &DesignQuery) -> Result<Option<Arc<Vec<f64>>>, String> {
-        if query.years <= 0.0 {
+    pub fn factors(&self, query: &DesignQuery) -> Result<Option<Vec<f64>>, String> {
+        let design = self.design(query.kind, query.width)?;
+        let workload = PatternSet::uniform(query.width, query.patterns, query.seed);
+        self.factors_for(&design, &workload, query.years)
+    }
+
+    fn factors_for(
+        &self,
+        design: &MultiplierDesign,
+        workload: &PatternSet,
+        years: f64,
+    ) -> Result<Option<Vec<f64>>, String> {
+        if years <= 0.0 {
             return Ok(None);
         }
-        let key = QueryKey::new(query);
-        if let Some(f) = lock(&self.factors).get(&key) {
-            return Ok(Some(Arc::clone(f)));
-        }
-        let design = self.design(query.kind, query.width)?;
-        let workload = self.workload(query.width, query.patterns, query.seed);
         let stats = design
             .workload_stats(workload.pairs())
             .map_err(|e| e.to_string())?;
-        let built = Arc::new(aging_factors(
+        Ok(Some(aging_factors(
             design.circuit().netlist(),
             &stats,
             &self.bti,
-            query.years,
-        ));
-        let mut factors = lock(&self.factors);
-        let f = factors.entry(key).or_insert_with(|| Arc::clone(&built));
-        Ok(Some(Arc::clone(f)))
+            years,
+        )))
     }
 
-    /// Resolves a query to its build inputs and cache key: design, aging
-    /// factors, workload, and the fingerprints of the delay assignment and
-    /// operand pairs.
+    /// Resolves a query to its build inputs and cache key: design,
+    /// workload, aging factors, and the fingerprints of the delay
+    /// assignment and operand pairs.
     fn resolve(&self, query: &DesignQuery) -> Result<Resolved, String> {
         let design = self.design(query.kind, query.width)?;
-        let factors = self.factors(query)?.map(|f| quantize_factors(&f));
+        let workload = PatternSet::uniform(query.width, query.patterns, query.seed);
+        let factors = self
+            .factors_for(&design, &workload, query.years)?
+            .map(|f| quantize_factors(&f));
         let delays = design
             .delay_assignment(factors.as_deref())
             .map_err(|e| e.to_string())?;
-        let workload = self.workload(query.width, query.patterns, query.seed);
         let key = ProfileKey::new(&design, &delays, workload.pairs());
         Ok(Resolved {
             design,
@@ -312,7 +313,11 @@ impl ServerState {
             Some(key) => (key, None),
             None => {
                 let resolved = self.resolve(query).map_err(FlightError::Build)?;
-                lock(&self.keys).insert(query_key, resolved.key);
+                let mut keys = lock(&self.keys);
+                if self.memo_limit().is_some_and(|limit| keys.len() >= limit) {
+                    keys.clear();
+                }
+                keys.insert(query_key, resolved.key);
                 (resolved.key, Some(resolved))
             }
         };
@@ -542,6 +547,41 @@ mod tests {
         let (a, _) = state.profile(&aged, SimEngine::Level, None).unwrap();
         assert!(a.avg_delay_ns() > f.avg_delay_ns());
         assert_eq!(state.cache().misses(), 2);
+    }
+
+    /// A client sending fresh seeds grows no map without bound: the memo
+    /// stays within the cache's total capacity, and a repeat of a query
+    /// resolved before a clear still gets a correct answer.
+    #[test]
+    fn key_memo_is_bounded_by_cache_capacity() {
+        let state = ServerState::new(Some(2));
+        let limit = state.memo_limit().unwrap();
+        assert_eq!(limit, 2 * CACHE_SHARD_COUNT);
+        let seeded = |seed| DesignQuery {
+            kind: MultiplierKind::Array,
+            width: 4,
+            years: 0.0,
+            patterns: 2,
+            seed,
+        };
+        let mut peak = 0;
+        for seed in 0..10_000 {
+            state
+                .profile(&seeded(seed), SimEngine::Level, None)
+                .unwrap();
+            peak = peak.max(state.resolved_queries());
+            assert!(state.resolved_queries() <= limit, "seed {seed}");
+        }
+        assert_eq!(peak, limit, "the memo fills to its bound before clearing");
+
+        let (again, _) = state.profile(&seeded(0), SimEngine::Level, None).unwrap();
+        let design = MultiplierDesign::new(MultiplierKind::Array, 4).unwrap();
+        let expected = design
+            .profile(PatternSet::uniform(4, 2, 0).pairs(), None)
+            .unwrap();
+        assert_eq!(again.records(), expected.records());
+
+        assert!(ServerState::new(None).memo_limit().is_none());
     }
 
     #[test]

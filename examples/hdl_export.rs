@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. VCD: trace a few multiplications through the event-driven timing
     //    simulator and dump a waveform viewable in GTKWave & friends.
-    let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model());
+    let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model()?);
     let mut sim = EventSim::new(m.netlist(), &topo, delays);
     sim.enable_tracing(2_000_000); // 2 ns between operations
     sim.settle(&m.encode_inputs(0, 0)?)?;

@@ -5,16 +5,11 @@
 # uninterrupted one. Exercises the real crash path — a hard kill between
 # checkpoint writes — not a simulated truncation.
 #
-# Usage: scripts/soak_smoke.sh [--features parallel]
+# Usage: scripts/soak_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FEATURES=()
-if [[ "${1:-}" == "--features" && "${2:-}" == "parallel" ]]; then
-    FEATURES=(--features parallel)
-fi
-
-cargo build --release -p agemul-harness --bin soak "${FEATURES[@]}" >/dev/null
+cargo build --release -p agemul-harness --bin soak >/dev/null
 SOAK=target/release/soak
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/agemul-soak.XXXXXX")

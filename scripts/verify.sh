@@ -12,9 +12,6 @@ cargo clippy --workspace --all-targets --all-features -- -D warnings
 # fleet replay goldens, and the chaos engine's unit suite.
 cargo build --release --workspace
 cargo test -q --workspace
-# The same suites with the parallel fan-out compiled in (serial ≡
-# parallel witnesses, fleet replay_equiv under `--features parallel`).
-cargo test -q -p agemul -p agemul-faults -p agemul-repro -p agemul-harness -p agemul-fleet --features parallel
 # The benchmark package's own tests (outside the workspace; they include
 # serve-open's served ≡ in-process check).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
@@ -26,9 +23,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # violations.
 scripts/quick_digests.sh
 # Supervised kill/resume soak: SIGKILL a checkpointed campaign mid-run,
-# resume, and require byte-identical results — serial and parallel.
+# resume, and require byte-identical results.
 scripts/soak_smoke.sh
-scripts/soak_smoke.sh --features parallel
 # Resident-service smoke: loadgen against an in-process agemul-serve;
 # fails on any error response, zero hit rate, or unclean shutdown.
 cargo run --release -p agemul-serve --bin loadgen -- --smoke

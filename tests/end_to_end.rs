@@ -55,7 +55,7 @@ fn architectures_agree_with_integer_multiplication() {
         let design = MultiplierDesign::new(kind, 8).unwrap();
         let netlist = design.circuit().netlist();
         let topo = design.topology();
-        let delays = DelayAssignment::uniform(netlist, calibrated_delay_model());
+        let delays = DelayAssignment::uniform(netlist, calibrated_delay_model().unwrap());
         let mut sim = EventSim::new(netlist, topo, delays);
         sim.settle(&design.circuit().encode_inputs(0, 0).unwrap())
             .unwrap();

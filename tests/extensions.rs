@@ -43,7 +43,7 @@ fn sweep_choice_validates_cycle_accurately() {
 fn signed_booth_event_sequences() {
     let m = MultiplierCircuit::generate_signed_booth(8).unwrap();
     let topo = m.netlist().topology().unwrap();
-    let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model());
+    let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model().unwrap());
     let mut sim = EventSim::new(m.netlist(), &topo, delays);
     sim.settle(&m.encode_inputs(0, 0).unwrap()).unwrap();
     let to_signed = |v: u64, w: u32| -> i64 {

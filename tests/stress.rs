@@ -11,7 +11,7 @@ fn long_event_sequence_holds_all_invariants() {
     let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 8).unwrap();
     let bound = design.critical_delay_ns(None).unwrap();
     let netlist = design.circuit().netlist();
-    let delays = DelayAssignment::uniform(netlist, calibrated_delay_model());
+    let delays = DelayAssignment::uniform(netlist, calibrated_delay_model().unwrap());
     let mut sim = EventSim::new(netlist, design.topology(), delays);
     sim.settle(&design.circuit().encode_inputs(0, 0).unwrap())
         .unwrap();
@@ -41,7 +41,7 @@ fn long_event_sequence_holds_all_invariants() {
 fn mixed_replay_and_burst_traffic() {
     let design = MultiplierDesign::new(MultiplierKind::RowBypass, 8).unwrap();
     let netlist = design.circuit().netlist();
-    let delays = DelayAssignment::uniform(netlist, calibrated_delay_model());
+    let delays = DelayAssignment::uniform(netlist, calibrated_delay_model().unwrap());
     let mut sim = EventSim::new(netlist, design.topology(), delays);
     sim.settle(&design.circuit().encode_inputs(0, 0).unwrap())
         .unwrap();
