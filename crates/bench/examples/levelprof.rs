@@ -1,62 +1,77 @@
-//! Ad-hoc profiling driver for the levelized kernel (not a benchmark —
-//! see `benches/profile.rs` for the tracked numbers).
+//! Low-noise step harness for the levelized kernel (not a benchmark — see
+//! `benches/profile.rs` for the tracked numbers).
+//!
+//! One `LevelSim` per design (AM, CB and RB at 32 bits) steps 256
+//! pre-encoded uniform pairs; each of the 15 reps starts from `reset` +
+//! `settle`, so every rep replays identical work. Single runs on a shared
+//! host swing by 2×, so the line to compare across builds is the minimum
+//! µs/step (the median is printed beside it). The FNV-1a digest folds
+//! every step's `(delay_ns, events)` of the first rep: two builds with the
+//! same digest simulated the same waveforms.
+//!
+//! Run with `cargo run --release -p agemul-bench --example levelprof`.
 
 use std::time::Instant;
 
 use agemul::{calibrated_delay_model, PatternSet};
 use agemul_circuits::{MultiplierCircuit, MultiplierKind};
 use agemul_logic::Logic;
-use agemul_netlist::{DelayAssignment, EventSim, LevelSim};
+use agemul_netlist::{DelayAssignment, LevelSim};
+
+const WIDTH: usize = 32;
+const STEPS: usize = 256;
+const REPS: usize = 15;
+
+const DESIGNS: [(&str, MultiplierKind); 3] = [
+    ("AM32", MultiplierKind::Array),
+    ("CB32", MultiplierKind::ColumnBypass),
+    ("RB32", MultiplierKind::RowBypass),
+];
+
+/// FNV-1a over 64-bit words, one byte at a time.
+fn fnv1a(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 fn main() {
-    let width = 32;
-    let m = MultiplierCircuit::generate(MultiplierKind::ColumnBypass, width).unwrap();
-    let topo = m.netlist().topology().unwrap();
-    let delays = DelayAssignment::uniform(m.netlist(), calibrated_delay_model().unwrap());
-    let encoded: Vec<Vec<Logic>> = PatternSet::uniform(width, 256, 7)
-        .pairs()
-        .iter()
-        .map(|&(a, b)| m.encode_inputs(a, b).unwrap())
-        .collect();
-    let zeros = m.encode_inputs(0, 0).unwrap();
+    let model = calibrated_delay_model().unwrap();
+    for (label, kind) in DESIGNS {
+        let m = MultiplierCircuit::generate(kind, WIDTH).unwrap();
+        let topo = m.netlist().topology().unwrap();
+        let delays = DelayAssignment::uniform(m.netlist(), model);
+        let encoded: Vec<Vec<Logic>> = PatternSet::uniform(WIDTH, STEPS, 7)
+            .pairs()
+            .iter()
+            .map(|&(a, b)| m.encode_inputs(a, b).unwrap())
+            .collect();
+        let zeros = m.encode_inputs(0, 0).unwrap();
 
-    println!(
-        "gates={} nets={} depth={}",
-        m.netlist().gate_count(),
-        m.netlist().net_count(),
-        topo.depth()
-    );
-
-    let mut sim = LevelSim::new(m.netlist(), &topo, delays.clone());
-    sim.settle(&zeros).unwrap();
-    let mut events = 0u64;
-    let mut toggles = 0u64;
-    let t0 = Instant::now();
-    for p in &encoded {
-        let t = sim.step(p).unwrap();
-        events += t.events;
-        toggles += t.gate_toggles;
+        let mut sim = LevelSim::new(m.netlist(), &topo, delays);
+        let mut us_per_step = Vec::with_capacity(REPS);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut events = 0u64;
+        for rep in 0..REPS {
+            sim.reset();
+            sim.settle(&zeros).unwrap();
+            let t0 = Instant::now();
+            for p in &encoded {
+                let t = sim.step(p).unwrap();
+                if rep == 0 {
+                    digest = fnv1a(fnv1a(digest, t.delay_ns.to_bits()), t.events);
+                    events += t.events;
+                }
+            }
+            us_per_step.push(t0.elapsed().as_secs_f64() * 1e6 / STEPS as f64);
+        }
+        us_per_step.sort_by(f64::total_cmp);
+        println!(
+            "{label}: gates={} min={:.1} us/step median={:.1} us/step events/step={} digest={digest:016x}",
+            m.netlist().gate_count(),
+            us_per_step[0],
+            us_per_step[REPS / 2],
+            events / STEPS as u64,
+        );
     }
-    let dt = t0.elapsed();
-    println!(
-        "level: {:?} total, {:.1} us/step, events/step={}, gate_toggles/step={}, ns/event={:.1}",
-        dt,
-        dt.as_secs_f64() * 1e6 / 256.0,
-        events / 256,
-        toggles / 256,
-        dt.as_secs_f64() * 1e9 / events as f64
-    );
-
-    let mut sim = EventSim::new(m.netlist(), &topo, delays.clone());
-    sim.settle(&zeros).unwrap();
-    let t0 = Instant::now();
-    for p in &encoded {
-        sim.step(p).unwrap();
-    }
-    let dt = t0.elapsed();
-    println!(
-        "event: {:?} total, {:.1} us/step",
-        dt,
-        dt.as_secs_f64() * 1e6 / 256.0
-    );
 }

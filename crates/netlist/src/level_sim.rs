@@ -3,18 +3,17 @@
 //! [`LevelSim`] computes the same femtosecond-exact two-vector timing as
 //! [`EventSim`](crate::EventSim) without a priority queue: the netlist is
 //! compiled once into a [`TimedPlan`](crate::plan::TimedPlan) (flat gate
-//! arrays + per-gate integer-femtosecond delays + topological levels), and
-//! each pattern is simulated as one ascending sweep over the levels that
-//! actually contain *dirty* gates.
+//! arrays + per-gate integer-femtosecond delays), and each pattern is
+//! simulated as one ascending sweep over the gates in builder order.
 //!
-//! # Why level order is exact
+//! # Why topological order is exact
 //!
 //! In a combinational DAG every gate's output waveform for a step is a pure
-//! function of its input nets' complete waveforms. Every gate driving one of
-//! gate `g`'s inputs sits at a strictly lower level, so by the time the
-//! sweep reaches `g` each input waveform is final and `g`'s output waveform
-//! can be produced in one sequential merge that replays `EventSim`'s exact
-//! rules:
+//! function of its input nets' complete waveforms. Builder order is
+//! topological — [`Netlist::add_gate`] only accepts nets that already
+//! exist — so by the time the sweep reaches gate `g` each input waveform is
+//! final and `g`'s output waveform can be produced in one sequential merge
+//! that replays `EventSim`'s exact rules:
 //!
 //! * **delta-cycle atomicity** — all input events at a timestamp are applied
 //!   before the gate re-evaluates, and a pending output transition due at or
@@ -36,19 +35,24 @@
 //! which the delay models never produce (`EventSim` tolerates them but the
 //! two kernels could then disagree on glitch counts).
 //!
-//! # Incremental cone re-simulation
+//! # Dense sweep
 //!
-//! Between consecutive patterns only the fan-out cones of *changed* input
-//! bits are touched: changed inputs seed per-level dirty queues
-//! (deduplicated by a 1-bit-per-gate touched set, cleared at the start of
-//! every step), gates outside every cone are never visited, and their
-//! nets keep their settled values. On bypass multipliers, where a typical
-//! workload pattern flips a fraction of the operand bits, this skips most
-//! of the array per pattern — the second lever (besides removing heap
-//! pops) behind the profiling speedup.
+//! A step visits every gate; one with no switching input costs a load per
+//! input and emits nothing. On the multipliers a uniform pattern switches
+//! most of the array (a CB32 step reaches about 6.5k of its 10.1k gates,
+//! and 61–77 % of the gates across designs), so tracking the switching
+//! cone — per-level dirty queues, a touched bitset and a fanout walk per
+//! switching net — cost more than the gates it skipped.
 //!
-//! Waveforms live in one flat arena reset per step; per-net epoch stamps
-//! make "no events this step" a constant-time check instead of a clear.
+//! Two shapes dominate the visited gates and get their own code: a gate of
+//! arity ≤ 3 with exactly one switching input (about half) folds its quiet
+//! inputs into a 4-entry level map, and returns at once when that map can
+//! never schedule a transition; every other gate takes the general
+//! multi-cursor merge.
+//!
+//! Waveforms live in one flat arena that each merge writes at its tail;
+//! every waveform ends in a sentinel word and index 0 is the shared empty
+//! waveform, so cursors need no length checks and quiet nets no clearing.
 
 use agemul_logic::{GateKind, Logic};
 
@@ -101,27 +105,21 @@ pub struct LevelSim<'a> {
     /// one would — including tri-state hold history, which makes settled
     /// values history-dependent wherever a disabled `TBUF` sits.
     init_values: Vec<Logic>,
-    /// Flat per-step waveform storage: `arena[m.start..][..m.len]` for net
-    /// `n`'s [`WaveMeta`] `m`, valid iff `m.epoch == epoch`. Each event is
-    /// packed as `time_fs << 2 | logic` ([`pack`]/[`unpack`]), halving the
-    /// hot loop's memory traffic vs a `(u64, Logic)` pair.
+    /// Flat per-step waveform storage. Each event is packed as
+    /// `time_fs << 2 | logic` ([`pack`]), halving the hot loop's memory
+    /// traffic vs a `(u64, Logic)` pair, and every published waveform ends
+    /// in an [`END`] sentinel, so a cursor reads `arena[pos]` until it hits
+    /// `END` with no length bookkeeping. Index [`EMPTY`] holds the one
+    /// sentinel every quiet net points at; a step truncates back to it.
     arena: Vec<u64>,
-    /// Per-net arena bookkeeping, one 16-byte record per net so a waveform
-    /// lookup touches a single cache line.
-    waves: Vec<WaveMeta>,
-    /// Nets that received events this step (commit list).
-    dirty_nets: Vec<u32>,
-    /// Gates queued this step, 1 bit per gate (bit `g % 64` of word
-    /// `g / 64`): the dedup for `queues`, cleared at the start of every
-    /// step.
-    touched: Vec<u64>,
-    /// Step counter validating `waves` entries.
-    epoch: u64,
-    /// Dirty gates per topological level, drained in ascending order.
-    queues: Vec<Vec<u32>>,
+    /// Arena index of each net's first event this step ([`EMPTY`] for
+    /// none). The sweep rewrites every input and gate-driven entry before
+    /// any gate reads it; constant nets stay [`EMPTY`].
+    waves: Vec<u32>,
+    /// `(net, final level)` of every net that switched this step, applied
+    /// to `values` once the sweep is done.
+    commits: Vec<(u32, Logic)>,
     toggles_per_gate: Vec<u64>,
-    /// Scratch taken out of `self` during a step (borrow split).
-    out_scratch: Vec<u64>,
     overlay: Option<crate::FaultOverlay>,
     /// Per-kind truth tables over packed [`Logic`] discriminants (2 bits
     /// per input), tabulated once from [`GateKind::eval`] — the single
@@ -130,22 +128,25 @@ pub struct LevelSim<'a> {
     lut1: [[Logic; 4]; GateKind::ALL.len()],
     lut2: [[Logic; 16]; GateKind::ALL.len()],
     lut3: [[Logic; 64]; GateKind::ALL.len()],
-    /// Cooperative cancellation (None = never cancelled): polled once per
-    /// dirty level during a step.
+    /// Cooperative cancellation (None = never cancelled): polled every
+    /// [`CANCEL_STRIDE`] gates during a step.
     cancel: Option<crate::CancelToken>,
 }
+
+/// Gates swept between two polls of the cancel token.
+const CANCEL_STRIDE: usize = 1024;
 
 /// All four [`Logic`] levels, indexed by enum discriminant.
 const LEVELS: [Logic; 4] = [Logic::Zero, Logic::One, Logic::Z, Logic::X];
 
-/// Per-net waveform bookkeeping: net `n`'s committed events this step are
-/// `arena[start..][..len]`, valid iff `epoch` matches the simulator's.
-#[derive(Clone, Copy, Debug, Default)]
-struct WaveMeta {
-    epoch: u64,
-    start: u32,
-    len: u32,
-}
+/// Terminates every arena waveform. Its time field is above any real
+/// timestamp (see [`assert_delay_contract`]), so a cursor parked on it
+/// never matches the current delta cycle; it also marks "no pending
+/// transition" in the merges.
+const END: u64 = u64::MAX;
+
+/// Arena index of the shared empty waveform (a lone [`END`]).
+const EMPTY: u32 = 0;
 
 /// Packs an event into one arena word: femtosecond time in the upper 62
 /// bits, [`Logic`] discriminant in the lower 2.
@@ -154,10 +155,29 @@ fn pack(t: u64, v: Logic) -> u64 {
     (t << 2) | v as u64
 }
 
-/// Inverse of [`pack`].
+/// Output code of a disabled `TBUF` in a single-active merge map: no
+/// event, the committed value and any pending transition survive.
+const HOLD: u64 = 4;
+
+/// `EventSim::schedule`, minus the queue: folds the candidate transition
+/// to packed level `v` at time `t` into the gate's one `pending` slot
+/// ([`END`] = none). A same-value candidate keeps the earlier arrival,
+/// a disagreement retracts, and a collapse back to `committed` cancels.
 #[inline(always)]
-fn unpack(e: u64) -> (u64, Logic) {
-    (e >> 2, LEVELS[(e & 3) as usize])
+fn schedule(pending: &mut u64, committed: u64, t: u64, v: u64) {
+    let cand = (t << 2) | v;
+    if *pending != END {
+        if *pending & 3 == v {
+            // Same value: packed compare is a time compare here.
+            *pending = (*pending).min(cand);
+        } else if v == committed {
+            *pending = END;
+        } else {
+            *pending = cand;
+        }
+    } else if v != committed {
+        *pending = cand;
+    }
 }
 
 /// Asserts the two delay invariants every `LevelSim` schedule must satisfy:
@@ -200,7 +220,6 @@ impl<'a> LevelSim<'a> {
             plan.max_level(),
             (0..plan.gate_count()).map(|g| plan.delay_fs(g)),
         );
-        let queues = vec![Vec::new(); plan.max_level() as usize + 1];
 
         let mut lut1 = [[Logic::X; 4]; GateKind::ALL.len()];
         let mut lut2 = [[Logic::X; 16]; GateKind::ALL.len()];
@@ -236,14 +255,10 @@ impl<'a> LevelSim<'a> {
             plan,
             values: vec![Logic::X; netlist.net_count()],
             init_values: Vec::new(),
-            arena: Vec::new(),
-            waves: vec![WaveMeta::default(); netlist.net_count()],
-            dirty_nets: Vec::new(),
-            touched: vec![0; netlist.gate_count().div_ceil(64)],
-            epoch: 0,
-            queues,
+            arena: vec![END],
+            waves: vec![EMPTY; netlist.net_count()],
+            commits: Vec::new(),
             toggles_per_gate: vec![0; netlist.gate_count()],
-            out_scratch: Vec::new(),
             overlay: None,
             lut1,
             lut2,
@@ -255,13 +270,13 @@ impl<'a> LevelSim<'a> {
     }
 
     /// Swaps in a new per-gate delay assignment **without rebuilding** the
-    /// compiled schedule: the levelized gate arrays, CSR fanout, truth-table
-    /// LUTs, waveform arena, and dirty-queue scratch are all
-    /// topology-invariant and are reused as-is. Only the delay-dependent
-    /// slice of the [`TimedPlan`](crate::plan::TimedPlan) is rewritten, in
-    /// place, with zero allocation — this is what makes per-corner Monte
-    /// Carlo profiling an order of magnitude cheaper than constructing a
-    /// fresh kernel per corner.
+    /// compiled schedule: the flat gate arrays, truth-table LUTs and
+    /// waveform arena are all topology-invariant and are reused as-is.
+    /// Only the delay-dependent slice of the
+    /// [`TimedPlan`](crate::plan::TimedPlan) is rewritten, in place, with
+    /// zero allocation — this is what makes per-corner Monte Carlo
+    /// profiling an order of magnitude cheaper than constructing a fresh
+    /// kernel per corner.
     ///
     /// After the swap the kernel is in byte-for-byte the state a freshly
     /// constructed `LevelSim::new(netlist, topology, delays)` (plus the
@@ -300,24 +315,23 @@ impl<'a> LevelSim<'a> {
 
     /// Restores the kernel to its post-construction state under the
     /// *current* delays: settled values come back from the cached
-    /// re-initialization snapshot with one memcpy, cumulative toggle
-    /// counters clear, and stale waveforms are invalidated. Tri-state
-    /// holds make settled values history-dependent, so this is the only
-    /// way to make a reused kernel behave exactly like a fresh one — it is
+    /// re-initialization snapshot with one memcpy, and cumulative toggle
+    /// counters clear. Tri-state holds make settled values
+    /// history-dependent, so this is the only way to make a reused kernel
+    /// behave exactly like a fresh one — it is
     /// the state-restore half of [`retime`](Self::retime), exposed for
     /// callers that replay workloads without changing delays. Any attached
     /// [`FaultOverlay`](crate::FaultOverlay) and cancel token survive.
     pub fn reset(&mut self) {
         self.values.copy_from_slice(&self.init_values);
         self.toggles_per_gate.iter_mut().for_each(|c| *c = 0);
-        // Stale waveforms must not leak into the next step's merges.
-        self.epoch += 1;
     }
 
     /// Installs a [`CancelToken`](crate::CancelToken): subsequent
-    /// [`step`](Self::step)/[`settle`](Self::settle) calls poll it once per
-    /// dirty level and abort with [`NetlistError::Cancelled`] once it fires.
-    /// Pass `None` to detach. After a cancelled step the settled values are
+    /// [`step`](Self::step)/[`settle`](Self::settle) calls poll it before
+    /// each stride of 1024 gates in the sweep, the first before gate 0,
+    /// and abort with [`NetlistError::Cancelled`] once it fires. Pass
+    /// `None` to detach. After a cancelled step the settled values are
     /// unspecified; [`settle`](Self::settle) before measuring again.
     pub fn set_cancel_token(&mut self, token: Option<crate::CancelToken>) {
         self.cancel = token;
@@ -405,163 +419,117 @@ impl<'a> LevelSim<'a> {
                 got: inputs.len(),
             });
         }
-        self.epoch += 1;
-        self.arena.clear();
-        self.dirty_nets.clear();
-        // The touched set is per step: drop the bits the previous step,
-        // cancelled or not, left behind.
-        self.touched.fill(0);
+        // Keep only the shared empty waveform.
+        self.arena.truncate(1);
+        self.commits.clear();
 
         let mut timing = PatternTiming::default();
         let mut last_out_fs: u64 = 0;
 
-        // Seed: changed inputs become single-event waveforms at t = 0 and
-        // mark their fanout cones dirty. Unchanged inputs touch nothing —
-        // this is where incremental re-simulation starts.
+        // Seed: a changed input becomes a single-event waveform at t = 0,
+        // an unchanged one points at the empty waveform.
         for (&net, &v) in self.netlist.inputs().iter().zip(inputs) {
             let idx = net.index();
             let v = self.coerce(idx, v);
             if v == self.values[idx] {
+                self.waves[idx] = EMPTY;
                 continue;
             }
-            self.waves[idx] = WaveMeta {
-                epoch: self.epoch,
-                start: self.arena.len() as u32,
-                len: 1,
-            };
-            self.arena.push(pack(0, v));
-            self.dirty_nets.push(idx as u32);
+            self.waves[idx] = self.arena.len() as u32;
+            self.arena.extend([pack(0, v), END]);
+            self.commits.push((idx as u32, v));
             timing.events += 1;
             if self.topology.is_output(net) {
                 timing.output_toggles += 1;
             }
-            self.mark_fanout(idx);
         }
 
-        let mut out_buf = std::mem::take(&mut self.out_scratch);
-
-        for lvl in 1..=self.plan.max_level() as usize {
-            let mut queue = std::mem::take(&mut self.queues[lvl]);
-            if queue.is_empty() {
-                self.queues[lvl] = queue;
-                continue;
+        // One pass in builder order, which is topological: every gate's
+        // input waveforms are final when it merges, and every net's
+        // `waves` entry is rewritten before any gate reads it.
+        let gate_count = self.plan.gate_count();
+        for chunk in (0..gate_count).step_by(CANCEL_STRIDE) {
+            if self
+                .cancel
+                .as_ref()
+                .is_some_and(crate::CancelToken::is_cancelled)
+            {
+                return Err(NetlistError::Cancelled);
             }
-
-            if let Some(token) = &self.cancel {
-                if token.is_cancelled() {
-                    // Leave the simulator structurally reusable: drop all
-                    // dirty queues and scratch. Settled values are
-                    // unspecified until the next `settle`.
-                    queue.clear();
-                    self.queues[lvl] = queue;
-                    for q in &mut self.queues {
-                        q.clear();
-                    }
-                    self.out_scratch = out_buf;
-                    return Err(NetlistError::Cancelled);
+            for g in chunk..gate_count.min(chunk + CANCEL_STRIDE) {
+                let start = self.arena.len();
+                match self.plan.inputs_of(g).len() {
+                    1 => self.merge::<1>(g),
+                    2 => self.merge::<2>(g),
+                    3 => self.merge::<3>(g),
+                    4 => self.merge::<4>(g),
+                    _ => self.merge_dyn(g),
                 }
+                self.publish(g, start, &mut timing, &mut last_out_fs);
             }
-
-            // Gates on one level never feed each other, so a level's dirty
-            // set can be computed in any order and applied in queue order.
-            for &g in &queue {
-                out_buf.clear();
-                self.compute_wave(g as usize, &mut out_buf);
-                if !out_buf.is_empty() {
-                    self.apply_wave(g as usize, &out_buf, &mut timing, &mut last_out_fs);
-                }
-            }
-
-            queue.clear();
-            self.queues[lvl] = queue;
         }
 
-        self.out_scratch = out_buf;
-
-        // Commit: a dirty net's settled value is its last transition.
-        // Deferred to the end so `compute_wave` reads previous-vector values.
-        for i in 0..self.dirty_nets.len() {
-            let n = self.dirty_nets[i] as usize;
-            let m = self.waves[n];
-            let end = (m.start + m.len) as usize;
-            self.values[n] = unpack(self.arena[end - 1]).1;
+        // Commit: a net's settled value is its last transition. Deferred
+        // to the end so every merge reads previous-vector values.
+        for &(n, v) in &self.commits {
+            self.values[n as usize] = v;
         }
 
         timing.delay_ns = last_out_fs as f64 / FS_PER_NS;
         Ok(timing)
     }
 
-    /// Net `n`'s committed transitions this step (empty if untouched),
-    /// as packed events.
-    #[inline]
-    fn wave_of(&self, n: usize) -> &[u64] {
-        let m = self.waves[n];
-        if m.epoch == self.epoch {
-            let start = m.start as usize;
-            &self.arena[start..start + m.len as usize]
-        } else {
-            &[]
-        }
-    }
-
-    /// Merges gate `g`'s input waveforms into its output waveform (pushed to
-    /// `out`), replaying `EventSim`'s commit/evaluate/schedule rules — see
-    /// the module docs. Pure read of `self`, so a level's dirty gates can
-    /// run concurrently.
-    ///
-    /// Dispatches on arity so the hot 1–3-input shapes run with fixed-size
-    /// cursor/value state in registers and hoisted waveform slices (the
-    /// interior of the profiling hot loop); wider gates take the
-    /// heap-backed generic path.
-    fn compute_wave(&self, g: usize, out: &mut Vec<u64>) {
-        match self.plan.inputs_of(g).len() {
-            1 => self.merge_wave::<1>(g, out),
-            2 => self.merge_wave::<2>(g, out),
-            3 => self.merge_wave::<3>(g, out),
-            4 => self.merge_wave::<4>(g, out),
-            _ => self.merge_wave_dyn(g, out),
-        }
-    }
-
-    /// The arity-`K` merge. `K` must equal gate `g`'s input count.
-    fn merge_wave<const K: usize>(&self, g: usize, out: &mut Vec<u64>) {
+    /// Merges arity-`K` gate `g`'s input waveforms into its output
+    /// waveform at the arena tail, replaying `EventSim`'s
+    /// commit/evaluate/schedule rules (see the module docs). A gate with
+    /// no switching input returns after `K` loads; one with a single
+    /// switching input (`K` ≤ 3) takes [`merge_single`](Self::merge_single).
+    fn merge<const K: usize>(&mut self, g: usize) {
         let inputs = self.plan.inputs_of(g);
         debug_assert_eq!(inputs.len(), K);
+        // `pos[i]` is input `i`'s arena cursor; `next[i]` caches the packed
+        // event under it (`END` once exhausted). Packed events order by
+        // time when compared whole (time is in the upper bits).
+        let mut pos = [0usize; K];
+        let mut active = 0;
+        let mut last_active = 0;
+        for i in 0..K {
+            pos[i] = self.waves[inputs[i] as usize] as usize;
+            if pos[i] != EMPTY as usize {
+                active += 1;
+                last_active = i;
+            }
+        }
+        if active == 0 {
+            return;
+        }
+        let mut cur = [Logic::X; K];
+        for i in 0..K {
+            cur[i] = self.values[inputs[i] as usize];
+        }
+        if K <= 3 && active == 1 {
+            return self.merge_single(g, cur, last_active, pos[last_active]);
+        }
+        let mut next = [END; K];
+        for i in 0..K {
+            next[i] = self.arena[pos[i]];
+        }
         let out_net = self.plan.output(g);
         let delay = self.plan.delay_fs(g);
         let kind = self.plan.kind(g);
-
-        let empty: &[u64] = &[];
-        let mut waves = [empty; K];
-        let mut cur = [Logic::X; K];
-        let mut cursors = [0usize; K];
-        // `next[i]` caches the packed head event of wave `i` (`u64::MAX`
-        // when exhausted), so each loop iteration reads registers instead
-        // of re-probing the slices. Packed events order by time when
-        // compared whole (time is in the upper bits).
-        let mut next = [u64::MAX; K];
-        for i in 0..K {
-            let n = inputs[i] as usize;
-            waves[i] = self.wave_of(n);
-            cur[i] = self.values[n];
-            next[i] = waves[i].first().copied().unwrap_or(u64::MAX);
-        }
-        let mut committed = self.values[out_net];
-        // The pending output transition, packed like an arena event;
-        // `u64::MAX` means none (its time field exceeds any real timestamp,
-        // so the due-commit comparison needs no separate branch).
-        let mut pending: u64 = u64::MAX;
-        let ki = kind as usize;
-        let is_tbuf = kind == GateKind::Tbuf;
-        let overlay = self.overlay.as_ref();
+        let mut committed = self.values[out_net] as u64;
+        // The pending output transition, packed like an arena event; `END`
+        // means none (its time field exceeds any real timestamp, so the
+        // due-commit comparison needs no separate branch).
+        let mut pending = END;
 
         loop {
             // Next input-event timestamp across all cursors.
-            let mut m = u64::MAX;
+            let mut m = END;
             for &e in &next {
                 m = m.min(e);
             }
-            if m == u64::MAX {
+            if m == END {
                 break;
             }
             let t_now = m >> 2;
@@ -569,172 +537,180 @@ impl<'a> LevelSim<'a> {
             // commits first if due, then all input events at `t_now` apply,
             // then the gate evaluates once.
             if pending >> 2 <= t_now {
-                out.push(pending);
-                committed = LEVELS[(pending & 3) as usize];
-                pending = u64::MAX;
+                self.arena.push(pending);
+                committed = pending & 3;
+                pending = END;
             }
             for i in 0..K {
                 while next[i] >> 2 == t_now {
                     cur[i] = LEVELS[(next[i] & 3) as usize];
-                    cursors[i] += 1;
-                    next[i] = waves[i].get(cursors[i]).copied().unwrap_or(u64::MAX);
+                    pos[i] += 1;
+                    next[i] = self.arena[pos[i]];
                 }
             }
-            let candidate = if is_tbuf {
-                match cur[K - 1].read().to_bool() {
-                    Some(true) => Some(cur[0].read()),
-                    Some(false) => None, // hold: committed and pending survive
-                    None => Some(Logic::X),
-                }
-            } else {
-                let mut idx = 0usize;
-                for &c in &cur {
-                    idx = (idx << 2) | c as usize;
-                }
-                Some(match K {
-                    1 => self.lut1[ki][idx],
-                    2 => self.lut2[ki][idx],
-                    3 => self.lut3[ki][idx],
-                    _ => kind.eval(&cur),
-                })
+            let Some(v) = self.eval(kind, &cur) else {
+                continue;
             };
-            let Some(v) = candidate else { continue };
-            let v = match overlay {
-                Some(o) => o.apply_scalar(out_net, v),
-                None => v,
-            };
-            // EventSim::schedule, minus the queue: at most one pending
-            // transition, same-value keeps the earlier arrival, a
-            // disagreement retracts, a collapse back to `committed` cancels.
-            let cand = pack(t_now + delay, v);
-            if pending != u64::MAX {
-                if pending & 3 == cand & 3 {
-                    // Same value: packed compare is a time compare here.
-                    pending = pending.min(cand);
-                } else if v == committed {
-                    pending = u64::MAX;
-                } else {
-                    pending = cand;
-                }
-            } else if v != committed {
-                pending = cand;
-            }
+            let v = self.coerce(out_net, v);
+            schedule(&mut pending, committed, t_now + delay, v as u64);
         }
         // Inputs exhausted: a surviving pending transition commits when the
         // event queue would have drained to it.
-        if pending != u64::MAX {
-            out.push(pending);
+        if pending != END {
+            self.arena.push(pending);
+        }
+    }
+
+    /// Evaluates `kind` on `cur` through the truth-table LUTs; `None` is a
+    /// disabled `TBUF` (hold: no event).
+    #[inline(always)]
+    fn eval<const K: usize>(&self, kind: GateKind, cur: &[Logic; K]) -> Option<Logic> {
+        if kind == GateKind::Tbuf {
+            return match cur[K - 1].read().to_bool() {
+                Some(true) => Some(cur[0].read()),
+                Some(false) => None,
+                None => Some(Logic::X),
+            };
+        }
+        let mut idx = 0usize;
+        for &c in cur {
+            idx = (idx << 2) | c as usize;
+        }
+        let ki = kind as usize;
+        Some(match K {
+            1 => self.lut1[ki][idx],
+            2 => self.lut2[ki][idx],
+            3 => self.lut3[ki][idx],
+            _ => kind.eval(cur),
+        })
+    }
+
+    /// The merge of an arity-`K` gate whose only switching input is
+    /// `cur[active]`, read from arena position `pos`. The quiet inputs are
+    /// folded into a 4-entry map from the active input's level to the
+    /// coerced output level ([`HOLD`] for a disabled `TBUF`), so each event
+    /// costs one lookup. When every entry is a hold or the committed value
+    /// no transition can ever be scheduled, and the merge returns at once.
+    fn merge_single<const K: usize>(
+        &mut self,
+        g: usize,
+        mut cur: [Logic; K],
+        active: usize,
+        mut pos: usize,
+    ) {
+        let out_net = self.plan.output(g);
+        let kind = self.plan.kind(g);
+        let mut committed = self.values[out_net] as u64;
+        let mut map = [HOLD; 4];
+        let mut live = false;
+        for (level, code) in LEVELS.into_iter().zip(&mut map) {
+            cur[active] = level;
+            if let Some(v) = self.eval(kind, &cur) {
+                *code = self.coerce(out_net, v) as u64;
+                live |= *code != committed;
+            }
+        }
+        if !live {
+            return;
+        }
+        let delay = self.plan.delay_fs(g);
+        let mut pending = END;
+        // One waveform has strictly increasing times: one event per delta
+        // cycle.
+        let mut e = self.arena[pos];
+        while e != END {
+            let t_now = e >> 2;
+            if pending >> 2 <= t_now {
+                self.arena.push(pending);
+                committed = pending & 3;
+                pending = END;
+            }
+            let code = map[(e & 3) as usize];
+            if code != HOLD {
+                schedule(&mut pending, committed, t_now + delay, code);
+            }
+            pos += 1;
+            e = self.arena[pos];
+        }
+        if pending != END {
+            self.arena.push(pending);
         }
     }
 
     /// The rare wide-gate merge (arity > 4): identical rules, heap-backed
     /// per-call state.
-    fn merge_wave_dyn(&self, g: usize, out: &mut Vec<u64>) {
+    fn merge_dyn(&mut self, g: usize) {
         let inputs = self.plan.inputs_of(g);
+        let mut pos: Vec<usize> = inputs
+            .iter()
+            .map(|&n| self.waves[n as usize] as usize)
+            .collect();
+        if pos.iter().all(|&p| p == EMPTY as usize) {
+            return;
+        }
+        let mut cur: Vec<Logic> = inputs.iter().map(|&n| self.values[n as usize]).collect();
         let out_net = self.plan.output(g);
         let delay = self.plan.delay_fs(g);
         let kind = self.plan.kind(g);
-
-        let waves: Vec<&[u64]> = inputs.iter().map(|&n| self.wave_of(n as usize)).collect();
-        let mut cur: Vec<Logic> = inputs.iter().map(|&n| self.values[n as usize]).collect();
-        let mut cursors = vec![0usize; inputs.len()];
-        let mut committed = self.values[out_net];
-        let mut pending: Option<(u64, Logic)> = None;
+        let mut committed = self.values[out_net] as u64;
+        let mut pending = END;
 
         loop {
-            let mut t_now = u64::MAX;
-            for (w, &c) in waves.iter().zip(&cursors) {
-                if let Some(&e) = w.get(c) {
-                    t_now = t_now.min(e >> 2);
-                }
-            }
-            if t_now == u64::MAX {
+            let m = pos.iter().map(|&p| self.arena[p]).min().unwrap_or(END);
+            if m == END {
                 break;
             }
-            if let Some((pt, pv)) = pending {
-                if pt <= t_now {
-                    out.push(pack(pt, pv));
-                    committed = pv;
-                    pending = None;
-                }
+            let t_now = m >> 2;
+            if pending >> 2 <= t_now {
+                self.arena.push(pending);
+                committed = pending & 3;
+                pending = END;
             }
-            for i in 0..waves.len() {
-                while let Some(&e) = waves[i].get(cursors[i]) {
-                    if e >> 2 != t_now {
-                        break;
-                    }
-                    cur[i] = LEVELS[(e & 3) as usize];
-                    cursors[i] += 1;
+            for (p, c) in pos.iter_mut().zip(&mut cur) {
+                while self.arena[*p] >> 2 == t_now {
+                    *c = LEVELS[(self.arena[*p] & 3) as usize];
+                    *p += 1;
                 }
             }
             // Tbuf is always arity 2, so no tri-state case here.
             let v = self.coerce(out_net, kind.eval(&cur));
-            let t = t_now + delay;
-            match pending {
-                Some((pt, pv)) => {
-                    if pv == v {
-                        if t < pt {
-                            pending = Some((t, v));
-                        }
-                    } else if v == committed {
-                        pending = None;
-                    } else {
-                        pending = Some((t, v));
-                    }
-                }
-                None => {
-                    if v != committed {
-                        pending = Some((t, v));
-                    }
-                }
-            }
+            schedule(&mut pending, committed, t_now + delay, v as u64);
         }
-        if let Some((pt, pv)) = pending {
-            out.push(pack(pt, pv));
+        if pending != END {
+            self.arena.push(pending);
         }
     }
 
-    /// Publishes gate `g`'s output waveform: arena bookkeeping, toggle and
-    /// event counters, output-delay tracking, and fanout dirtying.
-    fn apply_wave(
+    /// Publishes the events gate `g`'s merge left at `arena[start..]`:
+    /// the closing sentinel, the net's `waves` entry, its commit, toggle
+    /// and event counters, and output-delay tracking. A gate that emitted
+    /// nothing gets the empty waveform.
+    fn publish(
         &mut self,
         g: usize,
-        events: &[u64],
+        start: usize,
         timing: &mut PatternTiming,
         last_out_fs: &mut u64,
     ) {
-        debug_assert!(!events.is_empty());
         let out_net = self.plan.output(g);
-        self.waves[out_net] = WaveMeta {
-            epoch: self.epoch,
-            start: self.arena.len() as u32,
-            len: events.len() as u32,
-        };
-        self.arena.extend_from_slice(events);
-        self.dirty_nets.push(out_net as u32);
+        let end = self.arena.len();
+        if end == start {
+            self.waves[out_net] = EMPTY;
+            return;
+        }
+        let last = self.arena[end - 1];
+        self.arena.push(END);
+        self.waves[out_net] = start as u32;
+        self.commits
+            .push((out_net as u32, LEVELS[(last & 3) as usize]));
 
-        let n = events.len() as u64;
+        let n = (end - start) as u64;
         self.toggles_per_gate[g] += n;
         timing.gate_toggles += n;
         timing.events += n;
         if self.topology.is_output(NetId::from_index(out_net)) {
             timing.output_toggles += n;
-            *last_out_fs = (*last_out_fs).max(events[events.len() - 1] >> 2);
-        }
-        self.mark_fanout(out_net);
-    }
-
-    /// Marks `net`'s fanout gates dirty (once per step, via the touched
-    /// bitset).
-    fn mark_fanout(&mut self, net: usize) {
-        for &g in self.plan.fanout_of(net) {
-            let gi = g as usize;
-            let (word, bit) = (gi / 64, 1u64 << (gi % 64));
-            if self.touched[word] & bit == 0 {
-                self.touched[word] |= bit;
-                let lvl = self.plan.level_of(gi) as usize;
-                self.queues[lvl].push(g);
-            }
+            *last_out_fs = (*last_out_fs).max(last >> 2);
         }
     }
 
@@ -998,7 +974,9 @@ mod tests {
         let mut sim = LevelSim::new(&n, &t, d.clone());
         sim.settle(&[Logic::Zero, Logic::Zero]).unwrap();
 
-        // The seed marks gate 0 before the first level polls the token.
+        // The seed publishes input `a`'s waveform before the sweep polls
+        // the token at gate 0, so the cancelled step leaves a stale
+        // waveform entry behind.
         let token = CancelToken::new();
         token.cancel();
         sim.set_cancel_token(Some(token));
@@ -1006,14 +984,106 @@ mod tests {
         assert_eq!(err, NetlistError::Cancelled);
 
         // A cancelled step commits nothing, so input `a` is still 0: the
-        // next step toggles only `b` and must behave exactly like a fresh
-        // kernel stepped from (0,0) to (0,1).
+        // next step toggles only `b`, must not replay `a`'s stale waveform,
+        // and must behave exactly like a fresh kernel stepped from (0,0)
+        // to (0,1).
         sim.set_cancel_token(None);
         let timing = sim.step(&[Logic::Zero, Logic::One]).unwrap();
         let mut fresh = LevelSim::new(&n, &t, d);
         fresh.settle(&[Logic::Zero, Logic::Zero]).unwrap();
         assert_eq!(timing, fresh.step(&[Logic::Zero, Logic::One]).unwrap());
         assert_eq!(sim.output_values(), fresh.output_values());
+    }
+
+    /// Steps a fresh `LevelSim` and `EventSim` through `vectors` in lock
+    /// step: identical timing, every net value and the toggle counters.
+    fn assert_matches_event_sim(n: &Netlist, vectors: &[[Logic; 3]]) {
+        let t = n.topology().unwrap();
+        let d = DelayAssignment::uniform(n, &DelayModel::nominal());
+        let mut level = LevelSim::new(n, &t, d.clone());
+        let mut event = EventSim::new(n, &t, d);
+        for v in vectors {
+            assert_eq!(level.step(v).unwrap(), event.step(v).unwrap(), "{v:?}");
+            for idx in 0..n.net_count() {
+                let net = NetId::from_index(idx);
+                assert_eq!(level.value(net), event.value(net), "net {idx} on {v:?}");
+            }
+            assert_eq!(level.gate_toggle_counts(), event.gate_toggle_counts());
+        }
+    }
+
+    /// Inputs `a`, `b`, `c`, plus `pulse`: `a` XOR five inverters of `a`,
+    /// whose step waveform is a two-event hazard pulse.
+    fn with_pulse() -> (Netlist, [NetId; 4]) {
+        let mut n = Netlist::new();
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let c = n.add_input("c");
+        let mut x = a;
+        for _ in 0..5 {
+            x = n.add_gate(GateKind::Not, &[x]).unwrap();
+        }
+        let pulse = n.add_gate(GateKind::Xor, &[a, x]).unwrap();
+        (n, [a, b, c, pulse])
+    }
+
+    #[test]
+    fn single_active_tbuf_matches_event_sim_with_held_enable() {
+        use Logic::{One, Zero, X};
+        let (mut n, [a, _, en, pulse]) = with_pulse();
+        let direct = n.add_gate(GateKind::Tbuf, &[a, en]).unwrap();
+        let pulsed = n.add_gate(GateKind::Tbuf, &[pulse, en]).unwrap();
+        n.mark_output(direct, "direct");
+        n.mark_output(pulsed, "pulsed");
+        // The first vector drives both outputs to a known 0 with the
+        // enable on, so a held-off enable must hold that 0, not float.
+        for held in [Zero, One, X] {
+            assert_matches_event_sim(
+                &n,
+                &[
+                    [Zero, Zero, One],
+                    [Zero, Zero, held],
+                    [One, Zero, held],
+                    [Zero, Zero, held],
+                    [One, Zero, held],
+                    [One, Zero, held],
+                ],
+            );
+        }
+        // Enable as the only switching input, data held at each level.
+        for held in [Zero, One, X] {
+            assert_matches_event_sim(
+                &n,
+                &[
+                    [held, Zero, Zero],
+                    [held, Zero, One],
+                    [held, Zero, X],
+                    [held, Zero, Zero],
+                ],
+            );
+        }
+    }
+
+    #[test]
+    fn single_active_mux2_matches_event_sim_with_x_select() {
+        use Logic::{One, Zero, X};
+        let (mut n, [a, b, sel, pulse]) = with_pulse();
+        let direct = n.add_gate(GateKind::Mux2, &[a, b, sel]).unwrap();
+        let pulsed = n.add_gate(GateKind::Mux2, &[pulse, b, sel]).unwrap();
+        n.mark_output(direct, "direct");
+        n.mark_output(pulsed, "pulsed");
+        assert_matches_event_sim(
+            &n,
+            &[
+                [Zero, Zero, X],
+                [One, Zero, X],
+                [Zero, Zero, X],
+                [Zero, One, X],
+                [One, One, X],
+                [Zero, One, X],
+                [One, One, X],
+            ],
+        );
     }
 
     #[test]

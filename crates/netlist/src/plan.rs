@@ -8,12 +8,11 @@
 //! indirection per gate input per pattern from the hottest loop in the
 //! workspace.
 //!
-//! [`TimedPlan`] extends the functional [`GatePlan`] into a levelized
-//! *timing* schedule for [`LevelSim`](crate::LevelSim): the same flat
-//! arrays plus each gate instance's propagation delay in integer
-//! femtoseconds and its topological level, so the timed kernel can sweep
-//! dirty gates level by level in linear memory instead of popping a
-//! priority queue.
+//! [`TimedPlan`] extends the functional [`GatePlan`] into a *timing*
+//! schedule for [`LevelSim`](crate::LevelSim): the same flat arrays plus
+//! each gate instance's propagation delay in integer femtoseconds, so the
+//! timed kernel sweeps the gates once per step in the same builder order,
+//! in linear memory, instead of popping a priority queue.
 
 use agemul_logic::GateKind;
 
@@ -88,30 +87,25 @@ impl GatePlan {
     }
 }
 
-/// A levelized timing schedule: the flat [`GatePlan`] arrays plus per-gate
-/// integer-femtosecond delays and topological levels.
+/// A timing schedule: the flat [`GatePlan`] arrays plus per-gate
+/// integer-femtosecond delays.
 ///
-/// This is the compiled form [`LevelSim`](crate::LevelSim) executes. The
-/// level of a gate (copied from [`Topology`]) is strictly greater than the
-/// level of every gate driving one of its inputs, so sweeping levels in
-/// ascending order guarantees that when a gate is evaluated, the complete
-/// step waveform of each of its input nets is already final.
+/// This is the compiled form [`LevelSim`](crate::LevelSim) executes. Gate
+/// order is builder order, which is topological (every gate reads nets
+/// created before it), so one ascending sweep reaches each gate only after
+/// the complete step waveform of each of its input nets is final. The
+/// depth ([`max_level`](Self::max_level), from [`Topology`]) bounds the
+/// latest event time of a step, which the kernel checks against its
+/// packed-timestamp headroom.
 #[derive(Clone, Debug)]
 pub(crate) struct TimedPlan {
     gates: GatePlan,
     delays_fs: Vec<u64>,
-    level_of: Vec<u32>,
     max_level: u32,
-    /// Flattened fanout adjacency: `fan_dat[fan_off[n]..fan_off[n + 1]]`
-    /// are the gates reading net `n` (contiguous, unlike the per-net
-    /// `Vec`s in [`Topology`] — one pointer chase less in the dirty-
-    /// propagation loop).
-    fan_off: Vec<u32>,
-    fan_dat: Vec<u32>,
 }
 
 impl TimedPlan {
-    /// Compiles `netlist` + `delays` into a levelized schedule.
+    /// Compiles `netlist` + `delays` into a timing schedule.
     ///
     /// # Panics
     ///
@@ -129,36 +123,18 @@ impl TimedPlan {
         let delays_fs = (0..netlist.gate_count())
             .map(|g| delays.delay_fs(GateId::from_index(g)))
             .collect();
-        let level_of = (0..netlist.gate_count())
-            .map(|g| topology.level(GateId::from_index(g)))
-            .collect();
-        let mut fan_off = Vec::with_capacity(netlist.net_count() + 1);
-        let mut fan_dat = Vec::new();
-        fan_off.push(0);
-        for n in 0..netlist.net_count() {
-            fan_dat.extend(
-                topology
-                    .fanout(crate::NetId::from_index(n))
-                    .iter()
-                    .map(|g| g.index() as u32),
-            );
-            fan_off.push(fan_dat.len() as u32);
-        }
         TimedPlan {
             gates,
             delays_fs,
-            level_of,
             max_level: topology.max_level(),
-            fan_off,
-            fan_dat,
         }
     }
 
     /// Swaps in a new per-gate delay vector, leaving every
-    /// topology-invariant part (flat gate arrays, levels, CSR fanout)
-    /// untouched. The in-place rewrite is what makes corner-batched
-    /// Monte Carlo profiling cheap: only the delay-dependent slice of the
-    /// schedule changes between corners, with zero allocation.
+    /// topology-invariant part (flat gate arrays, depth) untouched. The
+    /// in-place rewrite is what makes corner-batched Monte Carlo profiling
+    /// cheap: only the delay-dependent slice of the schedule changes
+    /// between corners, with zero allocation.
     ///
     /// # Panics
     ///
@@ -213,22 +189,10 @@ impl TimedPlan {
         self.delays_fs[g]
     }
 
-    /// Gate `g`'s topological level (1 = reads only inputs/constants).
-    #[inline]
-    pub(crate) fn level_of(&self, g: usize) -> u32 {
-        self.level_of[g]
-    }
-
     /// The deepest level in the schedule (0 for a gate-free netlist).
     #[inline]
     pub(crate) fn max_level(&self) -> u32 {
         self.max_level
-    }
-
-    /// The gates reading net `n` (flattened fanout adjacency).
-    #[inline]
-    pub(crate) fn fanout_of(&self, n: usize) -> &[u32] {
-        &self.fan_dat[self.fan_off[n] as usize..self.fan_off[n + 1] as usize]
     }
 }
 
@@ -279,8 +243,6 @@ mod tests {
         let plan = TimedPlan::new(&n, &topo, &delays);
         assert_eq!(plan.gate_count(), 2);
         assert_eq!(plan.max_level(), 2);
-        assert_eq!(plan.level_of(0), 1);
-        assert_eq!(plan.level_of(1), 2);
         for g in 0..2 {
             assert_eq!(plan.delay_fs(g), delays.delay_fs(GateId::from_index(g)));
             assert_eq!(plan.kind(g), GateKind::Not);

@@ -54,8 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Uniform nominal delays: both kernels agree femtosecond-for-
-    /// femtosecond across whole vector sequences (the incremental cone
-    /// path is exercised by every partial bit change in the sequence).
+    /// femtosecond across whole vector sequences.
     #[test]
     fn level_sim_matches_event_sim_on_random_circuits(
         recipes in proptest::collection::vec(arb_gate(), 1..60),
@@ -65,6 +64,39 @@ proptest! {
         let n = build_netlist(&recipes, inputs);
         let topo = n.topology().unwrap();
         let delays = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        let mut level = LevelSim::new(&n, &topo, delays.clone());
+        let mut event = EventSim::new(&n, &topo, delays);
+        assert_locked_steps(&n, &mut level, &mut event, inputs, &seqs);
+    }
+
+    /// Single-bit walks: every step flips one input bit of the previous
+    /// vector, and one vector is applied twice in a row. Each step then
+    /// leaves most gates quiet (the dense sweep's skip), drives gates with
+    /// exactly one switching input (the single-active merge), and the
+    /// repeat switches nothing at all.
+    #[test]
+    fn level_sim_matches_event_sim_on_single_bit_walks(
+        recipes in proptest::collection::vec(arb_gate(), 1..60),
+        start in any::<u64>(),
+        flips in proptest::collection::vec(0..GEN_INPUTS, 1..12),
+        repeat_at in any::<u16>(),
+        factor_seed in proptest::collection::vec(0.5f64..4.0, 1..50),
+    ) {
+        let inputs = GEN_INPUTS;
+        let n = build_netlist(&recipes, inputs);
+        let topo = n.topology().unwrap();
+        let mut seqs = vec![start];
+        for &bit in &flips {
+            let prev = seqs[seqs.len() - 1];
+            seqs.push(prev ^ (1 << bit));
+        }
+        let at = repeat_at as usize % seqs.len();
+        seqs.insert(at + 1, seqs[at]);
+        let factors: Vec<f64> = (0..n.gate_count())
+            .map(|g| factor_seed[g % factor_seed.len()])
+            .collect();
+        let delays =
+            DelayAssignment::with_factors(&n, &DelayModel::nominal(), &factors).unwrap();
         let mut level = LevelSim::new(&n, &topo, delays.clone());
         let mut event = EventSim::new(&n, &topo, delays);
         assert_locked_steps(&n, &mut level, &mut event, inputs, &seqs);
