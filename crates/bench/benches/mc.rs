@@ -7,9 +7,8 @@
 //! full `LevelSim` construction (levelize, CSR fanout, truth-table LUTs,
 //! arena allocation) for every cell. The `retime_corner_*` /
 //! `rebuild_corner_*` row pair isolates exactly that marginal cost — the
-//! acceptance target is retime ≥ 10× below rebuild — and the
-//! `campaign_8corners_*` rows put it in context with the full end-to-end
-//! campaign (factor composition, workload replay, engine judging).
+//! acceptance target is retime ≥ 10× below rebuild. The full campaign
+//! is measured end to end by the benchmark's `mc-yield` workload.
 //!
 //! Both paths produce byte-identical reports (pinned by `agemul`'s
 //! campaign tests), so the ratio is pure overhead, not accuracy traded
@@ -21,17 +20,16 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet, SimEngine};
+use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet};
 use agemul_aging::BtiModel;
 use agemul_circuits::MultiplierKind;
 use agemul_logic::Technology;
 use agemul_netlist::DelayAssignment;
 
-/// Patterns per corner-year replay in the end-to-end rows.
+/// Patterns per corner-year replay of the campaign the rows are built on.
 const OPS: usize = 48;
 
-/// Corners in the end-to-end campaign rows (and distinct delay
-/// assignments cycled through the corner-switch rows).
+/// Distinct delay assignments cycled through the corner-switch rows.
 const CORNERS: usize = 8;
 
 /// The workspace's calibrated per-gate seven-year factor target (see
@@ -82,11 +80,6 @@ fn bench_mc(c: &mut Criterion) {
                 black_box(design.corner_profiler(&delays[i % CORNERS]));
                 i += 1;
             })
-        });
-
-        // End-to-end context: the full campaign on the plan-reuse path.
-        g.bench_function(format!("campaign_{CORNERS}corners_{label}"), |b| {
-            b.iter(|| black_box(campaign.run(SimEngine::Level, None).unwrap()))
         });
     }
     g.finish();

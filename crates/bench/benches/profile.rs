@@ -1,10 +1,9 @@
-//! Profiling-path throughput: event-driven vs levelized vs memoized.
+//! Raw timing-kernel stepping: event-driven vs levelized.
 //!
-//! The tentpole comparison for the levelized timing kernel. The `profile`
-//! group measures the full pipeline (`MultiplierDesign::profile`) per
-//! engine plus the `ProfileCache` hit path; the `level_sim` group strips
-//! it to raw kernel stepping over a pre-encoded workload, isolating the
-//! scheduler from encode/verify overhead.
+//! The `level_sim` group steps each timing kernel over a pre-encoded
+//! workload, isolating the scheduler from encode/verify overhead. The
+//! whole profiling pipeline (`MultiplierDesign::profile`) is measured end
+//! to end by the benchmark's `profile-cold` workload instead.
 //!
 //! Run with `cargo bench -p agemul-bench --bench profile`; set
 //! `CRITERION_JSON=<file>` to append machine-readable results (see
@@ -12,9 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use agemul::{
-    calibrated_delay_model, LaneWidth, MultiplierDesign, PatternSet, ProfileCache, SimEngine,
-};
+use agemul::{calibrated_delay_model, PatternSet};
 use agemul_circuits::{MultiplierCircuit, MultiplierKind};
 use agemul_logic::Logic;
 use agemul_netlist::{DelayAssignment, EventSim, LevelSim};
@@ -27,51 +24,6 @@ const CASES: [(&str, MultiplierKind, usize); 4] = [
 ];
 
 const OPS: usize = 256;
-
-/// Full profiling pipeline over 256 operand pairs: functional sweep,
-/// delay assignment, settle, and one two-vector timed step per pair.
-/// `_event` runs the priority-queue reference, the unsuffixed row the
-/// levelized default, and `_cached` replays through a pre-warmed
-/// [`ProfileCache`] (pure hit: no gate-level simulation at all).
-fn bench_profile(c: &mut Criterion) {
-    let mut g = c.benchmark_group("profile");
-    g.sample_size(10);
-    for (label, kind, width) in CASES {
-        let design = MultiplierDesign::new(kind, width).unwrap();
-        let patterns = PatternSet::uniform(width, OPS, 7);
-        let pairs = patterns.pairs();
-
-        g.bench_function(format!("{label}_event"), |b| {
-            b.iter(|| {
-                design
-                    .profile_with_engine(pairs, None, SimEngine::Event)
-                    .unwrap()
-            })
-        });
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                design
-                    .profile_with_engine(pairs, None, SimEngine::Level)
-                    .unwrap()
-            })
-        });
-
-        let cache = ProfileCache::new();
-        cache.profile(&design, pairs, None).unwrap();
-        g.bench_function(format!("{label}_cached"), |b| {
-            b.iter(|| cache.profile(&design, pairs, None).unwrap())
-        });
-
-        // The wide-lane batch kernel under profiling's functional
-        // verification sweep: 64 and 256 lanes per block.
-        for lanes in LaneWidth::ALL {
-            g.bench_function(format!("{label}_verify_wide{}", lanes.lanes()), |b| {
-                b.iter(|| design.verify_functional_wide(pairs, lanes).unwrap())
-            });
-        }
-    }
-    g.finish();
-}
 
 /// Raw kernel stepping: 256 pre-encoded two-vector transitions through
 /// each timing kernel, no encode or functional-verification overhead.
@@ -115,5 +67,5 @@ fn bench_level_sim(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_profile, bench_level_sim);
+criterion_group!(benches, bench_level_sim);
 criterion_main!(benches);

@@ -10,7 +10,7 @@ use crate::cla::kogge_stone_adder;
 ///
 /// This is the intermediate form shared by the Wallace-tree and Booth
 /// multipliers: partial-product generation fills the columns, and
-/// [`reduce_to_sum`] compresses them into a single bus.
+/// [`reduce_to_sum`](Self::reduce_to_sum) compresses them into a single bus.
 #[derive(Clone, Debug, Default)]
 pub struct BitColumns {
     columns: Vec<Vec<NetId>>,

@@ -4,8 +4,8 @@ use std::fmt;
 
 use agemul_logic::{GateKind, Logic};
 use agemul_netlist::{
-    BatchSim, BlockSim, EventSim, FaultOverlay, FuncSim, LevelSim, NetId, Netlist, NetlistError,
-    PatternTiming, Topology,
+    BatchSim, EventSim, FaultOverlay, FuncSim, LevelSim, NetId, Netlist, NetlistError,
+    PatternTiming,
 };
 
 use crate::case::Case;
@@ -126,10 +126,7 @@ pub fn reference_eval(
 /// 2. [`BatchSim`] (all lanes, clean and overlay) vs the per-step scalar
 ///    results — the overlay masks lane 0 only, so lane 0 of each batch
 ///    compares against the faulted scalar run and the other lanes against
-///    the clean one; the same axis then re-runs at 256 lanes
-///    ([`BlockSim<4>`](BlockSim)), where the overlay's 64-bit mask
-///    replicates per chunk (lane `i` of a block is faulted iff bit
-///    `i % 64` is set);
+///    the clean one;
 /// 3. [`EventSim`] vs [`LevelSim`] in lockstep — identical
 ///    [`PatternTiming`] (femtosecond-derived fields compare with `==`),
 ///    identical values on every net, identical cumulative per-gate toggle
@@ -221,10 +218,6 @@ pub fn check_case(case: &Case) -> Result<Vec<Divergence>, NetlistError> {
         }
     }
 
-    // Axis 2, wide lanes: the same lanes-vs-scalar diff at 256 lanes,
-    // sampling the width-generic kernel the wide profiling path uses.
-    wide_batch_axis::<4>(&mut divs, &n, &topo, &patterns, overlay.as_ref(), &mut fsim)?;
-
     // Axis 3: EventSim vs LevelSim in lockstep, clean → overlay → detach.
     let mut esim = EventSim::new(&n, &topo, delays.clone());
     let mut lsim = LevelSim::new(&n, &topo, delays.clone());
@@ -311,59 +304,6 @@ pub fn check_case(case: &Case) -> Result<Vec<Divergence>, NetlistError> {
     }
 
     Ok(divs)
-}
-
-/// The wide-lane replay of axis 2: a `64 × W`-lane [`BlockSim`] sweep over
-/// the workload (clean, and under the overlay when present) diffed
-/// lane-by-lane against the scalar [`FuncSim`]. The case overlay's lane
-/// mask is 1, which a block replicates per 64-lane chunk, so every lane
-/// with `lane % 64 == 0` of a faulted pass compares against the faulted
-/// scalar run and all others against the clean one.
-fn wide_batch_axis<const W: usize>(
-    divs: &mut Vec<Divergence>,
-    n: &Netlist,
-    topo: &Topology,
-    patterns: &[Vec<Logic>],
-    overlay: Option<&FaultOverlay>,
-    fsim: &mut FuncSim<'_>,
-) -> Result<(), NetlistError> {
-    let mut batch = BlockSim::<W>::new(n, topo);
-    let lanes = BlockSim::<W>::LANES;
-    for (chunk_idx, chunk) in patterns.chunks(lanes).enumerate() {
-        for pass in 0..if overlay.is_some() { 2 } else { 1 } {
-            let faulted_pass = pass == 1;
-            if faulted_pass {
-                batch.eval_batch_with_overlay(chunk, overlay.expect("pass gated"))?;
-            } else {
-                batch.eval_batch(chunk)?;
-            }
-            for (lane, pattern) in chunk.iter().enumerate() {
-                let step = chunk_idx * lanes + lane;
-                if faulted_pass && lane % 64 == 0 {
-                    fsim.eval_with_overlay(pattern, overlay.expect("pass gated"))?;
-                } else {
-                    fsim.eval(pattern)?;
-                }
-                for idx in 0..n.net_count() {
-                    let b = batch.value(NetId::from_index(idx), lane);
-                    let f = fsim.values()[idx];
-                    if b != f {
-                        divs.push(Divergence {
-                            left: EngineId::Batch,
-                            right: EngineId::Func,
-                            step,
-                            site: format!(
-                                "net {idx} (W={W} lane {lane}{})",
-                                if faulted_pass { ", overlay" } else { "" }
-                            ),
-                            detail: format!("{b:?} vs {f:?}"),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Settles both timing kernels and steps them through `patterns`,

@@ -3,7 +3,7 @@
 use agemul_circuits::{MultiplierCircuit, MultiplierKind, Operand};
 use agemul_logic::{DelayModel, Logic};
 use agemul_netlist::{
-    BlockSim, CancelToken, DelayAssignment, EventSim, LevelSim, PatternTiming, SwitchingActivity,
+    BatchSim, CancelToken, DelayAssignment, EventSim, LevelSim, PatternTiming, SwitchingActivity,
     Topology, WorkloadStats,
 };
 
@@ -25,44 +25,14 @@ pub enum SimEngine {
     Level,
 }
 
-/// Batch width for the bit-parallel functional sweeps: how many patterns
-/// one [`BlockSim`](agemul_netlist::BlockSim) pass carries.
-///
-/// The two widths are bit-identical (the wide kernel is a per-chunk
-/// replica of the 64-lane one — property-tested in `agemul-netlist` and
-/// `agemul-conformance`); they trade register pressure for fewer sweep
-/// passes. 64 lanes is the conservative default; 256 lets the
-/// auto-vectorizer issue full-width SIMD loads on AVX2-class cores.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The batch width of the bit-parallel functional sweep. There is one
+/// width, 64 lanes; this one-variant type exists only so the benchmark
+/// probe's `verify_functional_wide(pairs, LaneWidth::W64)` call keeps
+/// compiling.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LaneWidth {
-    /// 64 patterns per pass (one `u64` chunk per plane).
-    #[default]
+    /// 64 patterns per pass, the only width.
     W64,
-    /// 256 patterns per pass (4 chunks — auto-vectorizes to 256-bit ops).
-    W256,
-}
-
-impl LaneWidth {
-    /// Every supported width, narrowest first.
-    pub const ALL: [LaneWidth; 2] = [LaneWidth::W64, LaneWidth::W256];
-
-    /// The number of lanes this width carries per pass.
-    #[inline]
-    pub fn lanes(self) -> usize {
-        match self {
-            LaneWidth::W64 => 64,
-            LaneWidth::W256 => 256,
-        }
-    }
-
-    /// Parses a lane count (`64` or `256`).
-    pub fn from_lanes(lanes: usize) -> Option<LaneWidth> {
-        match lanes {
-            64 => Some(LaneWidth::W64),
-            256 => Some(LaneWidth::W256),
-            _ => None,
-        }
-    }
 }
 
 /// Enum dispatch over the two timing kernels, so the profiling loop is
@@ -231,8 +201,9 @@ impl MultiplierDesign {
     /// from an all-zeros settle, then applies the pairs in order — each
     /// measurement is a genuine two-vector transition, as in the paper's
     /// 65 536-pattern experiments. The timing runs on the levelized
-    /// [`LevelSim`] kernel; see [`profile_with_engine`]
-    /// (Self::profile_with_engine) to force the event-driven reference.
+    /// [`LevelSim`] kernel; see
+    /// [`profile_with_engine`](Self::profile_with_engine) to force the
+    /// event-driven reference.
     ///
     /// # Errors
     ///
@@ -457,7 +428,7 @@ impl MultiplierDesign {
     }
 
     /// Checks that the gate-level circuit computes `a × b` for every pair,
-    /// using one bit-parallel [`BlockSim`] sweep per 64 pairs (~64× cheaper
+    /// using one bit-parallel [`BatchSim`] sweep per 64 pairs (~64× cheaper
     /// than a scalar functional simulation of the same workload).
     ///
     /// # Errors
@@ -465,36 +436,13 @@ impl MultiplierDesign {
     /// Returns [`CoreError::Circuit`] if an operand overflows the width, or
     /// [`CoreError::FunctionalMismatch`] naming the first offending pair.
     pub fn verify_functional(&self, pairs: &[(u64, u64)]) -> Result<(), CoreError> {
-        self.verify_functional_wide(pairs, LaneWidth::default())
-    }
-
-    /// [`verify_functional`](Self::verify_functional) with an explicit
-    /// batch width: 256 lanes carry 4× more patterns per sweep pass with
-    /// identical results (the wide kernel is a per-chunk replica of the
-    /// 64-lane one).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`verify_functional`](Self::verify_functional).
-    pub fn verify_functional_wide(
-        &self,
-        pairs: &[(u64, u64)],
-        width: LaneWidth,
-    ) -> Result<(), CoreError> {
-        match width {
-            LaneWidth::W64 => self.verify_pairs::<1>(pairs),
-            LaneWidth::W256 => self.verify_pairs::<4>(pairs),
-        }
-    }
-
-    fn verify_pairs<const W: usize>(&self, pairs: &[(u64, u64)]) -> Result<(), CoreError> {
-        let mut sim = BlockSim::<W>::new(self.circuit.netlist(), &self.topology);
+        let mut sim = BatchSim::new(self.circuit.netlist(), &self.topology);
         let product = self.circuit.product();
         // One lane-slot buffer set for the whole workload: each chunk
         // re-encodes into the same allocations.
-        let lanes = BlockSim::<W>::LANES.min(pairs.len().max(1));
+        let lanes = BatchSim::LANES.min(pairs.len().max(1));
         let mut patterns: Vec<Vec<Logic>> = vec![Vec::with_capacity(2 * self.width()); lanes];
-        for chunk in pairs.chunks(BlockSim::<W>::LANES) {
+        for chunk in pairs.chunks(BatchSim::LANES) {
             for (slot, &(a, b)) in patterns.iter_mut().zip(chunk) {
                 self.circuit.encode_inputs_into(a, b, slot)?;
             }
@@ -509,6 +457,21 @@ impl MultiplierDesign {
         Ok(())
     }
 
+    /// [`verify_functional`](Self::verify_functional) with a batch width.
+    /// It exists only for the benchmark probe that calls it; the one
+    /// [`LaneWidth`] changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`verify_functional`](Self::verify_functional).
+    pub fn verify_functional_wide(
+        &self,
+        pairs: &[(u64, u64)],
+        _width: LaneWidth,
+    ) -> Result<(), CoreError> {
+        self.verify_functional(pairs)
+    }
+
     /// Collects the workload's signal probabilities (the aging model's
     /// stress input) over `pairs`.
     ///
@@ -521,37 +484,13 @@ impl MultiplierDesign {
     ///
     /// Returns [`CoreError::Circuit`] if an operand overflows the width.
     pub fn workload_stats(&self, pairs: &[(u64, u64)]) -> Result<WorkloadStats, CoreError> {
-        self.workload_stats_wide(pairs, LaneWidth::default())
-    }
-
-    /// [`workload_stats`](Self::workload_stats) with an explicit batch
-    /// width. All widths accumulate bit-identical statistics (the per-net
-    /// weights are exact multiples of 0.5, so the wide and chunked sums
-    /// agree exactly).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`workload_stats`](Self::workload_stats).
-    pub fn workload_stats_wide(
-        &self,
-        pairs: &[(u64, u64)],
-        width: LaneWidth,
-    ) -> Result<WorkloadStats, CoreError> {
         let mut stats = WorkloadStats::new(self.circuit.netlist());
         let encoded: Result<Vec<Vec<Logic>>, CoreError> = pairs
             .iter()
             .map(|&(a, b)| self.circuit.encode_inputs(a, b).map_err(CoreError::from))
             .collect();
         let encoded = encoded?;
-        let (netlist, topology) = (self.circuit.netlist(), &self.topology);
-        match width {
-            LaneWidth::W64 => {
-                stats.observe_patterns_wide::<1, _, _>(netlist, topology, encoded.iter())?
-            }
-            LaneWidth::W256 => {
-                stats.observe_patterns_wide::<4, _, _>(netlist, topology, encoded.iter())?
-            }
-        }
+        stats.observe_patterns(self.circuit.netlist(), &self.topology, encoded.iter())?;
         Ok(stats)
     }
 
@@ -589,8 +528,8 @@ impl MultiplierDesign {
 /// fanout, truth-table LUTs, event arenas, functional init sweep); each
 /// [`retime`](Self::retime) afterwards is an in-place delay swap plus an
 /// `O(nets)` state restore, which is what makes the per-corner marginal
-/// cost an order of magnitude below a from-scratch build. [`profile`]
-/// (Self::profile) runs the exact same workload loop as
+/// cost an order of magnitude below a from-scratch build.
+/// [`profile`](Self::profile) runs the exact same workload loop as
 /// [`MultiplierDesign::profile_with_delays`], so retimed and from-scratch
 /// profiles are byte-identical (property-pinned in `agemul-netlist`).
 ///

@@ -50,4 +50,4 @@ pub use delay::DelayModel;
 pub use gate::GateKind;
 pub use tech::Technology;
 pub use value::Logic;
-pub use word::{lane_mask, LogicBlock, LogicWord};
+pub use word::{lane_mask, LogicWord};

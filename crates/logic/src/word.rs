@@ -269,163 +269,6 @@ impl Default for LogicWord {
     }
 }
 
-/// `W` chained 64-lane words: `64 × W` four-valued lanes in
-/// struct-of-arrays form.
-///
-/// A `LogicBlock<W>` is the wide-lane generalization of [`LogicWord`]: the
-/// three bit planes become `[u64; W]` arrays, so one gate evaluation
-/// processes `64 × W` patterns with `W`-length inner loops the compiler can
-/// auto-vectorize (`W = 4` is a 256-bit sweep, `W = 8` a 512-bit sweep).
-/// `LogicBlock<1>` is layout- and semantics-identical to a single
-/// [`LogicWord`].
-///
-/// # Chunk semantics
-///
-/// Lane `i` lives in chunk `i / 64`, bit `i % 64`; [`LogicBlock::chunk`]
-/// and [`LogicBlock::set_chunk`] convert between a block and its
-/// [`LogicWord`] chunks. Every operation on a block is exactly the
-/// per-chunk [`LogicWord`] operation — a wide batch is bit-identical to
-/// `W` consecutive 64-lane batches. The fault coercions take a single
-/// `u64` mask applied to *every* chunk, matching how a lane-masked fault
-/// overlay replicates across the chunks of a wide sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct LogicBlock<const W: usize> {
-    value: [u64; W],
-    known: [u64; W],
-    z: [u64; W],
-}
-
-impl<const W: usize> LogicBlock<W> {
-    /// Number of lanes in the block.
-    pub const LANES: usize = 64 * W;
-
-    /// All lanes at [`Logic::X`].
-    pub const ALL_X: LogicBlock<W> = LogicBlock {
-        value: [0; W],
-        known: [0; W],
-        z: [0; W],
-    };
-
-    /// The same level in every lane.
-    #[inline]
-    pub fn splat(level: Logic) -> LogicBlock<W> {
-        let w = LogicWord::splat(level);
-        LogicBlock {
-            value: [w.value; W],
-            known: [w.known; W],
-            z: [w.z; W],
-        }
-    }
-
-    /// The 64-lane chunk `c` (lanes `64c .. 64c + 64`) as a [`LogicWord`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= W`.
-    #[inline]
-    pub fn chunk(self, c: usize) -> LogicWord {
-        LogicWord {
-            value: self.value[c],
-            known: self.known[c],
-            z: self.z[c],
-        }
-    }
-
-    /// Replaces chunk `c` (lanes `64c .. 64c + 64`) with `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= W`.
-    #[inline]
-    pub fn set_chunk(&mut self, c: usize, w: LogicWord) {
-        self.value[c] = w.value;
-        self.known[c] = w.known;
-        self.z[c] = w.z;
-    }
-
-    /// The level in lane `lane` (`0 .. 64 × W`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    #[inline]
-    pub fn get(self, lane: usize) -> Logic {
-        self.chunk(lane / 64).get(lane % 64)
-    }
-
-    /// Sets lane `lane` (`0 .. 64 × W`) to `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    #[inline]
-    pub fn set(&mut self, lane: usize, level: Logic) {
-        let mut w = self.chunk(lane / 64);
-        w.set(lane % 64, level);
-        self.set_chunk(lane / 64, w);
-    }
-
-    /// Forces the masked lanes of *every chunk* to [`Logic::Zero`] — the
-    /// block form of a stuck-at-0 fault, replicated per 64-lane chunk.
-    #[inline]
-    pub fn force_zero(mut self, mask: u64) -> LogicBlock<W> {
-        for c in 0..W {
-            self.value[c] &= !mask;
-            self.known[c] |= mask;
-            self.z[c] &= !mask;
-        }
-        self
-    }
-
-    /// Forces the masked lanes of *every chunk* to [`Logic::One`] — the
-    /// block form of a stuck-at-1 fault, replicated per 64-lane chunk.
-    #[inline]
-    pub fn force_one(mut self, mask: u64) -> LogicBlock<W> {
-        for c in 0..W {
-            self.value[c] |= mask;
-            self.known[c] |= mask;
-            self.z[c] &= !mask;
-        }
-        self
-    }
-
-    /// Inverts the *defined* masked lanes of every chunk (undefined lanes
-    /// collapse to `X`), mirroring [`LogicWord::flip`] per chunk.
-    #[inline]
-    pub fn flip(mut self, mask: u64) -> LogicBlock<W> {
-        for c in 0..W {
-            self.value[c] ^= mask & self.known[c];
-            self.z[c] &= !mask;
-        }
-        self
-    }
-
-    /// Sum of per-lane [`Logic::high_weight`] over the `lanes` lowest lanes
-    /// (known `One` counts 1, undefined counts ½). Exact, and identical to
-    /// accumulating the chunks' [`LogicWord::high_weight_sum`] in order.
-    #[inline]
-    pub fn high_weight_sum(self, lanes: usize) -> f64 {
-        debug_assert!(lanes <= Self::LANES);
-        let mut ones = 0u32;
-        let mut unknown = 0u32;
-        let mut left = lanes;
-        for c in 0..W {
-            let mask = lane_mask(left.min(64));
-            ones += (self.value[c] & mask).count_ones();
-            unknown += (!self.known[c] & mask).count_ones();
-            left = left.saturating_sub(64);
-        }
-        // Exact: both terms are integers, the weights are 1 and 0.5.
-        f64::from(ones) + 0.5 * f64::from(unknown)
-    }
-}
-
-impl<const W: usize> Default for LogicBlock<W> {
-    fn default() -> Self {
-        LogicBlock::ALL_X
-    }
-}
-
 impl From<Logic> for LogicWord {
     fn from(level: Logic) -> Self {
         LogicWord::splat(level)
@@ -444,44 +287,6 @@ pub fn lane_mask(lanes: usize) -> u64 {
 }
 
 impl GateKind {
-    /// Evaluates the gate on fully-known two-valued lane words: bit `i` of
-    /// every input is pattern `i`'s value, bit `i` of the result is pattern
-    /// `i`'s output.
-    ///
-    /// This is the fast path for workloads with no floating nets. The two
-    /// kinds whose four-valued semantics cannot be expressed in a single
-    /// bit — [`GateKind::Tbuf`]'s `Z` and unknown-select [`GateKind::Mux2`]
-    /// — take their two-valued projection: a disabled `Tbuf` reads as `0`
-    /// (pull-down convention) and the mux select is always a defined bit.
-    /// Use [`GateKind::eval_wide`] when `X`/`Z` must be preserved; that is
-    /// what `BatchSim` does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` is not a legal arity for the gate kind.
-    pub fn eval_word(self, inputs: &[u64]) -> u64 {
-        assert!(
-            self.accepts_arity(inputs.len()),
-            "gate {self} evaluated with illegal arity {}",
-            inputs.len()
-        );
-        match self {
-            GateKind::Buf => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs.iter().fold(!0u64, |acc, &v| acc & v),
-            GateKind::Or => inputs.iter().fold(0u64, |acc, &v| acc | v),
-            GateKind::Nand => !inputs.iter().fold(!0u64, |acc, &v| acc & v),
-            GateKind::Nor => !inputs.iter().fold(0u64, |acc, &v| acc | v),
-            GateKind::Xor => inputs.iter().fold(0u64, |acc, &v| acc ^ v),
-            GateKind::Xnor => !inputs.iter().fold(0u64, |acc, &v| acc ^ v),
-            GateKind::Mux2 => {
-                let (in0, in1, sel) = (inputs[0], inputs[1], inputs[2]);
-                (sel & in1) | (!sel & in0)
-            }
-            GateKind::Tbuf => inputs[0] & inputs[1],
-        }
-    }
-
     /// Evaluates the gate on four-valued lane words, lane-for-lane
     /// equivalent to [`GateKind::eval`]:
     /// `eval_wide(ws).get(i) == eval(&[ws[0].get(i), ...])` for every lane.
@@ -494,6 +299,9 @@ impl GateKind {
     /// # Panics
     ///
     /// Panics if `inputs.len()` is not a legal arity for the gate kind.
+    // Inlined across the crate boundary into `BatchSim`'s sweep, its only
+    // caller: as an out-of-line call the batch layer runs ~15 % slower.
+    #[inline]
     pub fn eval_wide(self, inputs: &[LogicWord]) -> LogicWord {
         assert!(
             self.accepts_arity(inputs.len()),
@@ -541,69 +349,6 @@ impl GateKind {
                     known: driving & data.known,
                     z: en.known & !en.value,
                 }
-            }
-        }
-    }
-
-    /// Evaluates the gate on `64 × W`-lane blocks — [`GateKind::eval_wide`]
-    /// generalized to [`LogicBlock`], chunk-for-chunk identical to it:
-    /// `eval_block(bs).chunk(c) == eval_wide(&[bs[0].chunk(c), ...])` for
-    /// every chunk. The per-chunk inner loops are plain `[u64; W]` bitwise
-    /// sweeps, which the compiler auto-vectorizes at `W = 4` / `W = 8`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` is not a legal arity for the gate kind.
-    pub fn eval_block<const W: usize>(self, inputs: &[LogicBlock<W>]) -> LogicBlock<W> {
-        assert!(
-            self.accepts_arity(inputs.len()),
-            "gate {self} evaluated with illegal arity {}",
-            inputs.len()
-        );
-        match self {
-            GateKind::Buf => {
-                let a = inputs[0];
-                LogicBlock {
-                    value: a.value,
-                    known: a.known,
-                    z: [0; W],
-                }
-            }
-            GateKind::Not => block_not(inputs[0]),
-            GateKind::And => block_and(inputs),
-            GateKind::Or => block_or(inputs),
-            GateKind::Nand => block_not(block_and(inputs)),
-            GateKind::Nor => block_not(block_or(inputs)),
-            GateKind::Xor => block_xor(inputs),
-            GateKind::Xnor => block_not(block_xor(inputs)),
-            GateKind::Mux2 => {
-                let (in0, in1, sel) = (inputs[0], inputs[1], inputs[2]);
-                let mut out = LogicBlock::ALL_X;
-                for c in 0..W {
-                    // Identical to the word-level Mux2 formula, per chunk.
-                    let agree = in0.known[c] & in1.known[c] & !(in0.value[c] ^ in1.value[c]);
-                    let picked_known =
-                        (sel.value[c] & in1.known[c]) | (!sel.value[c] & in0.known[c]);
-                    let picked_value =
-                        (sel.value[c] & in1.value[c]) | (!sel.value[c] & in0.value[c]);
-                    let known = (sel.known[c] & picked_known) | (!sel.known[c] & agree);
-                    let value =
-                        (sel.known[c] & picked_value) | (!sel.known[c] & agree & in0.value[c]);
-                    out.value[c] = value & known;
-                    out.known[c] = known;
-                }
-                out
-            }
-            GateKind::Tbuf => {
-                let (data, en) = (inputs[0], inputs[1]);
-                let mut out = LogicBlock::ALL_X;
-                for c in 0..W {
-                    let driving = en.known[c] & en.value[c];
-                    out.value[c] = driving & data.value[c];
-                    out.known[c] = driving & data.known[c];
-                    out.z[c] = en.known[c] & !en.value[c];
-                }
-                out
             }
         }
     }
@@ -669,79 +414,6 @@ fn wide_xor(inputs: &[LogicWord]) -> LogicWord {
         known: all_known,
         z: 0,
     }
-}
-
-// Block-level Kleene helpers: the wide_* formulas with `[u64; W]`
-// accumulators. Reading an input collapses Z to X, which only clears the
-// `z` plane — `value`/`known` are used as-is (the invariants guarantee
-// `value ⊆ known`), so no per-input normalization is needed.
-
-#[inline]
-fn block_not<const W: usize>(a: LogicBlock<W>) -> LogicBlock<W> {
-    let mut out = LogicBlock::ALL_X;
-    for c in 0..W {
-        out.value[c] = a.known[c] & !a.value[c];
-        out.known[c] = a.known[c];
-    }
-    out
-}
-
-#[inline]
-fn block_and<const W: usize>(inputs: &[LogicBlock<W>]) -> LogicBlock<W> {
-    let mut value = [!0u64; W];
-    let mut all_known = [!0u64; W];
-    let mut any_zero = [0u64; W];
-    for b in inputs {
-        for c in 0..W {
-            value[c] &= b.value[c];
-            all_known[c] &= b.known[c];
-            any_zero[c] |= b.known[c] & !b.value[c];
-        }
-    }
-    let mut out = LogicBlock::ALL_X;
-    for c in 0..W {
-        let known = all_known[c] | any_zero[c];
-        out.value[c] = value[c] & known;
-        out.known[c] = known;
-    }
-    out
-}
-
-#[inline]
-fn block_or<const W: usize>(inputs: &[LogicBlock<W>]) -> LogicBlock<W> {
-    let mut value = [0u64; W];
-    let mut all_known = [!0u64; W];
-    for b in inputs {
-        for c in 0..W {
-            value[c] |= b.value[c];
-            all_known[c] &= b.known[c];
-        }
-    }
-    let mut out = LogicBlock::ALL_X;
-    for c in 0..W {
-        // Known where every input is known, or a known one dominates.
-        out.known[c] = all_known[c] | value[c];
-        out.value[c] = value[c];
-    }
-    out
-}
-
-#[inline]
-fn block_xor<const W: usize>(inputs: &[LogicBlock<W>]) -> LogicBlock<W> {
-    let mut value = [0u64; W];
-    let mut all_known = [!0u64; W];
-    for b in inputs {
-        for c in 0..W {
-            value[c] ^= b.value[c];
-            all_known[c] &= b.known[c];
-        }
-    }
-    let mut out = LogicBlock::ALL_X;
-    for c in 0..W {
-        out.value[c] = value[c] & all_known[c];
-        out.known[c] = all_known[c];
-    }
-    out
 }
 
 #[cfg(test)]
@@ -810,61 +482,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// `eval_word` agrees with the scalar evaluator on fully-known lanes
-    /// whose scalar output is also known (the documented two-valued
-    /// projection).
-    #[test]
-    fn eval_word_matches_scalar_on_known_lanes() {
-        for kind in GateKind::ALL {
-            let arity = kind.fixed_arity().unwrap_or(3);
-            let combos = 1usize << arity;
-            let words: Vec<u64> = (0..arity)
-                .map(|j| {
-                    let mut w = 0u64;
-                    for c in 0..combos {
-                        if (c >> j) & 1 == 1 {
-                            w |= 1 << c;
-                        }
-                    }
-                    w
-                })
-                .collect();
-            let out = kind.eval_word(&words);
-            for c in 0..combos {
-                let ins: Vec<Logic> = (0..arity).map(|j| Logic::from((c >> j) & 1 == 1)).collect();
-                let scalar = kind.eval(&ins);
-                if let Some(expected) = scalar.to_bool() {
-                    assert_eq!(
-                        (out >> c) & 1 == 1,
-                        expected,
-                        "{kind} lane {c} inputs {ins:?}"
-                    );
-                } else {
-                    // Only a disabled Tbuf is non-two-valued on known
-                    // inputs; the documented projection reads it as 0.
-                    assert_eq!(kind, GateKind::Tbuf);
-                    assert_eq!((out >> c) & 1, 0, "disabled Tbuf projects to 0");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eval_wide_on_known_words_reduces_to_eval_word() {
-        for kind in GateKind::ALL {
-            let arity = kind.fixed_arity().unwrap_or(4);
-            let bits: Vec<u64> = (0..arity)
-                .map(|j| 0xA5A5_5A5A_DEAD_BEEFu64.rotate_left(7 * j as u32))
-                .collect();
-            let words: Vec<LogicWord> = bits.iter().map(|&b| LogicWord::from_bits(b)).collect();
-            let wide = kind.eval_wide(&words);
-            let word = kind.eval_word(&bits);
-            // Wherever the four-valued result is known it must agree with
-            // the two-valued projection.
-            assert_eq!(wide.ones(), word & wide.known(), "{kind}");
         }
     }
 
@@ -941,93 +558,5 @@ mod tests {
         let mut out = [Logic::X; 3];
         w.write_lanes(3, &mut out);
         assert_eq!(out, [Logic::Zero, Logic::One, Logic::Z]);
-    }
-
-    /// Pseudo-random four-valued words for the block equivalence checks.
-    fn scrambled_word(seed: u64) -> LogicWord {
-        let mix = |s: u64, k: u64| {
-            s.wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ k)
-                .rotate_left(29)
-                .wrapping_add(k)
-        };
-        LogicWord::from_planes(mix(seed, 1), mix(seed, 2), mix(seed, 3))
-    }
-
-    /// `eval_block` equals per-chunk `eval_wide` for every gate kind at
-    /// W = 1, 4, and 8 — the bit-identity contract of the wide path.
-    #[test]
-    fn eval_block_matches_eval_wide_per_chunk() {
-        fn check<const W: usize>() {
-            for kind in GateKind::ALL {
-                let arity = kind.fixed_arity().unwrap_or(3);
-                let blocks: Vec<LogicBlock<W>> = (0..arity)
-                    .map(|j| {
-                        let mut b = LogicBlock::ALL_X;
-                        for c in 0..W {
-                            b.set_chunk(c, scrambled_word((j * 31 + c + 7) as u64));
-                        }
-                        b
-                    })
-                    .collect();
-                let out = kind.eval_block(&blocks);
-                for c in 0..W {
-                    let words: Vec<LogicWord> = blocks.iter().map(|b| b.chunk(c)).collect();
-                    assert_eq!(out.chunk(c), kind.eval_wide(&words), "{kind} chunk {c}");
-                }
-            }
-        }
-        check::<1>();
-        check::<4>();
-        check::<8>();
-    }
-
-    #[test]
-    fn block_lane_round_trip_across_chunks() {
-        let mut b = LogicBlock::<4>::ALL_X;
-        for (i, level) in [Logic::One, Logic::Zero, Logic::Z, Logic::X]
-            .iter()
-            .enumerate()
-        {
-            b.set(63 + i * 64, *level);
-            assert_eq!(b.get(63 + i * 64), *level);
-        }
-        assert_eq!(b.get(0), Logic::X);
-        assert_eq!(LogicBlock::<4>::splat(Logic::One).get(255), Logic::One);
-        assert_eq!(LogicBlock::<4>::LANES, 256);
-    }
-
-    /// Block fault coercions equal the per-chunk word coercions with the
-    /// same 64-bit mask — the replication contract the fault overlay uses.
-    #[test]
-    fn block_coercions_replicate_word_coercions_per_chunk() {
-        let mut b = LogicBlock::<4>::ALL_X;
-        for c in 0..4 {
-            b.set_chunk(c, scrambled_word(c as u64 + 11));
-        }
-        let mask = 0xF0F0_A5A5_0F0F_5A5Au64;
-        for c in 0..4 {
-            assert_eq!(b.force_zero(mask).chunk(c), b.chunk(c).force_zero(mask));
-            assert_eq!(b.force_one(mask).chunk(c), b.chunk(c).force_one(mask));
-            assert_eq!(b.flip(mask).chunk(c), b.chunk(c).flip(mask));
-        }
-    }
-
-    /// Block high-weight accumulation equals summing the chunks' word
-    /// sums, including a partial final chunk.
-    #[test]
-    fn block_high_weight_sum_matches_chunked_words() {
-        let mut b = LogicBlock::<4>::ALL_X;
-        for c in 0..4 {
-            b.set_chunk(c, scrambled_word(c as u64 + 3));
-        }
-        for lanes in [0usize, 1, 64, 65, 130, 192, 255, 256] {
-            let mut expected = 0.0;
-            let mut left = lanes;
-            for c in 0..4 {
-                expected += b.chunk(c).high_weight_sum(left.min(64));
-                left = left.saturating_sub(64);
-            }
-            assert_eq!(b.high_weight_sum(lanes), expected, "lanes {lanes}");
-        }
     }
 }

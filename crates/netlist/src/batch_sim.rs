@@ -1,56 +1,50 @@
-//! Bit-parallel batch functional simulator: `64 × W` patterns per sweep.
+//! Bit-parallel batch functional simulator: 64 patterns per sweep.
 //!
 //! [`BatchSim`] is the throughput counterpart of [`FuncSim`](crate::FuncSim).
 //! Where `FuncSim` walks one [`Logic`] value per gate per pattern, `BatchSim`
-//! packs input assignments into [`LogicBlock`] lane blocks — lane `i` of
+//! packs input assignments into [`LogicWord`] lane words — lane `i` of
 //! every net belongs to pattern `i` — and performs **one** topological sweep
-//! per batch, evaluating each gate with block-wide bitwise operations
-//! ([`agemul_logic::GateKind::eval_block`]). The lane width is a const
-//! generic: `BatchSim<'_>` (the default, `W = 1`) is the classic 64-lane
-//! kernel, `BatchSim<'_, 4>` sweeps 256 lanes and `BatchSim<'_, 8>` 512
-//! lanes with auto-vectorizable `[u64; W]` inner loops.
+//! per batch, evaluating each gate with word-wide bitwise operations
+//! ([`agemul_logic::GateKind::eval_wide`]).
 //!
 //! # Lane packing layout
 //!
 //! ```text
 //! patterns[0]  = [a0, b0, c0, ...]        ─┐ lane 0
-//! patterns[1]  = [a1, b1, c1, ...]        ─┤ lane 1   per-net blocks:
-//!    ...                                   ├────────▶ block(a) = ⟨a0 a1 ...⟩
-//! patterns[N]  = [aN, bN, cN, ...]        ─┘ lane N   block(b) = ⟨b0 b1 ...⟩
+//! patterns[1]  = [a1, b1, c1, ...]        ─┤ lane 1   per-net words:
+//!    ...                                   ├────────▶ word(a) = ⟨a0 a1 ...⟩
+//! patterns[N]  = [aN, bN, cN, ...]        ─┘ lane N   word(b) = ⟨b0 b1 ...⟩
 //! ```
 //!
-//! Packing is column-wise: one block per *net*, one lane per *pattern*. A
-//! partial batch (fewer than `64 × W` patterns) leaves the surplus lanes at
-//! `X`; every accessor takes or masks a lane index so those lanes never
-//! leak.
+//! Packing is column-wise: one word per *net*, one lane per *pattern*. A
+//! partial batch (fewer than 64 patterns) leaves the surplus lanes at `X`;
+//! every accessor takes or masks a lane index so those lanes never leak.
 //!
 //! # Equivalence guarantee
 //!
 //! For every net and every lane, `BatchSim` produces exactly the value
 //! `FuncSim` produces for that pattern — including [`Logic::Z`] on disabled
 //! tri-state outputs and the `X`-masking muxes of the bypassing
-//! multipliers — at *every* lane width: a wide batch is bit-identical to
-//! the concatenation of 64-lane batches over the same patterns, because
-//! every block operation is the per-chunk word operation. The property-test
-//! suites (`crates/netlist/tests/batch_equiv.rs`,
-//! `crates/conformance/tests/wide_equiv.rs`) assert this over random
-//! netlists covering every [`agemul_logic::GateKind`]; the word-level gate
-//! formulas are additionally checked exhaustively against the scalar
-//! evaluator in `agemul-logic`.
+//! multipliers. The property-test suites
+//! (`crates/netlist/tests/batch_equiv.rs`,
+//! `crates/netlist/tests/fault_overlay.rs`) assert this over random
+//! netlists covering every [`agemul_logic::GateKind`], clean and under a
+//! fault overlay; the word-level gate formulas are additionally checked
+//! exhaustively against the scalar evaluator in `agemul-logic`.
 
-use agemul_logic::{lane_mask, Logic, LogicBlock, LogicWord};
+use agemul_logic::{lane_mask, Logic, LogicWord};
 
 use crate::plan::GatePlan;
 use crate::{NetId, Netlist, NetlistError, Topology};
 
-/// A bit-parallel functional simulator evaluating up to `64 × W` patterns
-/// per topological sweep (`W = 1`, the default, is the 64-lane kernel).
+/// A bit-parallel functional simulator evaluating up to 64 patterns per
+/// topological sweep.
 ///
 /// # Example
 ///
 /// ```
 /// use agemul_logic::{GateKind, Logic};
-/// use agemul_netlist::{BatchSim, BlockSim, Netlist};
+/// use agemul_netlist::{BatchSim, Netlist};
 ///
 /// let mut n = Netlist::new();
 /// let a = n.add_input("a");
@@ -69,61 +63,46 @@ use crate::{NetId, Netlist, NetlistError, Topology};
 /// assert_eq!(sim.value(y, 0), Logic::Zero);
 /// assert_eq!(sim.value(y, 1), Logic::One);
 /// assert_eq!(sim.value(y, 2), Logic::Zero);
-///
-/// // The same sweep at 256 lanes — bit-identical per lane.
-/// let mut wide = BlockSim::<4>::new(&n, &topo);
-/// wide.eval_batch(&patterns)?;
-/// assert_eq!(wide.value(y, 1), Logic::One);
 /// # Ok::<(), agemul_netlist::NetlistError>(())
 /// ```
 #[derive(Debug)]
-pub struct BlockSim<'a, const W: usize> {
-    // Struct-of-arrays per net: each LogicBlock is three [u64; W] planes,
-    // so the per-gate sweep below is W-length bitwise loops over plane
-    // arrays — the auto-vectorizable layout the wide path exists for.
+pub struct BatchSim<'a> {
     netlist: &'a Netlist,
     plan: GatePlan,
-    blocks: Vec<LogicBlock<W>>,
-    scratch: Vec<LogicBlock<W>>,
+    words: Vec<LogicWord>,
+    scratch: Vec<LogicWord>,
     lanes: usize,
-    /// Constant nets and their splatted blocks, preloaded once; used to undo
+    /// Constant nets and their splatted words, preloaded once; used to undo
     /// fault coercion left behind by
     /// [`eval_batch_with_overlay`](Self::eval_batch_with_overlay).
-    consts: Vec<(u32, LogicBlock<W>)>,
+    consts: Vec<(u32, LogicWord)>,
     consts_dirty: bool,
 }
 
-/// The classic 64-lane batch kernel: [`BlockSim`] at `W = 1`.
-///
-/// An alias rather than a separate type so the 64-lane and wide paths are
-/// one implementation — and so `BatchSim::new(...)` keeps inferring its
-/// lane width at every existing call site.
-pub type BatchSim<'a> = BlockSim<'a, 1>;
-
-impl<'a, const W: usize> BlockSim<'a, W> {
+impl<'a> BatchSim<'a> {
     /// Number of patterns one sweep evaluates.
-    pub const LANES: usize = 64 * W;
+    pub const LANES: usize = 64;
 
     /// Creates a batch simulator for `netlist`.
     ///
     /// As with [`FuncSim`](crate::FuncSim), the `topology` argument proves
     /// the caller validated the netlist; the sweep itself uses builder
-    /// order via a flattened [`GatePlan`].
+    /// order via a flattened gate plan.
     pub fn new(netlist: &'a Netlist, _topology: &Topology) -> Self {
-        let mut blocks = vec![LogicBlock::ALL_X; netlist.net_count()];
+        let mut words = vec![LogicWord::ALL_X; netlist.net_count()];
         let mut consts = Vec::new();
-        for (idx, b) in blocks.iter_mut().enumerate() {
+        for (idx, w) in words.iter_mut().enumerate() {
             if let Some(level) = netlist.const_level(NetId(idx as u32)) {
-                *b = LogicBlock::splat(level);
-                consts.push((idx as u32, *b));
+                *w = LogicWord::splat(level);
+                consts.push((idx as u32, *w));
             }
         }
         let plan = GatePlan::new(netlist);
         let scratch = Vec::with_capacity(plan.max_arity().max(1));
-        BlockSim {
+        BatchSim {
             netlist,
             plan,
-            blocks,
+            words,
             scratch,
             lanes: 0,
             consts,
@@ -131,7 +110,7 @@ impl<'a, const W: usize> BlockSim<'a, W> {
         }
     }
 
-    /// Evaluates up to `64 × W` input assignments in one topological sweep
+    /// Evaluates up to 64 input assignments in one topological sweep
     /// and returns the number of valid lanes.
     ///
     /// `patterns[i]` becomes lane `i`; each pattern must supply one
@@ -150,20 +129,20 @@ impl<'a, const W: usize> BlockSim<'a, W> {
         self.check_batch(patterns)?;
 
         if self.consts_dirty {
-            for &(idx, b) in &self.consts {
-                self.blocks[idx as usize] = b;
+            for &(idx, w) in &self.consts {
+                self.words[idx as usize] = w;
             }
             self.consts_dirty = false;
         }
 
         // Pack column-wise: per input net, gather that input's column
-        // across all patterns into one block.
+        // across all patterns into one word.
         for (j, &net) in self.netlist.inputs().iter().enumerate() {
-            let mut b = LogicBlock::ALL_X;
+            let mut w = LogicWord::ALL_X;
             for (lane, p) in patterns.iter().enumerate() {
-                b.set(lane, p.as_ref()[j]);
+                w.set(lane, p.as_ref()[j]);
             }
-            self.blocks[net.index()] = b;
+            self.words[net.index()] = w;
         }
 
         // One bit-parallel sweep over the flattened plan.
@@ -173,26 +152,24 @@ impl<'a, const W: usize> BlockSim<'a, W> {
                 self.plan
                     .inputs_of(g)
                     .iter()
-                    .map(|&i| self.blocks[i as usize]),
+                    .map(|&i| self.words[i as usize]),
             );
-            self.blocks[self.plan.output(g)] = self.plan.kind(g).eval_block(&self.scratch);
+            self.words[self.plan.output(g)] = self.plan.kind(g).eval_wide(&self.scratch);
         }
 
         self.lanes = patterns.len();
         Ok(self.lanes)
     }
 
-    /// Evaluates up to `64 × W` input assignments with a
-    /// [`FaultOverlay`](crate::FaultOverlay) coercing net blocks as they
+    /// Evaluates up to 64 input assignments with a
+    /// [`FaultOverlay`](crate::FaultOverlay) coercing net words as they
     /// settle; returns the number of valid lanes.
     ///
-    /// The overlay's 64-bit lane masks are replicated per 64-lane chunk:
-    /// lane `i` observes the faults whose mask includes bit `i % 64`, so
-    /// each *chunk* carries the same up-to-64 faulty variants the 64-lane
-    /// kernel would. Replicating one input pattern across the lanes of one
-    /// chunk therefore simulates up to 64 fault candidates in a single
-    /// sweep — the core trick of the fault campaigns. An empty overlay
-    /// yields bit-identical blocks to [`eval_batch`](Self::eval_batch),
+    /// Lane `i` observes the faults whose mask includes bit `i`, so
+    /// replicating one input pattern across the lanes simulates up to 64
+    /// fault candidates in a single sweep — the core trick of the fault
+    /// campaigns. An empty overlay yields bit-identical words to
+    /// [`eval_batch`](Self::eval_batch),
     /// which remains the fault-free fast path.
     ///
     /// # Errors
@@ -207,17 +184,17 @@ impl<'a, const W: usize> BlockSim<'a, W> {
 
         // Constants are preloaded in `new`; re-coerce the faulted ones and
         // let the next plain `eval_batch` restore them.
-        for &(idx, b) in &self.consts {
-            self.blocks[idx as usize] = overlay.apply_block(idx as usize, b);
+        for &(idx, w) in &self.consts {
+            self.words[idx as usize] = overlay.apply_word(idx as usize, w);
         }
         self.consts_dirty = !overlay.is_empty();
 
         for (j, &net) in self.netlist.inputs().iter().enumerate() {
-            let mut b = LogicBlock::ALL_X;
+            let mut w = LogicWord::ALL_X;
             for (lane, p) in patterns.iter().enumerate() {
-                b.set(lane, p.as_ref()[j]);
+                w.set(lane, p.as_ref()[j]);
             }
-            self.blocks[net.index()] = overlay.apply_block(net.index(), b);
+            self.words[net.index()] = overlay.apply_word(net.index(), w);
         }
 
         for g in 0..self.plan.gate_count() {
@@ -226,11 +203,10 @@ impl<'a, const W: usize> BlockSim<'a, W> {
                 self.plan
                     .inputs_of(g)
                     .iter()
-                    .map(|&i| self.blocks[i as usize]),
+                    .map(|&i| self.words[i as usize]),
             );
             let out = self.plan.output(g);
-            self.blocks[out] =
-                overlay.apply_block(out, self.plan.kind(g).eval_block(&self.scratch));
+            self.words[out] = overlay.apply_word(out, self.plan.kind(g).eval_wide(&self.scratch));
         }
 
         self.lanes = patterns.len();
@@ -263,16 +239,22 @@ impl<'a, const W: usize> BlockSim<'a, W> {
         self.lanes
     }
 
-    /// The settled lane block of `net` after the most recent batch.
+    /// Bit mask selecting the valid lanes of the most recent batch.
     #[inline]
-    pub fn block(&self, net: NetId) -> LogicBlock<W> {
-        self.blocks[net.index()]
+    pub fn valid_mask(&self) -> u64 {
+        lane_mask(self.lanes)
     }
 
-    /// All settled lane blocks, indexable by [`NetId::index`].
+    /// The settled lane word of `net` after the most recent batch.
     #[inline]
-    pub fn blocks(&self) -> &[LogicBlock<W>] {
-        &self.blocks
+    pub fn word(&self, net: NetId) -> LogicWord {
+        self.words[net.index()]
+    }
+
+    /// All settled lane words, indexable by [`NetId::index`].
+    #[inline]
+    pub fn words(&self) -> &[LogicWord] {
+        &self.words
     }
 
     /// The settled value of `net` for pattern `lane`.
@@ -283,7 +265,7 @@ impl<'a, const W: usize> BlockSim<'a, W> {
     #[inline]
     pub fn value(&self, net: NetId, lane: usize) -> Logic {
         assert!(lane < self.lanes, "lane {lane} of {} evaluated", self.lanes);
-        self.blocks[net.index()].get(lane)
+        self.words[net.index()].get(lane)
     }
 
     /// Writes pattern `lane`'s primary output values into `out`
@@ -306,7 +288,7 @@ impl<'a, const W: usize> BlockSim<'a, W> {
             });
         }
         for (slot, &o) in out.iter_mut().zip(self.netlist.outputs()) {
-            *slot = self.blocks[o.index()].get(lane);
+            *slot = self.words[o.index()].get(lane);
         }
         Ok(())
     }
@@ -315,22 +297,7 @@ impl<'a, const W: usize> BlockSim<'a, W> {
     /// batched building block of signal-probability collection.
     #[inline]
     pub fn high_weight_sum(&self, net: NetId) -> f64 {
-        self.blocks[net.index()].high_weight_sum(self.lanes)
-    }
-}
-
-/// 64-lane (`W = 1`) conveniences kept for the scalar-word call sites.
-impl BlockSim<'_, 1> {
-    /// Bit mask selecting the valid lanes of the most recent batch.
-    #[inline]
-    pub fn valid_mask(&self) -> u64 {
-        lane_mask(self.lanes)
-    }
-
-    /// The settled lane word of `net` after the most recent batch.
-    #[inline]
-    pub fn word(&self, net: NetId) -> LogicWord {
-        self.blocks[net.index()].chunk(0)
+        self.words[net.index()].high_weight_sum(self.lanes)
     }
 }
 
@@ -498,72 +465,6 @@ mod tests {
         assert_eq!(batch.value(y, 0), Logic::Zero); // AND with stuck-0 one
         batch.eval_batch(&patterns).unwrap();
         assert_eq!(batch.value(y, 0), Logic::One);
-    }
-
-    /// A wide batch is the concatenation of 64-lane batches: every net and
-    /// every lane agrees bit-for-bit, clean and under a fault overlay.
-    #[test]
-    fn wide_batch_equals_chunked_64_lane_batches() {
-        use crate::{FaultKind, FaultOverlay};
-        let n = bypass_netlist();
-        let topo = n.topology().unwrap();
-
-        // 150 patterns: two full 64-lane chunks plus a 22-lane remainder,
-        // all inside one 256-lane sweep.
-        let patterns: Vec<[Logic; 3]> = (0..150)
-            .map(|c| {
-                [
-                    Logic::ALL[c % 4],
-                    Logic::ALL[(c / 4) % 4],
-                    Logic::ALL[(c / 16) % 4],
-                ]
-            })
-            .collect();
-        let mut o = FaultOverlay::new(&n);
-        o.add(n.inputs()[0], FaultKind::StuckAt0, 0b10).unwrap();
-        o.add(*n.outputs().first().unwrap(), FaultKind::Flip, 0b100)
-            .unwrap();
-
-        let mut narrow = BatchSim::new(&n, &topo);
-        let mut wide = BlockSim::<4>::new(&n, &topo);
-        for overlay in [None, Some(&o)] {
-            match overlay {
-                None => wide.eval_batch(&patterns).unwrap(),
-                Some(o) => wide.eval_batch_with_overlay(&patterns, o).unwrap(),
-            };
-            for (chunk_idx, chunk) in patterns.chunks(64).enumerate() {
-                match overlay {
-                    None => narrow.eval_batch(chunk).unwrap(),
-                    Some(o) => narrow.eval_batch_with_overlay(chunk, o).unwrap(),
-                };
-                for idx in 0..n.net_count() {
-                    let net = NetId(idx as u32);
-                    for lane in 0..chunk.len() {
-                        assert_eq!(
-                            wide.value(net, chunk_idx * 64 + lane),
-                            narrow.value(net, lane),
-                            "net {net} chunk {chunk_idx} lane {lane} overlay {}",
-                            overlay.is_some()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_batch_size_limit_scales_with_width() {
-        let n = bypass_netlist();
-        let topo = n.topology().unwrap();
-        let mut wide = BlockSim::<4>::new(&n, &topo);
-        assert_eq!(BlockSim::<4>::LANES, 256);
-        let full = vec![[Logic::Zero; 3]; 256];
-        assert_eq!(wide.eval_batch(&full).unwrap(), 256);
-        let oversized = vec![[Logic::Zero; 3]; 257];
-        assert_eq!(
-            wide.eval_batch(&oversized).unwrap_err(),
-            NetlistError::BatchSize { got: 257 }
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! are separate entry points, and [`EventSim`](crate::EventSim) only
 //! consults an overlay when one has been attached.
 
-use agemul_logic::{Logic, LogicBlock, LogicWord};
+use agemul_logic::{Logic, LogicWord};
 
 use crate::{NetId, Netlist, NetlistError};
 
@@ -155,21 +155,6 @@ impl FaultOverlay {
         }
         let m = self.masks[s as usize];
         w.flip(m.flip).force_one(m.force1).force_zero(m.force0)
-    }
-
-    /// Applies the net's coercions to a `64 × W`-lane block, replicating
-    /// the 64-bit lane masks per chunk: lane `i` of the block sees the
-    /// faults whose mask includes bit `i % 64`. Chunk-for-chunk identical
-    /// to [`apply_word`](Self::apply_word), so a wide sweep observes
-    /// exactly the faulty variants the 64-lane kernel would.
-    #[inline]
-    pub fn apply_block<const W: usize>(&self, net_index: usize, b: LogicBlock<W>) -> LogicBlock<W> {
-        let s = self.slot[net_index];
-        if s == SLOT_NONE {
-            return b;
-        }
-        let m = self.masks[s as usize];
-        b.flip(m.flip).force_one(m.force1).force_zero(m.force0)
     }
 
     /// Applies the net's lane-0 coercion to a scalar level — the view the

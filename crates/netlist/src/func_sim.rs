@@ -54,7 +54,7 @@ impl<'a> FuncSim<'a> {
     ///
     /// The `topology` argument exists to prove the caller validated the
     /// netlist; the functional sweep itself uses builder order. Gate input
-    /// indices are flattened into a [`GatePlan`] here, once, so the
+    /// indices are flattened into a gate plan here, once, so the
     /// per-pattern sweep does no `Gate`/`NetId` indirection.
     pub fn new(netlist: &'a Netlist, _topology: &Topology) -> Self {
         let mut values = vec![Logic::X; netlist.net_count()];
@@ -115,7 +115,7 @@ impl<'a> FuncSim<'a> {
     }
 
     /// Evaluates the netlist for one input assignment with a
-    /// [`FaultOverlay`] coercing net values as they settle.
+    /// [`FaultOverlay`](crate::FaultOverlay) coercing net values as they settle.
     ///
     /// Every net — constant, primary input, or gate output — is passed
     /// through the overlay's scalar (lane-0) view immediately after its

@@ -273,7 +273,7 @@ impl<'a> LevelSim<'a> {
     /// compiled schedule: the flat gate arrays, truth-table LUTs and
     /// waveform arena are all topology-invariant and are reused as-is.
     /// Only the delay-dependent slice of the
-    /// [`TimedPlan`](crate::plan::TimedPlan) is rewritten, in place, with
+    /// timed plan is rewritten, in place, with
     /// zero allocation — this is what makes per-corner Monte Carlo
     /// profiling an order of magnitude cheaper than constructing a fresh
     /// kernel per corner.

@@ -84,7 +84,7 @@ mod topology;
 mod vcd;
 mod verilog;
 
-pub use batch_sim::{BatchSim, BlockSim};
+pub use batch_sim::BatchSim;
 pub use bus::Bus;
 pub use cancel::CancelToken;
 pub use error::NetlistError;

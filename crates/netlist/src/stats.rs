@@ -2,7 +2,7 @@
 
 use agemul_logic::Logic;
 
-use crate::{BlockSim, GateId, NetId, Netlist, NetlistError, Topology};
+use crate::{BatchSim, GateId, NetId, Netlist, NetlistError, Topology};
 
 /// Per-net signal probabilities accumulated over a workload.
 ///
@@ -67,35 +67,11 @@ impl WorkloadStats {
         I: IntoIterator<Item = P>,
         P: AsRef<[Logic]>,
     {
-        self.observe_patterns_wide::<1, I, P>(netlist, topology, patterns)
-    }
-
-    /// [`observe_patterns`](Self::observe_patterns) on a `64 × W`-lane
-    /// [`BlockSim`]: fewer, wider sweeps with the same accumulated weights.
-    ///
-    /// The sums are bit-identical at every lane width — per-lane weights
-    /// are exact multiples of 0.5 and the per-net popcounts are summed in
-    /// lane order — so lane width is purely a throughput knob.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::WidthMismatch`] if any pattern width differs
-    /// from the netlist's input count.
-    pub fn observe_patterns_wide<const W: usize, I, P>(
-        &mut self,
-        netlist: &Netlist,
-        topology: &Topology,
-        patterns: I,
-    ) -> Result<(), NetlistError>
-    where
-        I: IntoIterator<Item = P>,
-        P: AsRef<[Logic]>,
-    {
-        let mut sim = BlockSim::<W>::new(netlist, topology);
-        let mut chunk: Vec<P> = Vec::with_capacity(BlockSim::<W>::LANES);
+        let mut sim = BatchSim::new(netlist, topology);
+        let mut chunk: Vec<P> = Vec::with_capacity(BatchSim::LANES);
         for p in patterns {
             chunk.push(p);
-            if chunk.len() == BlockSim::<W>::LANES {
+            if chunk.len() == BatchSim::LANES {
                 self.observe_chunk(&mut sim, &chunk)?;
                 chunk.clear();
             }
@@ -106,15 +82,15 @@ impl WorkloadStats {
         Ok(())
     }
 
-    fn observe_chunk<const W: usize, P: AsRef<[Logic]>>(
+    fn observe_chunk<P: AsRef<[Logic]>>(
         &mut self,
-        sim: &mut BlockSim<'_, W>,
+        sim: &mut BatchSim<'_>,
         chunk: &[P],
     ) -> Result<(), NetlistError> {
         let lanes = sim.eval_batch(chunk)?;
         self.patterns += lanes as u64;
-        for (w, block) in self.net_high_weight.iter_mut().zip(sim.blocks()) {
-            *w += block.high_weight_sum(lanes);
+        for (w, word) in self.net_high_weight.iter_mut().zip(sim.words()) {
+            *w += word.high_weight_sum(lanes);
         }
         Ok(())
     }
@@ -373,47 +349,6 @@ mod tests {
                 merged.net_high_probability(net).to_bits(),
                 serial.net_high_probability(net).to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn wide_observation_is_bit_identical_to_64_lane() {
-        // 300 patterns: less than one full 256-lane block, more than four
-        // 64-lane chunks' worth of boundary cases at W = 4, plus a partial
-        // final block at W = 8.
-        let n = not_netlist();
-        let t = n.topology().unwrap();
-        let patterns: Vec<[Logic; 1]> = (0..300)
-            .map(|i| {
-                [match i % 5 {
-                    0 => Logic::X,
-                    1 | 2 => Logic::One,
-                    _ => Logic::Zero,
-                }]
-            })
-            .collect();
-
-        let mut narrow = WorkloadStats::new(&n);
-        narrow.observe_patterns(&n, &t, patterns.iter()).unwrap();
-
-        let mut wide4 = WorkloadStats::new(&n);
-        wide4
-            .observe_patterns_wide::<4, _, _>(&n, &t, patterns.iter())
-            .unwrap();
-        let mut wide8 = WorkloadStats::new(&n);
-        wide8
-            .observe_patterns_wide::<8, _, _>(&n, &t, patterns.iter())
-            .unwrap();
-
-        for wide in [&wide4, &wide8] {
-            assert_eq!(wide.pattern_count(), narrow.pattern_count());
-            for idx in 0..n.net_count() {
-                let net = NetId::from_index(idx);
-                assert_eq!(
-                    wide.net_high_probability(net).to_bits(),
-                    narrow.net_high_probability(net).to_bits()
-                );
-            }
         }
     }
 

@@ -45,7 +45,7 @@ proptest! {
         for (lane, p) in patterns.iter().enumerate() {
             scalar.eval(p).unwrap();
             for (idx, &expected) in scalar.values().iter().enumerate() {
-                let got = batch.blocks()[idx].get(lane);
+                let got = batch.words()[idx].get(lane);
                 prop_assert_eq!(
                     got, expected,
                     "net {} lane {} pattern {:?}", idx, lane, p
@@ -83,7 +83,7 @@ proptest! {
         }
         for (idx, &e) in expected.iter().enumerate() {
             prop_assert_eq!(
-                batch.blocks()[idx].high_weight_sum(batch.lanes()),
+                batch.words()[idx].high_weight_sum(batch.lanes()),
                 e,
                 "net {}", idx
             );

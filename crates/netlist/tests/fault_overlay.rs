@@ -102,7 +102,7 @@ proptest! {
         let mut fault_batch = BatchSim::new(&n, &topo);
         plain_batch.eval_batch(patterns).unwrap();
         fault_batch.eval_batch_with_overlay(patterns, &overlay).unwrap();
-        prop_assert_eq!(plain_batch.blocks(), fault_batch.blocks());
+        prop_assert_eq!(plain_batch.words(), fault_batch.words());
 
         let mut plain = FuncSim::new(&n, &topo);
         let mut faulted = FuncSim::new(&n, &topo);
@@ -149,7 +149,7 @@ proptest! {
                 scalar.eval_with_overlay(p, &scalar_overlay).unwrap();
                 for (idx, &expected) in scalar.values().iter().enumerate() {
                     prop_assert_eq!(
-                        batch.blocks()[idx].get(i),
+                        batch.words()[idx].get(i),
                         expected,
                         "faulted lane: net {} lane {}", idx, i
                     );
@@ -158,7 +158,7 @@ proptest! {
                 clean.eval(p).unwrap();
                 for (idx, &expected) in clean.values().iter().enumerate() {
                     prop_assert_eq!(
-                        batch.blocks()[idx].get(i),
+                        batch.words()[idx].get(i),
                         expected,
                         "clean lane: net {} lane {}", idx, i
                     );

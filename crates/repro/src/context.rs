@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use agemul::{CancelToken, LaneWidth, MultiplierDesign, PatternProfile, PatternSet, SimEngine};
+use agemul::{CancelToken, MultiplierDesign, PatternProfile, PatternSet, SimEngine};
 use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::MultiplierKind;
 use agemul_logic::Technology;
@@ -163,7 +163,6 @@ pub struct Context {
     scale: Scale,
     engine: SimEngine,
     cancel: Option<CancelToken>,
-    lanes: LaneWidth,
     bti: BtiModel,
     designs: HashMap<(MultiplierKind, usize), Rc<MultiplierDesign>>,
     workloads: HashMap<(usize, usize), Rc<PatternSet>>,
@@ -184,7 +183,6 @@ impl Context {
             scale,
             engine: SimEngine::Level,
             cancel: None,
-            lanes: LaneWidth::default(),
             bti: BtiModel::calibrated(Technology::ptm_32nm_hk(), REFERENCE_GATE_7Y_FACTOR),
             designs: HashMap::new(),
             workloads: HashMap::new(),
@@ -219,12 +217,6 @@ impl Context {
     /// The calibrated BTI model.
     pub fn bti(&self) -> &BtiModel {
         &self.bti
-    }
-
-    /// Selects the batch width for the wide-lane kernels (functional
-    /// verification sweeps and workload statistics). Defaults to 64 lanes.
-    pub fn set_lanes(&mut self, lanes: LaneWidth) {
-        self.lanes = lanes;
     }
 
     /// The simulation engine profiles run on (levelized by default,
@@ -266,7 +258,7 @@ impl Context {
         }
         let design = self.design(kind, width)?;
         let workload = self.stats_workload(width);
-        let s = Rc::new(design.workload_stats_wide(workload.pairs(), self.lanes)?);
+        let s = Rc::new(design.workload_stats(workload.pairs())?);
         self.stats.insert((kind, width), Rc::clone(&s));
         Ok(s)
     }

@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! repro [--quick | --paper] [--csv <dir>] [--list]
-//!       [--lanes <64|256>]
 //!       [--resume <ckpt>] [--deadline-ms <N>] [--max-retries <N>]
 //!       <experiment>... | all
 //! repro serve [--addr <host:port> | --unix <path>] [--workers <N>]
@@ -24,8 +23,8 @@
 //! quarantined instead of taking the batch down, and deadline overruns
 //! degrade to the event-driven reference engine before giving up.
 //!
-//! Every value-taking flag may be given at most once — `--lanes 64
-//! --lanes 256` is rejected instead of silently keeping the last value —
+//! Every value-taking flag may be given at most once — `--csv a --csv b`
+//! is rejected instead of silently keeping the last value —
 //! and `--deadline-ms 0` is rejected (a zero budget would quarantine
 //! every experiment; omit the flag to disable the deadline).
 
@@ -35,7 +34,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use agemul::{Json, LaneWidth};
+use agemul::Json;
 use agemul_fleet::RoutingPolicy;
 use agemul_harness::{Attempt, CaseError, CaseStatus, Resume, Supervisor, SupervisorConfig};
 use agemul_repro::{experiments, Context, Report, Scale};
@@ -46,7 +45,6 @@ use agemul_serve::{
 fn usage() {
     eprintln!(
         "usage: repro [--quick | --paper] [--csv <dir>] [--list] \
-         [--lanes <64|256>] \
          [--resume <ckpt>] [--deadline-ms <N>] [--max-retries <N>] <experiment>... | all"
     );
     eprintln!(
@@ -73,7 +71,6 @@ struct RunArgs {
     resume: Option<PathBuf>,
     deadline: Option<Duration>,
     max_retries: Option<u32>,
-    lanes: LaneWidth,
 }
 
 /// `repro serve` arguments.
@@ -146,7 +143,7 @@ fn parse_u64(flag: &str, raw: &str) -> Result<u64, String> {
         .map_err(|e| format!("{flag}: {e} (got {raw:?})"))
 }
 
-/// Parses the full command line (without argv[0]).
+/// Parses the full command line (without `argv[0]`).
 fn parse_cli(args: &[String]) -> Result<Command, String> {
     match args.first().map(String::as_str) {
         Some("serve") => parse_serve(&args[1..]),
@@ -162,7 +159,6 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
     let mut resume: Option<PathBuf> = None;
     let mut deadline: Option<Duration> = None;
     let mut max_retries: Option<u32> = None;
-    let mut lanes: Option<LaneWidth> = None;
 
     let mut i = 0;
     while i < args.len() {
@@ -199,15 +195,6 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
                     .map_err(|e| format!("--max-retries: {e} (got {v:?})"))?;
                 set_once(&mut max_retries, "--max-retries", n)?;
             }
-            "--lanes" => {
-                let v = next_value(args, &mut i, "--lanes")?;
-                let w = v
-                    .parse::<usize>()
-                    .ok()
-                    .and_then(LaneWidth::from_lanes)
-                    .ok_or_else(|| format!("--lanes: want 64 or 256, got {v}"))?;
-                set_once(&mut lanes, "--lanes", w)?;
-            }
             "--list" => return Ok(Command::List),
             "--help" | "-h" => return Ok(Command::Help),
             "all" => ids.extend(experiments::ALL_IDS.iter().map(|s| s.to_string())),
@@ -227,7 +214,6 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
         resume,
         deadline,
         max_retries,
-        lanes: lanes.unwrap_or_default(),
     }))
 }
 
@@ -666,7 +652,6 @@ fn run_supervised(run: &RunArgs) -> ExitCode {
     let worker = |attempt: &Attempt| -> Result<Json, CaseError> {
         let id = &ids[attempt.index];
         let mut ctx = Context::new(scale);
-        ctx.set_lanes(run.lanes);
         ctx.set_supervision(attempt.engine, attempt.cancel.clone());
         let report =
             experiments::run_by_id(&mut ctx, id).map_err(|e| CaseError::from_error(&*e))?;
@@ -727,7 +712,6 @@ fn run_batch(run: RunArgs) -> ExitCode {
     }
 
     let scale = run.scale;
-    let lanes = run.lanes;
     let ids = run.ids;
     let csv_dir = run.csv_dir;
     let overall = Instant::now();
@@ -736,7 +720,6 @@ fn run_batch(run: RunArgs) -> ExitCode {
     // One shared Context streams each report as soon as its experiment
     // completes.
     let mut ctx = Context::new(scale);
-    ctx.set_lanes(lanes);
     for id in &ids {
         let start = Instant::now();
         let outcome = experiments::run_by_id(&mut ctx, id);
@@ -858,7 +841,6 @@ mod tests {
         // The old parser silently kept the last value of a repeated flag;
         // each of these must now fail with a message naming the flag.
         let cases = [
-            argv(&["--lanes", "64", "--lanes", "256", "all"]),
             argv(&["--csv", "a", "--csv", "b", "all"]),
             argv(&["--resume", "x.json", "--resume", "y.json", "all"]),
             argv(&["--deadline-ms", "100", "--deadline-ms", "200", "all"]),
@@ -886,8 +868,10 @@ mod tests {
     fn single_flags_still_parse() {
         let cmd = parse_cli(&argv(&[
             "--quick",
-            "--lanes",
-            "256",
+            "--resume",
+            "ckpt.json",
+            "--max-retries",
+            "2",
             "--deadline-ms",
             "250",
             "--csv",
@@ -899,13 +883,15 @@ mod tests {
             panic!("expected run command");
         };
         assert_eq!(run.scale, Scale::Quick);
-        assert_eq!(run.lanes, LaneWidth::W256);
+        assert_eq!(run.resume.as_deref(), Some(Path::new("ckpt.json")));
+        assert_eq!(run.max_retries, Some(2));
         assert_eq!(run.deadline, Some(Duration::from_millis(250)));
         assert_eq!(run.csv_dir.as_deref(), Some(Path::new("out")));
         assert_eq!(run.ids, vec!["table4".to_string()]);
 
-        let err = parse_cli(&argv(&["--lanes", "512", "all"])).unwrap_err();
-        assert!(err.contains("want 64 or 256"), "{err}");
+        // There is no batch-width option: the functional sweep is 64 lanes.
+        let err = parse_cli(&argv(&["--lanes", "64", "all"])).unwrap_err();
+        assert_eq!(err, "unknown flag: --lanes");
     }
 
     #[test]
@@ -916,7 +902,7 @@ mod tests {
 
     #[test]
     fn trailing_flag_without_value_is_an_error() {
-        let err = parse_cli(&argv(&["all", "--lanes"])).unwrap_err();
+        let err = parse_cli(&argv(&["all", "--resume"])).unwrap_err();
         assert!(err.contains("needs a value"), "{err}");
     }
 

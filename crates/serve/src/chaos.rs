@@ -19,7 +19,7 @@
 //! 3. **Cache / single-flight** ([`flight_seam`]): leader death at every
 //!    await point (after winning leadership, mid-build, before publish)
 //!    plus injected profiling failures. Invariants: waiters get a typed
-//!    [`FlightError`] instead of hanging, failures are never cached, and
+//!    [`FlightError`](crate::FlightError) instead of hanging, failures are never cached, and
 //!    the in-flight map drains.
 //!
 //! [`overload_probe`] is the fourth, fault-free scenario: a saturated

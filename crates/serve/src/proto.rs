@@ -84,7 +84,7 @@ pub enum FramePoll {
 ///
 /// Allocation is bounded: the length prefix is validated against
 /// [`MAX_FRAME_BYTES`] before any body allocation, and the body buffer
-/// grows in [`BODY_CHUNK`] steps as bytes actually arrive — a corrupt
+/// grows in `BODY_CHUNK` steps as bytes actually arrive — a corrupt
 /// 4 GiB length prefix costs a rejection, not an allocation.
 #[derive(Default)]
 pub struct FrameAccumulator {
@@ -194,7 +194,7 @@ impl FrameAccumulator {
 /// malformed JSON are errors.
 ///
 /// Implemented on [`FrameAccumulator`], so allocation stays bounded by
-/// delivered bytes plus one [`BODY_CHUNK`].
+/// delivered bytes plus one `BODY_CHUNK`.
 ///
 /// # Errors
 ///

@@ -39,14 +39,14 @@ serve-loadgen:
 bench-sim:
 	cargo bench -p agemul-bench --bench batch_sim
 
-# Profiling-path benches: event-driven vs levelized vs memoized, plus the
-# wide-lane verification rows.
+# Raw timing-kernel stepping benches (`level_sim/*`): event-driven vs
+# levelized. The full profiling path is the benchmark's profile-cold workload.
 bench-profile:
 	cargo bench -p agemul-bench --bench profile
 
 # Monte Carlo corner-switch benches: plan-reuse re-timing vs from-scratch
-# kernel construction (the ≥10× marginal-cost target) plus end-to-end
-# campaign rows; see the `mc/*` rows in BENCH_sim.json for the record.
+# kernel construction (the ≥10× marginal-cost target); the full campaign is
+# the benchmark's mc-yield workload. See `mc/*` in BENCH_sim.json.
 bench-mc:
 	cargo bench -p agemul-bench --bench mc
 

@@ -6,6 +6,8 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --all-features -- -D warnings
+# Rustdoc with warnings denied: no broken or private intra-doc links.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Tier-1: release build + the whole workspace suite. It already holds the
 # timing-kernel (Level ≡ Event) equivalence tests, the aging sweep's
 # byte-identity to from-scratch profiles, supervised resume identity, the
