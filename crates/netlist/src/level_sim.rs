@@ -2,9 +2,10 @@
 //!
 //! [`LevelSim`] computes the same femtosecond-exact two-vector timing as
 //! [`EventSim`](crate::EventSim) without a priority queue: the netlist is
-//! compiled once into a [`TimedPlan`](crate::plan::TimedPlan) (flat gate
-//! arrays + per-gate integer-femtosecond delays), and each pattern is
-//! simulated as one ascending sweep over the gates in builder order.
+//! compiled once into a [`TimedPlan`](crate::plan::TimedPlan) (one
+//! gate-major record per gate: kind, nets, integer-femtosecond delay,
+//! primary-output flag), and each pattern is simulated as one ascending
+//! sweep over the gates in builder order.
 //!
 //! # Why topological order is exact
 //!
@@ -21,8 +22,9 @@
 //! * **inertial filtering** — at most one pending output transition; a
 //!   re-evaluation that disagrees retracts it, and a pulse that collapses
 //!   back to the committed value schedules nothing;
-//! * **tri-state hold** — a disabled `TBUF` evaluates to "no event", leaving
-//!   both the committed value and any pending transition untouched;
+//! * **tri-state hold** — a disabled `TBUF` evaluates to "no event" (the
+//!   [`HOLD`] output code), leaving both the committed value and any
+//!   pending transition untouched;
 //! * **fault coercion** — every candidate output value passes through the
 //!   attached [`FaultOverlay`](crate::FaultOverlay)'s scalar coercion before
 //!   scheduling, exactly where `EventSim` applies it.
@@ -44,20 +46,30 @@
 //! cone — per-level dirty queues, a touched bitset and a fanout walk per
 //! switching net — cost more than the gates it skipped.
 //!
-//! Two shapes dominate the visited gates and get their own code: a gate of
-//! arity ≤ 3 with exactly one switching input (about half) folds its quiet
-//! inputs into a 4-entry level map, and returns at once when that map can
+//! Every gate of arity ≤ 3 evaluates through [`CodeTables`]: a packed
+//! input index (2 bits per input) selects a `u8` output code, and each
+//! input event updates the index with one shift and mask. Two shapes
+//! dominate the visited gates and get their own code: a gate with exactly
+//! one switching input (about half) folds its quiet inputs into a 4-entry
+//! code map (four table loads), and returns at once when that map can
 //! never schedule a transition; every other gate takes the general
-//! multi-cursor merge.
+//! multi-cursor merge. Gates of arity ≥ 4, which no generated multiplier
+//! has, take one heap-backed merge over [`GateKind::eval`].
+//!
+//! The sweep is monomorphized on whether a fault overlay is attached, so
+//! the fault-free path never tests for one per event. A step on which no
+//! input switches returns at once: every gate would be quiet.
 //!
 //! Waveforms live in one flat arena that each merge writes at its tail;
 //! every waveform ends in a sentinel word and index 0 is the shared empty
 //! waveform, so cursors need no length checks and quiet nets no clearing.
 
+use std::sync::OnceLock;
+
 use agemul_logic::{GateKind, Logic};
 
 use crate::event_sim::FS_PER_NS;
-use crate::plan::TimedPlan;
+use crate::plan::{TimedGate, TimedPlan};
 use crate::{DelayAssignment, NetId, Netlist, NetlistError, PatternTiming, Topology};
 
 /// Levelized timing simulator: femtosecond-identical to
@@ -113,7 +125,7 @@ pub struct LevelSim<'a> {
     /// sentinel every quiet net points at; a step truncates back to it.
     arena: Vec<u64>,
     /// Arena index of each net's first event this step ([`EMPTY`] for
-    /// none). The sweep rewrites every input and gate-driven entry before
+    /// none). A sweep rewrites every input and gate-driven entry before
     /// any gate reads it; constant nets stay [`EMPTY`].
     waves: Vec<u32>,
     /// `(net, final level)` of every net that switched this step, applied
@@ -121,13 +133,8 @@ pub struct LevelSim<'a> {
     commits: Vec<(u32, Logic)>,
     toggles_per_gate: Vec<u64>,
     overlay: Option<crate::FaultOverlay>,
-    /// Per-kind truth tables over packed [`Logic`] discriminants (2 bits
-    /// per input), tabulated once from [`GateKind::eval`] — the single
-    /// source of combinational truth — so the merge loop evaluates a gate
-    /// with one load instead of an arity fold.
-    lut1: [[Logic; 4]; GateKind::ALL.len()],
-    lut2: [[Logic; 16]; GateKind::ALL.len()],
-    lut3: [[Logic; 64]; GateKind::ALL.len()],
+    /// The process-wide output-code tables ([`code_tables`]).
+    codes: &'static CodeTables,
     /// Cooperative cancellation (None = never cancelled): polled every
     /// [`CANCEL_STRIDE`] gates during a step.
     cancel: Option<crate::CancelToken>,
@@ -155,9 +162,48 @@ fn pack(t: u64, v: Logic) -> u64 {
     (t << 2) | v as u64
 }
 
-/// Output code of a disabled `TBUF` in a single-active merge map: no
-/// event, the committed value and any pending transition survive.
-const HOLD: u64 = 4;
+/// Output code of a disabled `TBUF`: no event, the committed value and any
+/// pending transition survive. Every other code is a [`Logic`]
+/// discriminant.
+const HOLD: u8 = 4;
+
+/// Output codes of every gate kind at arity 1, 2 and 3, tabulated once
+/// from [`GateKind::eval`], the single source of combinational truth.
+///
+/// `[k - 1][kind as usize][idx]` is the code of an arity-`k` gate whose
+/// packed input index `idx` holds input `i`'s [`Logic`] discriminant at
+/// bits `2 * (k - 1 - i)`. A disabled `TBUF` (output `Z`) is [`HOLD`];
+/// every other entry is the output level's discriminant. Each row has 64
+/// entries whatever its arity, so a merge masks its index with `63`
+/// instead of paying a bounds check per event; entries no input index
+/// reaches, and rows of arities a kind rejects, read `X`.
+type CodeTables = [[[u8; 64]; GateKind::ALL.len()]; 3];
+
+/// The process-wide [`CodeTables`], built on first use.
+fn code_tables() -> &'static CodeTables {
+    static TABLES: OnceLock<CodeTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[[Logic::X as u8; 64]; GateKind::ALL.len()]; 3];
+        let mut levels = [Logic::X; 3];
+        for (k, rows) in (1..=3).zip(&mut tables) {
+            for (kind, row) in GateKind::ALL.into_iter().zip(rows) {
+                if !kind.accepts_arity(k) {
+                    continue;
+                }
+                for (idx, code) in row.iter_mut().enumerate().take(1 << (2 * k)) {
+                    for (i, level) in levels[..k].iter_mut().enumerate() {
+                        *level = LEVELS[(idx >> (2 * (k - 1 - i))) & 3];
+                    }
+                    *code = match kind.eval(&levels[..k]) {
+                        Logic::Z => HOLD,
+                        v => v as u8,
+                    };
+                }
+            }
+        }
+        tables
+    })
+}
 
 /// `EventSim::schedule`, minus the queue: folds the candidate transition
 /// to packed level `v` at time `t` into the gate's one `pending` slot
@@ -216,38 +262,7 @@ impl<'a> LevelSim<'a> {
     /// needs strictly positive delays; see the module docs).
     pub fn new(netlist: &'a Netlist, topology: &'a Topology, delays: DelayAssignment) -> Self {
         let plan = TimedPlan::new(netlist, topology, &delays);
-        assert_delay_contract(
-            plan.max_level(),
-            (0..plan.gate_count()).map(|g| plan.delay_fs(g)),
-        );
-
-        let mut lut1 = [[Logic::X; 4]; GateKind::ALL.len()];
-        let mut lut2 = [[Logic::X; 16]; GateKind::ALL.len()];
-        let mut lut3 = [[Logic::X; 64]; GateKind::ALL.len()];
-        for (ki, kind) in GateKind::ALL.into_iter().enumerate() {
-            if kind.accepts_arity(1) {
-                for a in 0..4 {
-                    lut1[ki][a] = kind.eval(&[LEVELS[a]]);
-                }
-            }
-            if kind.accepts_arity(2) {
-                for a in 0..4 {
-                    for b in 0..4 {
-                        lut2[ki][a << 2 | b] = kind.eval(&[LEVELS[a], LEVELS[b]]);
-                    }
-                }
-            }
-            if kind.accepts_arity(3) {
-                for a in 0..4 {
-                    for b in 0..4 {
-                        for c in 0..4 {
-                            lut3[ki][a << 4 | b << 2 | c] =
-                                kind.eval(&[LEVELS[a], LEVELS[b], LEVELS[c]]);
-                        }
-                    }
-                }
-            }
-        }
+        assert_delay_contract(plan.max_level(), plan.gates().iter().map(|g| g.delay_fs));
 
         let mut sim = LevelSim {
             netlist,
@@ -260,9 +275,7 @@ impl<'a> LevelSim<'a> {
             commits: Vec::new(),
             toggles_per_gate: vec![0; netlist.gate_count()],
             overlay: None,
-            lut1,
-            lut2,
-            lut3,
+            codes: code_tables(),
             cancel: None,
         };
         sim.reinit_values();
@@ -270,13 +283,11 @@ impl<'a> LevelSim<'a> {
     }
 
     /// Swaps in a new per-gate delay assignment **without rebuilding** the
-    /// compiled schedule: the flat gate arrays, truth-table LUTs and
-    /// waveform arena are all topology-invariant and are reused as-is.
-    /// Only the delay-dependent slice of the
-    /// timed plan is rewritten, in place, with
-    /// zero allocation — this is what makes per-corner Monte Carlo
-    /// profiling an order of magnitude cheaper than constructing a fresh
-    /// kernel per corner.
+    /// compiled schedule: the gate records and waveform arena are
+    /// topology-invariant and are reused as-is. Only each record's delay
+    /// field is rewritten, in place, with zero allocation — this is what
+    /// makes per-corner Monte Carlo profiling an order of magnitude
+    /// cheaper than constructing a fresh kernel per corner.
     ///
     /// After the swap the kernel is in byte-for-byte the state a freshly
     /// constructed `LevelSim::new(netlist, topology, delays)` (plus the
@@ -329,10 +340,11 @@ impl<'a> LevelSim<'a> {
 
     /// Installs a [`CancelToken`](crate::CancelToken): subsequent
     /// [`step`](Self::step)/[`settle`](Self::settle) calls poll it before
-    /// each stride of 1024 gates in the sweep, the first before gate 0,
-    /// and abort with [`NetlistError::Cancelled`] once it fires. Pass
-    /// `None` to detach. After a cancelled step the settled values are
-    /// unspecified; [`settle`](Self::settle) before measuring again.
+    /// each stride of 1024 gates in the sweep, the first before gate 0
+    /// (once, for a step on which no input switches), and abort with
+    /// [`NetlistError::Cancelled`] once it fires. Pass `None` to detach.
+    /// After a cancelled step the settled values are unspecified;
+    /// [`settle`](Self::settle) before measuring again.
     pub fn set_cancel_token(&mut self, token: Option<crate::CancelToken>) {
         self.cancel = token;
     }
@@ -369,7 +381,7 @@ impl<'a> LevelSim<'a> {
             }
         }
         let netlist = self.netlist;
-        let mut scratch = Vec::with_capacity(self.plan.max_arity());
+        let mut scratch = Vec::new();
         for gate in netlist.gates() {
             scratch.clear();
             scratch.extend(gate.inputs().iter().map(|i| self.values[i.index()]));
@@ -384,13 +396,22 @@ impl<'a> LevelSim<'a> {
         self.init_values.extend_from_slice(&self.values);
     }
 
-    /// Applies the overlay's scalar coercion to a candidate value of `net`.
-    #[inline]
-    fn coerce(&self, net: usize, v: Logic) -> Logic {
+    /// Applies the overlay's scalar coercion to output code `code` (never
+    /// [`HOLD`]) of `net`. `OVERLAY` is whether an overlay is attached; the
+    /// fault-free sweep passes `false` and this folds to `code`.
+    #[inline(always)]
+    fn coerce<const OVERLAY: bool>(&self, net: u32, code: u8) -> u8 {
         match &self.overlay {
-            Some(o) => o.apply_scalar(net, v),
-            None => v,
+            Some(o) if OVERLAY => o.apply_scalar(net as usize, LEVELS[code as usize]) as u8,
+            _ => code,
         }
+    }
+
+    /// Whether the installed cancel token has fired.
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(crate::CancelToken::is_cancelled)
     }
 
     /// Applies `inputs` and runs to quiescence, discarding timing and
@@ -424,13 +445,15 @@ impl<'a> LevelSim<'a> {
         self.commits.clear();
 
         let mut timing = PatternTiming::default();
-        let mut last_out_fs: u64 = 0;
 
         // Seed: a changed input becomes a single-event waveform at t = 0,
         // an unchanged one points at the empty waveform.
         for (&net, &v) in self.netlist.inputs().iter().zip(inputs) {
             let idx = net.index();
-            let v = self.coerce(idx, v);
+            let v = match &self.overlay {
+                Some(o) => o.apply_scalar(idx, v),
+                None => v,
+            };
             if v == self.values[idx] {
                 self.waves[idx] = EMPTY;
                 continue;
@@ -444,30 +467,21 @@ impl<'a> LevelSim<'a> {
             }
         }
 
-        // One pass in builder order, which is topological: every gate's
-        // input waveforms are final when it merges, and every net's
-        // `waves` entry is rewritten before any gate reads it.
-        let gate_count = self.plan.gate_count();
-        for chunk in (0..gate_count).step_by(CANCEL_STRIDE) {
-            if self
-                .cancel
-                .as_ref()
-                .is_some_and(crate::CancelToken::is_cancelled)
-            {
-                return Err(NetlistError::Cancelled);
-            }
-            for g in chunk..gate_count.min(chunk + CANCEL_STRIDE) {
-                let start = self.arena.len();
-                match self.plan.inputs_of(g).len() {
-                    1 => self.merge::<1>(g),
-                    2 => self.merge::<2>(g),
-                    3 => self.merge::<3>(g),
-                    4 => self.merge::<4>(g),
-                    _ => self.merge_dyn(g),
-                }
-                self.publish(g, start, &mut timing, &mut last_out_fs);
-            }
+        // No input switched: every gate would be quiet, and the next sweep
+        // rewrites each gate's `waves` entry before reading it.
+        if self.commits.is_empty() {
+            return if self.cancelled() {
+                Err(NetlistError::Cancelled)
+            } else {
+                Ok(PatternTiming::default())
+            };
         }
+
+        let last_out_fs = if self.overlay.is_some() {
+            self.sweep::<true>(&mut timing)?
+        } else {
+            self.sweep::<false>(&mut timing)?
+        };
 
         // Commit: a net's settled value is its last transition. Deferred
         // to the end so every merge reads previous-vector values.
@@ -479,23 +493,50 @@ impl<'a> LevelSim<'a> {
         Ok(timing)
     }
 
-    /// Merges arity-`K` gate `g`'s input waveforms into its output
+    /// One pass over the gates in builder order, which is topological:
+    /// every gate's input waveforms are final when it merges, and every
+    /// net's `waves` entry is rewritten before any gate reads it. Returns
+    /// the time of the last primary-output event in femtoseconds.
+    fn sweep<const OVERLAY: bool>(
+        &mut self,
+        timing: &mut PatternTiming,
+    ) -> Result<u64, NetlistError> {
+        let mut last_out_fs = 0;
+        let gate_count = self.plan.gates().len();
+        for chunk in (0..gate_count).step_by(CANCEL_STRIDE) {
+            if self.cancelled() {
+                return Err(NetlistError::Cancelled);
+            }
+            for g in chunk..gate_count.min(chunk + CANCEL_STRIDE) {
+                let gate = self.plan.gates()[g];
+                let start = self.arena.len();
+                match gate.arity {
+                    1 => self.merge::<1, OVERLAY>(&gate),
+                    2 => self.merge::<2, OVERLAY>(&gate),
+                    3 => self.merge::<3, OVERLAY>(&gate),
+                    _ => self.merge_dyn::<OVERLAY>(&gate),
+                }
+                self.publish(g, &gate, start, timing, &mut last_out_fs);
+            }
+        }
+        Ok(last_out_fs)
+    }
+
+    /// Merges arity-`K` (≤ 3) `gate`'s input waveforms into its output
     /// waveform at the arena tail, replaying `EventSim`'s
     /// commit/evaluate/schedule rules (see the module docs). A gate with
     /// no switching input returns after `K` loads; one with a single
-    /// switching input (`K` ≤ 3) takes [`merge_single`](Self::merge_single).
-    fn merge<const K: usize>(&mut self, g: usize) {
-        let inputs = self.plan.inputs_of(g);
-        debug_assert_eq!(inputs.len(), K);
+    /// switching input takes [`merge_single`](Self::merge_single).
+    fn merge<const K: usize, const OVERLAY: bool>(&mut self, gate: &TimedGate) {
         // `pos[i]` is input `i`'s arena cursor; `next[i]` caches the packed
         // event under it (`END` once exhausted). Packed events order by
         // time when compared whole (time is in the upper bits).
         let mut pos = [0usize; K];
         let mut active = 0;
         let mut last_active = 0;
-        for i in 0..K {
-            pos[i] = self.waves[inputs[i] as usize] as usize;
-            if pos[i] != EMPTY as usize {
+        for (i, (p, &net)) in pos.iter_mut().zip(&gate.inputs).enumerate() {
+            *p = self.waves[net as usize] as usize;
+            if *p != EMPTY as usize {
                 active += 1;
                 last_active = i;
             }
@@ -503,21 +544,22 @@ impl<'a> LevelSim<'a> {
         if active == 0 {
             return;
         }
-        let mut cur = [Logic::X; K];
-        for i in 0..K {
-            cur[i] = self.values[inputs[i] as usize];
+        // The code-table index: input `i`'s level at bits 2(K-1-i).
+        let mut idx = 0usize;
+        for &net in &gate.inputs[..K] {
+            idx = (idx << 2) | self.values[net as usize] as usize;
         }
-        if K <= 3 && active == 1 {
-            return self.merge_single(g, cur, last_active, pos[last_active]);
+        let codes: &'static CodeTables = self.codes;
+        let row = &codes[K - 1][gate.kind as usize];
+        if active == 1 {
+            let shift = 2 * (K - 1 - last_active);
+            return self.merge_single::<OVERLAY>(gate, row, idx, shift, pos[last_active]);
         }
         let mut next = [END; K];
         for i in 0..K {
             next[i] = self.arena[pos[i]];
         }
-        let out_net = self.plan.output(g);
-        let delay = self.plan.delay_fs(g);
-        let kind = self.plan.kind(g);
-        let mut committed = self.values[out_net] as u64;
+        let mut committed = self.values[gate.output as usize] as u64;
         // The pending output transition, packed like an arena event; `END`
         // means none (its time field exceeds any real timestamp, so the
         // due-commit comparison needs no separate branch).
@@ -541,18 +583,21 @@ impl<'a> LevelSim<'a> {
                 committed = pending & 3;
                 pending = END;
             }
+            // A waveform has strictly increasing times, so each input has
+            // at most one event per delta cycle.
             for i in 0..K {
-                while next[i] >> 2 == t_now {
-                    cur[i] = LEVELS[(next[i] & 3) as usize];
+                if next[i] >> 2 == t_now {
+                    let shift = 2 * (K - 1 - i);
+                    idx = (idx & !(3 << shift)) | ((next[i] & 3) as usize) << shift;
                     pos[i] += 1;
                     next[i] = self.arena[pos[i]];
                 }
             }
-            let Some(v) = self.eval(kind, &cur) else {
-                continue;
-            };
-            let v = self.coerce(out_net, v);
-            schedule(&mut pending, committed, t_now + delay, v as u64);
+            let code = row[idx & 63];
+            if code != HOLD {
+                let v = self.coerce::<OVERLAY>(gate.output, code);
+                schedule(&mut pending, committed, t_now + gate.delay_fs, u64::from(v));
+            }
         }
         // Inputs exhausted: a surviving pending transition commits when the
         // event queue would have drained to it.
@@ -561,59 +606,35 @@ impl<'a> LevelSim<'a> {
         }
     }
 
-    /// Evaluates `kind` on `cur` through the truth-table LUTs; `None` is a
-    /// disabled `TBUF` (hold: no event).
-    #[inline(always)]
-    fn eval<const K: usize>(&self, kind: GateKind, cur: &[Logic; K]) -> Option<Logic> {
-        if kind == GateKind::Tbuf {
-            return match cur[K - 1].read().to_bool() {
-                Some(true) => Some(cur[0].read()),
-                Some(false) => None,
-                None => Some(Logic::X),
-            };
-        }
-        let mut idx = 0usize;
-        for &c in cur {
-            idx = (idx << 2) | c as usize;
-        }
-        let ki = kind as usize;
-        Some(match K {
-            1 => self.lut1[ki][idx],
-            2 => self.lut2[ki][idx],
-            3 => self.lut3[ki][idx],
-            _ => kind.eval(cur),
-        })
-    }
-
-    /// The merge of an arity-`K` gate whose only switching input is
-    /// `cur[active]`, read from arena position `pos`. The quiet inputs are
-    /// folded into a 4-entry map from the active input's level to the
-    /// coerced output level ([`HOLD`] for a disabled `TBUF`), so each event
-    /// costs one lookup. When every entry is a hold or the committed value
-    /// no transition can ever be scheduled, and the merge returns at once.
-    fn merge_single<const K: usize>(
+    /// The merge of a `gate` whose only switching input sits at bits
+    /// `shift` of code-table index `idx` (the settled input levels) and is
+    /// read from arena position `pos`. Four table loads map the active
+    /// input's level to the coerced output code ([`HOLD`] for a disabled
+    /// `TBUF`), so each event costs one lookup. When every code is a hold
+    /// or the committed value no transition can ever be scheduled, and the
+    /// merge returns at once.
+    fn merge_single<const OVERLAY: bool>(
         &mut self,
-        g: usize,
-        mut cur: [Logic; K],
-        active: usize,
+        gate: &TimedGate,
+        row: &[u8; 64],
+        idx: usize,
+        shift: usize,
         mut pos: usize,
     ) {
-        let out_net = self.plan.output(g);
-        let kind = self.plan.kind(g);
-        let mut committed = self.values[out_net] as u64;
+        let mut committed = self.values[gate.output as usize] as u64;
+        let base = idx & !(3 << shift);
         let mut map = [HOLD; 4];
         let mut live = false;
-        for (level, code) in LEVELS.into_iter().zip(&mut map) {
-            cur[active] = level;
-            if let Some(v) = self.eval(kind, &cur) {
-                *code = self.coerce(out_net, v) as u64;
-                live |= *code != committed;
+        for (level, code) in map.iter_mut().enumerate() {
+            let c = row[(base | level << shift) & 63];
+            if c != HOLD {
+                *code = self.coerce::<OVERLAY>(gate.output, c);
+                live |= u64::from(*code) != committed;
             }
         }
         if !live {
             return;
         }
-        let delay = self.plan.delay_fs(g);
         let mut pending = END;
         // One waveform has strictly increasing times: one event per delta
         // cycle.
@@ -627,7 +648,12 @@ impl<'a> LevelSim<'a> {
             }
             let code = map[(e & 3) as usize];
             if code != HOLD {
-                schedule(&mut pending, committed, t_now + delay, code);
+                schedule(
+                    &mut pending,
+                    committed,
+                    t_now + gate.delay_fs,
+                    u64::from(code),
+                );
             }
             pos += 1;
             e = self.arena[pos];
@@ -637,10 +663,11 @@ impl<'a> LevelSim<'a> {
         }
     }
 
-    /// The rare wide-gate merge (arity > 4): identical rules, heap-backed
-    /// per-call state.
-    fn merge_dyn(&mut self, g: usize) {
-        let inputs = self.plan.inputs_of(g);
+    /// The merge of a gate of arity ≥ 4, which no generated multiplier
+    /// has: identical rules, heap-backed per-call state, and
+    /// [`GateKind::eval`] in place of the code tables.
+    fn merge_dyn<const OVERLAY: bool>(&mut self, gate: &TimedGate) {
+        let inputs = self.plan.wide_inputs(gate);
         let mut pos: Vec<usize> = inputs
             .iter()
             .map(|&n| self.waves[n as usize] as usize)
@@ -649,10 +676,7 @@ impl<'a> LevelSim<'a> {
             return;
         }
         let mut cur: Vec<Logic> = inputs.iter().map(|&n| self.values[n as usize]).collect();
-        let out_net = self.plan.output(g);
-        let delay = self.plan.delay_fs(g);
-        let kind = self.plan.kind(g);
-        let mut committed = self.values[out_net] as u64;
+        let mut committed = self.values[gate.output as usize] as u64;
         let mut pending = END;
 
         loop {
@@ -667,14 +691,14 @@ impl<'a> LevelSim<'a> {
                 pending = END;
             }
             for (p, c) in pos.iter_mut().zip(&mut cur) {
-                while self.arena[*p] >> 2 == t_now {
+                if self.arena[*p] >> 2 == t_now {
                     *c = LEVELS[(self.arena[*p] & 3) as usize];
                     *p += 1;
                 }
             }
-            // Tbuf is always arity 2, so no tri-state case here.
-            let v = self.coerce(out_net, kind.eval(&cur));
-            schedule(&mut pending, committed, t_now + delay, v as u64);
+            // Only the variadic kinds reach arity 4, so no tri-state hold.
+            let v = self.coerce::<OVERLAY>(gate.output, gate.kind.eval(&cur) as u8);
+            schedule(&mut pending, committed, t_now + gate.delay_fs, u64::from(v));
         }
         if pending != END {
             self.arena.push(pending);
@@ -688,27 +712,27 @@ impl<'a> LevelSim<'a> {
     fn publish(
         &mut self,
         g: usize,
+        gate: &TimedGate,
         start: usize,
         timing: &mut PatternTiming,
         last_out_fs: &mut u64,
     ) {
-        let out_net = self.plan.output(g);
         let end = self.arena.len();
         if end == start {
-            self.waves[out_net] = EMPTY;
+            self.waves[gate.output as usize] = EMPTY;
             return;
         }
         let last = self.arena[end - 1];
         self.arena.push(END);
-        self.waves[out_net] = start as u32;
+        self.waves[gate.output as usize] = start as u32;
         self.commits
-            .push((out_net as u32, LEVELS[(last & 3) as usize]));
+            .push((gate.output, LEVELS[(last & 3) as usize]));
 
         let n = (end - start) as u64;
         self.toggles_per_gate[g] += n;
         timing.gate_toggles += n;
         timing.events += n;
-        if self.topology.is_output(NetId::from_index(out_net)) {
+        if gate.is_output {
             timing.output_toggles += n;
             *last_out_fs = (*last_out_fs).max(last >> 2);
         }
@@ -951,6 +975,81 @@ mod tests {
         let timing = sim.step(&[Logic::One]).unwrap();
         assert!(timing.delay_ns > 0.0);
         assert_eq!(sim.value(n.outputs()[0]), Logic::One);
+    }
+
+    #[test]
+    fn code_tables_match_gate_eval() {
+        let tables = code_tables();
+        for (ki, kind) in GateKind::ALL.into_iter().enumerate() {
+            for k in 1..=3usize {
+                let row = &tables[k - 1][ki];
+                for (idx, &code) in row.iter().enumerate() {
+                    let reachable = kind.accepts_arity(k) && idx < 1 << (2 * k);
+                    if !reachable {
+                        assert_eq!(code, Logic::X as u8, "{kind} arity {k} pad {idx}");
+                        continue;
+                    }
+                    let levels: Vec<Logic> = (0..k)
+                        .map(|i| LEVELS[(idx >> (2 * (k - 1 - i))) & 3])
+                        .collect();
+                    let out = kind.eval(&levels);
+                    let disabled_tbuf =
+                        kind == GateKind::Tbuf && levels[1].read().to_bool() == Some(false);
+                    if disabled_tbuf {
+                        assert_eq!(code, HOLD, "{kind} {levels:?}");
+                    } else {
+                        assert_ne!(code, HOLD, "{kind} {levels:?}");
+                        assert_eq!(code, out as u8, "{kind} {levels:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_switch_step_is_quiet_and_matches_event_sim() {
+        let (mut n, [a, b, c, pulse]) = with_pulse();
+        let y = n.add_gate(GateKind::Mux2, &[pulse, b, c]).unwrap();
+        n.mark_output(y, "y");
+        let t = n.topology().unwrap();
+        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        let mut level = LevelSim::new(&n, &t, d.clone());
+        let mut event = EventSim::new(&n, &t, d);
+        let before = [Logic::Zero, Logic::One, Logic::X];
+        let after = [Logic::One, Logic::One, Logic::Zero];
+        level.settle(&before).unwrap();
+        event.settle(&before).unwrap();
+        assert_eq!(level.step(&after).unwrap(), event.step(&after).unwrap());
+
+        level.settle(&after).unwrap();
+        event.settle(&after).unwrap();
+        let tl = level.step(&after).unwrap();
+        assert_eq!(tl, PatternTiming::default());
+        assert_eq!(tl, event.step(&after).unwrap());
+        assert!(level.gate_toggle_counts().iter().all(|&c| c == 0));
+        for net in [a, b, c, pulse, y] {
+            assert_eq!(level.value(net), event.value(net));
+        }
+        // A switching step after the quiet ones still replays exactly.
+        assert_eq!(level.step(&before).unwrap(), event.step(&before).unwrap());
+        assert_eq!(level.step(&after).unwrap(), event.step(&after).unwrap());
+        assert_eq!(level.gate_toggle_counts(), event.gate_toggle_counts());
+    }
+
+    #[test]
+    fn cancelled_token_aborts_zero_switch_step() {
+        use crate::CancelToken;
+        let n = inverter_chain();
+        let t = n.topology().unwrap();
+        let d = DelayAssignment::uniform(&n, &DelayModel::nominal());
+        let mut sim = LevelSim::new(&n, &t, d);
+        sim.settle(&[Logic::One]).unwrap();
+
+        let token = CancelToken::new();
+        token.cancel();
+        sim.set_cancel_token(Some(token));
+        assert_eq!(sim.step(&[Logic::One]), Err(NetlistError::Cancelled));
+        assert_eq!(sim.settle(&[Logic::One]), Err(NetlistError::Cancelled));
     }
 
     /// Two independent inverters, `a → x` (gate 0) and `b → y` (gate 1).

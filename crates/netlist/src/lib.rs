@@ -20,8 +20,9 @@
 //!   sensitized path delay — the quantity the paper's variable-latency
 //!   design exploits — along with per-gate toggle counts for power.
 //! * [`LevelSim`] — the levelized counterpart of [`EventSim`]: the netlist
-//!   is compiled into a flat, topologically-levelized timing schedule and
-//!   each pattern touches only the fan-out cones of changed input bits.
+//!   is compiled into one gate-major timing record per gate, and each
+//!   pattern is one sweep over them in topological order, merging every
+//!   gate's input waveforms through per-kind output-code tables.
 //!   Femtosecond-identical to [`EventSim`] (property-tested), an order of
 //!   magnitude faster on the profiling hot path.
 //! * [`WorkloadStats`] — per-net signal probabilities accumulated over a

@@ -8,18 +8,54 @@
 //! (femtosecond-derived delays compare with `==`), identical settled values
 //! on **every** net, and identical cumulative per-gate toggle counters.
 
-use agemul_conformance::gen::{arb_gate, build_netlist, input_vector, GEN_INPUTS};
-use agemul_logic::DelayModel;
+use agemul_conformance::gen::{arb_gate, build_netlist, input_vector, GateRecipe, GEN_INPUTS};
+use agemul_logic::{DelayModel, GateKind};
 use agemul_netlist::{
     DelayAssignment, EventSim, FaultKind, FaultOverlay, GateId, LevelSim, NetId, Netlist,
 };
 use proptest::prelude::*;
+
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
     prop_oneof![
         Just(FaultKind::StuckAt0),
         Just(FaultKind::StuckAt1),
         Just(FaultKind::Flip),
     ]
+}
+
+/// The variadic kinds, the only ones that take more than three inputs.
+const VARIADIC: [GateKind; 6] = [
+    GateKind::And,
+    GateKind::Or,
+    GateKind::Nand,
+    GateKind::Nor,
+    GateKind::Xor,
+    GateKind::Xnor,
+];
+
+/// A variadic gate of arity 3–6: a kind selector and one net pick per
+/// input, each reduced modulo the net count when the gate is appended.
+fn arb_wide_gate() -> impl Strategy<Value = (usize, Vec<u16>)> {
+    (
+        0..VARIADIC.len(),
+        proptest::collection::vec(any::<u16>(), 3..=6),
+    )
+}
+
+/// `build_netlist(narrow, inputs)` followed by `wide` variadic gates, each
+/// reading any earlier net (a narrow gate's glitchy output, an input, a
+/// constant or an earlier wide gate) and marked as a primary output.
+fn build_wide_netlist(narrow: &[GateRecipe], wide: &[(usize, Vec<u16>)], inputs: usize) -> Netlist {
+    let mut n = build_netlist(narrow, inputs);
+    for (i, (kind, picks)) in wide.iter().enumerate() {
+        let ins: Vec<NetId> = picks
+            .iter()
+            .map(|&p| NetId::from_index(p as usize % n.net_count()))
+            .collect();
+        let out = n.add_gate(VARIADIC[*kind], &ins).unwrap();
+        n.mark_output(out, format!("w{i}"));
+    }
+    n
 }
 
 /// Steps both kernels through `seqs` and asserts full-state identity after
@@ -152,6 +188,39 @@ proptest! {
         // Detach: the faulted state must re-initialize identically too.
         level.clear_fault_overlay();
         event.clear_fault_overlay();
+        assert_locked_steps(&n, &mut level, &mut event, inputs, &seqs);
+    }
+
+    /// Variadic gates of arity 3–6, which the conformance generator never
+    /// builds: the 3-input table merge and the wide-gate merge stay locked
+    /// to `EventSim` on aged delays, with and without a fault overlay.
+    #[test]
+    fn level_sim_matches_event_sim_on_wide_variadic_gates(
+        narrow in proptest::collection::vec(arb_gate(), 1..30),
+        wide in proptest::collection::vec(arb_wide_gate(), 1..12),
+        seqs in proptest::collection::vec(any::<u64>(), 1..8),
+        factor_seed in proptest::collection::vec(0.5f64..4.0, 1..50),
+        net_pick in any::<u16>(),
+        kind in arb_fault_kind(),
+    ) {
+        let inputs = GEN_INPUTS;
+        let n = build_wide_netlist(&narrow, &wide, inputs);
+        let topo = n.topology().unwrap();
+        let factors: Vec<f64> = (0..n.gate_count())
+            .map(|g| factor_seed[g % factor_seed.len()])
+            .collect();
+        let delays =
+            DelayAssignment::with_factors(&n, &DelayModel::nominal(), &factors).unwrap();
+        let mut level = LevelSim::new(&n, &topo, delays.clone());
+        let mut event = EventSim::new(&n, &topo, delays);
+        assert_locked_steps(&n, &mut level, &mut event, inputs, &seqs);
+
+        let mut overlay = FaultOverlay::new(&n);
+        overlay
+            .add(NetId::from_index(net_pick as usize % n.net_count()), kind, 1)
+            .unwrap();
+        level.set_fault_overlay(overlay.clone());
+        event.set_fault_overlay(overlay);
         assert_locked_steps(&n, &mut level, &mut event, inputs, &seqs);
     }
 }

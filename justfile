@@ -60,3 +60,10 @@ chaos-soak:
 # BENCH_sim.json for the record.
 bench-fleet:
 	cargo bench -p agemul-bench --bench fleet
+
+# Reads BENCH_sim.json: each id's newest row against the newest earlier
+# row from another commit on the same nproc; exits nonzero when one is
+# >10 % slower beyond the summed stddevs. Not part of `verify`: timings on
+# a shared host are not a gate.
+bench-check:
+	scripts/bench_check.py
