@@ -22,7 +22,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use agemul::{MultiplierDesign, SimEngine};
+use agemul::MultiplierDesign;
 use agemul_aging::BtiModel;
 use agemul_circuits::MultiplierKind;
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetPolicy, FleetSim, RoutingPolicy};
@@ -58,7 +58,7 @@ fn bench_fleet(c: &mut Criterion) {
         g.bench_function(format!("fleet_run_{nodes}nodes"), |b| {
             b.iter(|| {
                 let mut sim = FleetSim::new(&campaign);
-                black_box(sim.run(SimEngine::Level, None).unwrap())
+                black_box(sim.run(None).unwrap())
             })
         });
     }
@@ -69,7 +69,7 @@ fn bench_fleet(c: &mut Criterion) {
         g.bench_function(format!("fleet_policy_{}", routing.label()), |b| {
             b.iter(|| {
                 let mut sim = FleetSim::new(&campaign);
-                black_box(sim.run(SimEngine::Level, None).unwrap())
+                black_box(sim.run(None).unwrap())
             })
         });
     }

@@ -76,9 +76,10 @@ impl JudgingBlock {
     }
 
     /// The stricter companion block the AHL switches to after significant
-    /// aging (`skip + 1` zeros required).
+    /// aging (`skip + 1` zeros required; saturating, so `u32::MAX` — no
+    /// operation is ever one-cycle — stays that strict).
     pub fn stricter(&self) -> JudgingBlock {
-        JudgingBlock::new(self.skip + 1)
+        JudgingBlock::new(self.skip.saturating_add(1))
     }
 }
 
@@ -91,6 +92,14 @@ impl fmt::Display for JudgingBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stricter_block_saturates_at_the_largest_skip() {
+        assert_eq!(JudgingBlock::new(7).stricter().skip(), 8);
+        let never = JudgingBlock::new(u32::MAX);
+        assert_eq!(never.stricter(), never);
+        assert!(!never.stricter().is_one_cycle(64));
+    }
 
     #[test]
     fn zero_counting_edges() {

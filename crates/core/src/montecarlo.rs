@@ -205,7 +205,7 @@ fn corner_seed(base: u64, corner: usize) -> u64 {
 /// # Example
 ///
 /// ```no_run
-/// use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet, SimEngine};
+/// use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet};
 /// use agemul_aging::BtiModel;
 /// use agemul_circuits::MultiplierKind;
 /// use agemul_logic::Technology;
@@ -215,7 +215,7 @@ fn corner_seed(base: u64, corner: usize) -> u64 {
 /// let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
 /// let config = McConfig::new(200, 0.05, 7);
 /// let campaign = MonteCarloCampaign::new(&design, patterns.pairs(), &bti, config)?;
-/// let report = campaign.run(SimEngine::Level, None)?;
+/// let report = campaign.run(None)?;
 /// for (years, yield_frac) in report.yield_curve(true) {
 ///     println!("{years} y: {:.1} % yield with AHL", 100.0 * yield_frac);
 /// }
@@ -359,9 +359,8 @@ impl<'a> MonteCarloCampaign<'a> {
     /// [`run_corner`](Self::run_corner) without plan reuse: one
     /// from-scratch kernel per lifetime point on the requested `engine`.
     /// This is the slow reference path — the retimed fast path is
-    /// byte-identical to it (asserted in this module's tests), and
-    /// [`run`](Self::run) uses it on the event-driven reference engine,
-    /// which has no retime.
+    /// byte-identical to it on either engine (asserted in this module's
+    /// tests).
     ///
     /// # Errors
     ///
@@ -423,36 +422,19 @@ impl<'a> MonteCarloCampaign<'a> {
         }
     }
 
-    /// Runs the whole campaign on `engine`, polling `cancel` inside every
-    /// corner-year's workload replay.
-    ///
-    /// [`SimEngine::Level`] shares one compiled profiler across all
-    /// corners ([`run_corner`](Self::run_corner)); [`SimEngine::Event`]
-    /// builds a from-scratch event-driven kernel per corner-year
-    /// ([`run_corner_from_scratch`](Self::run_corner_from_scratch)). Both
-    /// produce byte-identical reports.
+    /// Runs the whole campaign, polling `cancel` inside every
+    /// corner-year's workload replay. One compiled profiler is re-timed
+    /// across all corners ([`run_corner`](Self::run_corner)).
     ///
     /// # Errors
     ///
     /// Propagates the first (in corner order) [`CoreError`] any corner
     /// produced; see [`run_corner`](Self::run_corner) for the cases.
-    pub fn run(
-        &self,
-        engine: SimEngine,
-        cancel: Option<&agemul_netlist::CancelToken>,
-    ) -> Result<McReport, CoreError> {
-        let corners = 0..self.config.corners;
-        let outcomes = match engine {
-            SimEngine::Level => {
-                let mut profiler = self.profiler()?;
-                corners
-                    .map(|corner| self.run_corner(&mut profiler, corner, cancel))
-                    .collect::<Result<_, _>>()?
-            }
-            SimEngine::Event => corners
-                .map(|corner| self.run_corner_from_scratch(corner, engine, cancel))
-                .collect::<Result<_, _>>()?,
-        };
+    pub fn run(&self, cancel: Option<&agemul_netlist::CancelToken>) -> Result<McReport, CoreError> {
+        let mut profiler = self.profiler()?;
+        let outcomes = (0..self.config.corners)
+            .map(|corner| self.run_corner(&mut profiler, corner, cancel))
+            .collect::<Result<_, _>>()?;
         Ok(McReport {
             years: self.config.years.clone(),
             cycle_ns: self.config.cycle_ns,
@@ -488,7 +470,7 @@ mod tests {
         let mut config = McConfig::new(6, 0.08, 99);
         config.years = vec![0.0, 4.0, 7.0];
         let mc = campaign(&d, patterns.pairs(), config.clone());
-        let report = mc.run(SimEngine::Level, None).unwrap();
+        let report = mc.run(None).unwrap();
         assert_eq!(report.corners.len(), 6);
 
         for c in &report.corners {
@@ -526,10 +508,10 @@ mod tests {
         let mut config = McConfig::new(4, 0.1, 1234);
         config.years = vec![0.0, 7.0];
         let a = campaign(&d, patterns.pairs(), config.clone())
-            .run(SimEngine::Level, None)
+            .run(None)
             .unwrap();
         let b = campaign(&d, patterns.pairs(), config.clone())
-            .run(SimEngine::Level, None)
+            .run(None)
             .unwrap();
         assert_eq!(a, b);
 
@@ -554,9 +536,7 @@ mod tests {
         let patterns = PatternSet::uniform(8, 32, 5);
         let mut config = McConfig::new(12, 0.12, 77);
         config.years = vec![0.0, 3.0, 7.0];
-        let report = campaign(&d, patterns.pairs(), config)
-            .run(SimEngine::Level, None)
-            .unwrap();
+        let report = campaign(&d, patterns.pairs(), config).run(None).unwrap();
         let base = report.yield_curve(false);
         let ahl = report.yield_curve(true);
         assert_eq!(base.len(), 3);
@@ -572,8 +552,8 @@ mod tests {
         assert!(base[0].1 <= 1.0);
     }
 
-    /// The degradation path — from-scratch kernels on the event-driven
-    /// reference engine — reports exactly what the retimed fast path does.
+    /// From-scratch kernels, on either engine, report exactly what the
+    /// retimed fast path does.
     #[test]
     fn from_scratch_event_engine_matches_retimed_path() {
         let d = MultiplierDesign::new(MultiplierKind::ColumnBypass, 8).unwrap();
@@ -591,8 +571,9 @@ mod tests {
         }
     }
 
-    /// `run` reports the same campaign on either engine, and a fired
-    /// token stops it with a cancellation on both.
+    /// `run` reports, corner by corner, what from-scratch kernels on the
+    /// event-driven reference engine report, and a fired token stops both
+    /// paths with a cancellation.
     #[test]
     fn run_is_engine_invariant_and_cancellable() {
         let d = MultiplierDesign::new(MultiplierKind::RowBypass, 8).unwrap();
@@ -600,21 +581,27 @@ mod tests {
         let mut config = McConfig::new(3, 0.06, 31);
         config.years = vec![0.0, 7.0];
         let mc = campaign(&d, patterns.pairs(), config);
-        let level = mc.run(SimEngine::Level, None).unwrap();
-        assert_eq!(mc.run(SimEngine::Event, None).unwrap(), level);
+        let report = mc.run(None).unwrap();
+        for (corner, outcome) in report.corners.iter().enumerate() {
+            let event = mc
+                .run_corner_from_scratch(corner, SimEngine::Event, None)
+                .unwrap();
+            assert_eq!(*outcome, event, "corner {corner}");
+        }
 
         let token = agemul_netlist::CancelToken::new();
         token.cancel();
-        for engine in [SimEngine::Level, SimEngine::Event] {
-            let err = mc.run(engine, Some(&token)).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CoreError::Netlist(agemul_netlist::NetlistError::Cancelled)
-                ),
-                "{engine:?}: {err:?}"
-            );
-        }
+        let cancelled = |err: CoreError| {
+            matches!(
+                err,
+                CoreError::Netlist(agemul_netlist::NetlistError::Cancelled)
+            )
+        };
+        assert!(cancelled(mc.run(Some(&token)).unwrap_err()));
+        assert!(cancelled(
+            mc.run_corner_from_scratch(0, SimEngine::Event, Some(&token))
+                .unwrap_err()
+        ));
     }
 
     /// The yield curve of an empty campaign is empty, not a division by
@@ -625,9 +612,7 @@ mod tests {
         let patterns = PatternSet::uniform(4, 8, 1);
         let mut config = McConfig::new(0, 0.05, 9);
         config.years = vec![0.0];
-        let report = campaign(&d, patterns.pairs(), config)
-            .run(SimEngine::Level, None)
-            .unwrap();
+        let report = campaign(&d, patterns.pairs(), config).run(None).unwrap();
         assert!(report.corners.is_empty());
         assert!(report.yield_curve(true).is_empty());
     }

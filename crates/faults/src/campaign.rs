@@ -298,13 +298,12 @@ impl Campaign {
     }
 }
 
-/// Profiles the fault-free baseline for a supervised campaign, on an
-/// explicit timing kernel and under an optional [`CancelToken`].
+/// Profiles the fault-free baseline for a supervised campaign under an
+/// optional [`CancelToken`].
 ///
-/// With [`SimEngine::Level`] and no token this is exactly the baseline
-/// [`Campaign::prepare`] computes (bit-identical profile); the supervisor's
-/// degradation ladder re-invokes it with [`SimEngine::Event`] when the
-/// levelized kernel is suspect.
+/// Without a token this is exactly the baseline [`Campaign::prepare`]
+/// computes (bit-identical profile); a supervisor's retry calls it again
+/// with a fresh token.
 ///
 /// # Errors
 ///
@@ -314,10 +313,9 @@ impl Campaign {
 pub fn prepare_baseline(
     design: &MultiplierDesign,
     pairs: &[(u64, u64)],
-    engine: SimEngine,
     cancel: Option<&CancelToken>,
 ) -> Result<PatternProfile, FaultError> {
-    Ok(design.profile_supervised(pairs, None, engine, cancel)?)
+    Ok(design.profile_supervised(pairs, None, SimEngine::Level, cancel)?)
 }
 
 /// Evaluates one fault's config-independent evidence — the supervised,
@@ -326,8 +324,8 @@ pub fn prepare_baseline(
 /// Logic faults run a lane-0 functional evaluation whose corruption counts
 /// are bit-identical to the lane-masked 64-wide chunks `prepare` uses
 /// (each lane of a batch sweep is exact, so chunking is pure throughput).
-/// Delay faults re-profile the workload on `engine`. The optional token
-/// cancels both paths cooperatively.
+/// Delay faults re-profile the workload on the levelized kernel. The
+/// optional token cancels both paths cooperatively.
 ///
 /// # Errors
 ///
@@ -343,7 +341,6 @@ pub fn prepare_fault(
     design: &MultiplierDesign,
     pairs: &[(u64, u64)],
     spec: &FaultSpec,
-    engine: SimEngine,
     cancel: Option<&CancelToken>,
 ) -> Result<FaultEvidence, FaultError> {
     validate(design, std::slice::from_ref(spec))?;
@@ -351,7 +348,8 @@ pub fn prepare_fault(
         FaultSpec::Delay { gate, factor } => {
             let mut delays = design.delay_assignment(None)?;
             delays.inflate(gate, factor);
-            let profile = design.profile_with_delays_supervised(pairs, &delays, engine, cancel)?;
+            let profile =
+                design.profile_with_delays_supervised(pairs, &delays, SimEngine::Level, cancel)?;
             Ok(FaultEvidence::Delay { profile })
         }
         _ => {

@@ -10,7 +10,7 @@
 //! * detected faults feed the AHL: the report carries the adaptation op;
 //! * cached and per-case preparation produce identical reports.
 
-use agemul::{EngineConfig, MultiplierDesign, PatternSet, ProfileCache, RazorConfig, SimEngine};
+use agemul::{EngineConfig, MultiplierDesign, PatternSet, ProfileCache, RazorConfig};
 use agemul_circuits::MultiplierKind;
 use agemul_faults::{prepare_baseline, prepare_fault, Campaign, FaultClass, FaultError, FaultSpec};
 use agemul_netlist::{GateId, NetId};
@@ -242,11 +242,11 @@ fn per_case_preparation_assembles_into_an_identical_campaign() {
 
     let batch = Campaign::prepare(&d, patterns.pairs(), &faults).unwrap();
 
-    let baseline = prepare_baseline(&d, patterns.pairs(), SimEngine::Level, None).unwrap();
+    let baseline = prepare_baseline(&d, patterns.pairs(), None).unwrap();
     let entries: Vec<_> = faults
         .iter()
         .map(|f| {
-            let ev = prepare_fault(&d, patterns.pairs(), f, SimEngine::Level, None).unwrap();
+            let ev = prepare_fault(&d, patterns.pairs(), f, None).unwrap();
             (*f, ev)
         })
         .collect();
@@ -269,11 +269,11 @@ fn assembled_campaign_reports_quarantined_labels() {
     let patterns = PatternSet::uniform(4, 60, 23);
     let faults = FaultSpec::sample(&d, patterns.pairs().len(), 4, 0xACE);
 
-    let baseline = prepare_baseline(&d, patterns.pairs(), SimEngine::Level, None).unwrap();
+    let baseline = prepare_baseline(&d, patterns.pairs(), None).unwrap();
     let entries: Vec<_> = faults
         .iter()
         .map(|f| {
-            let ev = prepare_fault(&d, patterns.pairs(), f, SimEngine::Level, None).unwrap();
+            let ev = prepare_fault(&d, patterns.pairs(), f, None).unwrap();
             (*f, ev)
         })
         .collect();

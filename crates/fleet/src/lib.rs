@@ -10,10 +10,9 @@
 //! retire, down-clock, or rest.
 //!
 //! The load-bearing property is **determinism**: a campaign is a pure
-//! function of its configuration, the Level and Event timing engines
-//! produce the same event log, and a run resumed from a mid-campaign
+//! function of its configuration, and a run resumed from a mid-campaign
 //! checkpoint continues the uninterrupted run's event log byte for byte.
-//! The replay test layer (`tests/`) pins all three.
+//! The replay test layer (`tests/`) pins both.
 //!
 //! Layering: [`EventQueue`] (total, seed-stable event order) →
 //! [`epoch_trace`] (pure seeded workloads) → [`NodeState`] (one

@@ -28,15 +28,15 @@
 //! node id, the event order is total (`(time_fs, seq)`), and floats are
 //! only ever produced by the same code path in the same order. The
 //! replayable **event log** (arrivals, routing decisions, completions,
-//! policy actions, encoded as fixed-width bytes) is the witness: Level vs
-//! Event engines and resumed vs uninterrupted runs must produce identical
-//! bytes, which `tests/replay_equiv.rs` pins.
+//! policy actions, encoded as fixed-width bytes) is the witness: resumed
+//! and uninterrupted runs must produce identical bytes, which
+//! `tests/replay_equiv.rs` pins.
 
 use std::sync::Arc;
 
 use agemul::{
     quantize_factors, CancelToken, CoreError, CornerProfiler, CycleDecision, DetectOutcome, Json,
-    MultiplierDesign, PatternProfile, ProfileCache, RazorBank, RazorConfig, SimEngine,
+    MultiplierDesign, PatternProfile, ProfileCache, RazorBank, RazorConfig,
 };
 use agemul_aging::{stress_probabilities, BtiModel, VariationModel};
 
@@ -290,11 +290,9 @@ impl<'a> FleetCampaign<'a> {
     }
 
     /// Profiles one node at one effective age: corner variation × BTI at
-    /// `age_years`, grid-quantized, evaluated through the cache. On the
-    /// `Level` engine a cache miss re-times the worker's plan-reuse
-    /// profiler (`slot`, lazily compiled once per worker); on `Event` it
-    /// rebuilds from scratch on the reference engine — byte-identical
-    /// either way.
+    /// `age_years`, grid-quantized, evaluated through the cache. A cache
+    /// miss re-times the worker's plan-reuse profiler (`slot`, lazily
+    /// compiled once per worker).
     ///
     /// # Errors
     ///
@@ -306,7 +304,6 @@ impl<'a> FleetCampaign<'a> {
         corner_seed: u64,
         age_years: f64,
         pairs: &[(u64, u64)],
-        engine: SimEngine,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<PatternProfile>, CoreError> {
         let netlist = self.design.circuit().netlist();
@@ -319,26 +316,18 @@ impl<'a> FleetCampaign<'a> {
         let factors = quantize_factors(&composed);
         let delays = self.design.delay_assignment(Some(&factors))?;
         self.cache
-            .get_or_insert_with(self.design, &delays, pairs, || match engine {
-                SimEngine::Level => {
-                    if slot.is_none() {
-                        let nominal = self.design.delay_assignment(None)?;
-                        *slot = Some(self.design.corner_profiler(&nominal));
-                    }
-                    match slot.as_mut() {
-                        Some(profiler) => {
-                            profiler.retime(&delays);
-                            profiler.profile(pairs, cancel)
-                        }
-                        None => unreachable!("slot was just populated"),
-                    }
+            .get_or_insert_with(self.design, &delays, pairs, || {
+                if slot.is_none() {
+                    let nominal = self.design.delay_assignment(None)?;
+                    *slot = Some(self.design.corner_profiler(&nominal));
                 }
-                SimEngine::Event => self.design.profile_with_delays_supervised(
-                    pairs,
-                    &delays,
-                    SimEngine::Event,
-                    cancel,
-                ),
+                match slot.as_mut() {
+                    Some(profiler) => {
+                        profiler.retime(&delays);
+                        profiler.profile(pairs, cancel)
+                    }
+                    None => unreachable!("slot was just populated"),
+                }
             })
     }
 }
@@ -520,11 +509,7 @@ impl<'a, 'b> FleetSim<'a, 'b> {
     ///
     /// Propagates profiling errors (including cancellation) from the
     /// per-node refresh sweep.
-    pub fn run_epoch(
-        &mut self,
-        engine: SimEngine,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), CoreError> {
+    pub fn run_epoch(&mut self, cancel: Option<&CancelToken>) -> Result<(), CoreError> {
         let campaign = self.campaign;
         let config = campaign.config();
         let epoch = self.epoch;
@@ -574,7 +559,6 @@ impl<'a, 'b> FleetSim<'a, 'b> {
                 node.corner_seed,
                 node.age_years,
                 &pairs,
-                engine,
                 cancel,
             )?;
             node.profile_max_delay_ns = profile.max_delay_ns();
@@ -721,13 +705,9 @@ impl<'a, 'b> FleetSim<'a, 'b> {
     /// # Errors
     ///
     /// Propagates the first epoch failure.
-    pub fn run(
-        &mut self,
-        engine: SimEngine,
-        cancel: Option<&CancelToken>,
-    ) -> Result<FleetSummary, CoreError> {
+    pub fn run(&mut self, cancel: Option<&CancelToken>) -> Result<FleetSummary, CoreError> {
         while (self.epoch as usize) < self.campaign.config().epochs {
-            self.run_epoch(engine, cancel)?;
+            self.run_epoch(cancel)?;
         }
         Ok(self.summary())
     }
@@ -1087,7 +1067,7 @@ mod tests {
         let run = || {
             let campaign = FleetCampaign::new(&design, &bti, quick_config()).unwrap();
             let mut sim = FleetSim::new(&campaign);
-            let summary = sim.run(SimEngine::Level, None).unwrap();
+            let summary = sim.run(None).unwrap();
             (sim.log().bytes().to_vec(), summary)
         };
         let (log_a, summary_a) = run();
@@ -1103,7 +1083,7 @@ mod tests {
         let bti = bti();
         let campaign = FleetCampaign::new(&design, &bti, quick_config()).unwrap();
         let mut sim = FleetSim::new(&campaign);
-        let summary = sim.run(SimEngine::Level, None).unwrap();
+        let summary = sim.run(None).unwrap();
         let penalty = u64::from(campaign.config().error_penalty_cycles);
         for report in &summary.node_reports {
             let c = &report.counters;
@@ -1128,13 +1108,13 @@ mod tests {
         let campaign = FleetCampaign::new(&design, &bti, quick_config()).unwrap();
 
         let mut uninterrupted = FleetSim::new(&campaign);
-        uninterrupted.run_epoch(SimEngine::Level, None).unwrap();
+        uninterrupted.run_epoch(None).unwrap();
         let snapshot = uninterrupted.snapshot();
         let prefix = uninterrupted.log().bytes().to_vec();
-        uninterrupted.run_epoch(SimEngine::Level, None).unwrap();
+        uninterrupted.run_epoch(None).unwrap();
 
         let mut resumed = FleetSim::restore(&campaign, &snapshot).unwrap();
-        resumed.run_epoch(SimEngine::Level, None).unwrap();
+        resumed.run_epoch(None).unwrap();
 
         let mut stitched = prefix;
         stitched.extend_from_slice(resumed.log().bytes());
@@ -1176,23 +1156,8 @@ mod tests {
         let bti = bti();
         let campaign = FleetCampaign::new(&design, &bti, quick_config()).unwrap();
         let mut sim = FleetSim::new(&campaign);
-        let summary = sim.run(SimEngine::Level, None).unwrap();
+        let summary = sim.run(None).unwrap();
         let back = FleetSummary::from_json(&summary.to_json()).unwrap();
         assert_eq!(back, summary);
-    }
-
-    #[test]
-    fn engines_agree_on_the_event_log() {
-        let design = design();
-        let bti = bti();
-        let mut config = quick_config();
-        config.epochs = 1;
-        let run = |engine: SimEngine| {
-            let campaign = FleetCampaign::new(&design, &bti, config.clone()).unwrap();
-            let mut sim = FleetSim::new(&campaign);
-            sim.run(engine, None).unwrap();
-            sim.log().bytes().to_vec()
-        };
-        assert_eq!(run(SimEngine::Level), run(SimEngine::Event));
     }
 }

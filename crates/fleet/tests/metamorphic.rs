@@ -8,7 +8,7 @@
 //! `cycles = one_cycle_ops + 2·two_cycle_ops + penalty·errors`
 //! summed over nodes.
 
-use agemul::{MultiplierDesign, SimEngine};
+use agemul::MultiplierDesign;
 use agemul_aging::BtiModel;
 use agemul_circuits::MultiplierKind;
 use agemul_fleet::{
@@ -25,7 +25,7 @@ fn run(design: &MultiplierDesign, config: FleetConfig) -> FleetSummary {
     let bti = bti();
     let campaign = FleetCampaign::new(design, &bti, config).unwrap();
     let mut sim = FleetSim::new(&campaign);
-    sim.run(SimEngine::Level, None).unwrap()
+    sim.run(None).unwrap()
 }
 
 /// With σ = 0, zero per-epoch aging, and no burn-in spread, every node is

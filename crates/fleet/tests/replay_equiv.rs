@@ -13,7 +13,7 @@
 //!    continues the uninterrupted run's event log byte for byte and
 //!    converges to the same final state.
 
-use agemul::{MultiplierDesign, SimEngine};
+use agemul::MultiplierDesign;
 use agemul_aging::BtiModel;
 use agemul_circuits::MultiplierKind;
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetPolicy, FleetSim, RoutingPolicy, TraceKind};
@@ -46,7 +46,7 @@ fn run_to_end(config: &FleetConfig) -> (Vec<u8>, agemul::Json) {
     let bti = bti();
     let campaign = FleetCampaign::new(&design, &bti, config.clone()).unwrap();
     let mut sim = FleetSim::new(&campaign);
-    sim.run(SimEngine::Level, None).unwrap();
+    sim.run(None).unwrap();
     (sim.log().bytes().to_vec(), sim.snapshot())
 }
 
@@ -87,14 +87,14 @@ proptest! {
 
         let mut uninterrupted = FleetSim::new(&campaign);
         for _ in 0..split {
-            uninterrupted.run_epoch(SimEngine::Level, None).unwrap();
+            uninterrupted.run_epoch(None).unwrap();
         }
         let snapshot = uninterrupted.snapshot();
         let prefix = uninterrupted.log().bytes().to_vec();
-        uninterrupted.run(SimEngine::Level, None).unwrap();
+        uninterrupted.run(None).unwrap();
 
         let mut resumed = FleetSim::restore(&campaign, &snapshot).unwrap();
-        resumed.run(SimEngine::Level, None).unwrap();
+        resumed.run(None).unwrap();
 
         let mut stitched = prefix;
         stitched.extend_from_slice(resumed.log().bytes());
@@ -119,7 +119,7 @@ fn golden_log_hashes_are_stable() {
         let bti = bti();
         let campaign = FleetCampaign::new(&design, &bti, config).unwrap();
         let mut sim = FleetSim::new(&campaign);
-        sim.run(SimEngine::Level, None).unwrap();
+        sim.run(None).unwrap();
         assert_eq!(
             sim.log().hash(),
             expected,

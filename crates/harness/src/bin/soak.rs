@@ -128,14 +128,11 @@ fn run(opts: &Opts) -> Result<(), String> {
         .map_err(|e| format!("writing {}: {e}", opts.out.display()))?;
 
     let quarantined = supervised.ledger.quarantined();
-    let degraded = supervised.ledger.degraded();
     println!(
-        "soak: {} cases done, {} quarantined {:?}, {} degraded {:?}, report -> {}",
+        "soak: {} cases done, {} quarantined {:?}, report -> {}",
         supervised.ledger.records.len() - quarantined.len(),
         quarantined.len(),
         quarantined,
-        degraded.len(),
-        degraded,
         opts.out.display(),
     );
     Ok(())

@@ -3,7 +3,7 @@
 //! The batch path ([`Campaign::prepare`]) evaluates up to 64 logic faults
 //! per bit-parallel sweep; the supervised path trades that throughput for
 //! per-case isolation — each fault is one supervised case that can be
-//! checkpointed, retried, degraded, or quarantined on its own. Each lane
+//! checkpointed, retried, or quarantined on its own. Each lane
 //! of a batch sweep is exact, so the per-case evidence is bit-identical to
 //! the chunked evidence and a fully-recovered supervised campaign replays
 //! identically to an unsupervised one (pinned by the faults crate's
@@ -60,7 +60,7 @@ pub fn campaign_run_key(
 }
 
 /// A supervised campaign run: the reassembled [`Campaign`] plus the raw
-/// ledger (retries, engine downgrades, quarantine reasons).
+/// ledger (retries, quarantine reasons).
 #[derive(Clone, Debug)]
 pub struct SupervisedCampaign {
     /// The campaign, ready for [`Campaign::run`] replays. Quarantined
@@ -108,12 +108,12 @@ pub fn run_campaign_supervised(
     let worker = |attempt: &Attempt| -> Result<Json, CaseError> {
         let cancel = attempt.cancel.as_ref();
         if attempt.index == 0 {
-            let profile = prepare_baseline(design, pairs, attempt.engine, cancel)
-                .map_err(|e| CaseError::from_error(&e))?;
+            let profile =
+                prepare_baseline(design, pairs, cancel).map_err(|e| CaseError::from_error(&e))?;
             Ok(profile_to_json(&profile))
         } else {
             let spec = &faults[attempt.index - 1];
-            let evidence = prepare_fault(design, pairs, spec, attempt.engine, cancel)
+            let evidence = prepare_fault(design, pairs, spec, cancel)
                 .map_err(|e| CaseError::from_error(&e))?;
             Ok(evidence_to_json(&evidence))
         }

@@ -13,11 +13,14 @@
 //! ```json
 //! {"schema":"agemul-harness-ckpt/1","crc":<u32 of payload text>,
 //!  "payload":{"run_key":"...","total":N,"entries":[
-//!    {"index":0,"label":"baseline","engine":"level","retries":0,
-//!     "degraded":false,"status":"done","value":{...}},
-//!    {"index":3,"label":"poison","engine":"event","retries":2,
-//!     "degraded":true,"status":"quarantined","reason":"panic: ..."}]}}
+//!    {"index":0,"label":"baseline","retries":0,"status":"done","value":{...}},
+//!    {"index":3,"label":"poison","retries":0,"status":"quarantined",
+//!     "reason":"panic: ..."}]}}
 //! ```
+//!
+//! Entries are decoded by field name and unknown keys are ignored, so a
+//! document that still carries the `engine` and `degraded` keys of the
+//! retired Level→Event fallback loads unchanged under the same schema.
 //!
 //! `run_key` fingerprints the work (design, workload, case list); a resume
 //! against a checkpoint whose key differs is refused rather than silently
@@ -132,12 +135,8 @@ pub struct CaseRecord {
     pub index: usize,
     /// Human-readable case label (fault label, period, seed, …).
     pub label: String,
-    /// Timing kernel the final attempt ran on (`"level"` or `"event"`).
-    pub engine: String,
     /// Retries spent before the final attempt (0 = first try succeeded).
     pub retries: u32,
-    /// Whether the case fell back to the event-driven reference engine.
-    pub degraded: bool,
     /// The recorded outcome.
     pub status: CaseStatus,
 }
@@ -175,9 +174,7 @@ impl Checkpoint {
                 let mut pairs = vec![
                     ("index".into(), Json::UInt(r.index as u64)),
                     ("label".into(), Json::Str(r.label.clone())),
-                    ("engine".into(), Json::Str(r.engine.clone())),
                     ("retries".into(), Json::UInt(u64::from(r.retries))),
-                    ("degraded".into(), Json::Bool(r.degraded)),
                 ];
                 match &r.status {
                     CaseStatus::Done { value } => {
@@ -242,9 +239,7 @@ impl Checkpoint {
             Ok(CaseRecord {
                 index: e.get_u64("index")? as usize,
                 label: e.get_str("label")?.to_string(),
-                engine: e.get_str("engine")?.to_string(),
                 retries: e.get_u32("retries")?,
-                degraded: e.get_bool("degraded")?,
                 status,
             })
         };
@@ -375,9 +370,7 @@ mod tests {
                 CaseRecord {
                     index: 0,
                     label: "baseline".into(),
-                    engine: "level".into(),
                     retries: 0,
-                    degraded: false,
                     status: CaseStatus::Done {
                         value: Json::Obj(vec![("x".into(), Json::UInt(7))]),
                     },
@@ -385,9 +378,7 @@ mod tests {
                 CaseRecord {
                     index: 2,
                     label: "poison".into(),
-                    engine: "event".into(),
                     retries: 2,
-                    degraded: true,
                     status: CaseStatus::Quarantined {
                         reason: "panic: boom".into(),
                     },

@@ -5,7 +5,7 @@
 //! to the simulations themselves. Paper-scale fault campaigns, Monte Carlo
 //! yield studies, and fleet policy studies run minutes to hours, and
 //! before this crate a single panic, wedged case, or killed process
-//! discarded every completed case. The [`Supervisor`] wraps any indexed list of cases in four
+//! discarded every completed case. The [`Supervisor`] wraps any indexed list of cases in three
 //! protections:
 //!
 //! * **crash-safe checkpointing** — completed-case ledgers are snapshotted
@@ -20,12 +20,9 @@
 //!   wall-clock deadline is enforced cooperatively through
 //!   [`CancelToken`](agemul::CancelToken), which the `EventSim`/`LevelSim`
 //!   step loops and the campaign evaluation loops poll; an overrun case is
-//!   retried with exponential backoff before quarantining;
-//! * **graceful degradation** — after the retry budget is exhausted on the
-//!   fast levelized kernel, one final attempt runs on the event-driven
-//!   reference engine ([`SimEngine::Event`](agemul::SimEngine)), and the
-//!   downgrade is recorded — the AHL's trade of latency for correctness,
-//!   applied to the runtime.
+//!   retried with exponential backoff before quarantining. Every attempt
+//!   runs on the levelized kernel, as the paper re-executes a failed
+//!   operation on the same multiplier.
 //!
 //! Two adapters wire the supervisor over the tree's work units:
 //! [`run_campaign_supervised`] (one case per fault plus the baseline,
@@ -34,7 +31,7 @@
 //! single case — same protections, no ledger or checkpoint. Other
 //! long-running work (the `repro` experiments, including the Monte Carlo
 //! and fleet studies) runs one case per experiment and threads the
-//! attempt's engine and deadline token into its simulations. Workers classify
+//! attempt's deadline token into its simulations. Workers classify
 //! their failures with [`CaseError::from_error`]. The `soak` binary drives
 //! a kill → resume → diff smoke test (`scripts/soak_smoke.sh`).
 //!

@@ -2,8 +2,8 @@
 //!
 //! A resident server (`agemul-serve`) runs each incoming request under the
 //! same protections as a batch case: panic isolation, a cooperative
-//! deadline via [`CancelToken`](agemul::CancelToken), bounded retry, and a
-//! final Level→Event degradation attempt. [`run_request_supervised`] runs
+//! deadline via [`CancelToken`](agemul::CancelToken), and bounded retry.
+//! [`run_request_supervised`] runs
 //! that one case directly — no run key, no ledger, no checkpoint (a
 //! request is retried by its client, not resumed from disk) — and returns
 //! its [`CaseRecord`].
@@ -15,8 +15,8 @@ use crate::supervisor::{run_case, Attempt, CaseError, SupervisorConfig};
 
 /// Runs one request under full supervision and returns its record.
 ///
-/// `worker` is invoked with each [`Attempt`] (engine + deadline token
-/// installed per `config`, exactly as in a batch run); a panicking or
+/// `worker` is invoked with each [`Attempt`] (deadline token installed
+/// per `config`, exactly as in a batch run); a panicking or
 /// budget-exhausted request comes back as
 /// [`CaseStatus::Quarantined`](crate::CaseStatus) rather than as an `Err`,
 /// so the caller can render a structured failure response instead of
@@ -29,7 +29,7 @@ use crate::supervisor::{run_case, Attempt, CaseError, SupervisorConfig};
 /// use agemul_harness::{run_request_supervised, CaseStatus, SupervisorConfig};
 ///
 /// let record = run_request_supervised(&SupervisorConfig::default(), &|attempt| {
-///     Ok(Json::Str(format!("{:?}", attempt.engine)))
+///     Ok(Json::UInt(u64::from(attempt.retry)))
 /// });
 /// assert!(matches!(record.status, CaseStatus::Done { .. }));
 /// ```
@@ -45,8 +45,6 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Duration;
 
-    use agemul::SimEngine;
-
     use super::*;
     use crate::CaseStatus;
 
@@ -61,7 +59,7 @@ mod tests {
     fn successful_request_returns_done_record() {
         let record = run_request_supervised(&cfg(), &|a: &Attempt| Ok(Json::UInt(a.index as u64)));
         assert_eq!(record.label, "request");
-        assert!(!record.degraded);
+        assert_eq!(record.retries, 0);
         assert_eq!(
             record.status,
             CaseStatus::Done {
@@ -81,7 +79,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_overrun_degrades_to_event_engine() {
+    fn deadline_overrun_retries_then_succeeds() {
         let attempts = AtomicU32::new(0);
         let record = run_request_supervised(
             &SupervisorConfig {
@@ -90,15 +88,15 @@ mod tests {
             },
             &|a: &Attempt| {
                 attempts.fetch_add(1, Ordering::Relaxed);
-                match a.engine {
-                    SimEngine::Level => Err(CaseError::Cancelled),
-                    SimEngine::Event => Ok(Json::Str("degraded".into())),
+                if a.retry == 0 {
+                    Err(CaseError::Cancelled)
+                } else {
+                    Ok(Json::Str("retried".into()))
                 }
             },
         );
-        assert_eq!(attempts.load(Ordering::Relaxed), 3);
-        assert!(record.degraded);
-        assert_eq!(record.engine, "event");
+        assert_eq!(attempts.load(Ordering::Relaxed), 2);
+        assert_eq!(record.retries, 1);
         assert!(matches!(record.status, CaseStatus::Done { .. }));
     }
 }

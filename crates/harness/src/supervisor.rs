@@ -1,12 +1,12 @@
 //! The supervised case loop: catch panics, enforce deadlines, retry with
-//! backoff, degrade, checkpoint.
+//! backoff, checkpoint.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::slice::SliceIndex;
 use std::time::Duration;
 
-use agemul::{CancelToken, Json, SimEngine};
+use agemul::{CancelToken, Json};
 
 use crate::checkpoint::{CaseRecord, CaseStatus, Checkpoint, CheckpointError};
 use crate::snapshot::is_cancellation;
@@ -18,9 +18,8 @@ pub struct SupervisorConfig {
     /// Per-attempt wall-clock budget, enforced cooperatively through the
     /// attempt's [`CancelToken`]. `None` disables deadlines.
     pub deadline: Option<Duration>,
-    /// Retries after the first attempt (on the primary engine) before the
-    /// final attempt on the event-driven reference engine. 0 means one
-    /// primary try.
+    /// Retries after the first attempt, so a case gets at most
+    /// `max_retries + 1` attempts. 0 means one try.
     pub max_retries: u32,
     /// Base backoff before retry `r` (sleeps `backoff << (r-1)`, capped at
     /// 1024×). Keep small; this exists to let transient load pass, not to
@@ -70,10 +69,6 @@ pub struct Attempt {
     pub index: usize,
     /// Which retry this is (0 = first attempt).
     pub retry: u32,
-    /// The timing kernel this attempt should use. The supervisor hands out
-    /// the fast levelized kernel until the retry budget is exhausted, then
-    /// the event-driven reference engine for one final attempt.
-    pub engine: SimEngine,
     /// Deadline token for this attempt, if the policy sets one. Workers
     /// thread it into the simulation layers ([`agemul::MultiplierDesign::
     /// profile_supervised`] and friends poll it cooperatively).
@@ -124,15 +119,6 @@ impl RunLedger {
             .collect()
     }
 
-    /// Indices of cases that fell back to the reference engine, in order.
-    pub fn degraded(&self) -> Vec<usize> {
-        self.records
-            .iter()
-            .filter(|r| r.degraded)
-            .map(|r| r.index)
-            .collect()
-    }
-
     /// Decodes the completed cases among `cases` (a range of case
     /// indices, `..` for all) as `(index, value)` pairs in index order.
     /// Quarantined cases are skipped; [`quarantined`](Self::quarantined)
@@ -173,13 +159,6 @@ pub struct Supervisor {
     config: SupervisorConfig,
 }
 
-fn engine_name(engine: SimEngine) -> &'static str {
-    match engine {
-        SimEngine::Level => "level",
-        SimEngine::Event => "event",
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -209,9 +188,8 @@ impl Supervisor {
     /// `worker` evaluates one [`Attempt`] to its serialized evidence. It
     /// runs under `catch_unwind`; a panic quarantines the case. Returning
     /// [`CaseError::Cancelled`] (deadline) or [`CaseError::Failed`]
-    /// consumes a retry; once the budget — and the final attempt on the
-    /// reference engine — is exhausted, the case is quarantined with the
-    /// last failure reason.
+    /// consumes a retry; once the budget is exhausted, the case is
+    /// quarantined with the last failure reason.
     ///
     /// # Errors
     ///
@@ -301,10 +279,9 @@ impl Supervisor {
     }
 }
 
-/// Runs one case to its record: attempts on the levelized kernel with
-/// exponential backoff until the retry budget is spent, then one final
-/// attempt on the event-driven reference engine. A panic quarantines the
-/// case at once; so does a failed final attempt, with its reason.
+/// Runs one case to its record: up to `max_retries + 1` attempts with
+/// exponential backoff between them. A panic quarantines the case at once;
+/// so does a failed last attempt, with its reason.
 pub(crate) fn run_case<W>(
     config: &SupervisorConfig,
     index: usize,
@@ -314,22 +291,14 @@ pub(crate) fn run_case<W>(
 where
     W: Fn(&Attempt) -> Result<Json, CaseError>,
 {
-    let record = |engine: SimEngine, retries: u32, status: CaseStatus| CaseRecord {
+    let record = |retries: u32, status: CaseStatus| CaseRecord {
         index,
         label: label.to_string(),
-        engine: engine_name(engine).into(),
         retries,
-        degraded: engine == SimEngine::Event,
         status,
     };
-    let degrade_at = config.max_retries.saturating_add(1);
     let mut last_reason = String::from("no attempt ran");
-    for retry in 0..=degrade_at {
-        let engine = if retry == degrade_at {
-            SimEngine::Event
-        } else {
-            SimEngine::Level
-        };
+    for retry in 0..=config.max_retries {
         if retry > 0 {
             let shift = retry.saturating_sub(1).min(10);
             let backoff = config.retry_backoff.saturating_mul(1 << shift);
@@ -345,28 +314,25 @@ where
         let attempt = Attempt {
             index,
             retry,
-            engine,
             cancel: config.deadline.map(CancelToken::with_deadline),
         };
-        let name = engine_name(engine);
         match catch_unwind(AssertUnwindSafe(|| worker(&attempt))) {
-            Ok(Ok(value)) => return record(engine, retry, CaseStatus::Done { value }),
+            Ok(Ok(value)) => return record(retry, CaseStatus::Done { value }),
             Ok(Err(CaseError::Cancelled)) => {
-                last_reason = format!("deadline exceeded on {name} engine (attempt {})", retry + 1);
+                last_reason = format!("deadline exceeded (attempt {})", retry + 1);
             }
             Ok(Err(CaseError::Failed(msg))) => {
-                last_reason = format!("failed on {name} engine (attempt {}): {msg}", retry + 1);
+                last_reason = format!("failed (attempt {}): {msg}", retry + 1);
             }
-            // A panic is deterministic poison: no retry, no degradation —
-            // quarantine immediately with the message.
+            // A panic is deterministic poison: no retry — quarantine
+            // immediately with the message.
             Err(payload) => {
                 let reason = format!("panic: {}", panic_message(payload));
-                return record(engine, retry, CaseStatus::Quarantined { reason });
+                return record(retry, CaseStatus::Quarantined { reason });
             }
         }
     }
     record(
-        SimEngine::Event,
         config.max_retries,
         CaseStatus::Quarantined {
             reason: last_reason,
@@ -403,7 +369,6 @@ mod tests {
         for (i, r) in ledger.records.iter().enumerate() {
             assert_eq!(r.index, i);
             assert_eq!(r.retries, 0);
-            assert!(!r.degraded);
             assert_eq!(
                 r.status,
                 CaseStatus::Done {
@@ -441,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_case_retries_then_degrades_to_event_engine() {
+    fn failed_case_retries_then_succeeds() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let attempts = AtomicU32::new(0);
         let sup = Supervisor::new("k", labels(1), cfg());
@@ -449,28 +414,28 @@ mod tests {
             .run(
                 &|a: &Attempt| {
                     attempts.fetch_add(1, Ordering::Relaxed);
-                    match a.engine {
-                        SimEngine::Level => {
-                            Err(CaseError::Failed("levelized kernel suspect".into()))
-                        }
-                        SimEngine::Event => Ok(Json::Str("via reference engine".into())),
+                    if a.retry < 2 {
+                        Err(CaseError::Failed("transient fault".into()))
+                    } else {
+                        Ok(Json::Str("on the last retry".into()))
                     }
                 },
                 None,
                 Resume::Fresh,
             )
             .unwrap();
-        // max_retries = 2 → three Level attempts, then the Event fallback.
-        assert_eq!(attempts.load(Ordering::Relaxed), 4);
+        // max_retries = 2 → the third attempt is the last and succeeds.
+        assert_eq!(attempts.load(Ordering::Relaxed), 3);
         let r = &ledger.records[0];
-        assert!(r.degraded);
-        assert_eq!(r.engine, "event");
-        assert_eq!(ledger.degraded(), vec![0]);
+        assert_eq!(r.retries, 2);
         assert!(matches!(r.status, CaseStatus::Done { .. }));
+        assert!(ledger.quarantined().is_empty());
     }
 
     #[test]
     fn exhausted_budget_quarantines_with_last_reason() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let attempts = AtomicU32::new(0);
         let sup = Supervisor::new(
             "k",
             labels(1),
@@ -481,18 +446,23 @@ mod tests {
         );
         let ledger = sup
             .run(
-                &|_: &Attempt| Err(CaseError::Cancelled),
+                &|_: &Attempt| {
+                    attempts.fetch_add(1, Ordering::Relaxed);
+                    Err(CaseError::Cancelled)
+                },
                 None,
                 Resume::Fresh,
             )
             .unwrap();
+        // max_retries = 1 → exactly two attempts, then quarantine.
+        assert_eq!(attempts.load(Ordering::Relaxed), 2);
         let r = &ledger.records[0];
-        assert!(
-            matches!(&r.status, CaseStatus::Quarantined { reason } if reason.contains("deadline exceeded on event engine (attempt 3)")),
-            "{r:?}"
+        assert_eq!(
+            r.status,
+            CaseStatus::Quarantined {
+                reason: "deadline exceeded (attempt 2)".into()
+            }
         );
-        assert!(r.degraded);
-        assert_eq!(r.engine, "event");
         assert_eq!(r.retries, 1);
     }
 
@@ -501,9 +471,7 @@ mod tests {
         let record = |index: usize, status: CaseStatus| CaseRecord {
             index,
             label: format!("case{index}"),
-            engine: "level".into(),
             retries: 0,
-            degraded: false,
             status,
         };
         let ledger = RunLedger {

@@ -103,6 +103,33 @@ fn campaign_resumed_from_truncated_checkpoint_is_bit_identical() {
     }
 }
 
+/// A checkpoint written before the Level→Event fallback was retired, its
+/// entries still carrying `"engine"` and `"degraded"`: the baseline and
+/// first fault of a CB 4×4 campaign (24 pairs, seed 5; 3 faults, seed 6).
+/// It resumes under the unchanged schema to the uninterrupted report.
+#[test]
+fn checkpoint_written_before_the_rung_removal_resumes_identically() {
+    const FIXTURE: &str = include_str!("fixtures/campaign-before-rung-removal.ckpt.json");
+    assert!(FIXTURE.contains(r#""engine":"level""#) && FIXTURE.contains(r#""degraded":false"#));
+    let d = design();
+    let patterns = PatternSet::uniform(4, 24, 5);
+    let faults = FaultSpec::sample(&d, 24, 3, 6);
+    let path = temp_path("legacy");
+    std::fs::write(&path, FIXTURE).unwrap();
+    let run = |checkpoint, resume| {
+        run_campaign_supervised(&d, patterns.pairs(), &faults, &config(), checkpoint, resume)
+            .unwrap()
+    };
+    let full = run(None, Resume::Fresh);
+    let resumed = run(Some(path.as_path()), Resume::Require);
+    assert_eq!(resumed.ledger, full.ledger);
+    let cfg = EngineConfig::adaptive(1.0, 2);
+    assert_eq!(
+        resumed.campaign.run(&cfg).to_json(),
+        full.campaign.run(&cfg).to_json()
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -161,7 +161,6 @@ fn years_key(years: f64) -> u32 {
 /// paper reuses one measured dataset across Figs. 13–24.
 pub struct Context {
     scale: Scale,
-    engine: SimEngine,
     cancel: Option<CancelToken>,
     bti: BtiModel,
     designs: HashMap<(MultiplierKind, usize), Rc<MultiplierDesign>>,
@@ -181,7 +180,6 @@ impl Context {
     pub fn new(scale: Scale) -> Self {
         Context {
             scale,
-            engine: SimEngine::Level,
             cancel: None,
             bti: BtiModel::calibrated(Technology::ptm_32nm_hk(), REFERENCE_GATE_7Y_FACTOR),
             designs: HashMap::new(),
@@ -199,30 +197,16 @@ impl Context {
         self.scale
     }
 
-    /// Places the context under supervision: profiles are simulated on
-    /// `engine` and the optional deadline token is threaded into the
-    /// timing kernels, so a supervisor's deadline aborts an experiment
-    /// cooperatively instead of leaving it wedged.
-    ///
-    /// Intended for a *fresh* context per supervised attempt — caches are
-    /// keyed without the engine, so mixing engines in one context would
-    /// serve profiles computed on whichever engine ran first (they are
-    /// equivalent by the conformance gate, but bit-identity of a resumed
-    /// run is only pinned per attempt).
-    pub fn set_supervision(&mut self, engine: SimEngine, cancel: Option<CancelToken>) {
-        self.engine = engine;
+    /// Places the context under supervision: the optional deadline token
+    /// is threaded into the timing kernels, so a supervisor's deadline
+    /// aborts an experiment cooperatively instead of leaving it wedged.
+    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
         self.cancel = cancel;
     }
 
     /// The calibrated BTI model.
     pub fn bti(&self) -> &BtiModel {
         &self.bti
-    }
-
-    /// The simulation engine profiles run on (levelized by default,
-    /// event-driven when a supervisor degrades the attempt).
-    pub fn engine(&self) -> SimEngine {
-        self.engine
     }
 
     /// The supervisor's deadline token, if any.
@@ -334,7 +318,7 @@ impl Context {
         let p = Rc::new(design.profile_supervised(
             workload.pairs(),
             factors.as_ref().map(|f| f.as_slice()),
-            self.engine,
+            SimEngine::Level,
             self.cancel.as_ref(),
         )?);
         self.profiles.insert(key, Rc::clone(&p));

@@ -28,7 +28,7 @@
 //! per `(trace, seed, epoch)`; the cycle is anchored at the fresh
 //! one-cycle-eligible workload max (zeros ≥ skip) times a 5 % guardband,
 //! per the AHL contract — two-cycle operations need not fit. Scenarios
-//! run on the context's engine and poll its deadline token; the event
+//! poll the context's deadline token; the event
 //! log's FNV-1a fingerprint per scenario is recorded as the replay
 //! witness.
 
@@ -105,7 +105,7 @@ pub(super) fn fleet_study(
         .into_iter()
         .map(|config| {
             let campaign = FleetCampaign::new(&design, ctx.bti(), config)?;
-            FleetSim::new(&campaign).run(ctx.engine(), ctx.cancel())
+            FleetSim::new(&campaign).run(ctx.cancel())
         })
         .collect::<std::result::Result<Vec<FleetSummary>, _>>()?;
     let elapsed = t0.elapsed().as_secs_f64();

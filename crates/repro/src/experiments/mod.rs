@@ -198,7 +198,7 @@ mod tests {
     /// classifies the failure as a cancellation.
     #[test]
     fn mc_and_fleet_studies_observe_a_fired_deadline() {
-        use agemul::{CancelToken, SimEngine};
+        use agemul::CancelToken;
         use agemul_harness::CaseError;
 
         use crate::{Context, Scale};
@@ -208,7 +208,7 @@ mod tests {
 
         let token = CancelToken::new();
         token.cancel();
-        ctx.set_supervision(SimEngine::Level, Some(token));
+        ctx.set_cancel(Some(token));
         let mc = montecarlo::mc_study(&mut ctx, 8, 4, "mc-test").unwrap_err();
         assert_eq!(
             CaseError::from_error(&*mc),

@@ -14,9 +14,9 @@
 //!
 //! Each corner reuses one compiled levelized kernel across the lifetime
 //! axis ([`CornerProfiler`](agemul::CornerProfiler) re-timing; see
-//! `agemul::montecarlo`). The campaign runs on the context's engine and
-//! polls its deadline token, so a supervised `repro` batch can cancel or
-//! degrade it like any other experiment.
+//! `agemul::montecarlo`). The campaign polls the context's deadline
+//! token, so a supervised `repro` batch can cancel it like any other
+//! experiment.
 //!
 //! Conventions (also recorded in `EXPERIMENTS.md`): σ = 0.05 lognormal,
 //! base seed `0x0A6E_0002`, corner seeds derived by a SplitMix64
@@ -82,7 +82,7 @@ pub(super) fn mc_study(
         let campaign = MonteCarloCampaign::new(&design, workload.pairs(), ctx.bti(), config)?;
 
         let t0 = Instant::now();
-        let mc_report = campaign.run(ctx.engine(), ctx.cancel())?;
+        let mc_report = campaign.run(ctx.cancel())?;
         let elapsed = t0.elapsed().as_secs_f64();
 
         let baseline = mc_report.yield_curve(false);

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use agemul::{quantize_factors, run_engine, EngineConfig};
+use agemul::{quantize_factors, run_engine, EngineConfig, SimEngine};
 use agemul_circuits::MultiplierKind;
 
 use super::{f3, period_grid, skips};
@@ -62,8 +62,12 @@ fn sweep_study(
                 None
             };
             let t0 = Instant::now();
-            let profile =
-                design.profile_supervised(pairs, quant.as_deref(), ctx.engine(), ctx.cancel())?;
+            let profile = design.profile_supervised(
+                pairs,
+                quant.as_deref(),
+                SimEngine::Level,
+                ctx.cancel(),
+            )?;
             profiling += t0.elapsed().as_secs_f64();
 
             let t1 = Instant::now();

@@ -20,14 +20,19 @@
 //! a deadline/retry budget) the batch runs under the `agemul-harness`
 //! supervisor: completed experiments are checkpointed to the given path —
 //! a killed `repro all` picks up where it died — panicking experiments are
-//! quarantined instead of taking the batch down, and deadline overruns
-//! degrade to the event-driven reference engine before giving up.
+//! quarantined instead of taking the batch down, and a deadline overrun
+//! is retried `--max-retries` times (default 0) before the experiment is
+//! quarantined. The summary prints each experiment's attempt time, or
+//! `resumed` for one loaded from the checkpoint.
 //!
 //! Every value-taking flag may be given at most once — `--csv a --csv b`
 //! is rejected instead of silently keeping the last value —
-//! and `--deadline-ms 0` is rejected (a zero budget would quarantine
-//! every experiment; omit the flag to disable the deadline).
+//! `--deadline-ms 0` is rejected (a zero budget would quarantine
+//! every experiment; omit the flag to disable the deadline), and
+//! `--max-retries` (batch runs and `repro serve`) accepts at most
+//! [`MAX_RETRIES`].
 
+use std::cell::Cell;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -133,6 +138,24 @@ fn parse_deadline_ms(raw: &str) -> Result<Duration, String> {
     Ok(Duration::from_millis(ms))
 }
 
+/// Largest accepted `--max-retries`. Retry `r` first sleeps the base
+/// backoff times 2^(r-1), so the tenth retry already waits 512× the base;
+/// a deterministic failure gains nothing from more. Unbounded, a huge
+/// value would retry a missed deadline for billions of attempts.
+const MAX_RETRIES: u32 = 10;
+
+fn parse_max_retries(raw: &str) -> Result<u32, String> {
+    let n: u32 = raw
+        .parse()
+        .map_err(|e| format!("--max-retries: {e} (got {raw:?})"))?;
+    if n > MAX_RETRIES {
+        return Err(format!(
+            "--max-retries must be at most {MAX_RETRIES}, got {n}"
+        ));
+    }
+    Ok(n)
+}
+
 fn parse_usize(flag: &str, raw: &str) -> Result<usize, String> {
     raw.parse()
         .map_err(|e| format!("{flag}: {e} (got {raw:?})"))
@@ -190,10 +213,7 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
             }
             "--max-retries" => {
                 let v = next_value(args, &mut i, "--max-retries")?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e} (got {v:?})"))?;
-                set_once(&mut max_retries, "--max-retries", n)?;
+                set_once(&mut max_retries, "--max-retries", parse_max_retries(v)?)?;
             }
             "--list" => return Ok(Command::List),
             "--help" | "-h" => return Ok(Command::Help),
@@ -273,10 +293,7 @@ fn parse_serve(args: &[String]) -> Result<Command, String> {
             }
             "--max-retries" => {
                 let v = next_value(args, &mut i, "--max-retries")?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e} (got {v:?})"))?;
-                set_once(&mut max_retries, "--max-retries", n)?;
+                set_once(&mut max_retries, "--max-retries", parse_max_retries(v)?)?;
             }
             "--help" | "-h" => return Ok(Command::Help),
             other => return Err(format!("serve: unknown argument {other:?}")),
@@ -549,9 +566,10 @@ fn emit(
     }
 }
 
-/// One line per experiment, then the aggregate verdict. Returns the exit
+/// One line per experiment with its time (`None`: loaded from the
+/// checkpoint, not run), then the aggregate verdict. Returns the exit
 /// code: success only if every experiment passed.
-fn summarize(results: &[(String, bool, f64)]) -> ExitCode {
+fn summarize(results: &[(String, bool, Option<f64>)]) -> ExitCode {
     let failed: Vec<&str> = results
         .iter()
         .filter(|(_, ok, _)| !ok)
@@ -559,10 +577,11 @@ fn summarize(results: &[(String, bool, f64)]) -> ExitCode {
         .collect();
     eprintln!("summary:");
     for (id, ok, secs) in results {
-        eprintln!(
-            "  {id:<20} {} ({secs:.1}s)",
-            if *ok { "ok" } else { "FAILED" }
-        );
+        let time = match secs {
+            Some(secs) => format!("{secs:.1}s"),
+            None => "resumed".into(),
+        };
+        eprintln!("  {id:<20} {} ({time})", if *ok { "ok" } else { "FAILED" });
     }
     if failed.is_empty() {
         ExitCode::SUCCESS
@@ -629,9 +648,23 @@ fn emit_json(id: &str, value: &Json, csv_dir: Option<&Path>) -> bool {
     true
 }
 
+/// Adds one supervised attempt's wall time to its case's total when
+/// dropped, so an attempt that panics is timed too.
+struct AttemptTimer<'a> {
+    total: &'a Cell<Option<f64>>,
+    start: Instant,
+}
+
+impl Drop for AttemptTimer<'_> {
+    fn drop(&mut self) {
+        let secs = self.start.elapsed().as_secs_f64();
+        self.total.set(Some(self.total.get().unwrap_or(0.0) + secs));
+    }
+}
+
 /// Runs the batch under the harness supervisor: one case per experiment,
-/// each on a fresh [`Context`] with the attempt's engine and deadline
-/// token installed.
+/// each on a fresh [`Context`] with the attempt's deadline token
+/// installed.
 fn run_supervised(run: &RunArgs) -> ExitCode {
     let ids = &run.ids;
     let scale = run.scale;
@@ -649,10 +682,17 @@ fn run_supervised(run: &RunArgs) -> ExitCode {
         ids.to_vec(),
         config,
     );
+    // Seconds spent in each case's attempts; `None` until one runs here,
+    // so a case loaded from the checkpoint reads as resumed.
+    let spent = vec![Cell::new(None); ids.len()];
     let worker = |attempt: &Attempt| -> Result<Json, CaseError> {
+        let _timer = AttemptTimer {
+            total: &spent[attempt.index],
+            start: Instant::now(),
+        };
         let id = &ids[attempt.index];
         let mut ctx = Context::new(scale);
-        ctx.set_supervision(attempt.engine, attempt.cancel.clone());
+        ctx.set_cancel(attempt.cancel.clone());
         let report =
             experiments::run_by_id(&mut ctx, id).map_err(|e| CaseError::from_error(&*e))?;
         Ok(report_to_json(&report))
@@ -679,25 +719,13 @@ fn run_supervised(run: &RunArgs) -> ExitCode {
     let mut results = Vec::with_capacity(ids.len());
     for rec in &ledger.records {
         let ok = match &rec.status {
-            CaseStatus::Done { value } => {
-                let ok = emit_json(&rec.label, value, csv_dir);
-                if rec.degraded {
-                    eprintln!(
-                        "note: {} completed on the event-driven reference engine \
-                         after exhausting its levelized-kernel budget",
-                        rec.label
-                    );
-                }
-                ok
-            }
+            CaseStatus::Done { value } => emit_json(&rec.label, value, csv_dir),
             CaseStatus::Quarantined { reason } => {
                 eprintln!("experiment {} quarantined: {reason}", rec.label);
                 false
             }
         };
-        // Per-case timing is not tracked through the checkpoint; report
-        // the batch total on the last line instead.
-        results.push((rec.label.clone(), ok, 0.0));
+        results.push((rec.label.clone(), ok, spent[rec.index].get()));
     }
     eprintln!(
         "all {} experiment(s) done in {secs:.1}s (scale: {scale:?}, supervised)",
@@ -715,7 +743,7 @@ fn run_batch(run: RunArgs) -> ExitCode {
     let ids = run.ids;
     let csv_dir = run.csv_dir;
     let overall = Instant::now();
-    let mut results: Vec<(String, bool, f64)> = Vec::with_capacity(ids.len());
+    let mut results: Vec<(String, bool, Option<f64>)> = Vec::with_capacity(ids.len());
 
     // One shared Context streams each report as soon as its experiment
     // completes.
@@ -725,7 +753,7 @@ fn run_batch(run: RunArgs) -> ExitCode {
         let outcome = experiments::run_by_id(&mut ctx, id);
         let secs = start.elapsed().as_secs_f64();
         let ok = emit(id, outcome, secs, csv_dir.as_deref());
-        results.push((id.clone(), ok, secs));
+        results.push((id.clone(), ok, Some(secs)));
     }
     eprintln!(
         "all {} experiment(s) done in {:.1}s (scale: {scale:?})",
@@ -862,6 +890,21 @@ mod tests {
         let err = parse_cli(&argv(&["--deadline-ms", "0", "all"])).unwrap_err();
         assert!(err.contains("quarantine"), "{err}");
         assert!(err.contains("omit"), "{err}");
+    }
+
+    #[test]
+    fn max_retries_above_the_cap_is_rejected() {
+        for value in [u32::MAX.to_string(), (MAX_RETRIES + 1).to_string()] {
+            for args in [
+                argv(&["--max-retries", &value, "all"]),
+                argv(&["serve", "--max-retries", &value]),
+            ] {
+                let err = parse_cli(&args).unwrap_err();
+                assert!(err.contains("--max-retries must be at most"), "{err}");
+            }
+        }
+        assert!(parse_cli(&argv(&["--max-retries", "10", "all"])).is_ok());
+        assert!(parse_cli(&argv(&["serve", "--max-retries", "10"])).is_ok());
     }
 
     #[test]

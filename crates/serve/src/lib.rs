@@ -11,7 +11,7 @@
 //! - `sweep` — run a clock-period grid against that profile,
 //! - `campaign` — sample and evaluate a delay-fault campaign,
 //! - `mc` — a seeded Monte Carlo yield campaign over process corners
-//!   (plan-reuse re-timing on the primary engine),
+//!   (plan-reuse re-timing of one compiled kernel),
 //! - `stats` / `shutdown` — cache introspection and graceful stop.
 //!
 //! Three properties distinguish the resident service from the batch path:
@@ -22,9 +22,8 @@
 //! 2. **Supervised requests**: every simulation op runs under the
 //!    harness's per-request supervision — panics become error responses,
 //!    the client's `deadline_ms` is enforced through a cancellation
-//!    token, and an exhausted levelized-kernel budget degrades to the
-//!    event-driven reference engine (the response says which engine ran
-//!    and whether it degraded).
+//!    token, and a failed attempt is retried within the server's retry
+//!    budget (the response says how many retries it spent).
 //! 3. **Warm-start snapshots**: on graceful shutdown the profile cache is
 //!    persisted with the harness's atomic CRC-checked checkpoint codec
 //!    and reloaded at the next spawn, so a restarted server serves its

@@ -387,11 +387,13 @@ impl Request {
             "sweep" => {
                 let raw = v.get_arr("periods")?;
                 if raw.is_empty() {
-                    return Err("sweep needs at least one period".into());
+                    return Err("periods must hold at least one period".into());
                 }
                 let mut periods = Vec::with_capacity(raw.len());
                 for p in raw {
-                    let p = p.as_f64().ok_or_else(|| "non-numeric period".to_string())?;
+                    let p = p
+                        .as_f64()
+                        .ok_or_else(|| format!("periods must be numeric, got {p}"))?;
                     if !p.is_finite() || p <= 0.0 {
                         return Err(format!("periods must be finite and positive, got {p}"));
                     }
@@ -529,15 +531,13 @@ impl Request {
     }
 }
 
-/// A successful response: the request id, how the supervised attempt ran
-/// (engine, retries, degradation), and the op's result payload.
-pub fn response_ok(id: u64, engine: &str, retries: u32, degraded: bool, result: Json) -> Json {
+/// A successful response: the request id, the retries its supervised
+/// attempt spent, and the op's result payload.
+pub fn response_ok(id: u64, retries: u32, result: Json) -> Json {
     Json::Obj(vec![
         ("id".into(), Json::UInt(id)),
         ("ok".into(), Json::Bool(true)),
-        ("engine".into(), Json::Str(engine.into())),
         ("retries".into(), Json::UInt(u64::from(retries))),
-        ("degraded".into(), Json::Bool(degraded)),
         ("result".into(), result),
     ])
 }

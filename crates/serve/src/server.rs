@@ -6,10 +6,9 @@
 //! supervision ([`run_request_supervised`]): panics are quarantined into
 //! an error *response* instead of killing the worker, a per-request
 //! `deadline_ms` is enforced cooperatively through the attempt's
-//! [`CancelToken`](agemul::CancelToken), and an exhausted levelized-kernel
-//! budget degrades to one final attempt on the event-driven reference
-//! engine — the response records the engine, retries, and degradation so
-//! clients can see what they got.
+//! [`CancelToken`](agemul::CancelToken), and a failed attempt is retried
+//! up to [`ServeConfig::max_retries`] times — the response records the
+//! retries spent.
 //!
 //! Graceful shutdown (the `shutdown` op or [`ServerHandle::shutdown`])
 //! stops the acceptor, drains the workers, and — when a snapshot path is
@@ -26,7 +25,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use agemul::{EngineConfig, Json, McConfig, MonteCarloCampaign, PatternSet, PeriodSweep};
+use agemul::{
+    EngineConfig, Json, McConfig, MonteCarloCampaign, PatternSet, PeriodSweep, SimEngine,
+};
 use agemul_faults::{Campaign, FaultSpec};
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetPolicy, FleetSim, RoutingPolicy};
 use agemul_harness::{run_request_supervised, Attempt, CaseError, CaseStatus, SupervisorConfig};
@@ -64,8 +65,8 @@ pub struct ServeConfig {
     /// Warm-start snapshot path: loaded (if present) on spawn, saved on
     /// graceful shutdown.
     pub snapshot: Option<PathBuf>,
-    /// Levelized-kernel retries per request before the Event-engine
-    /// degradation attempt.
+    /// Retries per request after its first attempt, so a request gets at
+    /// most `max_retries + 1` attempts.
     pub max_retries: u32,
     /// Admission-queue depth: connections accepted but not yet claimed by
     /// a worker. Beyond this the acceptor *sheds*: the excess connection
@@ -664,15 +665,13 @@ fn handle_request_json(
         Err(e) => return response_error(id, &e),
     };
     match &request.body {
-        RequestBody::Stats => response_ok(request.id, "level", 0, false, state.stats_json()),
+        RequestBody::Stats => response_ok(request.id, 0, state.stats_json()),
         RequestBody::Shutdown => {
             stop.store(true, Ordering::SeqCst);
             bound.poke();
             response_ok(
                 request.id,
-                "level",
                 0,
-                false,
                 Json::Obj(vec![("stopping".into(), Json::Bool(true))]),
             )
         }
@@ -698,13 +697,7 @@ fn run_supervised_op(
     let record =
         run_request_supervised(&config, &|attempt: &Attempt| eval_op(state, body, attempt));
     match record.status {
-        CaseStatus::Done { value } => response_ok(
-            request.id,
-            &record.engine,
-            record.retries,
-            record.degraded,
-            value,
-        ),
+        CaseStatus::Done { value } => response_ok(request.id, record.retries, value),
         CaseStatus::Quarantined { reason } => response_error(request.id, &reason),
     }
 }
@@ -721,7 +714,7 @@ fn eval_op(state: &ServerState, body: &RequestBody, attempt: &Attempt) -> Result
     match body {
         RequestBody::Profile(query) => {
             let (profile, how) = state
-                .profile(query, attempt.engine, attempt.cancel.as_ref())
+                .profile(query, SimEngine::Level, attempt.cancel.as_ref())
                 .map_err(flight_to_case)?;
             Ok(Json::Obj(vec![
                 ("ops".into(), Json::UInt(profile.len() as u64)),
@@ -736,7 +729,7 @@ fn eval_op(state: &ServerState, body: &RequestBody, attempt: &Attempt) -> Result
             skip,
         } => {
             let (profile, how) = state
-                .profile(query, attempt.engine, attempt.cancel.as_ref())
+                .profile(query, SimEngine::Level, attempt.cancel.as_ref())
                 .map_err(flight_to_case)?;
             let sweep = PeriodSweep::run(
                 &profile,
@@ -822,12 +815,8 @@ fn eval_campaign(
 /// Runs a Monte Carlo yield campaign: `corners` sampled dies, each
 /// evaluated at integer lifetime points `0..=floor(query.years)` with the
 /// short cycle anchored to the design's fresh critical path.
-///
-/// The attempt's engine selects the path inside
-/// [`MonteCarloCampaign::run`]: the primary attempt re-times one compiled
-/// kernel across corners and lifetime points; the degraded attempt
-/// rebuilds every kernel on the event-driven reference engine — both
-/// produce byte-identical reports (pinned in `agemul`'s campaign tests).
+/// [`MonteCarloCampaign::run`] re-times one compiled kernel across
+/// corners and lifetime points.
 fn eval_mc(
     state: &ServerState,
     query: &DesignQuery,
@@ -848,7 +837,7 @@ fn eval_mc(
         .map_err(|e| CaseError::from_error(&e))?;
 
     let report = campaign
-        .run(attempt.engine, attempt.cancel.as_ref())
+        .run(attempt.cancel.as_ref())
         .map_err(|e| CaseError::from_error(&e))?;
 
     let curve = |adaptive: bool| {
@@ -876,10 +865,6 @@ fn eval_mc(
 /// simulator: `nodes` divergently aged instances, `epochs` epochs of
 /// `query.patterns` routed operations with `query.years` of fair-share
 /// aging per epoch, under the named routing policy.
-///
-/// Both engines produce byte-identical event logs (pinned in
-/// `agemul-fleet`'s tests), so a degraded attempt returns the same
-/// summary the primary would have.
 fn eval_fleet(
     state: &ServerState,
     query: &DesignQuery,
@@ -900,7 +885,7 @@ fn eval_fleet(
         FleetCampaign::new(&design, state.bti(), config).map_err(|e| CaseError::from_error(&e))?;
     let mut sim = FleetSim::new(&campaign);
     let summary = sim
-        .run(attempt.engine, attempt.cancel.as_ref())
+        .run(attempt.cancel.as_ref())
         .map_err(|e| CaseError::from_error(&e))?;
     Ok(summary.to_json())
 }

@@ -93,13 +93,6 @@ impl QueryKey {
     }
 }
 
-/// Single-flight key: one in-flight simulation per query × engine.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct FlightKey {
-    query: QueryKey,
-    engine: u8,
-}
-
 /// Everything a query's profile build needs, plus the cache key it
 /// resolves to.
 struct Resolved {
@@ -117,7 +110,9 @@ struct Resolved {
 pub struct ServerState {
     bti: BtiModel,
     cache: ProfileCache,
-    flight: SingleFlight<FlightKey, Arc<PatternProfile>>,
+    /// One in-flight simulation per query; both engines build the same
+    /// profile, so the engine is not part of the key.
+    flight: SingleFlight<QueryKey, Arc<PatternProfile>>,
     designs: Mutex<HashMap<(MultiplierKind, usize), Arc<MultiplierDesign>>>,
     /// Query → cache key memo: a repeated query skips rebuilding and
     /// fingerprinting its per-gate delay assignment. Cleared when it
@@ -322,15 +317,8 @@ impl ServerState {
             }
         };
 
-        let flight_key = FlightKey {
-            query: query_key,
-            engine: match engine {
-                SimEngine::Level => 0,
-                SimEngine::Event => 1,
-            },
-        };
         let simulated = std::cell::Cell::new(false);
-        let (outcome, role) = self.flight.run(flight_key, || {
+        let (outcome, role) = self.flight.run(query_key, || {
             // Chaos failpoint `serve/build`: the leader dies *inside* the
             // build closure — between the flight's own lead/publish sites —
             // exercising the cache's exception safety under the coalescer.
@@ -451,9 +439,7 @@ impl ServerState {
                     e.delay_fingerprint,
                     e.workload_fingerprint
                 ),
-                engine: "level".into(),
                 retries: 0,
-                degraded: false,
                 status: CaseStatus::Done {
                     value: Json::Obj(vec![
                         ("kind".into(), Json::Str(e.kind.label().into())),

@@ -1,4 +1,5 @@
-//! Well-formed but hostile requests through a live server.
+//! Well-formed but hostile requests, through a live server and through
+//! the request decoder.
 //!
 //! Every response must be either a result equal to the query's profile
 //! computed in-process from scratch, or a typed error response (`ok:
@@ -14,7 +15,10 @@ use std::net::TcpStream;
 use agemul::{quantize_factors, Json, PatternSet};
 use agemul_aging::aging_factors;
 use agemul_circuits::{MultiplierKind, MAX_WIDTH, MIN_WIDTH};
-use agemul_serve::{roundtrip, spawn, Endpoint, ServeConfig, ServerHandle, ServerState, MAX_COUNT};
+use agemul_fleet::RoutingPolicy;
+use agemul_serve::{
+    roundtrip, spawn, Endpoint, Request, ServeConfig, ServerHandle, ServerState, MAX_COUNT,
+};
 
 fn spawn_tcp() -> ServerHandle {
     spawn(ServeConfig {
@@ -70,7 +74,7 @@ fn assert_typed_error(response: &Json, id: u64, field: &str) {
         "request {id}: {error:?} lacks {field:?}"
     );
     assert!(
-        !error.contains("engine (attempt"),
+        !error.contains("(attempt "),
         "request {id} reached supervision: {error:?}"
     );
 }
@@ -335,6 +339,201 @@ fn hostile_profile_requests_get_correct_results_or_typed_errors() {
             .and_then(Json::as_u64),
         Some(0)
     );
+    drop(conn);
+    server.shutdown().expect("clean shutdown");
+}
+
+/// Reals of every class the decoder must sort: NaN, ±∞, negative, signed
+/// zero, ordinary, around `MAX_COUNT`, and huge.
+const REALS: [f64; 11] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -1.0,
+    -0.0,
+    0.0,
+    0.05,
+    3.5,
+    MAX_COUNT as f64 - 0.5,
+    MAX_COUNT as f64,
+    1e300,
+];
+
+/// Each simulation op with the fields the fuzzer draws for it.
+const OPS: [(&str, &[&str]); 4] = [
+    ("sweep", &["years", "patterns", "periods"]),
+    ("campaign", &["years", "patterns", "faults"]),
+    ("mc", &["years", "patterns", "corners", "sigma"]),
+    ("fleet", &["years", "patterns", "nodes", "epochs", "policy"]),
+];
+
+/// A frame for `op` with in-range values for every field of every op
+/// (the decoder ignores the others), then `overrides` laid over it.
+fn op_frame(id: u64, op: &str, overrides: Vec<(&str, Json)>) -> Json {
+    let base = r#"{"kind":"CB","width":8,"years":1.0,"patterns":2,"seed":1,"skip":7,
+        "periods":[1.0],"faults":2,"fault_seed":9,"corners":2,"sigma":0.05,"mc_seed":3,
+        "nodes":2,"epochs":1,"policy":"round-robin"}"#;
+    let Ok(Json::Obj(mut pairs)) = Json::parse(base) else {
+        panic!("base frame must parse");
+    };
+    let ids = [("id", Json::UInt(id)), ("op", Json::Str(op.into()))];
+    for (key, value) in ids.into_iter().chain(overrides) {
+        match pairs.iter_mut().find(|(k, _)| k == key) {
+            Some(slot) => slot.1 = value,
+            None => pairs.push((key.into(), value)),
+        }
+    }
+    Json::Obj(pairs)
+}
+
+/// One hostile value for `key` of an `op` frame, and whether the decoder
+/// must accept it.
+fn hostile(rng: &mut SplitMix, op: &str, key: &str) -> (Json, bool) {
+    match key {
+        "years" | "sigma" => {
+            let x = rng.pick(&REALS);
+            let below = if op == "mc" && key == "years" {
+                MAX_COUNT as f64
+            } else {
+                f64::INFINITY
+            };
+            (Json::Num(x), x.is_finite() && x >= 0.0 && x < below)
+        }
+        "periods" => {
+            let values: Vec<Json> = (0..rng.next() % 4)
+                .map(|_| match rng.next() % 8 {
+                    0 => Json::Str("fast".into()),
+                    _ => Json::Num(rng.pick(&REALS)),
+                })
+                .collect();
+            let positive = |v: &Json| v.as_f64().is_some_and(|p| p.is_finite() && p > 0.0);
+            let ok = !values.is_empty() && values.iter().all(positive);
+            (Json::Arr(values), ok)
+        }
+        "policy" => {
+            let labels = [
+                "round-robin",
+                "least-loaded",
+                "aging-aware",
+                "nope",
+                "",
+                "AGING-AWARE",
+            ];
+            let label = rng.pick(&labels);
+            (Json::Str(label.into()), RoutingPolicy::parse(label).is_ok())
+        }
+        _ => match rng.next() % 9 {
+            0 => (Json::Num(-1.0), false),
+            1 => (Json::Num(2.5), false),
+            _ => {
+                let limit = MAX_COUNT as u64;
+                let n = rng.pick(&[0, 1, 7, limit, limit + 1, 1 << 40, u64::MAX]);
+                (Json::UInt(n), (1..=limit).contains(&n))
+            }
+        },
+    }
+}
+
+/// 12,000 seeded frames of the `sweep`, `campaign`, `mc` and `fleet` ops
+/// through [`Request::from_json`], each field hostile half the time. A
+/// frame whose fields are all in range decodes to exactly those values;
+/// any other frame is a typed error naming one of its bad fields.
+#[test]
+fn hostile_frames_of_every_simulation_op_decode_in_bounds_or_name_the_field() {
+    let mut rng = SplitMix(0x0f22_0a11);
+    let (mut accepted, mut rejected) = (0, 0);
+    for id in 0..12_000 {
+        let (op, keys) = rng.pick(&OPS);
+        let (mut overrides, mut bad) = (Vec::new(), Vec::new());
+        for &key in keys {
+            if rng.next().is_multiple_of(2) {
+                let (value, ok) = hostile(&mut rng, op, key);
+                overrides.push((key, value));
+                if !ok {
+                    bad.push(key);
+                }
+            }
+        }
+        let frame = op_frame(id, op, overrides);
+        match Request::from_json(&frame) {
+            Ok(request) => {
+                assert!(bad.is_empty(), "{frame} decoded despite {bad:?}");
+                let decoded = request.to_json();
+                for &key in keys {
+                    let (got, sent) = (decoded.get(key), frame.get(key));
+                    // Numbers compare as f64: −0.0 is the in-range 0.
+                    let same = match sent.and_then(Json::as_f64) {
+                        Some(x) => got.and_then(Json::as_f64) == Some(x),
+                        None => got == sent,
+                    };
+                    assert!(same, "{frame}: {key} decoded to {got:?}");
+                }
+                accepted += 1;
+            }
+            Err(error) => {
+                let named = bad.iter().any(|key| error.contains(key));
+                assert!(named, "{frame}: {error:?} names none of {bad:?}");
+                rejected += 1;
+            }
+        }
+    }
+    assert!(
+        accepted > 1_000 && rejected > 1_000,
+        "{accepted} ok, {rejected} rejected"
+    );
+}
+
+/// One live frame per op that passes decode with extreme but in-range
+/// values and a 50 ms deadline. Each gets an answer for its id — a result,
+/// or an error that is not a panic — and the server keeps serving.
+#[test]
+fn extreme_in_range_frames_with_deadlines_get_answers_and_the_server_keeps_serving() {
+    let server = spawn_tcp();
+    let mut conn = TcpStream::connect(server.tcp_addr().expect("addr")).expect("connect");
+    let max = || Json::UInt(MAX_COUNT as u64);
+    let frames = [
+        (
+            "sweep",
+            vec![(
+                "periods",
+                Json::Arr(vec![Json::Num(1e300), Json::Num(1e-300)]),
+            )],
+        ),
+        (
+            "campaign",
+            vec![
+                ("faults", Json::UInt(64)),
+                ("fault_seed", Json::UInt(u64::MAX)),
+            ],
+        ),
+        ("mc", vec![("corners", max()), ("sigma", Json::Num(1e300))]),
+        (
+            "fleet",
+            vec![
+                ("nodes", max()),
+                ("epochs", max()),
+                ("policy", Json::Str("aging-aware".into())),
+            ],
+        ),
+    ];
+    for (id, (op, mut fields)) in (1..).zip(frames) {
+        // `mc` evaluates every integer lifetime point up to `years`.
+        let years = if op == "mc" { 1e3 } else { 1e300 };
+        fields.extend([
+            ("years", Json::Num(years)),
+            ("width", Json::UInt(4)),
+            ("patterns", Json::UInt(8)),
+            ("skip", Json::UInt(u64::from(u32::MAX))),
+            ("deadline_ms", Json::UInt(50)),
+        ]);
+        let frame = op_frame(id, op, fields);
+        Request::from_json(&frame).unwrap_or_else(|e| panic!("{frame} must decode: {e}"));
+        let response = roundtrip(&mut conn, &frame).unwrap_or_else(|e| panic!("{op}: {e}"));
+        assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
+        let error = response.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(!error.contains("panic"), "{op}: {response}");
+        stats(&mut conn);
+    }
     drop(conn);
     server.shutdown().expect("clean shutdown");
 }

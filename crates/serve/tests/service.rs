@@ -58,7 +58,8 @@ fn tcp_profile_miss_then_hit_then_sweep_and_campaign() {
     );
     assert_eq!(cache_label(&first), "miss");
     assert_eq!(first.get("id").and_then(Json::as_u64), Some(1));
-    assert_eq!(first.get("engine").and_then(Json::as_str), Some("level"));
+    assert_eq!(first.get("retries").and_then(Json::as_u64), Some(0));
+    assert!(first.get("engine").is_none() && first.get("degraded").is_none());
 
     let again = roundtrip(&mut conn, &profile_frame(2, "CB", 8, 0.0, 24, 11)).unwrap();
     assert_eq!(cache_label(&again), "hit");
@@ -376,8 +377,7 @@ fn impossible_deadline_is_quarantined_into_an_error_response() {
     let server = spawn_tcp(None);
     let mut conn = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
     // A 1ms budget cannot cover a 20k-pattern Booth profile; the
-    // supervisor burns its retries and the Event degradation attempt,
-    // then quarantines — the client sees an error, not a hang.
+    // supervisor burns its retries, then quarantines — the client sees an error, not a hang.
     let mut frame = profile_frame(1, "BOOTH", 8, 7.0, 20_000, 3);
     if let Json::Obj(pairs) = &mut frame {
         pairs.push(("deadline_ms".into(), Json::UInt(1)));
@@ -490,6 +490,25 @@ fn snapshot_warm_start_serves_first_request_from_cache() {
     drop(conn);
     second.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A warm-start snapshot written before the Level→Event fallback was
+/// retired, its entry still carrying `"engine"` and `"degraded"`, loads
+/// under the unchanged schema: the query it was saved from (CB 4×4, 7
+/// years, 8 pairs, seed 3) is a cache hit.
+#[test]
+fn snapshot_written_before_the_rung_removal_warm_starts() {
+    const FIXTURE: &str = include_str!("fixtures/serve-before-rung-removal.snap.json");
+    assert!(FIXTURE.contains(r#""engine":"level""#) && FIXTURE.contains(r#""degraded":false"#));
+    let snap = std::env::temp_dir().join(format!("agemul-serve-legacy-{}", std::process::id()));
+    std::fs::write(&snap, FIXTURE).unwrap();
+    let server = spawn_tcp(Some(snap.clone()));
+    let mut conn = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+    let warm = roundtrip(&mut conn, &profile_frame(1, "CB", 4, 7.0, 8, 3)).unwrap();
+    assert_eq!(cache_label(&warm), "hit", "{warm}");
+    drop(conn);
+    server.shutdown().unwrap();
+    std::fs::remove_file(&snap).ok();
 }
 
 #[test]
