@@ -1,20 +1,22 @@
 //! Shared fixtures for the `agemul` Criterion benches.
 //!
-//! The benches live in `benches/`:
+//! Each bench in `benches/` appends rows to the `BENCH_sim.json` ledger
+//! (see `EXPERIMENTS.md`):
 //!
-//! * `simulator` — microbenches of the substrate: netlist generation,
-//!   topology validation, functional evaluation, event-driven stepping,
-//!   static timing analysis.
-//! * `engine` — the architecture hot path: profile replay through the
-//!   variable-latency engine under the paper's configurations.
-//! * `experiments` — end-to-end regeneration of the cheap paper artifacts
-//!   (Tables I/II, Figs. 9/10, Fig. 25) plus profile-building throughput,
-//!   which dominates every heavier figure.
-//! * `ablations` — design-choice sweeps called out in `DESIGN.md`: skip
-//!   number, aging-indicator threshold and stickiness, Razor penalty and
-//!   detection window, and adaptive-vs-traditional hold logic.
+//! * `batch_sim` — scalar vs 64-lane bit-parallel functional kernels
+//!   (`signal_prob/*`, `verify/*`).
+//! * `profile` — raw timing-kernel stepping, event-driven vs levelized
+//!   (`level_sim/*`).
 //! * `faults` — fault-campaign throughput: lane-masked logic-fault
-//!   preparation, per-delay-fault profiling, and sweep-point replay.
+//!   preparation, per-delay-fault profiling, and sweep-point replay
+//!   (`faults/*`).
+//! * `mc` — Monte Carlo corner switches: plan-reuse retiming vs
+//!   from-scratch kernel construction (`mc/*`).
+//! * `fleet` — fleet campaign throughput by node count and routing
+//!   policy (`fleet/*`).
+//!
+//! The paper's design-choice ablations are `repro ablations`, whose CSVs
+//! are digest-pinned in `results/quick.digests`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

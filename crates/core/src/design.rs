@@ -499,18 +499,32 @@ impl MultiplierDesign {
     /// delays from the all-zero settled state, glitches included
     /// (toggle-identical to the event-driven reference). It stays one
     /// sequential simulation by design: tri-state hold semantics make
-    /// every step depend on the previous pattern's settled state.
+    /// every step depend on the previous pattern's settled state. The
+    /// optional [`CancelToken`] is polled as in
+    /// [`profile_supervised`](Self::profile_supervised): inside each step
+    /// and between patterns.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Circuit`] if an operand overflows the width.
-    pub fn switching_activity(&self, pairs: &[(u64, u64)]) -> Result<SwitchingActivity, CoreError> {
+    /// Returns [`CoreError::Circuit`] if an operand overflows the width,
+    /// or [`CoreError::Netlist`] wrapping
+    /// [`NetlistError::Cancelled`](agemul_netlist::NetlistError::Cancelled)
+    /// once `cancel` fires.
+    pub fn switching_activity(
+        &self,
+        pairs: &[(u64, u64)],
+        cancel: Option<&CancelToken>,
+    ) -> Result<SwitchingActivity, CoreError> {
         let delays = self.delay_assignment(None)?;
         let mut sim = LevelSim::new(self.circuit.netlist(), &self.topology, delays);
+        sim.set_cancel_token(cancel.cloned());
         let mut pattern = Vec::with_capacity(2 * self.width());
         self.circuit.encode_inputs_into(0, 0, &mut pattern)?;
         sim.settle(&pattern)?;
         for &(a, b) in pairs {
+            if let Some(token) = cancel {
+                token.check()?;
+            }
             self.circuit.encode_inputs_into(a, b, &mut pattern)?;
             sim.step(&pattern)?;
         }
@@ -680,7 +694,7 @@ mod tests {
         let patterns = PatternSet::uniform(4, 64, 3);
         let stats = d.workload_stats(patterns.pairs()).unwrap();
         assert_eq!(stats.pattern_count(), 64);
-        let activity = d.switching_activity(patterns.pairs()).unwrap();
+        let activity = d.switching_activity(patterns.pairs(), None).unwrap();
         assert_eq!(activity.pattern_count(), 64);
         assert!(activity.total_toggles() > 0);
     }

@@ -53,7 +53,7 @@ pub struct EnergyInputs<'a> {
 ///
 /// let d = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16)?;
 /// let patterns = PatternSet::uniform(16, 1000, 11);
-/// let activity = d.switching_activity(patterns.pairs())?;
+/// let activity = d.switching_activity(patterns.pairs(), None)?;
 /// let area = area_report(&d, Architecture::AdaptiveVariableLatency, 7)?;
 /// let power = PowerModel::ptm_32nm_hk();
 ///
@@ -113,7 +113,7 @@ mod tests {
     fn fixture() -> (MultiplierDesign, SwitchingActivity) {
         let d = MultiplierDesign::new(MultiplierKind::ColumnBypass, 8).unwrap();
         let patterns = PatternSet::uniform(8, 60, 5);
-        let activity = d.switching_activity(patterns.pairs()).unwrap();
+        let activity = d.switching_activity(patterns.pairs(), None).unwrap();
         (d, activity)
     }
 

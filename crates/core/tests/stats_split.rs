@@ -28,7 +28,7 @@ fn switching_activity_matches_event_sim_toggles() {
     for kind in [MultiplierKind::ColumnBypass, MultiplierKind::RowBypass] {
         let design = MultiplierDesign::new(kind, 8).unwrap();
         let workload = PatternSet::uniform(8, 300, 21);
-        let activity = design.switching_activity(workload.pairs()).unwrap();
+        let activity = design.switching_activity(workload.pairs(), None).unwrap();
 
         let netlist = design.circuit().netlist();
         let delays = design.delay_assignment(None).unwrap();

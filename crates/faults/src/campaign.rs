@@ -18,7 +18,7 @@ use crate::{FaultError, FaultSpec};
 /// engine-config-independent work once:
 ///
 /// * the **baseline** timing profile of the fault-free design over the
-///   workload (one event-driven simulation);
+///   workload (one levelized timing simulation);
 /// * **logic faults** (stuck-at, transient) evaluated functionally in
 ///   lane-masked [`BatchSim`] chunks — up to 64 faulty variants per
 ///   bit-parallel sweep — counting operations whose product deviates from
@@ -77,7 +77,7 @@ impl Campaign {
         pairs: &[(u64, u64)],
         faults: &[FaultSpec],
     ) -> Result<Self, FaultError> {
-        Self::prepare_impl(design, pairs, faults, None)
+        Self::prepare_supervised(design, pairs, faults, None, None)
     }
 
     /// [`prepare`](Self::prepare) consulting a [`ProfileCache`] for the
@@ -105,32 +105,45 @@ impl Campaign {
         faults: &[FaultSpec],
         cache: &ProfileCache,
     ) -> Result<Self, FaultError> {
-        Self::prepare_impl(design, pairs, faults, Some(cache))
+        Self::prepare_supervised(design, pairs, faults, Some(cache), None)
     }
 
-    fn prepare_impl(
+    /// [`prepare`](Self::prepare) with an optional [`ProfileCache`] (see
+    /// [`prepare_cached`](Self::prepare_cached)) under an optional
+    /// [`CancelToken`]: the baseline profile, every logic-fault sweep and
+    /// every delay-fault re-profile poll the token, so a supervisor's
+    /// deadline stops preparation cooperatively. Without a token the
+    /// campaign is bit-identical to the uncancellable entry points.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`prepare`](Self::prepare), plus
+    /// [`NetlistError::Cancelled`](agemul_netlist::NetlistError::Cancelled)
+    /// (wrapped in [`FaultError::Core`]) once the token fires.
+    pub fn prepare_supervised(
         design: &MultiplierDesign,
         pairs: &[(u64, u64)],
         faults: &[FaultSpec],
         cache: Option<&ProfileCache>,
+        cancel: Option<&CancelToken>,
     ) -> Result<Self, FaultError> {
         validate(design, faults)?;
         let baseline = match cache {
             Some(c) => {
                 let delays = design.delay_assignment(None)?;
                 let profile = c.get_or_insert_with(design, &delays, pairs, || {
-                    design.profile(pairs, None).map_err(FaultError::from)
+                    prepare_baseline(design, pairs, cancel)
                 })?;
                 PatternProfile::clone(&profile)
             }
-            None => design.profile(pairs, None)?,
+            None => prepare_baseline(design, pairs, cancel)?,
         };
 
         // Logic faults share lane-masked batch sweeps, up to 64 per chunk.
         let logic: Vec<FaultSpec> = faults.iter().filter(|f| f.is_logic()).copied().collect();
         let mut logic_out: VecDeque<(u64, Option<u64>)> = VecDeque::new();
         for chunk in logic.chunks(BatchSim::LANES) {
-            logic_out.extend(eval_logic_chunk(design, pairs, chunk)?);
+            logic_out.extend(eval_logic_chunk(design, pairs, chunk, cancel)?);
         }
 
         let entries = faults
@@ -138,7 +151,7 @@ impl Campaign {
             .map(|&spec| {
                 let evidence = match spec {
                     FaultSpec::Delay { gate, factor } => FaultEvidence::Delay {
-                        profile: profile_delay_fault(design, pairs, gate, factor, cache)?,
+                        profile: profile_delay_fault(design, pairs, gate, factor, cache, cancel)?,
                     },
                     _ => {
                         let (corrupted_ops, first_corrupted_op) = logic_out
@@ -345,16 +358,11 @@ pub fn prepare_fault(
 ) -> Result<FaultEvidence, FaultError> {
     validate(design, std::slice::from_ref(spec))?;
     match *spec {
-        FaultSpec::Delay { gate, factor } => {
-            let mut delays = design.delay_assignment(None)?;
-            delays.inflate(gate, factor);
-            let profile =
-                design.profile_with_delays_supervised(pairs, &delays, SimEngine::Level, cancel)?;
-            Ok(FaultEvidence::Delay { profile })
-        }
+        FaultSpec::Delay { gate, factor } => Ok(FaultEvidence::Delay {
+            profile: profile_delay_fault(design, pairs, gate, factor, None, cancel)?,
+        }),
         _ => {
-            let rows =
-                eval_logic_chunk_cancellable(design, pairs, std::slice::from_ref(spec), cancel)?;
+            let rows = eval_logic_chunk(design, pairs, std::slice::from_ref(spec), cancel)?;
             let (corrupted_ops, first_corrupted_op) = rows[0];
             Ok(FaultEvidence::Logic {
                 corrupted_ops,
@@ -409,18 +417,9 @@ fn validate(design: &MultiplierDesign, faults: &[FaultSpec]) -> Result<(), Fault
 ///
 /// Stuck-at faults live in a persistent overlay; on operations where a
 /// transient fires, a clone of that overlay additionally carries the
-/// one-shot flips.
+/// one-shot flips. The optional [`CancelToken`] is polled once per
+/// operation.
 fn eval_logic_chunk(
-    design: &MultiplierDesign,
-    pairs: &[(u64, u64)],
-    chunk: &[FaultSpec],
-) -> Result<Vec<(u64, Option<u64>)>, FaultError> {
-    eval_logic_chunk_cancellable(design, pairs, chunk, None)
-}
-
-/// [`eval_logic_chunk`] polling an optional [`CancelToken`] once per
-/// operation — the supervised per-case path.
-fn eval_logic_chunk_cancellable(
     design: &MultiplierDesign,
     pairs: &[(u64, u64)],
     chunk: &[FaultSpec],
@@ -485,25 +484,28 @@ fn eval_logic_chunk_cancellable(
 /// two-vector measurement as the fault-free [`MultiplierDesign::profile`],
 /// minus the functional pass (the fault is timing-only, so every product
 /// stays correct by construction). With a cache, the inflated assignment's
-/// fingerprint keys the memoized profile.
+/// fingerprint keys the memoized profile; the optional token cancels the
+/// simulation.
 fn profile_delay_fault(
     design: &MultiplierDesign,
     pairs: &[(u64, u64)],
     gate: GateId,
     factor: f64,
     cache: Option<&ProfileCache>,
+    cancel: Option<&CancelToken>,
 ) -> Result<PatternProfile, FaultError> {
     let mut delays = design.delay_assignment(None)?;
     delays.inflate(gate, factor);
+    let profile = || {
+        design
+            .profile_with_delays_supervised(pairs, &delays, SimEngine::Level, cancel)
+            .map_err(FaultError::from)
+    };
     match cache {
         Some(c) => {
-            let profile = c.get_or_insert_with(design, &delays, pairs, || {
-                design
-                    .profile_with_delays(pairs, &delays)
-                    .map_err(FaultError::from)
-            })?;
+            let profile = c.get_or_insert_with(design, &delays, pairs, profile)?;
             Ok(PatternProfile::clone(&profile))
         }
-        None => Ok(design.profile_with_delays(pairs, &delays)?),
+        None => profile(),
     }
 }

@@ -9,7 +9,7 @@ fn main() {
     let pats = PatternSet::uniform(16, 800, 0x0A6E_0001);
     for kind in MultiplierKind::ALL {
         let d = MultiplierDesign::new(kind, 16).unwrap();
-        let activity = d.switching_activity(pats.pairs()).unwrap();
+        let activity = d.switching_activity(pats.pairs(), None).unwrap();
         let profile = d.profile(pats.pairs(), None).unwrap();
         let area = area_report(&d, Architecture::FixedLatency, 7).unwrap();
         let e = energy_report(

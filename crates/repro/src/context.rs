@@ -259,7 +259,7 @@ impl Context {
         }
         let design = self.design(kind, width)?;
         let workload = self.stats_workload(width);
-        let a = Rc::new(design.switching_activity(workload.pairs())?);
+        let a = Rc::new(design.switching_activity(workload.pairs(), self.cancel.as_ref())?);
         self.activity.insert((kind, width), Rc::clone(&a));
         Ok(a)
     }

@@ -1,6 +1,8 @@
 //! Beyond the paper: design-choice ablations and extension architectures.
 
-use agemul::{run_engine, AhlConfig, EngineConfig, MultiplierDesign, PatternSet, RazorConfig};
+use agemul::{
+    run_engine, AhlConfig, EngineConfig, MultiplierDesign, PatternSet, RazorConfig, SimEngine,
+};
 use agemul_circuits::MultiplierKind;
 
 use super::{f3, pct, period_grid, skips};
@@ -182,7 +184,8 @@ pub fn extensions(ctx: &mut Context) -> Result<Report> {
     for kind in MultiplierKind::ALL {
         let design = MultiplierDesign::new(kind, width)?;
         let critical = design.critical_delay_ns(None)?;
-        let profile = design.profile(patterns.pairs(), None)?;
+        let profile =
+            design.profile_supervised(patterns.pairs(), None, SimEngine::Level, ctx.cancel())?;
 
         // Pearson correlation between judged zero count and delay.
         let n = profile.len() as f64;
@@ -242,7 +245,12 @@ pub fn extensions(ctx: &mut Context) -> Result<Report> {
         let factors =
             agemul_aging::VariationModel::new(sigma).factors(design.circuit().netlist(), 0x5EED);
         let crit = design.critical_delay_ns(Some(&factors))?;
-        let profile = design.profile(patterns.pairs(), Some(&factors))?;
+        let profile = design.profile_supervised(
+            patterns.pairs(),
+            Some(&factors),
+            SimEngine::Level,
+            ctx.cancel(),
+        )?;
         let m = run_engine(&profile, &EngineConfig::adaptive(0.95, 7));
         var_table.row(&[
             format!("{:.0}%", 100.0 * sigma),

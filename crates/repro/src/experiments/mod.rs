@@ -195,7 +195,9 @@ mod tests {
     /// The Monte Carlo and fleet studies observe the context's deadline
     /// token: with the baseline profile already cached, a fired token
     /// stops each study inside its campaign, and the batch supervisor
-    /// classifies the failure as a cancellation.
+    /// classifies the failure as a cancellation. So do the fault
+    /// campaigns (in preparation), the extension study (in its
+    /// profiles) and Fig. 27 (in its switching-activity pass).
     #[test]
     fn mc_and_fleet_studies_observe_a_fired_deadline() {
         use agemul::CancelToken;
@@ -221,5 +223,17 @@ mod tests {
             CaseError::Cancelled,
             "fleet: {fleet}"
         );
+        for (id, run) in [
+            ("faults", faults as fn(&mut Context) -> crate::Result<_>),
+            ("extensions", extensions),
+            ("fig27", fig27),
+        ] {
+            let err = run(&mut ctx).unwrap_err();
+            assert_eq!(
+                CaseError::from_error(&*err),
+                CaseError::Cancelled,
+                "{id}: {err}"
+            );
+        }
     }
 }

@@ -29,9 +29,9 @@
 //!    and reloaded at the next spawn, so a restarted server serves its
 //!    first requests from cache.
 //!
-//! The `loadgen` binary drives the server with hundreds of concurrent
-//! design/workload combinations and records latency percentiles and hit
-//! rates (see `EXPERIMENTS.md`).
+//! The benchmark package's `serve-open` workload measures the served hit
+//! path (see `EXPERIMENTS.md`); `tests/service.rs` drives concurrent
+//! clients against one server.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +56,7 @@ use std::io::{Read, Write};
 
 /// A minimal blocking client helper: writes `request` as one frame and
 /// returns the server's response frame. Used by the `repro query`
-/// subcommand and the loadgen; works over any `Read + Write` transport.
+/// subcommand and the tests; works over any `Read + Write` transport.
 ///
 /// # Errors
 ///

@@ -207,7 +207,7 @@ impl Bound {
 
 /// A running server. Dropping the handle without calling
 /// [`shutdown`](Self::shutdown) detaches the threads (they keep serving
-/// until the process exits); tests and the loadgen always shut down.
+/// until the process exits); tests and the benchmark always shut down.
 pub struct ServerHandle {
     state: Arc<ServerState>,
     bound: Bound,
@@ -309,8 +309,7 @@ pub fn spawn(config: ServeConfig) -> io::Result<ServerHandle> {
 }
 
 impl ServerHandle {
-    /// The server's shared state (for in-process inspection in tests and
-    /// the loadgen).
+    /// The server's shared state, for in-process inspection in tests.
     pub fn state(&self) -> &Arc<ServerState> {
         &self.state
     }
@@ -764,7 +763,7 @@ fn eval_op(state: &ServerState, body: &RequestBody, attempt: &Attempt) -> Result
             faults,
             fault_seed,
             skip,
-        } => eval_campaign(state, query, *faults, *fault_seed, *skip),
+        } => eval_campaign(state, query, *faults, *fault_seed, *skip, attempt),
         RequestBody::Mc {
             query,
             corners,
@@ -788,21 +787,28 @@ fn eval_op(state: &ServerState, body: &RequestBody, attempt: &Attempt) -> Result
 /// Prepares and evaluates a fault campaign. Preparation shares the
 /// server's profile cache (baseline and delay-fault profiles), so
 /// repeated campaigns over a shared workload reuse each other's
-/// simulations.
+/// simulations, and polls the attempt's deadline token.
 fn eval_campaign(
     state: &ServerState,
     query: &DesignQuery,
     faults: usize,
     fault_seed: u64,
     skip: u32,
+    attempt: &Attempt,
 ) -> Result<Json, CaseError> {
     let design = state
         .design(query.kind, query.width)
         .map_err(CaseError::Failed)?;
     let workload = PatternSet::uniform(query.width, query.patterns, query.seed);
     let specs = FaultSpec::sample(&design, workload.pairs().len(), faults, fault_seed);
-    let campaign = Campaign::prepare_cached(&design, workload.pairs(), &specs, state.cache())
-        .map_err(|e| CaseError::from_error(&e))?;
+    let campaign = Campaign::prepare_supervised(
+        &design,
+        workload.pairs(),
+        &specs,
+        Some(state.cache()),
+        attempt.cancel.as_ref(),
+    )
+    .map_err(|e| CaseError::from_error(&e))?;
     let cycle_ns = 0.95
         * design
             .critical_delay_ns(None)

@@ -337,6 +337,121 @@ fn batch_envelope_returns_ordered_responses() {
     server.shutdown().unwrap();
 }
 
+/// Concurrent clients, each on its own persistent TCP connection to one
+/// server (`workers = clients + 2`, so no connection waits for a worker),
+/// send overlapping `profile` keys over all five kinds at widths 4 and 8,
+/// mixing single frames with 4-request batch frames. Every response is
+/// `ok`; single-flight plus a cache that holds the whole grid make the
+/// server's misses exactly the distinct keys, the rest are hits or
+/// coalesced; and the server shuts down cleanly.
+#[test]
+fn concurrent_clients_share_one_cache_over_tcp() {
+    const CLIENTS: usize = 4;
+    const FRAMES: usize = 48;
+    let grid: Vec<(&str, u64, f64)> = ["AM", "CB", "RB", "WAL", "BOOTH"]
+        .into_iter()
+        .flat_map(|kind| [(kind, 4), (kind, 8)])
+        .flat_map(|(kind, width)| [(kind, width, 0.0), (kind, width, 7.0)])
+        .collect();
+    let server = spawn(ServeConfig {
+        endpoint: Endpoint::Tcp("127.0.0.1:0".into()),
+        workers: CLIENTS + 2,
+        shard_capacity: Some(64),
+        max_retries: 1,
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let addr = server.tcp_addr().expect("tcp addr");
+
+    // Every client is connected before any sends, so cold keys see
+    // concurrent demand.
+    let start = Barrier::new(CLIENTS);
+    let picked: Vec<Vec<usize>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (grid, start) = (&grid, &start);
+                scope.spawn(move || {
+                    let mut conn = TcpStream::connect(addr).expect("connect");
+                    start.wait();
+                    let mut picked = Vec::new();
+                    for frame in 0..FRAMES {
+                        // Every third frame is a 4-request batch envelope.
+                        let n = if frame % 3 == 2 { 4 } else { 1 };
+                        let requests: Vec<Json> = (0..n)
+                            .map(|i| {
+                                let pick = (5 * client + 3 * frame + i) % grid.len();
+                                picked.push(pick);
+                                let (kind, width, years) = grid[pick];
+                                profile_frame(picked.len() as u64, kind, width, years, 16, 11)
+                            })
+                            .collect();
+                        let responses = if n == 1 {
+                            vec![roundtrip(&mut conn, &requests[0]).expect("roundtrip")]
+                        } else {
+                            let batch = Json::Obj(vec![
+                                ("op".into(), Json::Str("batch".into())),
+                                ("requests".into(), Json::Arr(requests)),
+                            ]);
+                            let envelope = roundtrip(&mut conn, &batch).expect("roundtrip");
+                            envelope
+                                .get("responses")
+                                .and_then(Json::as_arr)
+                                .expect("responses array")
+                                .to_vec()
+                        };
+                        assert_eq!(responses.len(), n);
+                        for response in &responses {
+                            assert_eq!(
+                                response.get("ok").and_then(Json::as_bool),
+                                Some(true),
+                                "{response}"
+                            );
+                        }
+                    }
+                    picked
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let mut distinct: Vec<usize> = picked.iter().flatten().copied().collect();
+    let ops = distinct.len();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        grid.len(),
+        "the clients span the whole grid"
+    );
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let stats_frame = Json::Obj(vec![
+        ("id".into(), Json::UInt(0)),
+        ("op".into(), Json::Str("stats".into())),
+    ]);
+    let stats = roundtrip(&mut conn, &stats_frame).unwrap();
+    let counter = |name: &str| {
+        stats
+            .get("result")
+            .and_then(|r| r.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats lacks {name}: {stats}"))
+    };
+    assert_eq!(
+        counter("misses"),
+        grid.len() as u64,
+        "one simulation per key"
+    );
+    assert!(counter("hits") > 0, "{stats}");
+    assert_eq!(
+        counter("hits") + counter("coalesced"),
+        (ops - grid.len()) as u64
+    );
+    drop(conn);
+    server.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn malformed_requests_get_error_responses_not_disconnects() {
     let server = spawn_tcp(None);
@@ -382,12 +497,35 @@ fn impossible_deadline_is_quarantined_into_an_error_response() {
     if let Json::Obj(pairs) = &mut frame {
         pairs.push(("deadline_ms".into(), Json::UInt(1)));
     }
-    let response = roundtrip(&mut conn, &frame).unwrap();
-    assert_eq!(
-        response.get("ok").and_then(Json::as_bool),
-        Some(false),
-        "{response}"
-    );
+    // A fault campaign polls the deadline through its preparation too.
+    let campaign = Json::Obj(vec![
+        ("id".into(), Json::UInt(3)),
+        ("op".into(), Json::Str("campaign".into())),
+        ("kind".into(), Json::Str("BOOTH".into())),
+        ("width".into(), Json::UInt(8)),
+        ("years".into(), Json::Num(0.0)),
+        ("patterns".into(), Json::UInt(20_000)),
+        ("seed".into(), Json::UInt(3)),
+        ("faults".into(), Json::UInt(4)),
+        ("fault_seed".into(), Json::UInt(5)),
+        ("skip".into(), Json::UInt(7)),
+        ("deadline_ms".into(), Json::UInt(1)),
+    ]);
+    for frame in [frame, campaign] {
+        let response = roundtrip(&mut conn, &frame).unwrap();
+        assert_eq!(
+            response.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{response}"
+        );
+        assert!(
+            response
+                .get("error")
+                .and_then(Json::as_str)
+                .is_some_and(|e| e.contains("deadline exceeded")),
+            "{response}"
+        );
+    }
 
     // The failure was not cached: without the deadline the same query
     // simulates fine.

@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16)?;
     let patterns = PatternSet::uniform(16, 3_000, 99);
     let stats = design.workload_stats(patterns.pairs())?;
-    let activity = design.switching_activity(patterns.pairs())?;
+    let activity = design.switching_activity(patterns.pairs(), None)?;
     let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
     let em = EmModel::nominal();
 

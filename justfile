@@ -23,18 +23,6 @@ test:
 soak-smoke:
 	scripts/soak_smoke.sh
 
-# Resident-service smoke: loadgen spawns an in-process agemul-serve,
-# drives a brief concurrent run, and exits nonzero unless there were zero
-# error responses, a nonzero cache hit rate, and a clean shutdown.
-serve-smoke:
-	cargo run --release -p agemul-serve --bin loadgen -- --smoke
-
-# Full service load test: ≥100k ops over 300 design/workload combos;
-# appends serve/warm_p50|warm_p99|cold_p50 to BENCH_sim.json and writes
-# results/serve__loadgen.csv.
-serve-loadgen:
-	cargo run --release -p agemul-serve --bin loadgen
-
 # Scalar-vs-batch simulator benches; see BENCH_sim.json for the record.
 bench-sim:
 	cargo bench -p agemul-bench --bench batch_sim

@@ -27,6 +27,3 @@ scripts/quick_digests.sh
 # Supervised kill/resume soak: SIGKILL a checkpointed campaign mid-run,
 # resume, and require byte-identical results.
 scripts/soak_smoke.sh
-# Resident-service smoke: loadgen against an in-process agemul-serve;
-# fails on any error response, zero hit rate, or unclean shutdown.
-cargo run --release -p agemul-serve --bin loadgen -- --smoke

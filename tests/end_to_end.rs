@@ -75,7 +75,7 @@ fn area_and_energy_orderings() {
     let power = PowerModel::ptm_32nm_hk();
     let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16).unwrap();
     let patterns = PatternSet::uniform(16, 400, 9);
-    let activity = design.switching_activity(patterns.pairs()).unwrap();
+    let activity = design.switching_activity(patterns.pairs(), None).unwrap();
 
     let fl = area_report(&design, Architecture::FixedLatency, 7).unwrap();
     let avl = area_report(&design, Architecture::AdaptiveVariableLatency, 7).unwrap();

@@ -93,7 +93,7 @@ fn triple_aging_stack_is_absorbed() {
     let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16).unwrap();
     let patterns = PatternSet::uniform(16, 500, 10);
     let stats = design.workload_stats(patterns.pairs()).unwrap();
-    let activity = design.switching_activity(patterns.pairs()).unwrap();
+    let activity = design.switching_activity(patterns.pairs(), None).unwrap();
     let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
 
     let f_bti = aging_factors(design.circuit().netlist(), &stats, &bti, 7.0);
