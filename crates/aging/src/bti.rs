@@ -60,8 +60,8 @@ impl BtiModel {
     /// exhibits exactly `seven_year_delay_factor` after seven years.
     ///
     /// The paper's Fig. 7 reports ≈13 % for the 16×16 bypassing
-    /// multipliers, so `BtiModel::calibrated(tech, 1.13)` is the standard
-    /// configuration throughout this repository.
+    /// multipliers; [`BtiModel::reference`] is the calibration used
+    /// throughout this repository.
     ///
     /// # Panics
     ///
@@ -83,6 +83,24 @@ impl BtiModel {
         let probe = BtiModel::new(tech.clone(), 1.0);
         let unit = probe.delta_vth_v(7.0, 0.5);
         BtiModel::new(tech, dvth / unit)
+    }
+
+    /// The workspace's reference model: 32 nm high-k/metal-gate
+    /// constants, calibrated to a per-gate seven-year factor of 1.132.
+    ///
+    /// The paper's ≈13 % (Fig. 7) is a *circuit-level* observable: the
+    /// static critical path grows by the duty-cycle-weighted average of
+    /// the per-gate factors along it, which sits slightly below the
+    /// balanced-gate factor. 1.132 was found by sweeping the gate-level
+    /// target until the 16×16 column-bypassing multiplier's 7-year
+    /// critical-path growth landed on the paper's 13 % (the sweep is
+    /// `crates/repro/examples/probe_aging.rs`); the repro context's
+    /// `seven_year_anchor_holds_at_circuit_level` test asserts the anchor
+    /// still holds. The repro experiments and the serve service both age
+    /// through this model, so a served profile matches the batch
+    /// experiments bit for bit.
+    pub fn reference() -> Self {
+        BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132)
     }
 
     /// The underlying technology constants.

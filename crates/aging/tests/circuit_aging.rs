@@ -44,7 +44,7 @@ fn stress_probabilities_are_physical() {
 fn static_critical_path_ages_within_gate_bounds() {
     let m = MultiplierCircuit::generate(MultiplierKind::RowBypass, 8).unwrap();
     let stats = workload_stats(&m, 300, 5);
-    let model = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+    let model = BtiModel::reference();
     let factors = aging_factors(m.netlist(), &stats, &model, 7.0);
 
     let delays = DelayModel::nominal();
@@ -70,7 +70,7 @@ fn static_critical_path_ages_within_gate_bounds() {
 fn aging_is_monotone_across_years_on_circuit() {
     let m = MultiplierCircuit::generate(MultiplierKind::Array, 8).unwrap();
     let stats = workload_stats(&m, 200, 9);
-    let model = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+    let model = BtiModel::reference();
     let delays = DelayModel::nominal();
     let mut last = 0.0;
     for year in 0..=10 {
@@ -107,7 +107,7 @@ fn electromigration_composes_with_bti() {
         .record_toggles(sim.gate_toggle_counts(), 200)
         .unwrap();
 
-    let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+    let bti = BtiModel::reference();
     let bti_factors = aging_factors(m.netlist(), &stats, &bti, 7.0);
     let em_factors = EmModel::nominal().wire_factors(m.netlist(), &activity, 7.0);
     let combined = compose_factors(&bti_factors, &em_factors);

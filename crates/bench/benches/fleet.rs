@@ -26,17 +26,12 @@ use agemul::MultiplierDesign;
 use agemul_aging::BtiModel;
 use agemul_circuits::MultiplierKind;
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetPolicy, FleetSim, RoutingPolicy};
-use agemul_logic::Technology;
 
 /// Operations routed per epoch in every row.
 const OPS: usize = 48;
 
 /// Epochs per campaign in every row.
 const EPOCHS: usize = 2;
-
-/// The workspace's calibrated per-gate seven-year factor target (see
-/// `agemul-repro`'s context calibration).
-const GATE_7Y_FACTOR: f64 = 1.132;
 
 fn config(nodes: usize, routing: RoutingPolicy) -> FleetConfig {
     let mut config = FleetConfig::new(nodes, EPOCHS, OPS, 0x0A6E_0005);
@@ -48,7 +43,7 @@ fn config(nodes: usize, routing: RoutingPolicy) -> FleetConfig {
 fn bench_fleet(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet");
     g.sample_size(10);
-    let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), GATE_7Y_FACTOR);
+    let bti = BtiModel::reference();
     let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 8).unwrap();
 
     // Scale-out: node count is the profiling-sweep multiplier.

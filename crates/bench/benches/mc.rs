@@ -23,7 +23,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet};
 use agemul_aging::BtiModel;
 use agemul_circuits::MultiplierKind;
-use agemul_logic::Technology;
 use agemul_netlist::DelayAssignment;
 
 /// Patterns per corner-year replay of the campaign the rows are built on.
@@ -32,14 +31,10 @@ const OPS: usize = 48;
 /// Distinct delay assignments cycled through the corner-switch rows.
 const CORNERS: usize = 8;
 
-/// The workspace's calibrated per-gate seven-year factor target (see
-/// `agemul-repro`'s context calibration).
-const GATE_7Y_FACTOR: f64 = 1.132;
-
 fn bench_mc(c: &mut Criterion) {
     let mut g = c.benchmark_group("mc");
     g.sample_size(10);
-    let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), GATE_7Y_FACTOR);
+    let bti = BtiModel::reference();
     for (label, kind) in [
         ("CB16", MultiplierKind::ColumnBypass),
         ("RB16", MultiplierKind::RowBypass),

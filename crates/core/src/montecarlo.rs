@@ -208,11 +208,10 @@ fn corner_seed(base: u64, corner: usize) -> u64 {
 /// use agemul::{McConfig, MonteCarloCampaign, MultiplierDesign, PatternSet};
 /// use agemul_aging::BtiModel;
 /// use agemul_circuits::MultiplierKind;
-/// use agemul_logic::Technology;
 ///
 /// let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16)?;
 /// let patterns = PatternSet::uniform(16, 256, 42);
-/// let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+/// let bti = BtiModel::reference();
 /// let config = McConfig::new(200, 0.05, 7);
 /// let campaign = MonteCarloCampaign::new(&design, patterns.pairs(), &bti, config)?;
 /// let report = campaign.run(None)?;
@@ -446,7 +445,6 @@ impl<'a> MonteCarloCampaign<'a> {
 #[cfg(test)]
 mod tests {
     use agemul_circuits::MultiplierKind;
-    use agemul_logic::Technology;
 
     use super::*;
     use crate::PatternSet;
@@ -456,7 +454,7 @@ mod tests {
         pairs: &[(u64, u64)],
         config: McConfig,
     ) -> MonteCarloCampaign<'a> {
-        let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+        let bti = BtiModel::reference();
         MonteCarloCampaign::new(design, pairs, &bti, config).unwrap()
     }
 

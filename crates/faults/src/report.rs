@@ -1,5 +1,7 @@
 //! Machine-readable campaign reports.
 
+use agemul::Json;
+
 /// The campaign taxonomy: what the architecture did with one fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultClass {
@@ -128,62 +130,64 @@ impl CampaignReport {
         }
     }
 
-    /// Serializes the report as a single JSON object (hand-rolled — the
-    /// workspace carries no serde). All labels are machine-generated
-    /// ASCII, so no string escaping is required.
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<u64>) -> String {
-            v.map_or_else(|| "null".to_string(), |x| x.to_string())
+    /// The report as one JSON object: the campaign parameters, a
+    /// `summary` of the class counts and coverage, the `quarantined`
+    /// labels, and one `faults` entry per outcome.
+    pub fn to_json(&self) -> Json {
+        fn uint(n: impl Into<u64>) -> Json {
+            Json::UInt(n.into())
         }
-        let mut s = String::with_capacity(256 + 160 * self.outcomes.len());
-        s.push_str(&format!(
-            "{{\"kind\":\"{}\",\"width\":{},\"operations\":{},\"cycle_ns\":{},\
-             \"skip\":{},\"window_factor\":{},\"adaptive\":{},\
-             \"baseline_errors\":{},\"baseline_avg_latency_ns\":{},\
-             \"summary\":{{\"masked\":{},\"detected\":{},\"silent\":{},\
-             \"quarantined\":{},\"coverage\":{}}},\
-             \"quarantined\":[{}],\
-             \"faults\":[",
-            self.kind,
-            self.width,
-            self.operations,
-            self.cycle_ns,
-            self.skip,
-            self.window_factor,
-            self.adaptive,
-            self.baseline_errors,
-            self.baseline_avg_latency_ns,
-            self.masked(),
-            self.detected(),
-            self.silent(),
-            self.quarantined(),
-            self.coverage(),
-            self.quarantined
-                .iter()
-                .map(|l| format!("\"{l}\""))
-                .collect::<Vec<_>>()
-                .join(","),
-        ));
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"label\":\"{}\",\"class\":\"{}\",\"corrupted_ops\":{},\
-                 \"first_corrupted_op\":{},\"excess_errors\":{},\"excess_undetected\":{},\
-                 \"aged_at_op\":{},\"latency_overhead_pct\":{}}}",
-                o.label,
-                o.class.label(),
-                o.corrupted_ops,
-                opt(o.first_corrupted_op),
-                o.excess_errors,
-                o.excess_undetected,
-                opt(o.aged_at_op),
-                o.latency_overhead_pct,
-            ));
+        fn opt(v: Option<u64>) -> Json {
+            v.map_or(Json::Null, Json::UInt)
         }
-        s.push_str("]}");
-        s
+        fn obj(pairs: Vec<(&str, Json)>) -> Json {
+            Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        }
+        let faults = self
+            .outcomes
+            .iter()
+            .map(|o| {
+                obj(vec![
+                    ("label", Json::Str(o.label.clone())),
+                    ("class", Json::Str(o.class.label().into())),
+                    ("corrupted_ops", uint(o.corrupted_ops)),
+                    ("first_corrupted_op", opt(o.first_corrupted_op)),
+                    ("excess_errors", uint(o.excess_errors)),
+                    ("excess_undetected", uint(o.excess_undetected)),
+                    ("aged_at_op", opt(o.aged_at_op)),
+                    ("latency_overhead_pct", Json::Num(o.latency_overhead_pct)),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("kind", Json::Str(self.kind.clone())),
+            ("width", uint(self.width as u64)),
+            ("operations", uint(self.operations)),
+            ("cycle_ns", Json::Num(self.cycle_ns)),
+            ("skip", uint(self.skip)),
+            ("window_factor", Json::Num(self.window_factor)),
+            ("adaptive", Json::Bool(self.adaptive)),
+            ("baseline_errors", uint(self.baseline_errors)),
+            (
+                "baseline_avg_latency_ns",
+                Json::Num(self.baseline_avg_latency_ns),
+            ),
+            (
+                "summary",
+                obj(vec![
+                    ("masked", uint(self.masked() as u64)),
+                    ("detected", uint(self.detected() as u64)),
+                    ("silent", uint(self.silent() as u64)),
+                    ("quarantined", uint(self.quarantined() as u64)),
+                    ("coverage", Json::Num(self.coverage())),
+                ]),
+            ),
+            (
+                "quarantined",
+                Json::Arr(self.quarantined.iter().cloned().map(Json::Str).collect()),
+            ),
+            ("faults", Json::Arr(faults)),
+        ])
     }
 }
 
@@ -289,17 +293,25 @@ mod tests {
     #[test]
     fn json_is_well_formed() {
         let r = report();
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert_eq!(j.matches("\"label\"").count(), 4);
-        assert!(
-            j.contains("\"summary\":{\"masked\":1,\"detected\":2,\"silent\":1,\"quarantined\":0")
-        );
-        assert!(j.contains("\"first_corrupted_op\":null"));
-        // Balanced braces/brackets — a cheap structural check without a
-        // JSON parser in the workspace.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let j = Json::parse(&r.to_json().to_string()).unwrap();
+        assert_eq!(j.get_str("kind"), Ok("CB"));
+        assert_eq!(j.get_u64("width"), Ok(16));
+        assert_eq!(j.get_f64("cycle_ns"), Ok(0.95));
+        assert_eq!(j.get_bool("adaptive"), Ok(true));
+        let summary = j.get("summary").unwrap();
+        for (key, count) in [
+            ("masked", 1),
+            ("detected", 2),
+            ("silent", 1),
+            ("quarantined", 0),
+        ] {
+            assert_eq!(summary.get_u64(key), Ok(count), "{key}");
+        }
+        let faults = j.get_arr("faults").unwrap();
+        assert_eq!(faults.len(), 4);
+        assert_eq!(faults[2].get_str("label"), Ok("slow@g3x1.50"));
+        assert_eq!(faults[2].get_str("class"), Ok("detected"));
+        assert_eq!(faults[0].get("first_corrupted_op"), Some(&Json::Null));
     }
 
     #[test]
@@ -320,11 +332,15 @@ mod tests {
         assert_eq!((r.masked(), r.detected(), r.silent()), (1, 2, 1));
         assert!((r.coverage() - 2.0 / 3.0).abs() < 1e-12);
 
-        let j = r.to_json();
-        assert!(j.contains("\"quarantined\":2"));
-        assert!(j.contains("\"quarantined\":[\"poison\",\"slow@g9x1.40\"]"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        let j = Json::parse(&r.to_json().to_string()).unwrap();
+        assert_eq!(j.get("summary").unwrap().get_u64("quarantined"), Ok(2));
+        let labels: Vec<&str> = j
+            .get_arr("quarantined")
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(labels, ["poison", "slow@g9x1.40"]);
 
         let text = r.to_string();
         assert!(text.contains("2 quarantined"));

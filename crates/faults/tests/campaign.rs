@@ -285,7 +285,10 @@ fn assembled_campaign_reports_quarantined_labels() {
     assert_eq!(report.quarantined, quarantined);
     assert_eq!(report.quarantined(), 1);
     assert_eq!(report.outcomes.len(), faults.len());
-    assert!(report.to_json().contains("\"quarantined\":[\"poison\"]"));
+    assert!(report
+        .to_json()
+        .to_string()
+        .contains("\"quarantined\":[\"poison\"]"));
 }
 
 #[test]

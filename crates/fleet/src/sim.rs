@@ -1044,14 +1044,13 @@ impl FleetSummary {
 mod tests {
     use super::*;
     use agemul_circuits::MultiplierKind;
-    use agemul_logic::Technology;
 
     fn design() -> MultiplierDesign {
         MultiplierDesign::new(MultiplierKind::ColumnBypass, 8).unwrap()
     }
 
     fn bti() -> BtiModel {
-        BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132)
+        BtiModel::reference()
     }
 
     fn quick_config() -> FleetConfig {

@@ -15,10 +15,9 @@ use agemul_fleet::{
     epoch_trace, trace_pairs, FleetCampaign, FleetConfig, FleetPolicy, FleetSim, FleetSummary,
     RoutingPolicy, TraceKind,
 };
-use agemul_logic::Technology;
 
 fn bti() -> BtiModel {
-    BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132)
+    BtiModel::reference()
 }
 
 fn run(design: &MultiplierDesign, config: FleetConfig) -> FleetSummary {

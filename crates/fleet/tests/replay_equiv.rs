@@ -17,7 +17,6 @@ use agemul::MultiplierDesign;
 use agemul_aging::BtiModel;
 use agemul_circuits::MultiplierKind;
 use agemul_fleet::{FleetCampaign, FleetConfig, FleetPolicy, FleetSim, RoutingPolicy, TraceKind};
-use agemul_logic::Technology;
 use proptest::prelude::*;
 
 fn design() -> MultiplierDesign {
@@ -25,7 +24,7 @@ fn design() -> MultiplierDesign {
 }
 
 fn bti() -> BtiModel {
-    BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132)
+    BtiModel::reference()
 }
 
 /// A small but non-degenerate scenario: three divergently aged nodes,

@@ -124,7 +124,7 @@ fn run(opts: &Opts) -> Result<(), String> {
     .map_err(|e| format!("supervised campaign failed: {e}"))?;
 
     let report = supervised.campaign.run(&EngineConfig::adaptive(1.0, 2));
-    std::fs::write(&opts.out, report.to_json())
+    std::fs::write(&opts.out, report.to_json().to_string())
         .map_err(|e| format!("writing {}: {e}", opts.out.display()))?;
 
     let quarantined = supervised.ledger.quarantined();

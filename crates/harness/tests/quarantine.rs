@@ -60,7 +60,10 @@ fn poison_fault_is_quarantined_and_campaign_completes() {
     assert_eq!(report.outcomes.len(), 4);
     assert_eq!(report.quarantined, vec!["poison".to_string()]);
     assert_eq!(report.quarantined(), 1);
-    assert!(report.to_json().contains("\"quarantined\":[\"poison\"]"));
+    assert!(report
+        .to_json()
+        .to_string()
+        .contains("\"quarantined\":[\"poison\"]"));
 }
 
 #[test]

@@ -53,8 +53,8 @@ fn supervised_campaign_matches_unsupervised_batch_path() {
 
     let cfg = EngineConfig::adaptive(1.0, 2);
     assert_eq!(
-        supervised.campaign.run(&cfg).to_json(),
-        batch.run(&cfg).to_json(),
+        supervised.campaign.run(&cfg).to_json().to_string(),
+        batch.run(&cfg).to_json().to_string(),
         "per-case supervised evidence must be bit-identical to the 64-lane batch path"
     );
 }
@@ -76,7 +76,7 @@ fn campaign_resumed_from_truncated_checkpoint_is_bit_identical() {
         Resume::Fresh,
     )
     .unwrap();
-    let full_json = full.campaign.run(&cfg).to_json();
+    let full_json = full.campaign.run(&cfg).to_json().to_string();
 
     // Interrupt at every possible point: 0 completed cases .. all-but-one.
     for survivors in 0..full.ledger.records.len() {
@@ -96,7 +96,7 @@ fn campaign_resumed_from_truncated_checkpoint_is_bit_identical() {
         )
         .unwrap();
         assert_eq!(resumed.ledger, full.ledger, "survivors={survivors}");
-        assert_eq!(resumed.campaign.run(&cfg).to_json(), full_json);
+        assert_eq!(resumed.campaign.run(&cfg).to_json().to_string(), full_json);
         // The rewritten checkpoint is complete and still keyed to the run.
         let after = Checkpoint::load(&cut, Some(&run_key)).unwrap();
         assert_eq!(after.entries.len(), full.ledger.records.len());
@@ -125,8 +125,8 @@ fn checkpoint_written_before_the_rung_removal_resumes_identically() {
     assert_eq!(resumed.ledger, full.ledger);
     let cfg = EngineConfig::adaptive(1.0, 2);
     assert_eq!(
-        resumed.campaign.run(&cfg).to_json(),
-        full.campaign.run(&cfg).to_json()
+        resumed.campaign.run(&cfg).to_json().to_string(),
+        full.campaign.run(&cfg).to_json().to_string()
     );
 }
 
@@ -160,8 +160,8 @@ proptest! {
         ).unwrap();
         prop_assert_eq!(&resumed.ledger, &full.ledger);
         prop_assert_eq!(
-            resumed.campaign.run(&cfg).to_json(),
-            full.campaign.run(&cfg).to_json()
+            resumed.campaign.run(&cfg).to_json().to_string(),
+            full.campaign.run(&cfg).to_json().to_string()
         );
     }
 }

@@ -56,8 +56,12 @@ fn rerun(path: &Path, resume: Resume) -> Result<String, HarnessError> {
     let d = design();
     let patterns = PatternSet::uniform(4, 10, 1);
     let faults = FaultSpec::sample(&d, 10, 2, 2);
-    run_campaign_supervised(&d, patterns.pairs(), &faults, &config(), Some(path), resume)
-        .map(|s| s.campaign.run(&EngineConfig::adaptive(1.0, 2)).to_json())
+    run_campaign_supervised(&d, patterns.pairs(), &faults, &config(), Some(path), resume).map(|s| {
+        s.campaign
+            .run(&EngineConfig::adaptive(1.0, 2))
+            .to_json()
+            .to_string()
+    })
 }
 
 #[test]

@@ -6,7 +6,6 @@ use std::rc::Rc;
 use agemul::{CancelToken, MultiplierDesign, PatternProfile, PatternSet, SimEngine};
 use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::MultiplierKind;
-use agemul_logic::Technology;
 use agemul_netlist::{SwitchingActivity, WorkloadStats};
 
 /// Convenience result type for the harness.
@@ -135,18 +134,6 @@ impl Scale {
 /// pattern sets across scenarios).
 const SEED_UNIFORM: u64 = 0x0A6E_0001;
 
-/// Per-gate seven-year delay-factor target handed to
-/// [`BtiModel::calibrated`].
-///
-/// The paper's ≈13 % (Fig. 7) is a *circuit-level* observable: the static
-/// critical path grows by the duty-cycle-weighted average of the per-gate
-/// factors along it, which sits slightly below the balanced-gate factor.
-/// This constant was found by sweeping the gate-level target until the
-/// 16×16 column-bypassing multiplier's 7-year critical-path growth landed
-/// on the paper's 13 % (see `examples/probe_aging.rs` in this crate); a
-/// context test asserts the anchor still holds.
-const REFERENCE_GATE_7Y_FACTOR: f64 = 1.132;
-
 fn years_key(years: f64) -> u32 {
     (years * 100.0).round() as u32
 }
@@ -173,15 +160,14 @@ pub struct Context {
 }
 
 impl Context {
-    /// Creates a context at the given scale, with the BTI model calibrated
-    /// so the 16×16 column-bypassing multiplier's critical path grows by
-    /// the paper's ≈13 % over seven years (see `REFERENCE_GATE_7Y_FACTOR`
-    /// in the module source for the derivation).
+    /// Creates a context at the given scale, aging through
+    /// [`BtiModel::reference`]: the 16×16 column-bypassing multiplier's
+    /// critical path grows by the paper's ≈13 % over seven years.
     pub fn new(scale: Scale) -> Self {
         Context {
             scale,
             cancel: None,
-            bti: BtiModel::calibrated(Technology::ptm_32nm_hk(), REFERENCE_GATE_7Y_FACTOR),
+            bti: BtiModel::reference(),
             designs: HashMap::new(),
             workloads: HashMap::new(),
             stats: HashMap::new(),

@@ -10,20 +10,27 @@
 //! repro query [--addr <host:port> | --unix <path>] --op <op>
 //!       [--kind <K>] [--width <N>] [--years <Y>] [--patterns <N>]
 //!       [--seed <N>] [--periods <a,b,..>] [--skip <N>]
-//!       [--faults <N>] [--fault-seed <N>] [--nodes <N>] [--epochs <N>]
-//!       [--policy <P>] [--deadline-ms <N>]
+//!       [--faults <N>] [--fault-seed <N>] [--corners <N>] [--sigma <S>]
+//!       [--mc-seed <N>] [--nodes <N>] [--epochs <N>] [--policy <P>]
+//!       [--deadline-ms <N>]
 //! ```
 //!
-//! A failing experiment no longer aborts the batch: every requested
-//! experiment runs, a per-experiment pass/fail summary is printed at the
-//! end, and the exit code is nonzero if *any* failed. With `--resume` (or
-//! a deadline/retry budget) the batch runs under the `agemul-harness`
-//! supervisor: completed experiments are checkpointed to the given path —
-//! a killed `repro all` picks up where it died — panicking experiments are
-//! quarantined instead of taking the batch down, and a deadline overrun
-//! is retried `--max-retries` times (default 0) before the experiment is
-//! quarantined. The summary prints each experiment's attempt time, or
-//! `resumed` for one loaded from the checkpoint.
+//! Every batch runs under the `agemul-harness` supervisor on one shared
+//! [`Context`], so later experiments reuse the designs and profiles that
+//! earlier ones built. Each report is printed, and its CSVs written, as
+//! soon as its experiment finishes. A failing or panicking experiment is
+//! quarantined instead of aborting the batch; a per-experiment summary
+//! with each experiment's attempt time is printed at the end, and the
+//! exit code is nonzero if *any* failed. `--deadline-ms` bounds every
+//! attempt and `--max-retries` (default 0) adds attempts after a failure.
+//! `--resume` checkpoints each completed experiment to the given path, so
+//! a killed `repro all` picks up where it died; experiments restored from
+//! the checkpoint are re-emitted after the run and read `resumed` in the
+//! summary.
+//!
+//! `repro query` turns each `--flag value` into the request field of the
+//! same name (`--fault-seed` sets `fault_seed`) and leaves validation to
+//! `Request::from_json`, the decoder the server runs.
 //!
 //! Every value-taking flag may be given at most once — `--csv a --csv b`
 //! is rejected instead of silently keeping the last value —
@@ -32,7 +39,7 @@
 //! `--max-retries` (batch runs and `repro serve`) accepts at most
 //! [`MAX_RETRIES`].
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -40,12 +47,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use agemul::Json;
-use agemul_fleet::RoutingPolicy;
 use agemul_harness::{Attempt, CaseError, CaseStatus, Resume, Supervisor, SupervisorConfig};
 use agemul_repro::{experiments, Context, Report, Scale};
-use agemul_serve::{
-    parse_kind, roundtrip, DesignQuery, Endpoint, Request, RequestBody, ServeConfig,
-};
+use agemul_serve::{roundtrip, Endpoint, Request, ServeConfig};
 
 fn usage() {
     eprintln!(
@@ -58,8 +62,13 @@ fn usage() {
     );
     eprintln!(
         "       repro query [--addr <host:port> | --unix <path>] --op \
-         <profile|sweep|campaign|mc|fleet|stats|shutdown> [op fields...]"
+         <profile|sweep|campaign|mc|fleet|stats|shutdown> [--<field> <value>]..."
     );
+    let fields: Vec<String> = QUERY_FIELDS[1..]
+        .iter()
+        .map(|(name, _)| name.replace('_', "-"))
+        .collect();
+    eprintln!("query fields: {} (periods: a,b,..)", fields.join(", "));
     eprintln!("experiments: {}", experiments::ALL_IDS.join(", "));
 }
 
@@ -75,16 +84,6 @@ struct RunArgs {
     csv_dir: Option<PathBuf>,
     resume: Option<PathBuf>,
     deadline: Option<Duration>,
-    max_retries: Option<u32>,
-}
-
-/// `repro serve` arguments.
-#[derive(Debug)]
-struct ServeArgs {
-    endpoint: Endpoint,
-    workers: usize,
-    shard_capacity: Option<usize>,
-    snapshot: Option<PathBuf>,
     max_retries: u32,
 }
 
@@ -101,7 +100,7 @@ enum Command {
     Help,
     List,
     Run(RunArgs),
-    Serve(ServeArgs),
+    Serve(ServeConfig),
     Query(Box<QueryArgs>),
 }
 
@@ -157,11 +156,6 @@ fn parse_max_retries(raw: &str) -> Result<u32, String> {
 }
 
 fn parse_usize(flag: &str, raw: &str) -> Result<usize, String> {
-    raw.parse()
-        .map_err(|e| format!("{flag}: {e} (got {raw:?})"))
-}
-
-fn parse_u64(flag: &str, raw: &str) -> Result<u64, String> {
     raw.parse()
         .map_err(|e| format!("{flag}: {e} (got {raw:?})"))
 }
@@ -233,7 +227,7 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
         csv_dir,
         resume,
         deadline,
-        max_retries,
+        max_retries: max_retries.unwrap_or(0),
     }))
 }
 
@@ -300,271 +294,107 @@ fn parse_serve(args: &[String]) -> Result<Command, String> {
         }
         i += 1;
     }
-    Ok(Command::Serve(ServeArgs {
+    let defaults = ServeConfig::default();
+    Ok(Command::Serve(ServeConfig {
         endpoint: parse_endpoint(addr, unix, "127.0.0.1:7171")?,
-        workers: workers.unwrap_or(4),
-        shard_capacity: Some(shard_cap.unwrap_or(64)),
+        workers: workers.unwrap_or(defaults.workers),
+        shard_capacity: shard_cap.or(defaults.shard_capacity),
         snapshot,
-        max_retries: max_retries.unwrap_or(1),
+        max_retries: max_retries.unwrap_or(defaults.max_retries),
+        ..defaults
     }))
+}
+
+/// The request fields `repro query` sets from flags (`--fault-seed 3`
+/// sets `fault_seed`), each with the value it takes when its flag is
+/// absent. `--periods` takes a comma list; the request id is always 1.
+/// `Request::from_json` validates the assembled object, so the client
+/// rejects exactly what the server would.
+const QUERY_FIELDS: [(&str, Option<&str>); 17] = [
+    ("op", None),
+    ("kind", None),
+    ("width", None),
+    ("years", Some("0")),
+    ("patterns", Some("1000")),
+    ("seed", Some("42")),
+    ("periods", None),
+    ("skip", Some("7")),
+    ("faults", None),
+    ("fault_seed", Some("1")),
+    ("corners", None),
+    ("sigma", Some("0.05")),
+    ("mc_seed", Some("1")),
+    ("nodes", None),
+    ("epochs", None),
+    ("policy", Some("aging-aware")),
+    ("deadline_ms", None),
+];
+
+/// A flag value as JSON: an unsigned integer or other number when it
+/// reads as one, a string otherwise.
+fn flag_value(raw: &str) -> Json {
+    if let Ok(n) = raw.parse() {
+        Json::UInt(n)
+    } else if let Ok(x) = raw.parse() {
+        Json::Num(x)
+    } else {
+        Json::Str(raw.into())
+    }
 }
 
 fn parse_query(args: &[String]) -> Result<Command, String> {
     let mut addr: Option<String> = None;
     let mut unix: Option<PathBuf> = None;
-    let mut op: Option<String> = None;
-    let mut kind: Option<String> = None;
-    let mut width: Option<usize> = None;
-    let mut years: Option<f64> = None;
-    let mut patterns: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut periods: Option<Vec<f64>> = None;
-    let mut skip: Option<u32> = None;
-    let mut faults: Option<usize> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut corners: Option<usize> = None;
-    let mut sigma: Option<f64> = None;
-    let mut mc_seed: Option<u64> = None;
-    let mut nodes: Option<usize> = None;
-    let mut epochs: Option<usize> = None;
-    let mut policy: Option<RoutingPolicy> = None;
-    let mut deadline: Option<Duration> = None;
+    let mut given: [Option<&str>; QUERY_FIELDS.len()] = [None; QUERY_FIELDS.len()];
 
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
             "--addr" => {
-                let v = next_value(args, &mut i, "--addr")?;
-                set_once(&mut addr, "--addr", v.to_string())?;
+                let v = next_value(args, &mut i, flag)?;
+                set_once(&mut addr, flag, v.to_string())?;
             }
             "--unix" => {
-                let v = next_value(args, &mut i, "--unix")?;
-                set_once(&mut unix, "--unix", PathBuf::from(v))?;
-            }
-            "--op" => {
-                let v = next_value(args, &mut i, "--op")?;
-                set_once(&mut op, "--op", v.to_string())?;
-            }
-            "--kind" => {
-                let v = next_value(args, &mut i, "--kind")?;
-                set_once(&mut kind, "--kind", v.to_string())?;
-            }
-            "--width" => {
-                let v = next_value(args, &mut i, "--width")?;
-                let n = parse_usize("--width", v)?;
-                if n == 0 {
-                    return Err("--width must be positive".into());
-                }
-                set_once(&mut width, "--width", n)?;
-            }
-            "--years" => {
-                let v = next_value(args, &mut i, "--years")?;
-                let y: f64 = v.parse().map_err(|e| format!("--years: {e} (got {v:?})"))?;
-                if !y.is_finite() || y < 0.0 {
-                    return Err(format!("--years must be finite and non-negative, got {v}"));
-                }
-                set_once(&mut years, "--years", y)?;
-            }
-            "--patterns" => {
-                let v = next_value(args, &mut i, "--patterns")?;
-                let n = parse_usize("--patterns", v)?;
-                if n == 0 {
-                    return Err("--patterns must be positive".into());
-                }
-                set_once(&mut patterns, "--patterns", n)?;
-            }
-            "--seed" => {
-                let v = next_value(args, &mut i, "--seed")?;
-                set_once(&mut seed, "--seed", parse_u64("--seed", v)?)?;
-            }
-            "--periods" => {
-                let v = next_value(args, &mut i, "--periods")?;
-                let mut parsed = Vec::new();
-                for part in v.split(',') {
-                    let p: f64 = part
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("--periods: {e} (got {part:?})"))?;
-                    if !p.is_finite() || p <= 0.0 {
-                        return Err(format!(
-                            "--periods: want finite positive values, got {part}"
-                        ));
-                    }
-                    parsed.push(p);
-                }
-                if parsed.is_empty() {
-                    return Err("--periods needs at least one value".into());
-                }
-                set_once(&mut periods, "--periods", parsed)?;
-            }
-            "--skip" => {
-                let v = next_value(args, &mut i, "--skip")?;
-                let n: u32 = v.parse().map_err(|e| format!("--skip: {e} (got {v:?})"))?;
-                set_once(&mut skip, "--skip", n)?;
-            }
-            "--faults" => {
-                let v = next_value(args, &mut i, "--faults")?;
-                let n = parse_usize("--faults", v)?;
-                if n == 0 {
-                    return Err("--faults must be positive".into());
-                }
-                set_once(&mut faults, "--faults", n)?;
-            }
-            "--fault-seed" => {
-                let v = next_value(args, &mut i, "--fault-seed")?;
-                set_once(
-                    &mut fault_seed,
-                    "--fault-seed",
-                    parse_u64("--fault-seed", v)?,
-                )?;
-            }
-            "--corners" => {
-                let v = next_value(args, &mut i, "--corners")?;
-                let n = parse_usize("--corners", v)?;
-                if n == 0 {
-                    return Err("--corners must be positive".into());
-                }
-                set_once(&mut corners, "--corners", n)?;
-            }
-            "--sigma" => {
-                let v = next_value(args, &mut i, "--sigma")?;
-                let s: f64 = v.parse().map_err(|e| format!("--sigma: {e} (got {v:?})"))?;
-                if !s.is_finite() || s < 0.0 {
-                    return Err(format!("--sigma must be finite and non-negative, got {v}"));
-                }
-                set_once(&mut sigma, "--sigma", s)?;
-            }
-            "--mc-seed" => {
-                let v = next_value(args, &mut i, "--mc-seed")?;
-                set_once(&mut mc_seed, "--mc-seed", parse_u64("--mc-seed", v)?)?;
-            }
-            "--nodes" => {
-                let v = next_value(args, &mut i, "--nodes")?;
-                let n = parse_usize("--nodes", v)?;
-                if n == 0 {
-                    return Err("--nodes must be positive".into());
-                }
-                set_once(&mut nodes, "--nodes", n)?;
-            }
-            "--epochs" => {
-                let v = next_value(args, &mut i, "--epochs")?;
-                let n = parse_usize("--epochs", v)?;
-                if n == 0 {
-                    return Err("--epochs must be positive".into());
-                }
-                set_once(&mut epochs, "--epochs", n)?;
-            }
-            "--policy" => {
-                let v = next_value(args, &mut i, "--policy")?;
-                set_once(&mut policy, "--policy", RoutingPolicy::parse(v)?)?;
-            }
-            "--deadline-ms" => {
-                let v = next_value(args, &mut i, "--deadline-ms")?;
-                let d = parse_deadline_ms(v)?;
-                set_once(&mut deadline, "--deadline-ms", d)?;
+                let v = next_value(args, &mut i, flag)?;
+                set_once(&mut unix, flag, PathBuf::from(v))?;
             }
             "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("query: unknown argument {other:?}")),
+            _ => {
+                let slot = QUERY_FIELDS
+                    .iter()
+                    .position(|(name, _)| {
+                        flag.strip_prefix("--") == Some(name.replace('_', "-").as_str())
+                    })
+                    .ok_or_else(|| format!("query: unknown argument {flag:?}"))?;
+                let v = next_value(args, &mut i, flag)?;
+                set_once(&mut given[slot], flag, v)?;
+            }
         }
         i += 1;
     }
 
-    let op = op.ok_or("query needs --op <profile|sweep|campaign|mc|fleet|stats|shutdown>")?;
-    let design_query = |kind: &Option<String>| -> Result<DesignQuery, String> {
-        let label = kind
-            .as_deref()
-            .ok_or_else(|| format!("--op {op} needs --kind"))?;
-        Ok(DesignQuery {
-            kind: parse_kind(label)?,
-            width: width.ok_or_else(|| format!("--op {op} needs --width"))?,
-            years: years.unwrap_or(0.0),
-            patterns: patterns.unwrap_or(1_000),
-            seed: seed.unwrap_or(42),
-        })
-    };
-    let body = match op.as_str() {
-        "profile" => RequestBody::Profile(design_query(&kind)?),
-        "sweep" => RequestBody::Sweep {
-            query: design_query(&kind)?,
-            periods: periods.ok_or("--op sweep needs --periods <a,b,..>")?,
-            skip: skip.unwrap_or(7),
-        },
-        "campaign" => RequestBody::Campaign {
-            query: design_query(&kind)?,
-            faults: faults.ok_or("--op campaign needs --faults")?,
-            fault_seed: fault_seed.unwrap_or(1),
-            skip: skip.unwrap_or(7),
-        },
-        "mc" => RequestBody::Mc {
-            query: design_query(&kind)?,
-            corners: corners.ok_or("--op mc needs --corners")?,
-            sigma: sigma.unwrap_or(0.05),
-            mc_seed: mc_seed.unwrap_or(1),
-            skip: skip.unwrap_or(7),
-        },
-        "fleet" => RequestBody::Fleet {
-            query: design_query(&kind)?,
-            nodes: nodes.ok_or("--op fleet needs --nodes")?,
-            epochs: epochs.ok_or("--op fleet needs --epochs")?,
-            policy: policy.unwrap_or(RoutingPolicy::AgingAware),
-            skip: skip.unwrap_or(7),
-        },
-        "stats" => RequestBody::Stats,
-        "shutdown" => RequestBody::Shutdown,
-        other => {
-            return Err(format!(
-                "unknown op {other:?} (want profile, sweep, campaign, mc, fleet, stats, or \
-                 shutdown)"
-            ))
-        }
-    };
+    let mut fields = vec![("id".to_string(), Json::UInt(1))];
+    for (&(name, default), value) in QUERY_FIELDS.iter().zip(given) {
+        let Some(raw) = value.or(default) else {
+            continue;
+        };
+        let value = if name == "periods" {
+            Json::Arr(raw.split(',').map(|p| flag_value(p.trim())).collect())
+        } else {
+            flag_value(raw)
+        };
+        fields.push((name.to_string(), value));
+    }
     Ok(Command::Query(Box::new(QueryArgs {
         endpoint: parse_endpoint(addr, unix, "127.0.0.1:7171")?,
-        request: Request {
-            id: 1,
-            deadline_ms: deadline.map(|d| d.as_millis() as u64),
-            body,
-        },
+        request: Request::from_json(&Json::Obj(fields))?,
     })))
 }
 
 // ---------------------------------------------------------------------------
-// Batch-run machinery (unchanged behaviour)
+// Batch runs
 // ---------------------------------------------------------------------------
-
-/// Prints one experiment's report (and optional CSV dump); returns `false`
-/// if the experiment failed or a CSV could not be written.
-fn emit(
-    id: &str,
-    outcome: agemul_repro::Result<Report>,
-    secs: f64,
-    csv_dir: Option<&Path>,
-) -> bool {
-    match outcome {
-        Ok(report) => {
-            println!("{report}");
-            println!("[{id} completed in {secs:.1}s]\n");
-            if let Some(dir) = csv_dir {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    return false;
-                }
-                for table in &report.tables {
-                    let path = dir.join(format!("{}__{}.csv", report.id, table.slug()));
-                    if let Err(e) = std::fs::write(&path, table.to_csv()) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                        return false;
-                    }
-                }
-            }
-            true
-        }
-        Err(e) => {
-            eprintln!("experiment {id} failed: {e}");
-            false
-        }
-    }
-}
 
 /// One line per experiment with its time (`None`: loaded from the
 /// checkpoint, not run), then the aggregate verdict. Returns the exit
@@ -617,14 +447,21 @@ fn report_to_json(report: &Report) -> Json {
     ])
 }
 
-/// Re-emits a checkpointed report value; returns `false` on decode or CSV
-/// failures.
-fn emit_json(id: &str, value: &Json, csv_dir: Option<&Path>) -> bool {
-    let Some(text) = value.get("text").and_then(Json::as_str) else {
-        eprintln!("experiment {id}: checkpointed value has no text");
+/// Prints a report value (see [`report_to_json`]) and writes its CSVs;
+/// `secs`, the run time of a report computed in this process, adds the
+/// `[id completed in …]` line. Returns `false` on decode or CSV failures.
+fn emit_json(id: &str, value: &Json, secs: Option<f64>, csv_dir: Option<&Path>) -> bool {
+    let (Some(report_id), Some(text)) = (
+        value.get("id").and_then(Json::as_str),
+        value.get("text").and_then(Json::as_str),
+    ) else {
+        eprintln!("experiment {id}: report value has no id or text");
         return false;
     };
     println!("{text}");
+    if let Some(secs) = secs {
+        println!("[{id} completed in {secs:.1}s]\n");
+    }
     if let Some(dir) = csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
@@ -635,10 +472,10 @@ fn emit_json(id: &str, value: &Json, csv_dir: Option<&Path>) -> bool {
                 t.get("slug").and_then(Json::as_str),
                 t.get("csv").and_then(Json::as_str),
             ) else {
-                eprintln!("experiment {id}: malformed checkpointed table");
+                eprintln!("experiment {id}: malformed report table");
                 return false;
             };
-            let path = dir.join(format!("{id}__{slug}.csv"));
+            let path = dir.join(format!("{report_id}__{slug}.csv"));
             if let Err(e) = std::fs::write(&path, csv) {
                 eprintln!("cannot write {}: {e}", path.display());
                 return false;
@@ -663,9 +500,11 @@ impl Drop for AttemptTimer<'_> {
 }
 
 /// Runs the batch under the harness supervisor: one case per experiment,
-/// each on a fresh [`Context`] with the attempt's deadline token
-/// installed.
-fn run_supervised(run: &RunArgs) -> ExitCode {
+/// all on one shared [`Context`] with each attempt's deadline token
+/// installed. A fresh report is emitted as soon as its case finishes;
+/// reports restored from the `--resume` checkpoint are re-emitted after
+/// the run.
+fn run_experiments(run: &RunArgs) -> ExitCode {
     let ids = &run.ids;
     let scale = run.scale;
     let csv_dir = run.csv_dir.as_deref();
@@ -673,7 +512,7 @@ fn run_supervised(run: &RunArgs) -> ExitCode {
         deadline: run.deadline,
         // Experiments are deterministic, so a failure repeats; retries
         // only pay off against deadline jitter.
-        max_retries: run.max_retries.unwrap_or(0),
+        max_retries: run.max_retries,
         checkpoint_every: 1,
         ..SupervisorConfig::default()
     };
@@ -682,20 +521,26 @@ fn run_supervised(run: &RunArgs) -> ExitCode {
         ids.to_vec(),
         config,
     );
-    // Seconds spent in each case's attempts; `None` until one runs here,
-    // so a case loaded from the checkpoint reads as resumed.
+    let ctx = RefCell::new(Context::new(scale));
+    // Per case: seconds spent in its attempts, and whether its fresh
+    // report was emitted. Both stay `None` for a case restored from the
+    // checkpoint.
     let spent = vec![Cell::new(None); ids.len()];
+    let emitted = vec![Cell::new(None); ids.len()];
     let worker = |attempt: &Attempt| -> Result<Json, CaseError> {
-        let _timer = AttemptTimer {
+        let timer = AttemptTimer {
             total: &spent[attempt.index],
             start: Instant::now(),
         };
         let id = &ids[attempt.index];
-        let mut ctx = Context::new(scale);
+        let mut ctx = ctx.borrow_mut();
         ctx.set_cancel(attempt.cancel.clone());
         let report =
             experiments::run_by_id(&mut ctx, id).map_err(|e| CaseError::from_error(&*e))?;
-        Ok(report_to_json(&report))
+        let secs = timer.start.elapsed().as_secs_f64();
+        let value = report_to_json(&report);
+        emitted[attempt.index].set(Some(emit_json(id, &value, Some(secs), csv_dir)));
+        Ok(value)
     };
 
     let start = Instant::now();
@@ -719,7 +564,9 @@ fn run_supervised(run: &RunArgs) -> ExitCode {
     let mut results = Vec::with_capacity(ids.len());
     for rec in &ledger.records {
         let ok = match &rec.status {
-            CaseStatus::Done { value } => emit_json(&rec.label, value, csv_dir),
+            CaseStatus::Done { value } => emitted[rec.index]
+                .get()
+                .unwrap_or_else(|| emit_json(&rec.label, value, None, csv_dir)),
             CaseStatus::Quarantined { reason } => {
                 eprintln!("experiment {} quarantined: {reason}", rec.label);
                 false
@@ -728,37 +575,8 @@ fn run_supervised(run: &RunArgs) -> ExitCode {
         results.push((rec.label.clone(), ok, spent[rec.index].get()));
     }
     eprintln!(
-        "all {} experiment(s) done in {secs:.1}s (scale: {scale:?}, supervised)",
+        "all {} experiment(s) done in {secs:.1}s (scale: {scale:?})",
         ids.len()
-    );
-    summarize(&results)
-}
-
-fn run_batch(run: RunArgs) -> ExitCode {
-    if run.resume.is_some() || run.deadline.is_some() || run.max_retries.is_some() {
-        return run_supervised(&run);
-    }
-
-    let scale = run.scale;
-    let ids = run.ids;
-    let csv_dir = run.csv_dir;
-    let overall = Instant::now();
-    let mut results: Vec<(String, bool, Option<f64>)> = Vec::with_capacity(ids.len());
-
-    // One shared Context streams each report as soon as its experiment
-    // completes.
-    let mut ctx = Context::new(scale);
-    for id in &ids {
-        let start = Instant::now();
-        let outcome = experiments::run_by_id(&mut ctx, id);
-        let secs = start.elapsed().as_secs_f64();
-        let ok = emit(id, outcome, secs, csv_dir.as_deref());
-        results.push((id.clone(), ok, Some(secs)));
-    }
-    eprintln!(
-        "all {} experiment(s) done in {:.1}s (scale: {scale:?})",
-        ids.len(),
-        overall.elapsed().as_secs_f64()
     );
     summarize(&results)
 }
@@ -767,19 +585,12 @@ fn run_batch(run: RunArgs) -> ExitCode {
 // serve / query
 // ---------------------------------------------------------------------------
 
-fn run_serve(args: ServeArgs) -> ExitCode {
-    let describe = match &args.endpoint {
+fn run_serve(config: ServeConfig) -> ExitCode {
+    let describe = match &config.endpoint {
         Endpoint::Tcp(addr) => format!("tcp {addr}"),
         Endpoint::Unix(path) => format!("unix {}", path.display()),
     };
-    let handle = match agemul_serve::spawn(ServeConfig {
-        endpoint: args.endpoint,
-        workers: args.workers,
-        shard_capacity: args.shard_capacity,
-        snapshot: args.snapshot,
-        max_retries: args.max_retries,
-        ..ServeConfig::default()
-    }) {
+    let handle = match agemul_serve::spawn(config) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("repro serve: cannot start on {describe}: {e}");
@@ -845,7 +656,7 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Ok(Command::Run(run)) => run_batch(run),
+        Ok(Command::Run(run)) => run_experiments(&run),
         Ok(Command::Serve(serve)) => run_serve(serve),
         Ok(Command::Query(query)) => run_query(*query),
         Err(e) => {
@@ -858,6 +669,8 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use agemul_serve::{parse_kind, DesignQuery, RequestBody};
+
     use super::*;
 
     fn argv(parts: &[&str]) -> Vec<String> {
@@ -927,7 +740,7 @@ mod tests {
         };
         assert_eq!(run.scale, Scale::Quick);
         assert_eq!(run.resume.as_deref(), Some(Path::new("ckpt.json")));
-        assert_eq!(run.max_retries, Some(2));
+        assert_eq!(run.max_retries, 2);
         assert_eq!(run.deadline, Some(Duration::from_millis(250)));
         assert_eq!(run.csv_dir.as_deref(), Some(Path::new("out")));
         assert_eq!(run.ids, vec!["table4".to_string()]);
@@ -958,6 +771,7 @@ mod tests {
         assert!(matches!(serve.endpoint, Endpoint::Tcp(ref a) if a == "127.0.0.1:7171"));
         assert_eq!(serve.workers, 4);
         assert_eq!(serve.shard_capacity, Some(64));
+        assert_eq!(serve.max_retries, 1);
 
         let err = parse_cli(&argv(&["serve", "--workers", "2", "--workers", "3"])).unwrap_err();
         assert!(err.contains("more than once"), "{err}");
@@ -986,14 +800,19 @@ mod tests {
         let Command::Query(query) = cmd else {
             panic!("expected query command");
         };
-        assert_eq!(query.request.deadline_ms, Some(500));
-        let RequestBody::Profile(q) = &query.request.body else {
-            panic!("expected profile body");
+        // Patterns 1000 and seed 42 are the defaults.
+        let expected = Request {
+            id: 1,
+            deadline_ms: Some(500),
+            body: RequestBody::Profile(DesignQuery {
+                kind: parse_kind("CB").unwrap(),
+                width: 8,
+                years: 7.0,
+                patterns: 1_000,
+                seed: 42,
+            }),
         };
-        assert_eq!(q.width, 8);
-        assert_eq!(q.years, 7.0);
-        assert_eq!(q.patterns, 1_000, "default patterns");
-        assert_eq!(q.seed, 42, "default seed");
+        assert_eq!(query.request, expected);
     }
 
     #[test]
@@ -1019,24 +838,31 @@ mod tests {
         let Command::Query(query) = cmd else {
             panic!("expected query command");
         };
-        let RequestBody::Mc {
-            query: q,
-            corners,
-            sigma,
-            mc_seed,
-            skip,
-        } = &query.request.body
-        else {
-            panic!("expected mc body");
+        // Patterns 1000, seed 42 and skip 7 are the defaults.
+        let expected = Request {
+            id: 1,
+            deadline_ms: None,
+            body: RequestBody::Mc {
+                query: DesignQuery {
+                    kind: parse_kind("RB").unwrap(),
+                    width: 16,
+                    years: 7.0,
+                    patterns: 1_000,
+                    seed: 42,
+                },
+                corners: 32,
+                sigma: 0.08,
+                mc_seed: 9,
+                skip: 7,
+            },
         };
-        assert_eq!((q.width, *corners, *mc_seed, *skip), (16, 32, 9, 7));
-        assert_eq!(*sigma, 0.08);
+        assert_eq!(query.request, expected);
 
         let err = parse_cli(&argv(&[
             "query", "--op", "mc", "--kind", "RB", "--width", "16",
         ]))
         .unwrap_err();
-        assert!(err.contains("--corners"), "{err}");
+        assert!(err.contains("\"corners\""), "{err}");
         let err = parse_cli(&argv(&[
             "query",
             "--op",
@@ -1059,13 +885,13 @@ mod tests {
         let err = parse_cli(&argv(&["query", "--op", "bogus"])).unwrap_err();
         assert!(err.contains("unknown op"), "{err}");
         let err = parse_cli(&argv(&["query", "--op", "profile"])).unwrap_err();
-        assert!(err.contains("--kind"), "{err}");
+        assert!(err.contains("\"kind\""), "{err}");
         let err = parse_cli(&argv(&[
             "query", "--op", "sweep", "--kind", "CB", "--width", "8",
         ]))
         .unwrap_err();
-        assert!(err.contains("--periods"), "{err}");
+        assert!(err.contains("\"periods\""), "{err}");
         let err = parse_cli(&argv(&["query", "--op", "stats", "--deadline-ms", "0"])).unwrap_err();
-        assert!(err.contains("quarantine"), "{err}");
+        assert!(err.contains("deadline_ms must be positive"), "{err}");
     }
 }

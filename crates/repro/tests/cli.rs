@@ -1,5 +1,6 @@
-//! The `repro` binary under supervision (`--deadline-ms`, `--max-retries`),
-//! run as a child process.
+//! The `repro` binary run as a child process: supervision flags
+//! (`--deadline-ms`, `--max-retries`), CSV output, and `repro query`'s
+//! request validation.
 
 use std::process::Command;
 
@@ -54,5 +55,80 @@ fn max_retries_above_the_cap_is_a_usage_error() {
             "{stderr}"
         );
         assert!(stderr.contains("usage:"), "{stderr}");
+    }
+}
+
+/// The sorted `(file name, bytes)` pairs of every CSV in `dir`.
+fn csv_set(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut set: Vec<_> = std::fs::read_dir(dir)
+        .expect("csv dir")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().expect("file name");
+            (
+                name.to_string_lossy().into_owned(),
+                std::fs::read(&path).expect("read csv"),
+            )
+        })
+        .collect();
+    set.sort();
+    set
+}
+
+#[test]
+fn deadline_and_retry_flags_leave_the_csvs_unchanged() {
+    let root = std::env::temp_dir().join(format!("agemul-cli-csv-{}", std::process::id()));
+    let (plain, budgeted) = (root.join("plain"), root.join("budgeted"));
+    let ids = ["table1", "fig13", "fig15"];
+    let spawn = |flags: &[&str], dir: &std::path::Path| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(flags)
+            .arg("--csv")
+            .arg(dir)
+            .args(ids)
+            .output()
+            .expect("run repro")
+    };
+    // The two runs are independent processes; overlap them.
+    let runs = std::thread::scope(|s| {
+        let a = s.spawn(|| spawn(&["--quick"], &plain));
+        let b = spawn(
+            &["--quick", "--max-retries", "0", "--deadline-ms", "60000"],
+            &budgeted,
+        );
+        [a.join().expect("plain run"), b]
+    });
+    for out in &runs {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let (a, b) = (csv_set(&plain), csv_set(&budgeted));
+    std::fs::remove_dir_all(&root).ok();
+    assert!(a.len() >= ids.len(), "{a:?}");
+    assert!(a == b, "CSV sets differ");
+}
+
+#[test]
+fn query_rejects_what_the_server_decoder_rejects_before_connecting() {
+    // Port 1 never answers; the request must be refused before any
+    // connection attempt, with the decoder's message naming the field.
+    let base = ["query", "--addr", "127.0.0.1:1", "--kind", "CB"];
+    for (flags, field) in [
+        (&["--op", "profile", "--width", "1000"][..], "width"),
+        (
+            &[
+                "--op", "fleet", "--width", "8", "--nodes", "4", "--epochs", "99999999",
+            ],
+            "epochs",
+        ),
+    ] {
+        let args: Vec<&str> = base.iter().chain(flags).copied().collect();
+        let (code, stderr) = repro(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("{field} must be in")), "{stderr}");
+        assert!(!stderr.contains("connect"), "{stderr}");
     }
 }

@@ -25,16 +25,9 @@ use agemul_circuits::MultiplierKind;
 use agemul_harness::{
     is_cancellation, profile_from_json, profile_to_json, CaseRecord, CaseStatus, Checkpoint,
 };
-use agemul_logic::Technology;
 
 use crate::flight::{FlightError, FlightRole, SingleFlight};
 use crate::proto::{parse_kind, DesignQuery};
-
-/// Per-gate seven-year delay-factor target for the calibrated BTI model —
-/// the same anchor the repro `Context` uses, so a served profile matches
-/// the batch experiments bit for bit (see the derivation note in
-/// `crates/repro/src/context.rs`).
-const REFERENCE_GATE_7Y_FACTOR: f64 = 1.132;
 
 /// Run key recorded in warm-start snapshot documents; a snapshot written
 /// by an incompatible layout is refused on load instead of silently
@@ -141,7 +134,7 @@ impl ServerState {
     pub fn with_chaos_scope(shard_capacity: Option<usize>, scope: impl Into<String>) -> Self {
         let scope = scope.into();
         ServerState {
-            bti: BtiModel::calibrated(Technology::ptm_32nm_hk(), REFERENCE_GATE_7Y_FACTOR),
+            bti: BtiModel::reference(),
             cache: match shard_capacity {
                 Some(per_shard) => ProfileCache::with_capacity(per_shard),
                 None => ProfileCache::new(),

@@ -491,9 +491,10 @@ fn malformed_requests_get_error_responses_not_disconnects() {
 fn impossible_deadline_is_quarantined_into_an_error_response() {
     let server = spawn_tcp(None);
     let mut conn = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
-    // A 1ms budget cannot cover a 20k-pattern Booth profile; the
-    // supervisor burns its retries, then quarantines — the client sees an error, not a hang.
-    let mut frame = profile_frame(1, "BOOTH", 8, 7.0, 20_000, 3);
+    // A 1ms budget cannot cover a 2k-pattern aged Booth profile (hundreds
+    // of milliseconds in the debug test profile); the supervisor burns its
+    // retries, then quarantines — the client sees an error, not a hang.
+    let mut frame = profile_frame(1, "BOOTH", 8, 7.0, 2_000, 3);
     if let Json::Obj(pairs) = &mut frame {
         pairs.push(("deadline_ms".into(), Json::UInt(1)));
     }
@@ -504,7 +505,7 @@ fn impossible_deadline_is_quarantined_into_an_error_response() {
         ("kind".into(), Json::Str("BOOTH".into())),
         ("width".into(), Json::UInt(8)),
         ("years".into(), Json::Num(0.0)),
-        ("patterns".into(), Json::UInt(20_000)),
+        ("patterns".into(), Json::UInt(2_000)),
         ("seed".into(), Json::UInt(3)),
         ("faults".into(), Json::UInt(4)),
         ("fault_seed".into(), Json::UInt(5)),
@@ -529,7 +530,7 @@ fn impossible_deadline_is_quarantined_into_an_error_response() {
 
     // The failure was not cached: without the deadline the same query
     // simulates fine.
-    let retry = roundtrip(&mut conn, &profile_frame(2, "BOOTH", 8, 7.0, 20_000, 3)).unwrap();
+    let retry = roundtrip(&mut conn, &profile_frame(2, "BOOTH", 8, 7.0, 2_000, 3)).unwrap();
     assert_eq!(
         retry.get("ok").and_then(Json::as_bool),
         Some(true),

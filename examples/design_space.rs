@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("16×16 design-space sweep (year 0 and year 7), uniform workload\n");
     println!("kind  skip  period   latency@0   latency@7   errors@7   area (T)");
 
-    let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+    let bti = BtiModel::reference();
     let mut best: Option<(String, f64)> = None;
 
     for kind in [MultiplierKind::ColumnBypass, MultiplierKind::RowBypass] {

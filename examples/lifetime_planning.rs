@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let patterns = PatternSet::uniform(16, 3_000, 99);
     let stats = design.workload_stats(patterns.pairs())?;
     let activity = design.switching_activity(patterns.pairs(), None)?;
-    let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+    let bti = BtiModel::reference();
     let em = EmModel::nominal();
 
     // A fixed-latency deployment signs off at year-0 timing plus a 5 %

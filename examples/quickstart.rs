@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    per-gate aging factors from the workload's signal probabilities
     //    and re-profile.
     let stats = design.workload_stats(patterns.pairs())?;
-    let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+    let bti = BtiModel::reference();
     let factors = aging_factors(design.circuit().netlist(), &stats, &bti, 7.0);
     let aged_profile = design.profile(patterns.pairs(), Some(&factors))?;
     let aged_fixed = run_fixed_latency(

@@ -23,7 +23,7 @@ fn full_aging_aware_pipeline() {
 
     // Age the silicon seven years under the observed workload.
     let stats = design.workload_stats(patterns.pairs()).unwrap();
-    let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+    let bti = BtiModel::reference();
     let factors = aging_factors(design.circuit().netlist(), &stats, &bti, 7.0);
     assert!(factors.iter().all(|&f| f >= 1.0));
 

@@ -94,7 +94,7 @@ fn triple_aging_stack_is_absorbed() {
     let patterns = PatternSet::uniform(16, 500, 10);
     let stats = design.workload_stats(patterns.pairs()).unwrap();
     let activity = design.switching_activity(patterns.pairs(), None).unwrap();
-    let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+    let bti = BtiModel::reference();
 
     let f_bti = aging_factors(design.circuit().netlist(), &stats, &bti, 7.0);
     let f_em = EmModel::nominal().wire_factors(design.circuit().netlist(), &activity, 7.0);

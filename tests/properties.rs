@@ -140,7 +140,7 @@ proptest! {
     /// Aging factors are ≥ 1, finite, and monotone in years.
     #[test]
     fn aging_factors_are_sane(years in 0.0f64..20.0, p in 0.0f64..=1.0) {
-        let bti = BtiModel::calibrated(Technology::ptm_32nm_hk(), 1.132);
+        let bti = BtiModel::reference();
         let f = bti.delay_factor(years, p);
         prop_assert!(f >= 1.0 && f.is_finite());
         let later = bti.delay_factor(years + 1.0, p);
