@@ -175,6 +175,59 @@ impl BtiModel {
         0.5 * (up + down)
     }
 
+    /// Replaces every output-high probability in `p_high` with its
+    /// [`delay_factor`](Self::delay_factor) after `years`, evaluating the
+    /// model once per distinct probability.
+    ///
+    /// A workload's probabilities take few values (a gate's is
+    /// `weight / patterns` with the weight a multiple of 0.5, so `n`
+    /// patterns give at most `2n + 1` levels), while a netlist has many
+    /// gates. Each distinct bit pattern is evaluated by `delay_factor`
+    /// itself and remembered in a fixed stack table, so every output is
+    /// bit-identical to a per-gate call; a probability seen after the
+    /// table is full is evaluated directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics where `delay_factor` would, on the first invalid `years` or
+    /// probability.
+    pub fn delay_factors_in_place(&self, years: f64, p_high: &mut [f64]) {
+        const SLOTS_LOG2: u32 = 10;
+        const SLOTS: usize = 1 << SLOTS_LOG2;
+        // Linear probing stays short below three-quarters occupancy.
+        const MAX_LEVELS: usize = SLOTS / 4 * 3;
+        // An empty slot holds the bits of −1.0. Emptiness is tested before
+        // any key comparison, so a probability with these bits (or any
+        // other invalid one) still reaches `delay_factor`'s assertion and
+        // is never stored.
+        const EMPTY: u64 = 0xbff0_0000_0000_0000;
+        let mut keys = [EMPTY; SLOTS];
+        let mut factors = [0.0f64; SLOTS];
+        let mut levels = 0;
+        for p in p_high.iter_mut() {
+            let bits = p.to_bits();
+            // Fibonacci hashing of the folded bits picks the first slot.
+            let folded = bits ^ (bits >> 32);
+            let mut slot =
+                (folded.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SLOTS_LOG2)) as usize;
+            *p = loop {
+                if keys[slot] == EMPTY {
+                    let factor = self.delay_factor(years, *p);
+                    if levels < MAX_LEVELS {
+                        keys[slot] = bits;
+                        factors[slot] = factor;
+                        levels += 1;
+                    }
+                    break factor;
+                }
+                if keys[slot] == bits {
+                    break factors[slot];
+                }
+                slot = (slot + 1) % SLOTS;
+            };
+        }
+    }
+
     /// Threshold drift expressed as a fraction of the zero-time overdrive —
     /// handy for the power model's leakage/current scaling.
     pub fn overdrive_loss(&self, years: f64, p_high: f64) -> f64 {
@@ -265,6 +318,29 @@ mod tests {
     #[should_panic(expected = "stress probability")]
     fn rejects_bad_stress() {
         let _ = model().delta_vth_v(1.0, 1.5);
+    }
+
+    #[test]
+    fn per_level_factors_keep_nearby_probabilities_apart() {
+        // 1,500 probabilities that differ only in the low half of their
+        // bits (more than the table holds, so probe chains collide), and
+        // both signed zeros: each keeps its own factor.
+        let m = model();
+        let base = 0.3f64.to_bits();
+        let levels: Vec<f64> = (0..1500u64)
+            .map(|k| f64::from_bits(base + (k << 12)))
+            .chain([0.0, -0.0, 1.0, 0.5])
+            .collect();
+        let expected: Vec<u64> = levels
+            .iter()
+            .map(|&x| m.delay_factor(7.0, x).to_bits())
+            .collect();
+        assert_ne!(expected[0], expected[1]);
+        let mut factors = levels.repeat(3);
+        m.delay_factors_in_place(7.0, &mut factors);
+        for (i, f) in factors.iter().enumerate() {
+            assert_eq!(f.to_bits(), expected[i % levels.len()], "entry {i}");
+        }
     }
 
     #[test]

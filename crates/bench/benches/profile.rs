@@ -1,9 +1,12 @@
-//! Raw timing-kernel stepping: event-driven vs levelized.
+//! Raw timing-kernel stepping (event-driven vs levelized) and the aging
+//! layer.
 //!
 //! The `level_sim` group steps each timing kernel over a pre-encoded
 //! workload, isolating the scheduler from encode/verify overhead. The
-//! whole profiling pipeline (`MultiplierDesign::profile`) is measured end
-//! to end by the benchmark's `profile-cold` workload instead.
+//! `layer` group times `aging_factors` at the aging-sweep benchmark's
+//! shape (512 uniform pairs, years 1–7 per iteration). The whole profiling
+//! pipeline (`MultiplierDesign::profile`) is measured end to end by the
+//! benchmark's `profile-cold` workload instead.
 //!
 //! Run with `cargo bench -p agemul-bench --bench profile`; set
 //! `CRITERION_JSON=<file>` to append machine-readable results (see
@@ -11,7 +14,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use agemul::{calibrated_delay_model, PatternSet};
+use agemul::{calibrated_delay_model, MultiplierDesign, PatternSet};
+use agemul_aging::{aging_factors, BtiModel};
 use agemul_circuits::{MultiplierCircuit, MultiplierKind};
 use agemul_logic::Logic;
 use agemul_netlist::{DelayAssignment, EventSim, LevelSim};
@@ -67,5 +71,28 @@ fn bench_level_sim(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_level_sim);
+/// Per-gate BTI factors for years 1–7 from one 512-pair workload's
+/// statistics: `layer/<design>/aging_factors`.
+fn bench_aging_factors(c: &mut Criterion) {
+    let mut g = c.benchmark_group("layer");
+    g.sample_size(10);
+    let bti = BtiModel::reference();
+    for (label, kind, width) in &CASES[2..] {
+        let design = MultiplierDesign::new(*kind, *width).unwrap();
+        let stats = design
+            .workload_stats(PatternSet::uniform(*width, 512, 7).pairs())
+            .unwrap();
+        let netlist = design.circuit().netlist();
+        g.bench_function(format!("{label}/aging_factors"), |b| {
+            b.iter(|| {
+                (1..=7)
+                    .map(|years| aging_factors(netlist, &stats, &bti, f64::from(years)))
+                    .collect::<Vec<_>>()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_level_sim, bench_aging_factors);
 criterion_main!(benches);

@@ -4,7 +4,9 @@
 //! the timed toggle count. These tests pin the activity to the
 //! event-driven reference and the probabilities (plus the BTI factors
 //! derived from them) to digests recorded when both statistics still came
-//! from one call, so splitting them moved no number.
+//! from one call, so splitting them moved no number. The 32×32 lifetime
+//! factors are pinned to digests recorded when every gate still called the
+//! BTI model itself.
 
 use agemul::{MultiplierDesign, PatternSet};
 use agemul_aging::{aging_factors, BtiModel};
@@ -88,5 +90,56 @@ fn probabilities_and_aging_factors_match_pinned_digests() {
         assert_eq!(stats.pattern_count(), 1000);
         assert_eq!(got_probabilities, probabilities, "{kind:?} probabilities");
         assert_eq!(got_factors, factors, "{kind:?} factors");
+    }
+}
+
+#[test]
+fn aging_factors_over_the_lifetime_match_pinned_digests() {
+    // (kind, digest of the reference model's factors for years 1..=7) at
+    // the aging-sweep benchmark's shape: 32×32, 512 uniform pairs.
+    // Recorded when every gate still called `BtiModel::delay_factor`
+    // itself, so evaluating once per stress level moved no bit.
+    let pinned = [
+        (
+            MultiplierKind::ColumnBypass,
+            [
+                0x9a03_a253_8b20_fe39,
+                0xd945_dde8_0997_5490,
+                0x5e65_eae1_c201_35ee,
+                0x4ee1_b161_9bf9_6617,
+                0x1e0f_5756_2275_4e49,
+                0x630a_1c71_cee4_3faf,
+                0x0cda_09ec_8c03_600d,
+            ],
+        ),
+        (
+            MultiplierKind::RowBypass,
+            [
+                0x9f23_420e_53ec_843f,
+                0x8120_1408_5d53_c514,
+                0x7629_91a7_e721_0385,
+                0x9be9_f129_95a9_4871,
+                0x40e5_3503_19cc_0453,
+                0x30ba_fcc9_94a0_583c,
+                0x8caa_6b0f_83dd_52ee,
+            ],
+        ),
+    ];
+    let bti = BtiModel::reference();
+    for (kind, digests) in pinned {
+        let design = MultiplierDesign::new(kind, 32).unwrap();
+        let workload = PatternSet::uniform(32, 512, 7);
+        let stats = design.workload_stats(workload.pairs()).unwrap();
+        let netlist = design.circuit().netlist();
+        let got: Vec<u64> = (1..=7)
+            .map(|years| {
+                fnv1a(
+                    aging_factors(netlist, &stats, &bti, f64::from(years))
+                        .into_iter()
+                        .map(f64::to_bits),
+                )
+            })
+            .collect();
+        assert_eq!(got, digests, "{kind:?} factors, years 1..=7");
     }
 }

@@ -307,12 +307,12 @@ impl<'a> FleetCampaign<'a> {
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<PatternProfile>, CoreError> {
         let netlist = self.design.circuit().netlist();
-        let variation = self.variation.factors(netlist, corner_seed);
-        let composed: Vec<f64> = variation
-            .iter()
-            .zip(&self.p_high)
-            .map(|(v, &p)| v * self.bti.delay_factor(age_years, p))
-            .collect();
+        let mut aged = self.p_high.clone();
+        self.bti.delay_factors_in_place(age_years, &mut aged);
+        let mut composed = self.variation.factors(netlist, corner_seed);
+        for (v, bti) in composed.iter_mut().zip(&aged) {
+            *v *= bti;
+        }
         let factors = quantize_factors(&composed);
         let delays = self.design.delay_assignment(Some(&factors))?;
         self.cache

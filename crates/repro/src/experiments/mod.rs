@@ -88,40 +88,53 @@ pub const ALL_IDS: [&str; 26] = [
     "chaos",
 ];
 
-/// Runs an experiment by id (see [`ALL_IDS`]).
+/// The [`ALL_IDS`] entry that `id` names, or `None` for an unknown id.
+///
+/// The figure aliases `fig9`/`fig10` and `fig19`–`fig22` resolve to
+/// `fig9-10` and `fig19-22`. [`run_by_id`] dispatches on the result, and
+/// the CLI deduplicates its run list by it.
+pub fn canonical_id(id: &str) -> Option<&'static str> {
+    match id {
+        "fig9" | "fig10" => Some("fig9-10"),
+        "fig19" | "fig20" | "fig21" | "fig22" => Some("fig19-22"),
+        _ => ALL_IDS.iter().copied().find(|&known| known == id),
+    }
+}
+
+/// Runs an experiment by id (see [`ALL_IDS`] and [`canonical_id`]).
 ///
 /// # Errors
 ///
 /// Returns an error for unknown ids or failed simulations.
 pub fn run_by_id(ctx: &mut Context, id: &str) -> Result<Report> {
-    match id {
-        "fig5" => fig5(ctx),
-        "fig6" => fig6(ctx),
-        "fig7" => fig7(ctx),
-        "fig9-10" | "fig9" | "fig10" => fig9_10(ctx),
-        "table1" => table1(ctx),
-        "table2" => table2(ctx),
-        "fig13" => fig13(ctx),
-        "fig14" => fig14(ctx),
-        "fig15" => fig15(ctx),
-        "fig16" => fig16(ctx),
-        "fig17" => fig17(ctx),
-        "fig18" => fig18(ctx),
-        "fig19-22" | "fig19" | "fig20" | "fig21" | "fig22" => fig19_22(ctx),
-        "fig23" => fig23(ctx),
-        "fig24" => fig24(ctx),
-        "fig25" => fig25(ctx),
-        "fig26" => fig26(ctx),
-        "fig27" => fig27(ctx),
-        "ablations" => ablations(ctx),
-        "extensions" => extensions(ctx),
-        "faults" => faults(ctx),
-        "conformance" => conformance(ctx),
-        "sweep" => sweep(ctx),
-        "mc" => mc(ctx),
-        "fleet" => fleet(ctx),
-        "chaos" => chaos(ctx),
-        other => Err(format!("unknown experiment id: {other}").into()),
+    match canonical_id(id) {
+        Some("fig5") => fig5(ctx),
+        Some("fig6") => fig6(ctx),
+        Some("fig7") => fig7(ctx),
+        Some("fig9-10") => fig9_10(ctx),
+        Some("table1") => table1(ctx),
+        Some("table2") => table2(ctx),
+        Some("fig13") => fig13(ctx),
+        Some("fig14") => fig14(ctx),
+        Some("fig15") => fig15(ctx),
+        Some("fig16") => fig16(ctx),
+        Some("fig17") => fig17(ctx),
+        Some("fig18") => fig18(ctx),
+        Some("fig19-22") => fig19_22(ctx),
+        Some("fig23") => fig23(ctx),
+        Some("fig24") => fig24(ctx),
+        Some("fig25") => fig25(ctx),
+        Some("fig26") => fig26(ctx),
+        Some("fig27") => fig27(ctx),
+        Some("ablations") => ablations(ctx),
+        Some("extensions") => extensions(ctx),
+        Some("faults") => faults(ctx),
+        Some("conformance") => conformance(ctx),
+        Some("sweep") => sweep(ctx),
+        Some("mc") => mc(ctx),
+        Some("fleet") => fleet(ctx),
+        Some("chaos") => chaos(ctx),
+        _ => Err(format!("unknown experiment id: {id}").into()),
     }
 }
 

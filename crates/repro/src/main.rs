@@ -28,6 +28,9 @@
 //! the checkpoint are re-emitted after the run and read `resumed` in the
 //! summary.
 //!
+//! The run list holds each experiment once, at its first mention, after
+//! resolving aliases (`fig9 fig10` runs `fig9-10` once).
+//!
 //! `repro query` turns each `--flag value` into the request field of the
 //! same name (`--fault-seed` sets `fault_seed`) and leaves validation to
 //! `Request::from_json`, the decoder the server runs.
@@ -40,6 +43,7 @@
 //! [`MAX_RETRIES`].
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -220,7 +224,14 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
     if ids.is_empty() {
         return Err("no experiments requested".into());
     }
-    ids.dedup();
+    // Resolve aliases, then keep each experiment's first mention. An
+    // unknown id stays as typed and fails when it runs.
+    let mut seen = HashSet::new();
+    ids = ids
+        .into_iter()
+        .map(|id| experiments::canonical_id(&id).map_or(id, str::to_owned))
+        .filter(|id| seen.insert(id.clone()))
+        .collect();
     Ok(Command::Run(RunArgs {
         scale: scale.unwrap_or(Scale::Standard),
         ids,
@@ -748,6 +759,26 @@ mod tests {
         // There is no batch-width option: the functional sweep is 64 lanes.
         let err = parse_cli(&argv(&["--lanes", "64", "all"])).unwrap_err();
         assert_eq!(err, "unknown flag: --lanes");
+    }
+
+    #[test]
+    fn each_experiment_runs_once_at_its_first_mention() {
+        let ids = |args: &[&str]| match parse_cli(&argv(args)).unwrap() {
+            Command::Run(run) => run.ids,
+            _ => panic!("expected run command"),
+        };
+        assert_eq!(
+            ids(&["--quick", "table1", "table2", "table1"]),
+            ["table1", "table2"]
+        );
+        let mut expected = vec!["fig13"];
+        expected.extend(experiments::ALL_IDS.iter().filter(|&&id| id != "fig13"));
+        assert_eq!(ids(&["fig13", "all"]), expected);
+        assert_eq!(ids(&["fig9", "fig10"]), ["fig9-10"]);
+        assert_eq!(
+            ids(&["fig22", "fig9-10", "fig19", "fig9", "table4", "table4"]),
+            ["fig19-22", "fig9-10", "table4"]
+        );
     }
 
     #[test]
