@@ -32,7 +32,7 @@ fn bench_campaign(c: &mut Criterion) {
         .take(32)
         .collect();
     g.bench_function("prepare_32_logic_faults_256ops", |b| {
-        b.iter(|| Campaign::prepare(&fixture.design, pairs, &logic).unwrap())
+        b.iter(|| Campaign::prepare(&fixture.design, pairs, &logic, None, None).unwrap())
     });
 
     // 4 delay faults: the baseline plus four inflated-assignment profiles,
@@ -45,14 +45,14 @@ fn bench_campaign(c: &mut Criterion) {
     // path (the first preparation profiles five assignments; every later
     // one hits).
     let cache = agemul::ProfileCache::new();
-    Campaign::prepare_cached(&fixture.design, pairs, &delay, &cache).unwrap();
+    Campaign::prepare(&fixture.design, pairs, &delay, Some(&cache), None).unwrap();
     g.bench_function("prepare_4_delay_faults_256ops", |b| {
-        b.iter(|| Campaign::prepare_cached(&fixture.design, pairs, &delay, &cache).unwrap())
+        b.iter(|| Campaign::prepare(&fixture.design, pairs, &delay, Some(&cache), None).unwrap())
     });
 
     // Replay cost of one sweep point over a mixed prepared campaign.
     let mixed = FaultSpec::sample(&fixture.design, pairs.len(), 24, 0xFA17);
-    let campaign = Campaign::prepare(&fixture.design, pairs, &mixed).unwrap();
+    let campaign = Campaign::prepare(&fixture.design, pairs, &mixed, None, None).unwrap();
     g.bench_function("run_24_fault_replay", |b| {
         let cfg = EngineConfig::adaptive(0.95, 7);
         b.iter(|| campaign.run(&cfg))

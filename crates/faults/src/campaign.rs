@@ -25,8 +25,7 @@ use crate::{FaultError, FaultSpec};
 ///   `a × b`;
 /// * **delay faults** re-profiled with the levelized timing kernel under
 ///   the inflated gate delay ([`MultiplierDesign::profile_with_delays`]),
-///   optionally memoized through a [`ProfileCache`]
-///   ([`Campaign::prepare_cached`]).
+///   optionally memoized through a [`ProfileCache`].
 ///
 /// [`Campaign::run`] then replays that evidence through the
 /// variable-latency engine under any [`EngineConfig`] — sweeping skip
@@ -35,17 +34,11 @@ use crate::{FaultError, FaultSpec};
 pub struct Campaign {
     baseline: PatternProfile,
     entries: Vec<(FaultSpec, FaultEvidence)>,
-    quarantined: Vec<String>,
 }
 
 /// Config-independent simulation evidence for one fault.
-///
-/// Public so supervised runners (the `agemul-harness` crate) can evaluate
-/// faults case by case — [`prepare_fault`] produces one `FaultEvidence`,
-/// checkpoints serialize it, and [`Campaign::assemble`] stitches recovered
-/// evidence back into a replayable campaign.
 #[derive(Clone, Debug, PartialEq)]
-pub enum FaultEvidence {
+enum FaultEvidence {
     /// Functional evaluation of a stuck-at/transient fault.
     Logic {
         /// Operations whose product deviated from `a × b`.
@@ -67,60 +60,31 @@ impl Campaign {
     /// `design.profile(pairs, None)` and whose reports carry no outcomes —
     /// the zero-fault identity the property tests pin down.
     ///
+    /// With a `cache`, the baseline and every delay-fault profile are
+    /// looked up before they are simulated. Delay-fault evidence is a full
+    /// re-profile of the workload under one inflated gate delay; across
+    /// campaigns that share a workload (skip sweeps, Razor-window sweeps,
+    /// repeated what-if runs) the same (gate, factor) sites recur, and the
+    /// cache keys them exactly by the inflated assignment's fingerprint —
+    /// see the re-profiling-cache notes in `EXPERIMENTS.md`. A cached
+    /// campaign is bit-identical to an uncached one: hits return profiles
+    /// produced by the very same simulation the miss path would run.
+    /// Logic-fault evidence (corruption counts from lane-masked functional
+    /// sweeps) is not a profile and is never cached.
+    ///
+    /// With a `cancel` token, the baseline profile, every logic-fault sweep
+    /// and every delay-fault re-profile poll it, so a supervisor's deadline
+    /// stops preparation cooperatively. Without one, preparation runs to
+    /// completion.
+    ///
     /// # Errors
     ///
     /// Returns [`FaultError::InvalidSpec`] for out-of-range fault sites or
     /// non-finite/non-positive delay factors, and propagates simulation
-    /// failures.
-    pub fn prepare(
-        design: &MultiplierDesign,
-        pairs: &[(u64, u64)],
-        faults: &[FaultSpec],
-    ) -> Result<Self, FaultError> {
-        Self::prepare_supervised(design, pairs, faults, None, None)
-    }
-
-    /// [`prepare`](Self::prepare) consulting a [`ProfileCache`] for the
-    /// baseline and every delay-fault profile.
-    ///
-    /// Delay-fault evidence is a full re-profile of the workload under one
-    /// inflated gate delay; across campaigns that share a workload (skip
-    /// sweeps, Razor-window sweeps, repeated what-if runs) the same
-    /// (gate, factor) sites recur, and the cache keys them exactly by the
-    /// inflated assignment's fingerprint — see the crate's
-    /// re-profiling-cache notes in `EXPERIMENTS.md`. The prepared campaign
-    /// is bit-identical to an uncached [`prepare`](Self::prepare): cache
-    /// hits return profiles produced by the very same simulation the miss
-    /// path would run.
-    ///
-    /// Logic-fault evidence (corruption counts from lane-masked functional
-    /// sweeps) is not a profile and is never cached.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`prepare`](Self::prepare).
-    pub fn prepare_cached(
-        design: &MultiplierDesign,
-        pairs: &[(u64, u64)],
-        faults: &[FaultSpec],
-        cache: &ProfileCache,
-    ) -> Result<Self, FaultError> {
-        Self::prepare_supervised(design, pairs, faults, Some(cache), None)
-    }
-
-    /// [`prepare`](Self::prepare) with an optional [`ProfileCache`] (see
-    /// [`prepare_cached`](Self::prepare_cached)) under an optional
-    /// [`CancelToken`]: the baseline profile, every logic-fault sweep and
-    /// every delay-fault re-profile poll the token, so a supervisor's
-    /// deadline stops preparation cooperatively. Without a token the
-    /// campaign is bit-identical to the uncancellable entry points.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`prepare`](Self::prepare), plus
+    /// failures, including
     /// [`NetlistError::Cancelled`](agemul_netlist::NetlistError::Cancelled)
     /// (wrapped in [`FaultError::Core`]) once the token fires.
-    pub fn prepare_supervised(
+    pub fn prepare(
         design: &MultiplierDesign,
         pairs: &[(u64, u64)],
         faults: &[FaultSpec],
@@ -128,15 +92,18 @@ impl Campaign {
         cancel: Option<&CancelToken>,
     ) -> Result<Self, FaultError> {
         validate(design, faults)?;
+        let profile_baseline = || {
+            design
+                .profile_supervised(pairs, None, SimEngine::Level, cancel)
+                .map_err(FaultError::from)
+        };
         let baseline = match cache {
             Some(c) => {
                 let delays = design.delay_assignment(None)?;
-                let profile = c.get_or_insert_with(design, &delays, pairs, || {
-                    prepare_baseline(design, pairs, cancel)
-                })?;
+                let profile = c.get_or_insert_with(design, &delays, pairs, profile_baseline)?;
                 PatternProfile::clone(&profile)
             }
-            None => prepare_baseline(design, pairs, cancel)?,
+            None => profile_baseline()?,
         };
 
         // Logic faults share lane-masked batch sweeps, up to 64 per chunk.
@@ -166,48 +133,7 @@ impl Campaign {
                 Ok((spec, evidence))
             })
             .collect::<Result<_, FaultError>>()?;
-        Ok(Campaign {
-            baseline,
-            entries,
-            quarantined: Vec::new(),
-        })
-    }
-
-    /// Reassembles a campaign from per-case evidence produced by
-    /// [`prepare_baseline`] and [`prepare_fault`] — the reconstruction path
-    /// for supervised runs, where each case was evaluated (and possibly
-    /// checkpointed, retried, or quarantined) independently.
-    ///
-    /// `quarantined` lists the labels of faults that produced no evidence;
-    /// they surface in every [`run`](Self::run) report's `quarantined`
-    /// ledger but contribute no [`FaultOutcome`].
-    ///
-    /// Evidence produced by the per-case entry points is bit-identical to
-    /// what [`prepare`](Self::prepare) computes for the same fault, so an
-    /// assembled campaign with no quarantined cases replays identically to
-    /// an unsupervised one.
-    pub fn assemble(
-        baseline: PatternProfile,
-        entries: Vec<(FaultSpec, FaultEvidence)>,
-        quarantined: Vec<String>,
-    ) -> Self {
-        Campaign {
-            baseline,
-            entries,
-            quarantined,
-        }
-    }
-
-    /// The prepared per-fault evidence, in injection order.
-    #[inline]
-    pub fn entries(&self) -> &[(FaultSpec, FaultEvidence)] {
-        &self.entries
-    }
-
-    /// Labels of faults quarantined without evidence (supervised runs).
-    #[inline]
-    pub fn quarantined_labels(&self) -> &[String] {
-        &self.quarantined
+        Ok(Campaign { baseline, entries })
     }
 
     /// The fault-free baseline profile the campaign classifies against.
@@ -306,68 +232,6 @@ impl Campaign {
             baseline_errors: base.errors,
             baseline_avg_latency_ns: base_latency,
             outcomes,
-            quarantined: self.quarantined.clone(),
-        }
-    }
-}
-
-/// Profiles the fault-free baseline for a supervised campaign under an
-/// optional [`CancelToken`].
-///
-/// Without a token this is exactly the baseline [`Campaign::prepare`]
-/// computes (bit-identical profile); a supervisor's retry calls it again
-/// with a fresh token.
-///
-/// # Errors
-///
-/// Propagates profiling failures, including
-/// [`NetlistError::Cancelled`](agemul_netlist::NetlistError::Cancelled)
-/// (wrapped in [`FaultError::Core`]) once the token fires.
-pub fn prepare_baseline(
-    design: &MultiplierDesign,
-    pairs: &[(u64, u64)],
-    cancel: Option<&CancelToken>,
-) -> Result<PatternProfile, FaultError> {
-    Ok(design.profile_supervised(pairs, None, SimEngine::Level, cancel)?)
-}
-
-/// Evaluates one fault's config-independent evidence — the supervised,
-/// per-case counterpart of the batch work inside [`Campaign::prepare`].
-///
-/// Logic faults run a lane-0 functional evaluation whose corruption counts
-/// are bit-identical to the lane-masked 64-wide chunks `prepare` uses
-/// (each lane of a batch sweep is exact, so chunking is pure throughput).
-/// Delay faults re-profile the workload on the levelized kernel. The
-/// optional token cancels both paths cooperatively.
-///
-/// # Errors
-///
-/// Returns [`FaultError::InvalidSpec`] for out-of-range sites, and
-/// propagates simulation failures including
-/// [`NetlistError::Cancelled`](agemul_netlist::NetlistError::Cancelled).
-///
-/// # Panics
-///
-/// Panics (by design) for [`FaultSpec::PanicForTest`] — the poison case
-/// supervised runners quarantine.
-pub fn prepare_fault(
-    design: &MultiplierDesign,
-    pairs: &[(u64, u64)],
-    spec: &FaultSpec,
-    cancel: Option<&CancelToken>,
-) -> Result<FaultEvidence, FaultError> {
-    validate(design, std::slice::from_ref(spec))?;
-    match *spec {
-        FaultSpec::Delay { gate, factor } => Ok(FaultEvidence::Delay {
-            profile: profile_delay_fault(design, pairs, gate, factor, None, cancel)?,
-        }),
-        _ => {
-            let rows = eval_logic_chunk(design, pairs, std::slice::from_ref(spec), cancel)?;
-            let (corrupted_ops, first_corrupted_op) = rows[0];
-            Ok(FaultEvidence::Logic {
-                corrupted_ops,
-                first_corrupted_op,
-            })
         }
     }
 }
@@ -403,9 +267,6 @@ fn validate(design: &MultiplierDesign, faults: &[FaultSpec]) -> Result<(), Fault
                     });
                 }
             }
-            // The poison case has no site to validate; it exists to panic
-            // during evaluation, not to fail validation.
-            FaultSpec::PanicForTest => {}
         }
     }
     Ok(())
@@ -435,10 +296,6 @@ fn eval_logic_chunk(
             FaultSpec::StuckAt0 { net } => base.add(net, FaultKind::StuckAt0, mask)?,
             FaultSpec::StuckAt1 { net } => base.add(net, FaultKind::StuckAt1, mask)?,
             FaultSpec::Transient { .. } => {}
-            FaultSpec::PanicForTest => panic!(
-                "poison fault case evaluated: FaultSpec::PanicForTest panics by design \
-                 so panic-isolation machinery can be tested end to end"
-            ),
             FaultSpec::Delay { .. } => unreachable!("delay faults are not logic-chunk members"),
         }
     }

@@ -48,8 +48,8 @@
 //! let faults = FaultSpec::sample(&design, patterns.pairs().len(), 24, 7);
 //!
 //! // Expensive, config-independent: one baseline profile + one simulation
-//! // per fault family.
-//! let campaign = Campaign::prepare(&design, patterns.pairs(), &faults)?;
+//! // per fault family (no profile cache, no deadline token).
+//! let campaign = Campaign::prepare(&design, patterns.pairs(), &faults, None, None)?;
 //!
 //! // Cheap replays: sweep engine configs over the same prepared evidence.
 //! let report = campaign.run(&EngineConfig::adaptive(0.95, 7));
@@ -66,7 +66,7 @@ mod error;
 mod report;
 mod spec;
 
-pub use campaign::{prepare_baseline, prepare_fault, Campaign, FaultEvidence};
+pub use campaign::Campaign;
 pub use error::FaultError;
 pub use report::{CampaignReport, FaultClass, FaultOutcome};
 pub use spec::FaultSpec;

@@ -59,9 +59,8 @@ pub struct FaultOutcome {
 /// A full campaign classification: configuration echo, baseline anchors,
 /// and one [`FaultOutcome`] per injected fault (in injection order).
 ///
-/// Derives `PartialEq` so identity guarantees (cached ≡ uncached,
-/// supervised ≡ batch preparation) are directly assertable on whole
-/// reports.
+/// Derives `PartialEq` so identity guarantees (cached ≡ uncached
+/// preparation) are directly assertable on whole reports.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignReport {
     /// Multiplier architecture label (e.g. `CB`, `RB`).
@@ -84,11 +83,6 @@ pub struct CampaignReport {
     pub baseline_avg_latency_ns: f64,
     /// Per-fault classifications, in injection order.
     pub outcomes: Vec<FaultOutcome>,
-    /// Labels of faults whose evaluation was quarantined (panicked or
-    /// exhausted its deadline budget under a supervisor) and therefore
-    /// produced no [`FaultOutcome`], in injection order. Empty for
-    /// unsupervised campaigns.
-    pub quarantined: Vec<String>,
 }
 
 impl CampaignReport {
@@ -105,11 +99,6 @@ impl CampaignReport {
     /// Number of faults classified [`FaultClass::Silent`].
     pub fn silent(&self) -> usize {
         self.count(FaultClass::Silent)
-    }
-
-    /// Number of faults quarantined without an outcome (supervised runs).
-    pub fn quarantined(&self) -> usize {
-        self.quarantined.len()
     }
 
     fn count(&self, class: FaultClass) -> usize {
@@ -131,8 +120,8 @@ impl CampaignReport {
     }
 
     /// The report as one JSON object: the campaign parameters, a
-    /// `summary` of the class counts and coverage, the `quarantined`
-    /// labels, and one `faults` entry per outcome.
+    /// `summary` of the class counts and coverage, and one `faults` entry
+    /// per outcome.
     pub fn to_json(&self) -> Json {
         fn uint(n: impl Into<u64>) -> Json {
             Json::UInt(n.into())
@@ -178,13 +167,8 @@ impl CampaignReport {
                     ("masked", uint(self.masked() as u64)),
                     ("detected", uint(self.detected() as u64)),
                     ("silent", uint(self.silent() as u64)),
-                    ("quarantined", uint(self.quarantined() as u64)),
                     ("coverage", Json::Num(self.coverage())),
                 ]),
-            ),
-            (
-                "quarantined",
-                Json::Arr(self.quarantined.iter().cloned().map(Json::Str).collect()),
             ),
             ("faults", Json::Arr(faults)),
         ])
@@ -211,12 +195,11 @@ impl std::fmt::Display for CampaignReport {
         )?;
         writeln!(
             f,
-            "  {} faults: {} masked, {} detected, {} silent, {} quarantined (coverage {:.0}%)",
-            self.outcomes.len() + self.quarantined.len(),
+            "  {} faults: {} masked, {} detected, {} silent (coverage {:.0}%)",
+            self.outcomes.len(),
             self.masked(),
             self.detected(),
             self.silent(),
-            self.quarantined(),
             100.0 * self.coverage(),
         )?;
         for o in &self.outcomes {
@@ -231,9 +214,6 @@ impl std::fmt::Display for CampaignReport {
                 o.aged_at_op.map_or_else(|| "-".into(), |x| x.to_string()),
                 o.latency_overhead_pct,
             )?;
-        }
-        for l in &self.quarantined {
-            writeln!(f, "  {l:<18} quarantined (no outcome)")?;
         }
         Ok(())
     }
@@ -273,7 +253,6 @@ mod tests {
                 outcome("slow@g3x1.50", FaultClass::Detected),
                 outcome("slow@g4x1.80", FaultClass::Detected),
             ],
-            quarantined: Vec::new(),
         }
     }
 
@@ -299,12 +278,7 @@ mod tests {
         assert_eq!(j.get_f64("cycle_ns"), Ok(0.95));
         assert_eq!(j.get_bool("adaptive"), Ok(true));
         let summary = j.get("summary").unwrap();
-        for (key, count) in [
-            ("masked", 1),
-            ("detected", 2),
-            ("silent", 1),
-            ("quarantined", 0),
-        ] {
+        for (key, count) in [("masked", 1), ("detected", 2), ("silent", 1)] {
             assert_eq!(summary.get_u64(key), Ok(count), "{key}");
         }
         let faults = j.get_arr("faults").unwrap();
@@ -320,31 +294,5 @@ mod tests {
         let text = r.to_string();
         assert_eq!(text.lines().count(), 2 + r.outcomes.len());
         assert!(text.contains("coverage 67%"));
-    }
-
-    #[test]
-    fn quarantined_faults_are_counted_and_serialized() {
-        let mut r = report();
-        r.quarantined = vec!["poison".to_string(), "slow@g9x1.40".to_string()];
-        assert_eq!(r.quarantined(), 2);
-        // Quarantined faults carry no outcome, so the classification
-        // counters and coverage are unchanged.
-        assert_eq!((r.masked(), r.detected(), r.silent()), (1, 2, 1));
-        assert!((r.coverage() - 2.0 / 3.0).abs() < 1e-12);
-
-        let j = Json::parse(&r.to_json().to_string()).unwrap();
-        assert_eq!(j.get("summary").unwrap().get_u64("quarantined"), Ok(2));
-        let labels: Vec<&str> = j
-            .get_arr("quarantined")
-            .unwrap()
-            .iter()
-            .filter_map(Json::as_str)
-            .collect();
-        assert_eq!(labels, ["poison", "slow@g9x1.40"]);
-
-        let text = r.to_string();
-        assert!(text.contains("2 quarantined"));
-        assert!(text.contains("poison"));
-        assert_eq!(text.lines().count(), 2 + r.outcomes.len() + 2);
     }
 }

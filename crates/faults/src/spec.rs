@@ -40,16 +40,6 @@ pub enum FaultSpec {
         /// Multiplicative delay factor (finite, `> 0`).
         factor: f64,
     },
-    /// Test-only poison case: evaluating it panics unconditionally.
-    ///
-    /// Exists so panic-isolation machinery (the `agemul-harness`
-    /// supervisor's quarantine ledger) can be exercised end to end with a
-    /// genuine unwinding worker. Never emitted by [`sample`]
-    /// (FaultSpec::sample); classified as a logic fault so it rides the
-    /// functional evaluation path, where the panic fires.
-    ///
-    /// [`sample`]: FaultSpec::sample
-    PanicForTest,
 }
 
 impl FaultSpec {
@@ -70,7 +60,6 @@ impl FaultSpec {
             FaultSpec::Delay { gate, factor } => {
                 format!("slow@g{}x{factor:.2}", gate.index())
             }
-            FaultSpec::PanicForTest => "poison".to_string(),
         }
     }
 
@@ -158,9 +147,6 @@ mod tests {
                 FaultSpec::Delay { gate, factor } => {
                     assert!(gate.index() < gate_count);
                     assert!((1.10..2.10).contains(factor));
-                }
-                FaultSpec::PanicForTest => {
-                    panic!("sample must never emit the poison case")
                 }
             }
         }

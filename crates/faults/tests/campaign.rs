@@ -8,11 +8,11 @@
 //!   workloads (stuck-at/transient → silent-or-masked, delay → detected /
 //!   silent depending on the Razor window);
 //! * detected faults feed the AHL: the report carries the adaptation op;
-//! * cached and per-case preparation produce identical reports.
+//! * cached and per-fault preparation produce identical reports.
 
 use agemul::{EngineConfig, MultiplierDesign, PatternSet, ProfileCache, RazorConfig};
 use agemul_circuits::MultiplierKind;
-use agemul_faults::{prepare_baseline, prepare_fault, Campaign, FaultClass, FaultError, FaultSpec};
+use agemul_faults::{Campaign, FaultClass, FaultError, FaultSpec};
 use agemul_netlist::{GateId, NetId};
 
 fn design() -> MultiplierDesign {
@@ -34,7 +34,7 @@ fn driver_of_product_bit(d: &MultiplierDesign, bit: usize) -> GateId {
 fn zero_fault_campaign_is_bit_identical_to_fault_free_run() {
     let d = design();
     let patterns = PatternSet::uniform(4, 150, 11);
-    let campaign = Campaign::prepare(&d, patterns.pairs(), &[]).unwrap();
+    let campaign = Campaign::prepare(&d, patterns.pairs(), &[], None, None).unwrap();
     let reference = d.profile(patterns.pairs(), None).unwrap();
 
     assert_eq!(campaign.fault_count(), 0);
@@ -69,7 +69,7 @@ fn stuck_faults_classify_as_silent_or_masked_by_observability() {
         FaultSpec::StuckAt0 { net: p0 },
         FaultSpec::StuckAt1 { net: p0 },
     ];
-    let campaign = Campaign::prepare(&d, &pairs, &faults).unwrap();
+    let campaign = Campaign::prepare(&d, &pairs, &faults, None, None).unwrap();
     let report = campaign.run(&EngineConfig::adaptive(1.0, 2));
 
     assert_eq!(report.outcomes[0].class, FaultClass::Masked);
@@ -92,7 +92,7 @@ fn transient_corrupts_exactly_its_operation() {
         // Never fires: beyond the workload.
         FaultSpec::Transient { net: p0, op: 999 },
     ];
-    let campaign = Campaign::prepare(&d, &pairs, &faults).unwrap();
+    let campaign = Campaign::prepare(&d, &pairs, &faults, None, None).unwrap();
     let report = campaign.run(&EngineConfig::adaptive(1.0, 2));
 
     assert_eq!(report.outcomes[0].class, FaultClass::Silent);
@@ -120,7 +120,7 @@ fn delay_fault_is_detected_then_silent_as_the_window_shrinks() {
             factor: 1.001,
         },
     ];
-    let campaign = Campaign::prepare(&d, patterns.pairs(), &faults).unwrap();
+    let campaign = Campaign::prepare(&d, patterns.pairs(), &faults, None, None).unwrap();
 
     let full = campaign.run(&EngineConfig::adaptive(cycle, 0));
     assert_eq!(full.baseline_errors, 0);
@@ -156,6 +156,8 @@ fn detected_fault_reports_ahl_adaptation_latency() {
         &d,
         patterns.pairs(),
         &[FaultSpec::Delay { gate, factor: 20.0 }],
+        None,
+        None,
     )
     .unwrap();
     let report = campaign.run(&EngineConfig::adaptive(cycle, 0));
@@ -185,8 +187,8 @@ fn cached_preparation_is_bit_identical_and_reuses_profiles() {
     ];
 
     let cache = ProfileCache::new();
-    let cached = Campaign::prepare_cached(&d, patterns.pairs(), &faults, &cache).unwrap();
-    let plain = Campaign::prepare(&d, patterns.pairs(), &faults).unwrap();
+    let cached = Campaign::prepare(&d, patterns.pairs(), &faults, Some(&cache), None).unwrap();
+    let plain = Campaign::prepare(&d, patterns.pairs(), &faults, None, None).unwrap();
     for cfg in [
         EngineConfig::adaptive(1.0, 2),
         EngineConfig::traditional(0.8, 3),
@@ -198,7 +200,7 @@ fn cached_preparation_is_bit_identical_and_reuses_profiles() {
     assert_eq!(cache.hits(), 0);
 
     // Re-preparing the same campaign re-simulates nothing.
-    let again = Campaign::prepare_cached(&d, patterns.pairs(), &faults, &cache).unwrap();
+    let again = Campaign::prepare(&d, patterns.pairs(), &faults, Some(&cache), None).unwrap();
     assert_eq!(cache.misses(), 3);
     assert_eq!(cache.hits(), 3);
     let cfg = EngineConfig::adaptive(1.0, 2);
@@ -221,7 +223,7 @@ fn more_than_one_chunk_of_logic_faults_is_handled() {
             }
         })
         .collect();
-    let campaign = Campaign::prepare(&d, &pairs, &faults).unwrap();
+    let campaign = Campaign::prepare(&d, &pairs, &faults, None, None).unwrap();
     let report = campaign.run(&EngineConfig::adaptive(1.0, 2));
     assert_eq!(report.outcomes.len(), 70);
     // Every fault got classified, and the labels line up with the specs.
@@ -231,64 +233,29 @@ fn more_than_one_chunk_of_logic_faults_is_handled() {
     assert!(report.silent() > 0, "stuck product logic must corrupt");
 }
 
-/// The supervised per-case path (`prepare_baseline` + `prepare_fault` +
-/// `Campaign::assemble`) is bit-identical to the batch `Campaign::prepare`
-/// — the property that makes checkpoint/resume replays trustworthy.
+/// Each fault prepared on its own classifies exactly as it does inside
+/// one batch: a lane of a 64-wide sweep is exact, so chunking is pure
+/// throughput and a fault's outcome never depends on its neighbours.
 #[test]
 fn per_case_preparation_assembles_into_an_identical_campaign() {
     let d = design();
     let patterns = PatternSet::uniform(4, 120, 21);
     let faults = FaultSpec::sample(&d, patterns.pairs().len(), 9, 0xDEED);
 
-    let batch = Campaign::prepare(&d, patterns.pairs(), &faults).unwrap();
-
-    let baseline = prepare_baseline(&d, patterns.pairs(), None).unwrap();
-    let entries: Vec<_> = faults
+    let batch = Campaign::prepare(&d, patterns.pairs(), &faults, None, None).unwrap();
+    let alone: Vec<Campaign> = faults
         .iter()
-        .map(|f| {
-            let ev = prepare_fault(&d, patterns.pairs(), f, None).unwrap();
-            (*f, ev)
-        })
-        .collect();
-    assert_eq!(entries.as_slice(), batch.entries());
-    let assembled = Campaign::assemble(baseline, entries, Vec::new());
+        .map(|f| Campaign::prepare(&d, patterns.pairs(), std::slice::from_ref(f), None, None))
+        .collect::<Result<_, _>>()
+        .unwrap();
 
     for cfg in [
         EngineConfig::adaptive(1.0, 2),
         EngineConfig::traditional(0.8, 3),
     ] {
-        assert_eq!(assembled.run(&cfg), batch.run(&cfg));
+        let assembled: Vec<_> = alone.iter().flat_map(|c| c.run(&cfg).outcomes).collect();
+        assert_eq!(assembled, batch.run(&cfg).outcomes);
     }
-}
-
-/// An assembled campaign surfaces its quarantine ledger in every report
-/// without disturbing the classified outcomes.
-#[test]
-fn assembled_campaign_reports_quarantined_labels() {
-    let d = design();
-    let patterns = PatternSet::uniform(4, 60, 23);
-    let faults = FaultSpec::sample(&d, patterns.pairs().len(), 4, 0xACE);
-
-    let baseline = prepare_baseline(&d, patterns.pairs(), None).unwrap();
-    let entries: Vec<_> = faults
-        .iter()
-        .map(|f| {
-            let ev = prepare_fault(&d, patterns.pairs(), f, None).unwrap();
-            (*f, ev)
-        })
-        .collect();
-    let quarantined = vec![FaultSpec::PanicForTest.label()];
-    let campaign = Campaign::assemble(baseline, entries, quarantined.clone());
-    assert_eq!(campaign.quarantined_labels(), quarantined.as_slice());
-
-    let report = campaign.run(&EngineConfig::adaptive(1.0, 2));
-    assert_eq!(report.quarantined, quarantined);
-    assert_eq!(report.quarantined(), 1);
-    assert_eq!(report.outcomes.len(), faults.len());
-    assert!(report
-        .to_json()
-        .to_string()
-        .contains("\"quarantined\":[\"poison\"]"));
 }
 
 #[test]
@@ -304,6 +271,8 @@ fn invalid_specs_are_rejected_before_simulation() {
         &[FaultSpec::StuckAt0 {
             net: NetId::from_index(nets),
         }],
+        None,
+        None,
     );
     assert!(matches!(bad_net, Err(FaultError::InvalidSpec { .. })));
 
@@ -314,6 +283,8 @@ fn invalid_specs_are_rejected_before_simulation() {
             gate: GateId::from_index(gates),
             factor: 1.5,
         }],
+        None,
+        None,
     );
     assert!(matches!(bad_gate, Err(FaultError::InvalidSpec { .. })));
 
@@ -324,6 +295,8 @@ fn invalid_specs_are_rejected_before_simulation() {
             gate: GateId::from_index(0),
             factor: f64::NAN,
         }],
+        None,
+        None,
     );
     assert!(matches!(bad_factor, Err(FaultError::InvalidSpec { .. })));
 }

@@ -117,7 +117,7 @@ impl std::error::Error for CheckpointError {}
 pub enum CaseStatus {
     /// The case completed; `value` is its serialized evidence.
     Done {
-        /// Adapter-defined evidence (profile, metrics, fault evidence, …).
+        /// Worker-defined evidence (a profile, a rendered report, …).
         value: Json,
     },
     /// The case was poisoned (panic) or exhausted its deadline/retry

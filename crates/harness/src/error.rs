@@ -2,29 +2,19 @@
 
 use crate::checkpoint::CheckpointError;
 
-/// Errors from supervised runs and their reconstruction paths.
+/// Errors from supervised runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HarnessError {
     /// A checkpoint could not be written, read, or trusted.
     Checkpoint(CheckpointError),
-    /// A checkpointed value failed to decode back into its typed form —
-    /// the snapshot was well-formed JSON (its CRC matched) but does not
-    /// describe what the adapter expected.
+    /// A run's ledger could not be rebuilt: a case was left without a
+    /// record.
     Decode {
-        /// What was being decoded (e.g. `baseline profile`).
+        /// What was being decoded (e.g. `case 3`).
         what: String,
         /// Why decoding failed.
         reason: String,
     },
-    /// The campaign baseline itself was quarantined; without it no fault
-    /// can be classified, so the run cannot degrade around it.
-    PoisonedBaseline {
-        /// The quarantine reason (panic message or deadline report).
-        reason: String,
-    },
-    /// Every case of the run was quarantined, leaving nothing to
-    /// reconstruct (e.g. a sweep with no surviving period).
-    NoUsableCases,
 }
 
 impl std::fmt::Display for HarnessError {
@@ -33,12 +23,6 @@ impl std::fmt::Display for HarnessError {
             HarnessError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
             HarnessError::Decode { what, reason } => {
                 write!(f, "cannot decode {what} from checkpoint: {reason}")
-            }
-            HarnessError::PoisonedBaseline { reason } => {
-                write!(f, "baseline case was quarantined ({reason})")
-            }
-            HarnessError::NoUsableCases => {
-                write!(f, "every case was quarantined; nothing to reconstruct")
             }
         }
     }
@@ -65,18 +49,12 @@ mod tests {
 
     #[test]
     fn messages_name_the_failure() {
-        let e = HarnessError::PoisonedBaseline {
-            reason: "panic: boom".into(),
-        };
-        assert!(e.to_string().contains("baseline"));
         let e = HarnessError::Decode {
-            what: "fault evidence".into(),
-            reason: "missing key".into(),
+            what: "case 3".into(),
+            reason: "ledger slot left empty".into(),
         };
-        assert!(e.to_string().contains("fault evidence"));
-        assert!(HarnessError::NoUsableCases
-            .to_string()
-            .contains("quarantined"));
+        assert!(e.to_string().contains("case 3"), "{e}");
+        assert!(e.to_string().contains("ledger slot left empty"), "{e}");
     }
 
     #[test]

@@ -24,38 +24,49 @@
 //!   runs on the levelized kernel, as the paper re-executes a failed
 //!   operation on the same multiplier.
 //!
-//! Two adapters wire the supervisor over the tree's work units:
-//! [`run_campaign_supervised`] (one case per fault plus the baseline,
-//! reassembled with [`Campaign::assemble`](agemul_faults::Campaign::assemble))
-//! and [`run_request_supervised`], which runs one service request as a
-//! single case — same protections, no ledger or checkpoint. Other
-//! long-running work (the `repro` experiments, including the Monte Carlo
-//! and fleet studies) runs one case per experiment and threads the
-//! attempt's deadline token into its simulations. Workers classify
-//! their failures with [`CaseError::from_error`]. The `soak` binary drives
-//! a kill → resume → diff smoke test (`scripts/soak_smoke.sh`).
+//! Two entry points wire the supervisor over the tree's work units.
+//! [`Supervisor::run`] runs an indexed list of cases; the `repro` binary
+//! runs one case per experiment on a shared context, threads each
+//! attempt's deadline token into its simulations, and checkpoints every
+//! finished report, so a killed `repro --resume` run picks up where it
+//! died. [`run_request_supervised`] runs one service request as a single
+//! case — same protections, no ledger or checkpoint. Workers classify
+//! their failures with [`CaseError::from_error`], and profiles round-trip
+//! through checkpoints losslessly with [`profile_to_json`] and
+//! [`profile_from_json`].
 //!
 //! # Example
 //!
 //! ```no_run
-//! use agemul::{EngineConfig, MultiplierDesign, PatternSet};
+//! use agemul::{MultiplierDesign, PatternSet, SimEngine};
 //! use agemul_circuits::MultiplierKind;
-//! use agemul_faults::FaultSpec;
-//! use agemul_harness::{run_campaign_supervised, Resume, SupervisorConfig};
+//! use agemul_harness::{
+//!     profile_to_json, Attempt, CaseError, Resume, Supervisor, SupervisorConfig,
+//! };
 //!
 //! let design = MultiplierDesign::new(MultiplierKind::ColumnBypass, 16)?;
-//! let patterns = PatternSet::uniform(16, 2_000, 42);
-//! let faults = FaultSpec::sample(&design, patterns.pairs().len(), 24, 7);
-//!
-//! let run = run_campaign_supervised(
-//!     &design,
-//!     patterns.pairs(),
-//!     &faults,
-//!     &SupervisorConfig::default(),
-//!     Some(std::path::Path::new("campaign.ckpt.json")),
+//! let seeds = [1u64, 2, 3, 4];
+//! // One case per workload seed; the run key fingerprints the work, so a
+//! // checkpoint from different work is never merged.
+//! let supervisor = Supervisor::new(
+//!     "profile/CB16/2000x4",
+//!     seeds.iter().map(|s| format!("seed{s}")).collect(),
+//!     SupervisorConfig::default(),
+//! );
+//! let worker = |attempt: &Attempt| {
+//!     let patterns = PatternSet::uniform(16, 2_000, seeds[attempt.index]);
+//!     let profile = design
+//!         .profile_supervised(patterns.pairs(), None, SimEngine::Level, attempt.cancel.as_ref())
+//!         .map_err(|e| CaseError::from_error(&e))?;
+//!     Ok(profile_to_json(&profile))
+//! };
+//! // Resumes from the checkpoint when it matches this run, else starts over.
+//! let ledger = supervisor.run(
+//!     &worker,
+//!     Some(std::path::Path::new("profiles.ckpt.json")),
 //!     Resume::Attempt,
 //! )?;
-//! println!("{}", run.campaign.run(&EngineConfig::adaptive(0.95, 7)));
+//! println!("{} cases, quarantined {:?}", ledger.records.len(), ledger.quarantined());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -63,18 +74,14 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod campaign;
 mod checkpoint;
 mod error;
 mod request;
 mod snapshot;
 mod supervisor;
 
-pub use campaign::{campaign_run_key, run_campaign_supervised, SupervisedCampaign};
 pub use checkpoint::{crc32, CaseRecord, CaseStatus, Checkpoint, CheckpointError, SCHEMA};
 pub use error::HarnessError;
 pub use request::run_request_supervised;
-pub use snapshot::{
-    evidence_from_json, evidence_to_json, is_cancellation, profile_from_json, profile_to_json,
-};
+pub use snapshot::{is_cancellation, profile_from_json, profile_to_json};
 pub use supervisor::{Attempt, CaseError, Resume, RunLedger, Supervisor, SupervisorConfig};

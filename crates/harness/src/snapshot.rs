@@ -1,4 +1,4 @@
-//! Typed evidence ⇄ JSON codecs for checkpointed work.
+//! Typed value ⇄ JSON codecs for checkpointed work.
 //!
 //! Everything a supervised run checkpoints must round-trip
 //! **bit-identically** — a resumed run replays recorded evidence instead
@@ -9,7 +9,6 @@
 
 use agemul::{Json, PatternProfile, PatternRecord};
 use agemul_circuits::MultiplierKind;
-use agemul_faults::FaultEvidence;
 use agemul_netlist::NetlistError;
 
 fn kind_label(kind: MultiplierKind) -> &'static str {
@@ -76,48 +75,6 @@ pub fn profile_from_json(v: &Json) -> Result<PatternProfile, String> {
     ))
 }
 
-/// Serializes one fault's [`FaultEvidence`].
-pub fn evidence_to_json(ev: &FaultEvidence) -> Json {
-    match ev {
-        FaultEvidence::Logic {
-            corrupted_ops,
-            first_corrupted_op,
-        } => Json::Obj(vec![
-            ("family".into(), Json::Str("logic".into())),
-            ("corrupted_ops".into(), Json::UInt(*corrupted_ops)),
-            (
-                "first_corrupted_op".into(),
-                first_corrupted_op.map_or(Json::Null, Json::UInt),
-            ),
-        ]),
-        FaultEvidence::Delay { profile } => Json::Obj(vec![
-            ("family".into(), Json::Str("delay".into())),
-            ("profile".into(), profile_to_json(profile)),
-        ]),
-    }
-}
-
-/// Rebuilds [`FaultEvidence`] from [`evidence_to_json`] output.
-///
-/// # Errors
-///
-/// A rendered description of the first missing or mistyped field.
-pub fn evidence_from_json(v: &Json) -> Result<FaultEvidence, String> {
-    match v.get_str("family")? {
-        "logic" => Ok(FaultEvidence::Logic {
-            corrupted_ops: v.get_u64("corrupted_ops")?,
-            first_corrupted_op: v.get_opt_u64("first_corrupted_op")?,
-        }),
-        "delay" => Ok(FaultEvidence::Delay {
-            profile: profile_from_json(
-                v.get("profile")
-                    .ok_or_else(|| "delay evidence missing profile".to_string())?,
-            )?,
-        }),
-        other => Err(format!("unknown evidence family {other:?}")),
-    }
-}
-
 /// Whether `err`'s source chain bottoms out in
 /// [`NetlistError::Cancelled`] — i.e. the failure is a cooperative
 /// deadline firing, not a real fault. [`CaseError::from_error`](crate::CaseError::from_error)
@@ -178,72 +135,53 @@ mod tests {
     }
 
     #[test]
-    fn evidence_round_trips_both_families() {
-        let logic = FaultEvidence::Logic {
-            corrupted_ops: 7,
-            first_corrupted_op: Some(2),
-        };
-        let never = FaultEvidence::Logic {
-            corrupted_ops: 0,
-            first_corrupted_op: None,
-        };
-        let delay = FaultEvidence::Delay {
-            profile: PatternProfile::from_records(
-                MultiplierKind::RowBypass,
-                8,
-                vec![PatternRecord {
-                    a: 5,
-                    b: 9,
-                    zeros: 4,
-                    delay_ns: std::f64::consts::FRAC_1_SQRT_2,
-                }],
-            ),
-        };
-        for ev in [logic, never, delay] {
-            let text = evidence_to_json(&ev).to_string();
-            let back = evidence_from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, ev);
+    fn malformed_documents_are_described() {
+        assert!(profile_from_json(&Json::Null).is_err());
+        let bogus = Json::Obj(vec![("kind".into(), Json::Str("bogus".into()))]);
+        assert!(profile_from_json(&bogus).unwrap_err().contains("bogus"));
+        assert!(kind_from_label("XX").is_err());
+    }
+
+    /// An error that wraps another one level deeper, as a worker's own
+    /// error type wraps the core error it propagates.
+    #[derive(Debug)]
+    struct Wrapped(Box<dyn std::error::Error + 'static>);
+
+    impl std::fmt::Display for Wrapped {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "worker failed: {}", self.0)
         }
     }
 
-    #[test]
-    fn malformed_documents_are_described() {
-        assert!(profile_from_json(&Json::Null).is_err());
-        assert!(evidence_from_json(&Json::Obj(vec![(
-            "family".into(),
-            Json::Str("bogus".into())
-        )]))
-        .unwrap_err()
-        .contains("bogus"));
-        assert!(kind_from_label("XX").is_err());
+    impl std::error::Error for Wrapped {
+        fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+            Some(&*self.0)
+        }
     }
 
     #[test]
     fn cancellation_is_detected_through_error_chains() {
         use agemul::CoreError;
-        use agemul_faults::FaultError;
 
         use crate::CaseError;
 
         let core = CoreError::from(NetlistError::Cancelled);
-        let nested = FaultError::from(CoreError::from(NetlistError::Cancelled));
+        let nested = Wrapped(Box::new(CoreError::from(NetlistError::Cancelled)));
         let boxed: Box<dyn std::error::Error> =
-            Box::new(FaultError::from(CoreError::from(NetlistError::Cancelled)));
+            Box::new(Wrapped(Box::new(CoreError::from(NetlistError::Cancelled))));
         assert!(is_cancellation(&nested));
         assert_eq!(CaseError::from_error(&core), CaseError::Cancelled);
         assert_eq!(CaseError::from_error(&nested), CaseError::Cancelled);
         assert_eq!(CaseError::from_error(&*boxed), CaseError::Cancelled);
 
-        let other = FaultError::InvalidSpec {
-            label: "x".into(),
-            reason: "y".into(),
-        };
+        let other = Wrapped("invalid fault site".into());
         assert!(!is_cancellation(&other));
         assert_eq!(
             CaseError::from_error(&other),
             CaseError::Failed(other.to_string())
         );
-        let boxed_other: Box<dyn std::error::Error> = Box::new(other.clone());
+        let boxed_other: Box<dyn std::error::Error> =
+            Box::new(Wrapped("invalid fault site".into()));
         assert_eq!(
             CaseError::from_error(&*boxed_other),
             CaseError::Failed(other.to_string())

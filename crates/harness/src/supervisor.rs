@@ -3,7 +3,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::slice::SliceIndex;
 use std::time::Duration;
 
 use agemul::{CancelToken, Json};
@@ -27,10 +26,6 @@ pub struct SupervisorConfig {
     pub retry_backoff: Duration,
     /// Cases to complete between checkpoint writes (min 1).
     pub checkpoint_every: usize,
-    /// Artificial pause before every attempt — a soak-test knob that
-    /// widens the kill window of `just soak-smoke`. Leave `None` outside
-    /// tests.
-    pub stall_per_case: Option<Duration>,
 }
 
 impl Default for SupervisorConfig {
@@ -40,7 +35,6 @@ impl Default for SupervisorConfig {
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
             checkpoint_every: 8,
-            stall_per_case: None,
         }
     }
 }
@@ -118,39 +112,9 @@ impl RunLedger {
             .map(|r| r.index)
             .collect()
     }
-
-    /// Decodes the completed cases among `cases` (a range of case
-    /// indices, `..` for all) as `(index, value)` pairs in index order.
-    /// Quarantined cases are skipped; [`quarantined`](Self::quarantined)
-    /// lists them.
-    ///
-    /// # Errors
-    ///
-    /// [`HarnessError::Decode`] naming the first completed case whose
-    /// recorded value `decode` rejects.
-    pub(crate) fn decode<T, R>(
-        &self,
-        cases: R,
-        decode: impl Fn(&Json) -> Result<T, String>,
-    ) -> Result<Vec<(usize, T)>, HarnessError>
-    where
-        R: SliceIndex<[CaseRecord], Output = [CaseRecord]>,
-    {
-        let mut done = Vec::new();
-        for record in self.records.get(cases).unwrap_or_default() {
-            if let CaseStatus::Done { value } = &record.status {
-                let value = decode(value).map_err(|reason| HarnessError::Decode {
-                    what: format!("case {} ({})", record.index, record.label),
-                    reason,
-                })?;
-                done.push((record.index, value));
-            }
-        }
-        Ok(done)
-    }
 }
 
-/// Runs an indexed list of cases under the crate's four protections.
+/// Runs an indexed list of cases under the crate's three protections.
 /// See the crate docs for the model; construct with [`Supervisor::new`]
 /// and execute with [`Supervisor::run`].
 pub struct Supervisor {
@@ -306,11 +270,6 @@ where
                 std::thread::sleep(backoff);
             }
         }
-        if let Some(stall) = config.stall_per_case {
-            if !stall.is_zero() {
-                std::thread::sleep(stall);
-            }
-        }
         let attempt = Attempt {
             index,
             retry,
@@ -464,52 +423,6 @@ mod tests {
             }
         );
         assert_eq!(r.retries, 1);
-    }
-
-    #[test]
-    fn ledger_decode_splits_done_from_quarantined_and_names_bad_cases() {
-        let record = |index: usize, status: CaseStatus| CaseRecord {
-            index,
-            label: format!("case{index}"),
-            retries: 0,
-            status,
-        };
-        let ledger = RunLedger {
-            run_key: "k".into(),
-            records: vec![
-                record(
-                    0,
-                    CaseStatus::Done {
-                        value: Json::UInt(7),
-                    },
-                ),
-                record(
-                    1,
-                    CaseStatus::Quarantined {
-                        reason: "panic: boom".into(),
-                    },
-                ),
-                record(
-                    2,
-                    CaseStatus::Done {
-                        value: Json::Str("not a number".into()),
-                    },
-                ),
-            ],
-        };
-        let as_u64 = |v: &Json| v.as_u64().ok_or_else(|| "not an integer".to_string());
-
-        assert_eq!(ledger.decode(..2, as_u64).unwrap(), vec![(0, 7)]);
-        assert_eq!(ledger.quarantined(), vec![1]);
-        match ledger.decode(.., as_u64) {
-            Err(HarnessError::Decode { what, reason }) => {
-                assert_eq!(what, "case 2 (case2)");
-                assert_eq!(reason, "not an integer");
-            }
-            other => panic!("expected a Decode error, got {other:?}"),
-        }
-        assert!(ledger.decode(1.., as_u64).is_err());
-        assert_eq!(ledger.decode(5.., as_u64).unwrap(), vec![]);
     }
 
     #[test]

@@ -1,167 +1,115 @@
 //! Resume identity: a supervised run interrupted at any point and resumed
-//! from its checkpoint produces results **bit-identical** to an
-//! uninterrupted run — the tentpole guarantee of the harness.
+//! from its checkpoint produces a ledger, and a checkpoint document,
+//! **bit-identical** to an uninterrupted run — the tentpole guarantee of
+//! the harness.
 //!
 //! The tests simulate the interruption by truncating the checkpoint file
 //! (exactly what a SIGKILL between snapshot writes leaves behind) and
-//! resuming with [`Resume::Require`], then compare rendered reports byte
-//! for byte. `just soak-smoke` repeats the experiment with a real SIGKILL
-//! against the `soak` binary.
+//! resuming with [`Resume::Require`]. Every case profiles a real workload
+//! and records it through the lossless profile codec, so the compared
+//! bytes carry full-precision delays. `scripts/quick_digests.sh` repeats
+//! the experiment with a real SIGKILL against `repro --resume`.
 
-use std::path::PathBuf;
+mod common;
 
-use agemul::{EngineConfig, MultiplierDesign, PatternSet};
-use agemul_circuits::MultiplierKind;
-use agemul_faults::{Campaign, FaultSpec};
-use agemul_harness::{run_campaign_supervised, Checkpoint, Resume, SupervisorConfig};
+use agemul_harness::{profile_from_json, CaseStatus, Checkpoint, Resume, Supervisor};
+use common::{config, temp_dir, Workloads};
 use proptest::prelude::*;
-
-fn temp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("agemul-resume-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("ckpt.json")
-}
-
-fn design() -> MultiplierDesign {
-    MultiplierDesign::new(MultiplierKind::ColumnBypass, 4).unwrap()
-}
-
-fn config() -> SupervisorConfig {
-    SupervisorConfig {
-        checkpoint_every: 1,
-        retry_backoff: std::time::Duration::ZERO,
-        ..SupervisorConfig::default()
-    }
-}
-
-#[test]
-fn supervised_campaign_matches_unsupervised_batch_path() {
-    let d = design();
-    let patterns = PatternSet::uniform(4, 24, 7);
-    let faults = FaultSpec::sample(&d, 24, 5, 11);
-
-    let batch = Campaign::prepare(&d, patterns.pairs(), &faults).unwrap();
-    let supervised = run_campaign_supervised(
-        &d,
-        patterns.pairs(),
-        &faults,
-        &config(),
-        None,
-        Resume::Fresh,
-    )
-    .unwrap();
-
-    let cfg = EngineConfig::adaptive(1.0, 2);
-    assert_eq!(
-        supervised.campaign.run(&cfg).to_json().to_string(),
-        batch.run(&cfg).to_json().to_string(),
-        "per-case supervised evidence must be bit-identical to the 64-lane batch path"
-    );
-}
 
 #[test]
 fn campaign_resumed_from_truncated_checkpoint_is_bit_identical() {
-    let d = design();
-    let patterns = PatternSet::uniform(4, 20, 3);
-    let faults = FaultSpec::sample(&d, 20, 6, 5);
-    let cfg = EngineConfig::adaptive(1.0, 2);
-
-    let path = temp_path("campaign");
-    let full = run_campaign_supervised(
-        &d,
-        patterns.pairs(),
-        &faults,
-        &config(),
-        Some(&path),
-        Resume::Fresh,
-    )
-    .unwrap();
-    let full_json = full.campaign.run(&cfg).to_json().to_string();
+    let w = Workloads::new(3, 6, 20);
+    let dir = temp_dir("resume-cut");
+    let path = dir.join("ckpt.json");
+    let full = w.run(Some(&path), Resume::Fresh).unwrap();
+    let full_doc = std::fs::read_to_string(&path).unwrap();
+    // Every recorded value decodes to the profile computed directly.
+    for rec in &full.records {
+        let CaseStatus::Done { value } = &rec.status else {
+            panic!("case {} quarantined: {:?}", rec.index, rec.status);
+        };
+        assert_eq!(profile_from_json(value).unwrap(), w.profile(rec.index));
+    }
 
     // Interrupt at every possible point: 0 completed cases .. all-but-one.
-    for survivors in 0..full.ledger.records.len() {
-        let mut ck = Checkpoint::load(&path, None).unwrap();
-        let run_key = ck.run_key.clone();
+    for survivors in 0..full.records.len() {
+        let mut ck = Checkpoint::load(&path, Some(&w.run_key())).unwrap();
         ck.entries.truncate(survivors);
-        let cut = temp_path(&format!("campaign-cut{survivors}"));
+        let cut = dir.join(format!("cut{survivors}.json"));
         ck.save_atomic(&cut).unwrap();
 
-        let resumed = run_campaign_supervised(
-            &d,
-            patterns.pairs(),
-            &faults,
-            &config(),
-            Some(&cut),
-            Resume::Require,
-        )
-        .unwrap();
-        assert_eq!(resumed.ledger, full.ledger, "survivors={survivors}");
-        assert_eq!(resumed.campaign.run(&cfg).to_json().to_string(), full_json);
-        // The rewritten checkpoint is complete and still keyed to the run.
-        let after = Checkpoint::load(&cut, Some(&run_key)).unwrap();
-        assert_eq!(after.entries.len(), full.ledger.records.len());
+        w.take_evaluated();
+        let resumed = w.run(Some(&cut), Resume::Require).unwrap();
+        assert_eq!(resumed, full, "survivors={survivors}");
+        assert_eq!(
+            w.take_evaluated(),
+            full.records.len() - survivors,
+            "only the missing cases run"
+        );
+        // The rewritten checkpoint is complete, byte for byte.
+        assert_eq!(std::fs::read_to_string(&cut).unwrap(), full_doc);
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A checkpoint written before the Level→Event fallback was retired, its
-/// entries still carrying `"engine"` and `"degraded"`: the baseline and
-/// first fault of a CB 4×4 campaign (24 pairs, seed 5; 3 faults, seed 6).
-/// It resumes under the unchanged schema to the uninterrupted report.
+/// entries still carrying `"engine"` and `"degraded"`: the first two of
+/// four cases of a CB 4×4 campaign (24 pairs, seed 5), a profile and a
+/// fault's evidence. It loads under the unchanged schema, and its
+/// recorded entries come back verbatim; only the two missing cases run.
 #[test]
 fn checkpoint_written_before_the_rung_removal_resumes_identically() {
     const FIXTURE: &str = include_str!("fixtures/campaign-before-rung-removal.ckpt.json");
     assert!(FIXTURE.contains(r#""engine":"level""#) && FIXTURE.contains(r#""degraded":false"#));
-    let d = design();
-    let patterns = PatternSet::uniform(4, 24, 5);
-    let faults = FaultSpec::sample(&d, 24, 3, 6);
-    let path = temp_path("legacy");
+    let recorded = Checkpoint::from_document(FIXTURE).unwrap();
+    assert_eq!((recorded.total, recorded.entries.len()), (4, 2));
+
+    let dir = temp_dir("legacy");
+    let path = dir.join("ckpt.json");
     std::fs::write(&path, FIXTURE).unwrap();
-    let run = |checkpoint, resume| {
-        run_campaign_supervised(&d, patterns.pairs(), &faults, &config(), checkpoint, resume)
-            .unwrap()
+    // Case 0 of these workloads is the fixture's profile: 24 pairs, seed 5.
+    let w = Workloads::new(5, 4, 24);
+    let supervisor = Supervisor::new(recorded.run_key.clone(), w.labels(), config());
+    let ledger = supervisor
+        .run(&|a| w.work(a), Some(&path), Resume::Require)
+        .unwrap();
+
+    assert_eq!(w.take_evaluated(), 2);
+    assert_eq!(ledger.records[..2], recorded.entries[..]);
+    let CaseStatus::Done { value } = &ledger.records[0].status else {
+        panic!("fixture profile quarantined");
     };
-    let full = run(None, Resume::Fresh);
-    let resumed = run(Some(path.as_path()), Resume::Require);
-    assert_eq!(resumed.ledger, full.ledger);
-    let cfg = EngineConfig::adaptive(1.0, 2);
-    assert_eq!(
-        resumed.campaign.run(&cfg).to_json().to_string(),
-        full.campaign.run(&cfg).to_json().to_string()
-    );
+    assert_eq!(profile_from_json(value).unwrap(), w.profile(0));
+    for rec in &ledger.records[2..] {
+        assert!(matches!(rec.status, CaseStatus::Done { .. }), "{rec:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Randomized workload seeds and cut points: the resumed ledger always
-    /// equals the uninterrupted one, and so does the rendered report.
+    /// Randomized workload seeds and cut points: the resumed ledger and
+    /// checkpoint always equal the uninterrupted ones.
     #[test]
     fn resume_identity_holds_for_random_seeds_and_cuts(
         seed in any::<u64>(),
         cut_pick in any::<u16>(),
     ) {
-        let d = design();
-        let patterns = PatternSet::uniform(4, 12, seed);
-        let faults = FaultSpec::sample(&d, 12, 3, seed ^ 0xA5A5);
-        let cfg = EngineConfig::adaptive(1.0, 2);
-
-        let path = temp_path(&format!("prop-{seed:x}"));
-        let full = run_campaign_supervised(
-            &d, patterns.pairs(), &faults, &config(), Some(&path), Resume::Fresh,
-        ).unwrap();
+        let w = Workloads::new(seed, 4, 12);
+        let dir = temp_dir(&format!("prop-{seed:x}"));
+        let path = dir.join("ckpt.json");
+        let full = w.run(Some(&path), Resume::Fresh).unwrap();
+        let full_doc = std::fs::read_to_string(&path).unwrap();
 
         let mut ck = Checkpoint::load(&path, None).unwrap();
         let survivors = usize::from(cut_pick) % ck.entries.len();
         ck.entries.truncate(survivors);
         ck.save_atomic(&path).unwrap();
 
-        let resumed = run_campaign_supervised(
-            &d, patterns.pairs(), &faults, &config(), Some(&path), Resume::Require,
-        ).unwrap();
-        prop_assert_eq!(&resumed.ledger, &full.ledger);
-        prop_assert_eq!(
-            resumed.campaign.run(&cfg).to_json().to_string(),
-            full.campaign.run(&cfg).to_json().to_string()
-        );
+        let resumed = w.run(Some(&path), Resume::Require).unwrap();
+        prop_assert_eq!(&resumed, &full);
+        prop_assert_eq!(std::fs::read_to_string(&path).unwrap(), full_doc);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

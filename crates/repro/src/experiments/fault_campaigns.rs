@@ -78,13 +78,8 @@ pub fn faults(ctx: &mut Context) -> Result<Report> {
                     });
                 }
             }
-            let campaign = Campaign::prepare_supervised(
-                &design,
-                workload.pairs(),
-                &specs,
-                None,
-                ctx.cancel(),
-            )?;
+            let campaign =
+                Campaign::prepare(&design, workload.pairs(), &specs, None, ctx.cancel())?;
 
             // Per-fault classification at the paper-flavoured config.
             let paper_cfg = EngineConfig::adaptive(period, skips(width)[0]);

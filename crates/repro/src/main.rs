@@ -23,10 +23,10 @@
 //! with each experiment's attempt time is printed at the end, and the
 //! exit code is nonzero if *any* failed. `--deadline-ms` bounds every
 //! attempt and `--max-retries` (default 0) adds attempts after a failure.
-//! `--resume` checkpoints each completed experiment to the given path, so
-//! a killed `repro all` picks up where it died; experiments restored from
-//! the checkpoint are re-emitted after the run and read `resumed` in the
-//! summary.
+//! `--resume` checkpoints each completed experiment to the given path
+//! (whose directory must exist), so a killed `repro all` picks up where it
+//! died; experiments restored from the checkpoint are re-emitted after the
+//! run and read `resumed` in the summary.
 //!
 //! The run list holds each experiment once, at its first mention, after
 //! resolving aliases (`fig9 fig10` runs `fig9-10` once).
@@ -224,6 +224,9 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
     if ids.is_empty() {
         return Err("no experiments requested".into());
     }
+    if let Some(path) = &resume {
+        check_checkpoint_dir(path)?;
+    }
     // Resolve aliases, then keep each experiment's first mention. An
     // unknown id stays as typed and fails when it runs.
     let mut seen = HashSet::new();
@@ -240,6 +243,25 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
         deadline,
         max_retries: max_retries.unwrap_or(0),
     }))
+}
+
+/// Refuses a `--resume` path whose directory does not exist, before any
+/// experiment runs: the first checkpoint write would fail only after the
+/// first experiment had been computed.
+fn check_checkpoint_dir(path: &Path) -> Result<(), String> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if dir.is_dir() {
+        Ok(())
+    } else {
+        Err(format!(
+            "--resume: directory {} does not exist (got {})",
+            dir.display(),
+            path.display()
+        ))
+    }
 }
 
 /// Parses the shared `--addr`/`--unix` endpoint flags (mutually
@@ -791,6 +813,17 @@ mod tests {
     fn trailing_flag_without_value_is_an_error() {
         let err = parse_cli(&argv(&["all", "--resume"])).unwrap_err();
         assert!(err.contains("needs a value"), "{err}");
+    }
+
+    #[test]
+    fn resume_path_needs_an_existing_directory() {
+        // A bare file name lives in the working directory.
+        assert!(parse_cli(&argv(&["--resume", "ck.json", "table1"])).is_ok());
+        let missing = std::env::temp_dir()
+            .join(format!("agemul-no-dir-{}", std::process::id()))
+            .join("ck.json");
+        let err = parse_cli(&argv(&["--resume", missing.to_str().unwrap(), "table1"])).unwrap_err();
+        assert!(err.contains("does not exist"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The `repro` binary run as a child process: supervision flags
-//! (`--deadline-ms`, `--max-retries`), CSV output, and `repro query`'s
-//! request validation.
+//! (`--deadline-ms`, `--max-retries`, `--resume`), CSV output, and
+//! `repro query`'s request validation.
 
+use std::path::Path;
 use std::process::Command;
+
+use agemul_harness::Checkpoint;
 
 /// Runs `repro` with `args`; returns its exit code and stderr.
 fn repro(args: &[&str]) -> (Option<i32>, String) {
@@ -59,7 +62,7 @@ fn max_retries_above_the_cap_is_a_usage_error() {
 }
 
 /// The sorted `(file name, bytes)` pairs of every CSV in `dir`.
-fn csv_set(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+fn csv_set(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut set: Vec<_> = std::fs::read_dir(dir)
         .expect("csv dir")
         .map(|entry| {
@@ -80,7 +83,7 @@ fn deadline_and_retry_flags_leave_the_csvs_unchanged() {
     let root = std::env::temp_dir().join(format!("agemul-cli-csv-{}", std::process::id()));
     let (plain, budgeted) = (root.join("plain"), root.join("budgeted"));
     let ids = ["table1", "fig13", "fig15"];
-    let spawn = |flags: &[&str], dir: &std::path::Path| {
+    let spawn = |flags: &[&str], dir: &Path| {
         Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(flags)
             .arg("--csv")
@@ -131,4 +134,76 @@ fn query_rejects_what_the_server_decoder_rejects_before_connecting() {
         assert!(stderr.contains(&format!("{field} must be in")), "{stderr}");
         assert!(!stderr.contains("connect"), "{stderr}");
     }
+}
+
+/// Runs `repro --quick --csv <csv> --resume <ckpt> table1 fig7`; returns
+/// its stderr after asserting success.
+fn quick_resumable(csv: &Path, ckpt: &Path) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--quick")
+        .arg("--csv")
+        .arg(csv)
+        .arg("--resume")
+        .arg(ckpt)
+        .args(["table1", "fig7"])
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{stderr}");
+    stderr
+}
+
+#[test]
+fn resumed_run_writes_the_csvs_of_an_uninterrupted_one() {
+    let root = std::env::temp_dir().join(format!("agemul-cli-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&root).expect("temp dir");
+    let ckpt = root.join("ck.json");
+    let (a, b) = (root.join("a"), root.join("b"));
+    let first = quick_resumable(&a, &ckpt);
+    assert!(!first.contains("(resumed)"), "{first}");
+
+    // Cut the checkpoint to its first experiment, as a kill after
+    // `table1` leaves it.
+    let mut ck = Checkpoint::load(&ckpt, None).expect("checkpoint");
+    assert_eq!(ck.entries.len(), 2);
+    ck.entries.truncate(1);
+    ck.save_atomic(&ckpt).expect("save cut checkpoint");
+
+    let resumed = quick_resumable(&b, &ckpt);
+    assert_eq!(resumed.matches("(resumed)").count(), 1, "{resumed}");
+    assert!(
+        resumed
+            .lines()
+            .any(|l| l.trim().starts_with("table1") && l.ends_with("ok (resumed)")),
+        "{resumed}"
+    );
+    let (a, b) = (csv_set(&a), csv_set(&b));
+    std::fs::remove_dir_all(&root).ok();
+    assert!(a.len() >= 2, "{a:?}");
+    assert!(a == b, "CSV sets differ");
+}
+
+#[test]
+fn resume_into_a_missing_directory_is_a_usage_error() {
+    let missing = std::env::temp_dir()
+        .join(format!("agemul-cli-missing-{}", std::process::id()))
+        .join("ck.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--quick")
+        .arg("--resume")
+        .arg(&missing)
+        .args(["table1", "fig7"])
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--resume: directory"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    // No experiment ran.
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(!missing.parent().unwrap().exists());
 }

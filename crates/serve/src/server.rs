@@ -691,7 +691,6 @@ fn run_supervised_op(
         max_retries,
         retry_backoff: Duration::from_millis(1),
         checkpoint_every: 1,
-        stall_per_case: None,
     };
     let record =
         run_request_supervised(&config, &|attempt: &Attempt| eval_op(state, body, attempt));
@@ -801,7 +800,7 @@ fn eval_campaign(
         .map_err(CaseError::Failed)?;
     let workload = PatternSet::uniform(query.width, query.patterns, query.seed);
     let specs = FaultSpec::sample(&design, workload.pairs().len(), faults, fault_seed);
-    let campaign = Campaign::prepare_supervised(
+    let campaign = Campaign::prepare(
         &design,
         workload.pairs(),
         &specs,

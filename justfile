@@ -17,12 +17,6 @@ test:
 	cargo test -q --workspace
 	cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-# Crash-safety soak: run a supervised fault campaign, SIGKILL it mid-run,
-# resume from the surviving checkpoint, and require the resumed report to
-# be byte-identical to an uninterrupted run.
-soak-smoke:
-	scripts/soak_smoke.sh
-
 # Scalar-vs-batch simulator benches; see BENCH_sim.json for the record.
 bench-sim:
 	cargo bench -p agemul-bench --bench batch_sim

@@ -7,6 +7,11 @@
 #   scripts/quick_digests.sh DIR             compare an existing CSV dump
 #   scripts/quick_digests.sh --write [DIR]   regenerate results/quick.digests
 #
+# When it runs the experiments itself, the run is also the kill/resume
+# check: `repro --resume` is SIGKILLed as soon as its checkpoint holds a
+# finished experiment, then resumed into the same directory. The resumed
+# run must restore at least one experiment, and the digests must match.
+#
 # chaos__chaos_soak_by_seam.csv is left out: its `injected` column counts
 # transport faults per live-socket read, which depends on timing.
 set -euo pipefail
@@ -20,8 +25,37 @@ fi
 dir=${1:-}
 if [ -z "$dir" ]; then
     dir=$(mktemp -d)
-    trap 'rm -rf "$dir"' EXIT
-    cargo run --release -p agemul-repro -- --quick --csv "$dir" all >/dev/null
+    victim=
+    # Never leave the victim running, whatever ends the script.
+    trap '[ -z "$victim" ] || kill -9 "$victim" 2>/dev/null || true; rm -rf "$dir"' EXIT
+    cargo build --release -p agemul-repro --bin repro >/dev/null
+    repro=("${CARGO_TARGET_DIR:-target}/release/repro" --quick --resume "$dir/ckpt" --csv "$dir" all)
+    "${repro[@]}" >/dev/null 2>"$dir/victim.log" &
+    victim=$!
+    # The checkpoint is renamed into place whole, after the first
+    # experiment finishes.
+    while [ ! -f "$dir/ckpt" ] && kill -0 "$victim" 2>/dev/null; do
+        sleep 0.05
+    done
+    kill -9 "$victim" 2>/dev/null || true
+    status=0
+    wait "$victim" 2>/dev/null || status=$?
+    victim=
+    if [ "$status" -ne 137 ]; then
+        echo "quick digests: FAIL — the run ended (status $status) before the kill" >&2
+        cat "$dir/victim.log" >&2
+        exit 1
+    fi
+    "${repro[@]}" >/dev/null 2>"$dir/resume.log" || {
+        cat "$dir/resume.log" >&2
+        exit 1
+    }
+    resumed=$(grep -c '(resumed)$' "$dir/resume.log" || true)
+    if [ "$resumed" -lt 1 ]; then
+        echo "quick digests: FAIL — the resumed run restored no experiment" >&2
+        exit 1
+    fi
+    echo "quick digests: killed the run with a checkpoint on disk; $resumed experiment(s) resumed"
 fi
 
 digests() {

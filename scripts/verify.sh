@@ -18,12 +18,11 @@ cargo test -q --workspace
 # serve-open's served ≡ in-process check).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Every reduced-scale experiment, each CSV checked against its pinned
-# digest in results/quick.digests. The experiments also assert their own
-# claims: fault classification, the 200-case cross-engine conformance gate
+# digest in results/quick.digests. The run is SIGKILLed once its
+# checkpoint holds a finished experiment and then resumed, so the digests
+# also pin kill/resume identity. The experiments assert their own claims
+# too: fault classification, the 200-case cross-engine conformance gate
 # (divergences shrink to JSON repros), AHL yield ≥ baseline (mc),
 # aging-aware fleet lifetime > round-robin, and zero chaos-schedule
 # violations.
 scripts/quick_digests.sh
-# Supervised kill/resume soak: SIGKILL a checkpointed campaign mid-run,
-# resume, and require byte-identical results.
-scripts/soak_smoke.sh
