@@ -1,10 +1,11 @@
-//! Raw timing-kernel stepping (event-driven vs levelized) and the aging
-//! layer.
+//! Raw timing-kernel stepping (event-driven vs levelized) and the netlist
+//! and aging layers.
 //!
 //! The `level_sim` group steps each timing kernel over a pre-encoded
 //! workload, isolating the scheduler from encode/verify overhead. The
-//! `layer` group times `aging_factors` at the aging-sweep benchmark's
-//! shape (512 uniform pairs, years 1–7 per iteration). The whole profiling
+//! `layer` group times netlist generation and `Topology` construction at
+//! 32 bits, and `aging_factors` at the aging-sweep benchmark's shape (512
+//! uniform pairs, years 1–7 per iteration). The whole profiling
 //! pipeline (`MultiplierDesign::profile`) is measured end to end by the
 //! benchmark's `profile-cold` workload instead.
 //!
@@ -71,13 +72,22 @@ fn bench_level_sim(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-gate BTI factors for years 1–7 from one 512-pair workload's
-/// statistics: `layer/<design>/aging_factors`.
-fn bench_aging_factors(c: &mut Criterion) {
+/// One layer per id: `layer/<design>/generate` builds the multiplier's
+/// netlist, `layer/<design>/topology` validates it into a `Topology`, and
+/// `layer/<design>/aging_factors` derives per-gate BTI factors for years
+/// 1–7 from one 512-pair workload's statistics.
+fn bench_layers(c: &mut Criterion) {
     let mut g = c.benchmark_group("layer");
     g.sample_size(10);
     let bti = BtiModel::reference();
     for (label, kind, width) in &CASES[2..] {
+        g.bench_function(format!("{label}/generate"), |b| {
+            b.iter(|| MultiplierCircuit::generate(*kind, *width).unwrap())
+        });
+        let circuit = MultiplierCircuit::generate(*kind, *width).unwrap();
+        g.bench_function(format!("{label}/topology"), |b| {
+            b.iter(|| circuit.netlist().topology().unwrap())
+        });
         let design = MultiplierDesign::new(*kind, *width).unwrap();
         let stats = design
             .workload_stats(PatternSet::uniform(*width, 512, 7).pairs())
@@ -94,5 +104,5 @@ fn bench_aging_factors(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_level_sim, bench_aging_factors);
+criterion_group!(benches, bench_level_sim, bench_layers);
 criterion_main!(benches);

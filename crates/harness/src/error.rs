@@ -7,23 +7,12 @@ use crate::checkpoint::CheckpointError;
 pub enum HarnessError {
     /// A checkpoint could not be written, read, or trusted.
     Checkpoint(CheckpointError),
-    /// A run's ledger could not be rebuilt: a case was left without a
-    /// record.
-    Decode {
-        /// What was being decoded (e.g. `case 3`).
-        what: String,
-        /// Why decoding failed.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for HarnessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HarnessError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
-            HarnessError::Decode { what, reason } => {
-                write!(f, "cannot decode {what} from checkpoint: {reason}")
-            }
         }
     }
 }
@@ -32,7 +21,6 @@ impl std::error::Error for HarnessError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             HarnessError::Checkpoint(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -49,12 +37,10 @@ mod tests {
 
     #[test]
     fn messages_name_the_failure() {
-        let e = HarnessError::Decode {
-            what: "case 3".into(),
-            reason: "ledger slot left empty".into(),
-        };
-        assert!(e.to_string().contains("case 3"), "{e}");
-        assert!(e.to_string().contains("ledger slot left empty"), "{e}");
+        let e = HarnessError::from(CheckpointError::Schema {
+            found: "bogus/9".into(),
+        });
+        assert!(e.to_string().contains("bogus/9"), "{e}");
     }
 
     #[test]

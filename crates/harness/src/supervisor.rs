@@ -169,7 +169,7 @@ impl Supervisor {
         W: Fn(&Attempt) -> Result<Json, CaseError>,
     {
         let total = self.labels.len();
-        let mut slots: Vec<Option<CaseRecord>> = vec![None; total];
+        let mut loaded: Vec<Option<CaseRecord>> = vec![None; total];
 
         if resume != Resume::Fresh {
             if let Some(path) = checkpoint {
@@ -178,7 +178,7 @@ impl Supervisor {
                         for rec in ck.entries {
                             let i = rec.index;
                             if i < total {
-                                slots[i] = Some(rec);
+                                loaded[i] = Some(rec);
                             }
                         }
                     }
@@ -203,29 +203,26 @@ impl Supervisor {
             }
         }
 
-        let pending: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
+        // Each case's record is its loaded one or a fresh run, in index
+        // order; a snapshot follows every `checkpoint_every` fresh runs and
+        // the last one.
         let batch_size = self.config.checkpoint_every.max(1);
-        for batch in pending.chunks(batch_size) {
-            for &index in batch {
-                slots[index] = Some(run_case(&self.config, index, &self.labels[index], worker));
-            }
-            if let Some(path) = checkpoint {
-                self.snapshot(&slots).save_atomic(path)?;
-            }
-        }
-
+        let mut unsaved = 0;
         let mut records = Vec::with_capacity(total);
-        for (index, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(rec) => records.push(rec),
-                // Unreachable by construction (every pending index was
-                // evaluated), but never panic inside the supervisor.
+        for index in 0..total {
+            let record = match loaded[index].take() {
+                Some(rec) => rec,
                 None => {
-                    return Err(HarnessError::Decode {
-                        what: format!("case {index}"),
-                        reason: "ledger slot left empty".into(),
-                    })
+                    unsaved += 1;
+                    run_case(&self.config, index, &self.labels[index], worker)
                 }
+            };
+            records.push(record);
+            if unsaved > 0 && (unsaved == batch_size || index + 1 == total) {
+                if let Some(path) = checkpoint {
+                    self.snapshot(&records, &loaded).save_atomic(path)?;
+                }
+                unsaved = 0;
             }
         }
         Ok(RunLedger {
@@ -234,11 +231,14 @@ impl Supervisor {
         })
     }
 
-    fn snapshot(&self, slots: &[Option<CaseRecord>]) -> Checkpoint {
+    /// The checkpoint of the cases `done` so far plus the loaded records
+    /// not yet reached, in index order.
+    fn snapshot(&self, done: &[CaseRecord], loaded: &[Option<CaseRecord>]) -> Checkpoint {
+        let entries = done.iter().chain(loaded.iter().flatten());
         Checkpoint {
             run_key: self.run_key.clone(),
             total: self.labels.len(),
-            entries: slots.iter().flatten().cloned().collect(),
+            entries: entries.cloned().collect(),
         }
     }
 }

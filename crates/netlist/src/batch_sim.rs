@@ -34,7 +34,6 @@
 
 use agemul_logic::{lane_mask, Logic, LogicWord};
 
-use crate::plan::GatePlan;
 use crate::{NetId, Netlist, NetlistError, Topology};
 
 /// A bit-parallel functional simulator evaluating up to 64 patterns per
@@ -68,7 +67,6 @@ use crate::{NetId, Netlist, NetlistError, Topology};
 #[derive(Debug)]
 pub struct BatchSim<'a> {
     netlist: &'a Netlist,
-    plan: GatePlan,
     words: Vec<LogicWord>,
     scratch: Vec<LogicWord>,
     lanes: usize,
@@ -86,8 +84,8 @@ impl<'a> BatchSim<'a> {
     /// Creates a batch simulator for `netlist`.
     ///
     /// As with [`FuncSim`](crate::FuncSim), the `topology` argument proves
-    /// the caller validated the netlist; the sweep itself uses builder
-    /// order via a flattened gate plan.
+    /// the caller validated the netlist; the sweep itself walks the
+    /// netlist's gate table in builder order.
     pub fn new(netlist: &'a Netlist, _topology: &Topology) -> Self {
         let mut words = vec![LogicWord::ALL_X; netlist.net_count()];
         let mut consts = Vec::new();
@@ -97,13 +95,10 @@ impl<'a> BatchSim<'a> {
                 consts.push((idx as u32, *w));
             }
         }
-        let plan = GatePlan::new(netlist);
-        let scratch = Vec::with_capacity(plan.max_arity().max(1));
         BatchSim {
             netlist,
-            plan,
             words,
-            scratch,
+            scratch: Vec::with_capacity(3),
             lanes: 0,
             consts,
             consts_dirty: false,
@@ -145,16 +140,12 @@ impl<'a> BatchSim<'a> {
             self.words[net.index()] = w;
         }
 
-        // One bit-parallel sweep over the flattened plan.
-        for g in 0..self.plan.gate_count() {
+        // One bit-parallel sweep over the gate table.
+        for gate in self.netlist.gates() {
             self.scratch.clear();
-            self.scratch.extend(
-                self.plan
-                    .inputs_of(g)
-                    .iter()
-                    .map(|&i| self.words[i as usize]),
-            );
-            self.words[self.plan.output(g)] = self.plan.kind(g).eval_wide(&self.scratch);
+            self.scratch
+                .extend(gate.inputs().iter().map(|i| self.words[i.index()]));
+            self.words[gate.output().index()] = gate.kind().eval_wide(&self.scratch);
         }
 
         self.lanes = patterns.len();
@@ -197,16 +188,12 @@ impl<'a> BatchSim<'a> {
             self.words[net.index()] = overlay.apply_word(net.index(), w);
         }
 
-        for g in 0..self.plan.gate_count() {
+        for gate in self.netlist.gates() {
             self.scratch.clear();
-            self.scratch.extend(
-                self.plan
-                    .inputs_of(g)
-                    .iter()
-                    .map(|&i| self.words[i as usize]),
-            );
-            let out = self.plan.output(g);
-            self.words[out] = overlay.apply_word(out, self.plan.kind(g).eval_wide(&self.scratch));
+            self.scratch
+                .extend(gate.inputs().iter().map(|i| self.words[i.index()]));
+            let out = gate.output().index();
+            self.words[out] = overlay.apply_word(out, gate.kind().eval_wide(&self.scratch));
         }
 
         self.lanes = patterns.len();

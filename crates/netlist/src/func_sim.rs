@@ -2,7 +2,6 @@
 
 use agemul_logic::Logic;
 
-use crate::plan::GatePlan;
 use crate::{NetId, Netlist, NetlistError, Topology};
 
 /// A zero-delay functional simulator: one topological sweep per pattern.
@@ -40,7 +39,6 @@ use crate::{NetId, Netlist, NetlistError, Topology};
 #[derive(Debug)]
 pub struct FuncSim<'a> {
     netlist: &'a Netlist,
-    plan: GatePlan,
     values: Vec<Logic>,
     scratch: Vec<Logic>,
     /// Constant nets and their levels, preloaded once; used to undo fault
@@ -53,9 +51,8 @@ impl<'a> FuncSim<'a> {
     /// Creates a simulator for `netlist`.
     ///
     /// The `topology` argument exists to prove the caller validated the
-    /// netlist; the functional sweep itself uses builder order. Gate input
-    /// indices are flattened into a gate plan here, once, so the
-    /// per-pattern sweep does no `Gate`/`NetId` indirection.
+    /// netlist; the functional sweep itself walks the netlist's gate table
+    /// in builder order.
     pub fn new(netlist: &'a Netlist, _topology: &Topology) -> Self {
         let mut values = vec![Logic::X; netlist.net_count()];
         let mut consts = Vec::new();
@@ -65,13 +62,10 @@ impl<'a> FuncSim<'a> {
                 consts.push((idx as u32, v));
             }
         }
-        let plan = GatePlan::new(netlist);
-        let scratch = Vec::with_capacity(plan.max_arity().max(1));
         FuncSim {
             netlist,
-            plan,
             values,
-            scratch,
+            scratch: Vec::with_capacity(3),
             consts,
             consts_dirty: false,
         }
@@ -101,15 +95,11 @@ impl<'a> FuncSim<'a> {
         for (&net, &v) in self.netlist.inputs().iter().zip(inputs) {
             self.values[net.index()] = v;
         }
-        for g in 0..self.plan.gate_count() {
+        for gate in self.netlist.gates() {
             self.scratch.clear();
-            self.scratch.extend(
-                self.plan
-                    .inputs_of(g)
-                    .iter()
-                    .map(|&i| self.values[i as usize]),
-            );
-            self.values[self.plan.output(g)] = self.plan.kind(g).eval(&self.scratch);
+            self.scratch
+                .extend(gate.inputs().iter().map(|i| self.values[i.index()]));
+            self.values[gate.output().index()] = gate.kind().eval(&self.scratch);
         }
         Ok(())
     }
@@ -147,16 +137,12 @@ impl<'a> FuncSim<'a> {
         for (&net, &v) in self.netlist.inputs().iter().zip(inputs) {
             self.values[net.index()] = overlay.apply_scalar(net.index(), v);
         }
-        for g in 0..self.plan.gate_count() {
+        for gate in self.netlist.gates() {
             self.scratch.clear();
-            self.scratch.extend(
-                self.plan
-                    .inputs_of(g)
-                    .iter()
-                    .map(|&i| self.values[i as usize]),
-            );
-            let out = self.plan.output(g);
-            self.values[out] = overlay.apply_scalar(out, self.plan.kind(g).eval(&self.scratch));
+            self.scratch
+                .extend(gate.inputs().iter().map(|i| self.values[i.index()]));
+            let out = gate.output().index();
+            self.values[out] = overlay.apply_scalar(out, gate.kind().eval(&self.scratch));
         }
         Ok(())
     }

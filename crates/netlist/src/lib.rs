@@ -7,8 +7,11 @@
 //!
 //! * [`Netlist`] — an arena-style combinational netlist: nets identified by
 //!   [`NetId`], gates by [`GateId`], primary inputs/outputs, and constants.
+//!   Each table is one allocation: a gate of arity ≤ 3 keeps its inputs
+//!   inline, and only named nets (inputs, outputs, constants) carry a name.
 //! * [`Topology`] — validated structure: single-driver check, combinational
-//!   cycle detection, topological levelization, and fanout lists.
+//!   cycle detection, the logic depth, and every net's fanout in one
+//!   compressed-sparse-row table.
 //! * [`FuncSim`] — a zero-delay functional simulator (topological sweep),
 //!   used for correctness checking and for collecting signal probabilities.
 //! * [`BatchSim`] — the bit-parallel batch counterpart of [`FuncSim`]: 64

@@ -1,5 +1,7 @@
 //! The netlist graph and its builder API.
 
+use std::collections::BTreeMap;
+
 use agemul_logic::{AreaModel, GateKind, Logic};
 
 use crate::{GateId, NetId, NetlistError, Topology};
@@ -11,8 +13,28 @@ use crate::{GateId, NetId, NetlistError, Topology};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Gate {
     kind: GateKind,
-    inputs: Vec<NetId>,
+    inputs: Inputs,
     output: NetId,
+}
+
+/// A gate's input nets: up to three inline, so the gate table of a
+/// generated multiplier is one allocation, and a wider gate's list boxed.
+/// The unused inline slots stay `NetId(0)`, so `Eq` is exact.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Inputs {
+    Inline(u8, [NetId; 3]),
+    Wide(Box<[NetId]>),
+}
+
+impl Inputs {
+    fn new(nets: &[NetId]) -> Self {
+        if nets.len() > 3 {
+            return Inputs::Wide(nets.into());
+        }
+        let mut inline = [NetId(0); 3];
+        inline[..nets.len()].copy_from_slice(nets);
+        Inputs::Inline(nets.len() as u8, inline)
+    }
 }
 
 impl Gate {
@@ -25,7 +47,10 @@ impl Gate {
     /// The gate's input nets, in pin order.
     #[inline]
     pub fn inputs(&self) -> &[NetId] {
-        &self.inputs
+        match &self.inputs {
+            Inputs::Inline(len, nets) => &nets[..usize::from(*len)],
+            Inputs::Wide(nets) => nets,
+        }
     }
 
     /// The net driven by this gate.
@@ -47,7 +72,6 @@ pub(crate) enum Driver {
 
 #[derive(Clone, Debug)]
 pub(crate) struct NetInfo {
-    pub(crate) name: Option<String>,
     pub(crate) driver: Option<Driver>,
 }
 
@@ -87,6 +111,8 @@ pub struct Netlist {
     pub(crate) gates: Vec<Gate>,
     pub(crate) inputs: Vec<NetId>,
     pub(crate) outputs: Vec<NetId>,
+    /// Names of the nets that have one: inputs, constants and outputs.
+    names: BTreeMap<NetId, String>,
     const_zero: Option<NetId>,
     const_one: Option<NetId>,
 }
@@ -129,7 +155,7 @@ impl Netlist {
         let out = self.alloc_net(None, Some(Driver::Gate(gate_id)));
         self.gates.push(Gate {
             kind,
-            inputs: inputs.to_vec(),
+            inputs: Inputs::new(inputs),
             output: out,
         });
         Ok(out)
@@ -168,10 +194,7 @@ impl Netlist {
         if self.outputs.contains(&net) {
             return;
         }
-        let info = &mut self.nets[net.index()];
-        if info.name.is_none() {
-            info.name = Some(name.into());
-        }
+        self.names.entry(net).or_insert_with(|| name.into());
         self.outputs.push(net);
     }
 
@@ -241,7 +264,7 @@ impl Netlist {
 
     /// The name of `net`, if any was assigned.
     pub fn net_name(&self, net: NetId) -> Option<&str> {
-        self.nets.get(net.index()).and_then(|n| n.name.as_deref())
+        self.names.get(&net).map(String::as_str)
     }
 
     /// The constant level driven onto `net`, if it is a constant net.
@@ -275,13 +298,16 @@ impl Netlist {
     pub fn transistor_count(&self, area: &AreaModel) -> u64 {
         self.gates
             .iter()
-            .map(|g| u64::from(area.gate_transistors(g.kind, g.inputs.len())))
+            .map(|g| u64::from(area.gate_transistors(g.kind, g.inputs().len())))
             .sum()
     }
 
     fn alloc_net(&mut self, name: Option<String>, driver: Option<Driver>) -> NetId {
         let id = NetId(self.nets.len() as u32);
-        self.nets.push(NetInfo { name, driver });
+        self.nets.push(NetInfo { driver });
+        if let Some(name) = name {
+            self.names.insert(id, name);
+        }
         id
     }
 }

@@ -1,92 +1,14 @@
-//! Flattened gate-evaluation plans shared by the simulators.
+//! The timing schedule [`LevelSim`](crate::LevelSim) executes.
 //!
-//! [`FuncSim`](crate::FuncSim) and [`BatchSim`](crate::BatchSim) both sweep
-//! the gates in builder order; the plan precomputes everything that sweep
-//! needs — gate kind, output slot, and a *flat* input-index array — once at
-//! simulator construction instead of chasing `Gate` structs and `NetId`
-//! wrappers on every pattern. On wide multipliers this removes one pointer
-//! indirection per gate input per pattern from the hottest loop in the
-//! workspace.
-//!
-//! [`TimedPlan`] is the *timing* schedule for
-//! [`LevelSim`](crate::LevelSim): one gate-major record per gate holding its
-//! kind, arity, inputs, output, propagation delay in integer femtoseconds
-//! and primary-output flag, so the timed kernel sweeps the gates once per
-//! step in the same builder order, reading one record per gate, instead of
-//! popping a priority queue.
+//! [`TimedPlan`] holds one gate-major record per gate: its kind, arity,
+//! inputs, output, propagation delay in integer femtoseconds and
+//! primary-output flag, so the timed kernel sweeps the gates once per step
+//! in builder order, reading one record per gate, instead of popping a
+//! priority queue.
 
 use agemul_logic::GateKind;
 
 use crate::{DelayAssignment, GateId, Netlist, Topology};
-
-/// Precomputed, cache-friendly sweep order over a netlist's gates.
-#[derive(Clone, Debug)]
-pub(crate) struct GatePlan {
-    kinds: Vec<GateKind>,
-    outputs: Vec<u32>,
-    /// `offsets[g]..offsets[g + 1]` indexes `inputs` for gate `g`.
-    offsets: Vec<u32>,
-    inputs: Vec<u32>,
-    max_arity: usize,
-}
-
-impl GatePlan {
-    /// Flattens `netlist`'s gates (builder order, which is topological by
-    /// construction: every gate reads previously created nets).
-    pub(crate) fn new(netlist: &Netlist) -> Self {
-        let gates = netlist.gates();
-        let mut kinds = Vec::with_capacity(gates.len());
-        let mut outputs = Vec::with_capacity(gates.len());
-        let mut offsets = Vec::with_capacity(gates.len() + 1);
-        let mut inputs = Vec::new();
-        let mut max_arity = 0;
-        offsets.push(0);
-        for gate in gates {
-            kinds.push(gate.kind());
-            outputs.push(gate.output().index() as u32);
-            max_arity = max_arity.max(gate.inputs().len());
-            inputs.extend(gate.inputs().iter().map(|n| n.index() as u32));
-            offsets.push(inputs.len() as u32);
-        }
-        GatePlan {
-            kinds,
-            outputs,
-            offsets,
-            inputs,
-            max_arity,
-        }
-    }
-
-    /// Number of gates in the plan.
-    #[inline]
-    pub(crate) fn gate_count(&self) -> usize {
-        self.kinds.len()
-    }
-
-    /// The widest gate's input count (scratch sizing).
-    #[inline]
-    pub(crate) fn max_arity(&self) -> usize {
-        self.max_arity
-    }
-
-    /// Gate `g`'s kind.
-    #[inline]
-    pub(crate) fn kind(&self, g: usize) -> GateKind {
-        self.kinds[g]
-    }
-
-    /// Gate `g`'s output net index.
-    #[inline]
-    pub(crate) fn output(&self, g: usize) -> usize {
-        self.outputs[g] as usize
-    }
-
-    /// Gate `g`'s input net indices.
-    #[inline]
-    pub(crate) fn inputs_of(&self, g: usize) -> &[u32] {
-        &self.inputs[self.offsets[g] as usize..self.offsets[g + 1] as usize]
-    }
-}
 
 /// One gate of a [`TimedPlan`]: everything a merge and its publish read,
 /// in one 32-byte record.
@@ -230,29 +152,6 @@ mod tests {
 
     use super::*;
     use crate::Netlist;
-
-    #[test]
-    fn plan_mirrors_builder_order() {
-        let mut n = Netlist::new();
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let x = n.add_gate(GateKind::Xor, &[a, b]).unwrap();
-        let y = n.add_gate(GateKind::Mux2, &[a, b, x]).unwrap();
-        n.mark_output(y, "y");
-
-        let plan = GatePlan::new(&n);
-        assert_eq!(plan.gate_count(), 2);
-        assert_eq!(plan.max_arity(), 3);
-        assert_eq!(plan.kind(0), GateKind::Xor);
-        assert_eq!(plan.kind(1), GateKind::Mux2);
-        assert_eq!(plan.inputs_of(0), [a.index() as u32, b.index() as u32]);
-        assert_eq!(plan.output(0), x.index());
-        assert_eq!(
-            plan.inputs_of(1),
-            [a.index() as u32, b.index() as u32, x.index() as u32]
-        );
-        assert_eq!(plan.output(1), y.index());
-    }
 
     #[test]
     fn timed_plan_carries_delays_and_levels() {

@@ -1,4 +1,4 @@
-//! Validated structural view of a netlist: fanout, levels, output flags.
+//! Validated structural view of a netlist: fanout, depth, output flags.
 
 use crate::netlist::Driver;
 use crate::{GateId, NetId, Netlist, NetlistError};
@@ -8,9 +8,10 @@ use crate::{GateId, NetId, Netlist, NetlistError};
 /// Building a `Topology` proves the gate graph is a DAG and precomputes the
 /// data both simulators need:
 ///
-/// * per-net **fanout lists** (which gates read each net),
-/// * per-gate **logic levels** (longest gate-count distance from a primary
-///   input or constant),
+/// * per-net **fanout lists** (which gates read each net), stored as one
+///   compressed-sparse-row table,
+/// * the **depth** (longest gate-count distance from a primary input or
+///   constant to any gate),
 /// * per-net **output flags** for O(1) "is this a primary output?" checks in
 ///   the event-driven simulator's inner loop.
 ///
@@ -35,10 +36,10 @@ use crate::{GateId, NetId, Netlist, NetlistError};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Topology {
-    /// `fanout[net.index()]` = gates reading that net.
-    fanout: Vec<Vec<GateId>>,
-    /// `level[gate.index()]` = 1 + max level over its input drivers.
-    level: Vec<u32>,
+    /// `fanout[fanout_start[net]..fanout_start[net + 1]]` = gates reading
+    /// that net, ascending.
+    fanout_start: Vec<u32>,
+    fanout: Vec<GateId>,
     /// `is_output[net.index()]`.
     is_output: Vec<bool>,
     max_level: u32,
@@ -47,7 +48,7 @@ pub struct Topology {
 impl Topology {
     pub(crate) fn build(netlist: &Netlist) -> Result<Self, NetlistError> {
         let net_count = netlist.net_count();
-        let gate_count = netlist.gate_count();
+        let gates = netlist.gates();
 
         // Verify every primary output is driven.
         for &out in netlist.outputs() {
@@ -56,21 +57,28 @@ impl Topology {
             }
         }
 
-        let mut fanout: Vec<Vec<GateId>> = vec![Vec::new(); net_count];
-        for (idx, gate) in netlist.gates().iter().enumerate() {
+        // Fanout in two passes: count each net's readers into the slot
+        // after it and prefix-sum the counts into row starts; the second
+        // pass fills the rows in gate order, so each row is ascending.
+        let mut fanout_start = vec![0u32; net_count + 1];
+        for gate in gates {
             for &i in gate.inputs() {
-                fanout[i.index()].push(GateId(idx as u32));
+                fanout_start[i.index() + 1] += 1;
             }
         }
+        for net in 0..net_count {
+            fanout_start[net + 1] += fanout_start[net];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanout = vec![GateId(0); fanout_start[net_count] as usize];
 
-        // Net levels: inputs/constants are level 0; a gate's output is
-        // 1 + max input level. Gate-id order must be topological — if a
-        // gate reads a net driven by a later gate, the graph was corrupted
-        // and we report a cycle.
+        // The same pass levels the nets: inputs/constants are level 0; a
+        // gate's output is 1 + max input level. Gate-id order must be
+        // topological — if a gate reads a net driven by a later gate, the
+        // graph was corrupted and we report a cycle.
         let mut net_level: Vec<u32> = vec![0; net_count];
-        let mut level: Vec<u32> = vec![0; gate_count];
         let mut max_level = 0;
-        for (idx, gate) in netlist.gates().iter().enumerate() {
+        for (idx, gate) in gates.iter().enumerate() {
             let mut lvl = 0;
             for &i in gate.inputs() {
                 match &netlist.nets[i.index()].driver {
@@ -81,12 +89,12 @@ impl Topology {
                     }
                     _ => {}
                 }
+                fanout[fill[i.index()] as usize] = GateId(idx as u32);
+                fill[i.index()] += 1;
                 lvl = lvl.max(net_level[i.index()]);
             }
-            let gate_level = lvl + 1;
-            level[idx] = gate_level;
-            net_level[gate.output().index()] = gate_level;
-            max_level = max_level.max(gate_level);
+            net_level[gate.output().index()] = lvl + 1;
+            max_level = max_level.max(lvl + 1);
         }
 
         let mut is_output = vec![false; net_count];
@@ -95,26 +103,23 @@ impl Topology {
         }
 
         Ok(Topology {
+            fanout_start,
             fanout,
-            level,
             is_output,
             max_level,
         })
     }
 
-    /// The gates reading `net`.
+    /// The gates reading `net`, in ascending id order (a gate reading the
+    /// net on several pins appears once per pin).
     #[inline]
     pub fn fanout(&self, net: NetId) -> &[GateId] {
-        &self.fanout[net.index()]
+        let row = net.index();
+        &self.fanout[self.fanout_start[row] as usize..self.fanout_start[row + 1] as usize]
     }
 
-    /// The logic level of `gate` (1 = reads only inputs/constants).
-    #[inline]
-    pub fn level(&self, gate: GateId) -> u32 {
-        self.level[gate.index()]
-    }
-
-    /// The deepest logic level in the netlist (0 for a gate-free netlist).
+    /// The deepest logic level in the netlist (0 for a gate-free netlist),
+    /// where a gate reading only inputs and constants is level 1.
     #[inline]
     pub fn max_level(&self) -> u32 {
         self.max_level
@@ -150,9 +155,6 @@ mod tests {
         let z = n.add_gate(GateKind::Or, &[y, a]).unwrap();
         n.mark_output(z, "z");
         let t = n.topology().unwrap();
-        assert_eq!(t.level(GateId(0)), 1);
-        assert_eq!(t.level(GateId(1)), 2);
-        assert_eq!(t.level(GateId(2)), 3);
         assert_eq!(t.max_level(), 3);
         assert_eq!(t.depth(), 3);
     }
@@ -206,6 +208,6 @@ mod tests {
         let y = n.add_gate(GateKind::Or, &[z, a]).unwrap();
         n.mark_output(y, "y");
         let t = n.topology().unwrap();
-        assert_eq!(t.level(GateId(0)), 1);
+        assert_eq!(t.max_level(), 1);
     }
 }

@@ -245,10 +245,13 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
     }))
 }
 
-/// Refuses a `--resume` path whose directory does not exist, before any
-/// experiment runs: the first checkpoint write would fail only after the
-/// first experiment had been computed.
+/// Refuses a `--resume` path that is itself a directory or whose directory
+/// does not exist, before any experiment runs: the first checkpoint write
+/// would fail only after the first experiment had been computed.
 fn check_checkpoint_dir(path: &Path) -> Result<(), String> {
+    if path.is_dir() {
+        return Err(format!("--resume: {} is a directory", path.display()));
+    }
     let dir = match path.parent() {
         Some(dir) if !dir.as_os_str().is_empty() => dir,
         _ => Path::new("."),
@@ -824,6 +827,10 @@ mod tests {
             .join("ck.json");
         let err = parse_cli(&argv(&["--resume", missing.to_str().unwrap(), "table1"])).unwrap_err();
         assert!(err.contains("does not exist"), "{err}");
+        // A directory is not a checkpoint file, whatever its parent.
+        let dir = std::env::temp_dir();
+        let err = parse_cli(&argv(&["--resume", dir.to_str().unwrap(), "table1"])).unwrap_err();
+        assert!(err.contains("is a directory"), "{err}");
     }
 
     #[test]
