@@ -1,17 +1,23 @@
-//! Monte Carlo corner-switch cost: plan-reuse re-timing vs from-scratch
-//! kernel construction.
+//! Monte Carlo corner cost: one whole corner, and the single-corner
+//! switch of plan-reuse re-timing vs from-scratch kernel construction.
 //!
-//! The campaign's fast path compiles one levelized kernel per worker and
-//! re-times it per (corner, year) — an in-place delay rewrite plus a
-//! settled-state restore, both O(gates) memcpys. The reference path pays
-//! full `LevelSim` construction (levelize, CSR fanout, truth-table LUTs,
-//! arena allocation) for every cell. The `retime_corner_*` /
+//! The campaign compiles one levelized kernel per design and never
+//! rebuilds it. `mc/corner_*` times one `run_corner` at the benchmark's
+//! `mc-yield` shape (256 pairs, σ 0.05, 8 lifetime points): the corner's
+//! lifetime points step in lockstep as the lanes of one `LaneSim`, one
+//! levelized sweep per pattern for all eight years.
+//!
+//! A single corner (`CornerProfiler::retime`, as the aging sweep and the
+//! fleet use it) is an in-place delay rewrite plus a settled-state
+//! restore, both O(gates) memcpys. The reference path pays full
+//! `LevelSim` construction (levelize, CSR fanout, truth-table LUTs, arena
+//! allocation) for every cell. The `retime_corner_*` /
 //! `rebuild_corner_*` row pair isolates exactly that marginal cost — the
-//! acceptance target is retime ≥ 10× below rebuild. The full campaign
-//! is measured end to end by the benchmark's `mc-yield` workload.
+//! acceptance target is retime ≥ 10× below rebuild. The full campaign is
+//! measured end to end by the benchmark's `mc-yield` workload.
 //!
-//! Both paths produce byte-identical reports (pinned by `agemul`'s
-//! campaign tests), so the ratio is pure overhead, not accuracy traded
+//! Every path produces byte-identical reports (pinned by `agemul`'s
+//! campaign tests), so the ratios are pure overhead, not accuracy traded
 //! away.
 //!
 //! Run with `cargo bench -p agemul-bench --bench mc`; set
@@ -31,6 +37,9 @@ const OPS: usize = 48;
 /// Distinct delay assignments cycled through the corner-switch rows.
 const CORNERS: usize = 8;
 
+/// Patterns per lifetime point of the `corner_*` rows (`mc-yield`'s).
+const CORNER_OPS: usize = 256;
+
 fn bench_mc(c: &mut Criterion) {
     let mut g = c.benchmark_group("mc");
     g.sample_size(10);
@@ -40,6 +49,25 @@ fn bench_mc(c: &mut Criterion) {
         ("RB16", MultiplierKind::RowBypass),
     ] {
         let design = MultiplierDesign::new(kind, 16).unwrap();
+
+        // One whole corner, every lifetime point of the default 0–7 year
+        // axis, cycling through the campaign's corners.
+        let patterns = PatternSet::uniform(16, CORNER_OPS, 7);
+        let config = McConfig::new(CORNERS, 0.05, 0x0A6E_0001);
+        let campaign = MonteCarloCampaign::new(&design, patterns.pairs(), &bti, config).unwrap();
+        g.bench_function(format!("corner_{label}"), |b| {
+            let mut profiler = campaign.profiler().unwrap();
+            let mut i = 0;
+            b.iter(|| {
+                black_box(
+                    campaign
+                        .run_corner(&mut profiler, i % CORNERS, None)
+                        .unwrap(),
+                );
+                i += 1;
+            })
+        });
+
         let patterns = PatternSet::uniform(16, OPS, 7);
         let config = McConfig::new(CORNERS, 0.05, 0x0A6E_0002);
         let campaign = MonteCarloCampaign::new(&design, patterns.pairs(), &bti, config).unwrap();

@@ -4,8 +4,8 @@ use std::fmt;
 
 use agemul_logic::{GateKind, Logic};
 use agemul_netlist::{
-    BatchSim, EventSim, FaultOverlay, FuncSim, LevelSim, NetId, Netlist, NetlistError,
-    PatternTiming,
+    BatchSim, DelayAssignment, EventSim, FaultOverlay, FuncSim, GateId, LaneSim, LevelSim, NetId,
+    Netlist, NetlistError, PatternTiming, Topology,
 };
 
 use crate::case::Case;
@@ -29,6 +29,9 @@ pub enum EngineId {
     Event,
     /// [`LevelSim`] — levelized incremental timing kernel.
     Level,
+    /// [`LaneSim`] — the levelized kernel stepping several delay
+    /// assignments in lockstep.
+    Lanes,
 }
 
 impl fmt::Display for EngineId {
@@ -39,6 +42,7 @@ impl fmt::Display for EngineId {
             EngineId::Batch => "BatchSim",
             EngineId::Event => "EventSim",
             EngineId::Level => "LevelSim",
+            EngineId::Lanes => "LaneSim",
         })
     }
 }
@@ -135,7 +139,11 @@ pub fn reference_eval(
 ///    against [`FuncSim`] wherever both values are defined;
 /// 4. waveform identity: a pristine traced [`EventSim`] against one that
 ///    first ran the workload faulted and then detached the overlay —
-///    detaching must restore the exact femtosecond trace.
+///    detaching must restore the exact femtosecond trace;
+/// 5. [`LaneSim`] vs one [`LevelSim`] per lane — three lanes: the case's
+///    delays, every gate 1.5× slower, and one gate 4× slower — identical
+///    [`PatternTiming`], values on every net and toggle totals, lane for
+///    lane, clean and under the case's overlay.
 ///
 /// # Errors
 ///
@@ -256,7 +264,7 @@ pub fn check_case(case: &Case) -> Result<Vec<Divergence>, NetlistError> {
     if let Some(o) = &overlay {
         let mut pristine = EventSim::new(&n, &topo, delays.clone());
         pristine.enable_tracing(TRACE_GAP_FS);
-        let mut recovered = EventSim::new(&n, &topo, delays);
+        let mut recovered = EventSim::new(&n, &topo, delays.clone());
         recovered.set_fault_overlay(o.clone());
         recovered.settle(&zeros)?;
         for pattern in &patterns {
@@ -303,7 +311,92 @@ pub fn check_case(case: &Case) -> Result<Vec<Divergence>, NetlistError> {
         }
     }
 
+    // Axis 5: lanes vs one LevelSim per lane, clean and under the overlay.
+    let mut slow = delays.clone();
+    let mut hot = delays.clone();
+    for g in 0..n.gate_count() {
+        slow.inflate(GateId::from_index(g), 1.5);
+    }
+    if n.gate_count() > 0 {
+        hot.inflate(GateId::from_index(n.gate_count() / 2), 4.0);
+    }
+    let lanes = [delays, slow, hot];
+    lanes_phase(&mut divs, &n, &topo, &lanes, None, &zeros, &patterns)?;
+    if let Some(o) = &overlay {
+        lanes_phase(&mut divs, &n, &topo, &lanes, Some(o), &zeros, &patterns)?;
+    }
+
     Ok(divs)
+}
+
+/// Settles one [`LaneSim`] holding `lanes` and one [`LevelSim`] per lane
+/// (all under `overlay`, if any) and steps them through `patterns`,
+/// diffing each lane's timing, every net's value and the toggle total
+/// after every step.
+fn lanes_phase(
+    divs: &mut Vec<Divergence>,
+    n: &Netlist,
+    topo: &Topology,
+    lanes: &[DelayAssignment],
+    overlay: Option<&FaultOverlay>,
+    zeros: &[Logic],
+    patterns: &[Vec<Logic>],
+) -> Result<(), NetlistError> {
+    let faulted = |delays: &DelayAssignment| {
+        let mut sim = LevelSim::new(n, topo, delays.clone());
+        if let Some(o) = overlay {
+            sim.set_fault_overlay(o.clone());
+        }
+        sim
+    };
+    let phase = if overlay.is_some() {
+        "lanes, overlay"
+    } else {
+        "lanes"
+    };
+    let base = faulted(&lanes[0]);
+    let mut singles: Vec<LevelSim<'_>> = lanes.iter().map(faulted).collect();
+    let mut lsim = LaneSim::new(&base);
+    for d in lanes {
+        lsim.push_lane(d);
+    }
+    lsim.settle(zeros)?;
+    for single in &mut singles {
+        single.settle(zeros)?;
+    }
+    for (step, pattern) in patterns.iter().enumerate() {
+        let timings = lsim.step(pattern)?.to_vec();
+        for (lane, (single, tk)) in singles.iter_mut().zip(timings).enumerate() {
+            let tl = single.step(pattern)?;
+            let mut diverge = |site: String, detail: String| {
+                divs.push(Divergence {
+                    left: EngineId::Level,
+                    right: EngineId::Lanes,
+                    step,
+                    site: format!("{site} ({phase}, lane {lane})"),
+                    detail,
+                });
+            };
+            if tl != tk {
+                diverge("PatternTiming".into(), format!("{tl:?} vs {tk:?}"));
+            }
+            for idx in 0..n.net_count() {
+                let net = NetId::from_index(idx);
+                let (l, k) = (single.value(net), lsim.value(lane, net));
+                if l != k {
+                    diverge(format!("net {idx}"), format!("{l:?} vs {k:?}"));
+                }
+            }
+            let total: u64 = single.gate_toggle_counts().iter().sum();
+            if total != lsim.toggle_total(lane) {
+                diverge(
+                    "toggle total".into(),
+                    format!("{total} vs {}", lsim.toggle_total(lane)),
+                );
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Settles both timing kernels and steps them through `patterns`,

@@ -3,8 +3,8 @@
 use agemul_circuits::{MultiplierCircuit, MultiplierKind, Operand};
 use agemul_logic::{DelayModel, Logic};
 use agemul_netlist::{
-    BatchSim, CancelToken, DelayAssignment, EventSim, LevelSim, PatternTiming, SwitchingActivity,
-    Topology, WorkloadStats,
+    BatchSim, CancelToken, DelayAssignment, EventSim, LaneSim, LevelSim, NetlistError,
+    PatternTiming, SwitchingActivity, Topology, WorkloadStats,
 };
 
 use crate::{calibrated_delay_model, count_zeros, CoreError, PatternProfile, PatternRecord};
@@ -35,33 +35,53 @@ pub enum LaneWidth {
     W64,
 }
 
-/// Enum dispatch over the two timing kernels, so the profiling loop is
-/// written once. Boxed: the levelized kernel carries its truth tables and
-/// arenas inline, and one simulator exists per profiling run.
-enum TimingKernel<'a> {
-    Event(Box<EventSim<'a>>),
-    Level(Box<LevelSim<'a>>),
+/// Dispatch over the timing kernels a profile can run on, so the profiling
+/// loop is written once: the event-driven reference, the levelized kernel,
+/// and the levelized kernel's lanes (one profile per lane).
+enum TimingKernel<'k, 'a> {
+    Event(&'k mut EventSim<'a>),
+    Level(&'k mut LevelSim<'a>),
+    Lanes(&'k mut LaneSim<'a>),
 }
 
-impl TimingKernel<'_> {
-    fn settle(&mut self, inputs: &[Logic]) -> Result<(), agemul_netlist::NetlistError> {
+impl TimingKernel<'_, '_> {
+    /// How many delay assignments, hence profiles, one step serves.
+    fn lanes(&self) -> usize {
+        match self {
+            TimingKernel::Event(_) | TimingKernel::Level(_) => 1,
+            TimingKernel::Lanes(s) => s.lanes(),
+        }
+    }
+
+    fn settle(&mut self, inputs: &[Logic]) -> Result<(), NetlistError> {
         match self {
             TimingKernel::Event(s) => s.settle(inputs),
             TimingKernel::Level(s) => s.settle(inputs),
+            TimingKernel::Lanes(s) => s.settle(inputs),
         }
     }
 
-    fn step(&mut self, inputs: &[Logic]) -> Result<PatternTiming, agemul_netlist::NetlistError> {
+    /// Steps every lane, leaving one timing per lane in `timings`.
+    fn step(
+        &mut self,
+        inputs: &[Logic],
+        timings: &mut Vec<PatternTiming>,
+    ) -> Result<(), NetlistError> {
+        timings.clear();
         match self {
-            TimingKernel::Event(s) => s.step(inputs),
-            TimingKernel::Level(s) => s.step(inputs),
+            TimingKernel::Event(s) => timings.push(s.step(inputs)?),
+            TimingKernel::Level(s) => timings.push(s.step(inputs)?),
+            TimingKernel::Lanes(s) => timings.extend_from_slice(s.step(inputs)?),
         }
+        Ok(())
     }
 
-    fn gate_toggle_counts(&self) -> &[u64] {
+    /// Lane `lane`'s gate-output toggles since the settle.
+    fn toggle_total(&self, lane: usize) -> u64 {
         match self {
-            TimingKernel::Event(s) => s.gate_toggle_counts(),
-            TimingKernel::Level(s) => s.gate_toggle_counts(),
+            TimingKernel::Event(s) => s.gate_toggle_counts().iter().sum(),
+            TimingKernel::Level(s) => s.gate_toggle_counts().iter().sum(),
+            TimingKernel::Lanes(s) => s.toggle_total(lane),
         }
     }
 
@@ -69,8 +89,14 @@ impl TimingKernel<'_> {
         match self {
             TimingKernel::Event(s) => s.set_cancel_token(token),
             TimingKernel::Level(s) => s.set_cancel_token(token),
+            TimingKernel::Lanes(s) => s.set_cancel_token(token),
         }
     }
+}
+
+/// The one profile of a one-lane kernel's [`MultiplierDesign::profile_on`].
+fn only(mut profiles: Vec<PatternProfile>) -> PatternProfile {
+    profiles.swap_remove(0)
 }
 
 /// A generated multiplier plus everything needed to simulate it: validated
@@ -332,32 +358,31 @@ impl MultiplierDesign {
         engine: SimEngine,
         cancel: Option<&CancelToken>,
     ) -> Result<PatternProfile, CoreError> {
-        let mut sim = match engine {
-            SimEngine::Event => TimingKernel::Event(Box::new(EventSim::new(
-                self.circuit.netlist(),
-                &self.topology,
-                delays,
-            ))),
-            SimEngine::Level => TimingKernel::Level(Box::new(LevelSim::new(
-                self.circuit.netlist(),
-                &self.topology,
-                delays,
-            ))),
+        let netlist = self.circuit.netlist();
+        let profiles = match engine {
+            SimEngine::Event => {
+                let mut sim = EventSim::new(netlist, &self.topology, delays);
+                self.profile_on(&mut TimingKernel::Event(&mut sim), pairs, cancel)?
+            }
+            SimEngine::Level => {
+                let mut sim = LevelSim::new(netlist, &self.topology, delays);
+                self.profile_on(&mut TimingKernel::Level(&mut sim), pairs, cancel)?
+            }
         };
-        self.profile_on(&mut sim, pairs, cancel)
+        Ok(only(profiles))
     }
 
     /// The workload half of [`profile_timed`](Self::profile_timed), over an
     /// already-constructed kernel: settle all-zeros, step each pair,
-    /// collect records and mean switching activity. Shared verbatim by the
-    /// from-scratch path and the retimed [`CornerProfiler`] path, so the
-    /// two cannot drift apart.
+    /// collect records and mean switching activity, one profile per lane.
+    /// Shared verbatim by the from-scratch path, the retimed
+    /// [`CornerProfiler`] path and its lanes, so they cannot drift apart.
     fn profile_on(
         &self,
-        sim: &mut TimingKernel<'_>,
+        sim: &mut TimingKernel<'_, '_>,
         pairs: &[(u64, u64)],
         cancel: Option<&CancelToken>,
-    ) -> Result<PatternProfile, CoreError> {
+    ) -> Result<Vec<PatternProfile>, CoreError> {
         sim.set_cancel_token(cancel.cloned());
         let width = self.width();
         let mut encoded = Vec::with_capacity(2 * width);
@@ -365,7 +390,9 @@ impl MultiplierDesign {
         sim.settle(&encoded)?;
 
         let judged = self.kind().judged_operand();
-        let mut records = Vec::with_capacity(pairs.len());
+        let lanes = sim.lanes();
+        let mut records = vec![Vec::with_capacity(pairs.len()); lanes];
+        let mut timings = Vec::with_capacity(lanes);
         for &(a, b) in pairs {
             // Per-pattern poll: small circuits may never cross the kernels'
             // internal poll thresholds, so the workload loop is the
@@ -374,30 +401,33 @@ impl MultiplierDesign {
                 token.check()?;
             }
             self.circuit.encode_inputs_into(a, b, &mut encoded)?;
-            let timing = sim.step(&encoded)?;
+            sim.step(&encoded, &mut timings)?;
             let judged_value = match judged {
                 Operand::Multiplicand => a,
                 Operand::Multiplicator => b,
             };
-            records.push(PatternRecord {
-                a,
-                b,
-                zeros: count_zeros(judged_value, width),
-                delay_ns: timing.delay_ns,
-            });
+            let zeros = count_zeros(judged_value, width);
+            for (lane, timing) in records.iter_mut().zip(&timings) {
+                lane.push(PatternRecord {
+                    a,
+                    b,
+                    zeros,
+                    delay_ns: timing.delay_ns,
+                });
+            }
         }
-        let toggles: u64 = sim.gate_toggle_counts().iter().sum();
-        let avg_toggles = if pairs.is_empty() {
-            0.0
-        } else {
-            toggles as f64 / pairs.len() as f64
-        };
-        Ok(PatternProfile::new(
-            self.kind(),
-            width,
-            records,
-            avg_toggles,
-        ))
+        Ok(records
+            .into_iter()
+            .enumerate()
+            .map(|(lane, records)| {
+                let avg_toggles = if pairs.is_empty() {
+                    0.0
+                } else {
+                    sim.toggle_total(lane) as f64 / pairs.len() as f64
+                };
+                PatternProfile::new(self.kind(), width, records, avg_toggles)
+            })
+            .collect())
     }
 
     /// Builds a reusable [`CornerProfiler`] seeded with `delays` — the
@@ -419,11 +449,7 @@ impl MultiplierDesign {
     pub fn corner_profiler(&self, delays: &DelayAssignment) -> CornerProfiler<'_> {
         CornerProfiler {
             design: self,
-            sim: TimingKernel::Level(Box::new(LevelSim::new(
-                self.circuit.netlist(),
-                &self.topology,
-                delays.clone(),
-            ))),
+            sim: LevelSim::new(self.circuit.netlist(), &self.topology, delays.clone()),
         }
     }
 
@@ -534,24 +560,30 @@ impl MultiplierDesign {
     }
 }
 
-/// A levelized timing kernel compiled once and retimed per Monte Carlo
-/// corner — the plan-reuse fast path behind
+/// A levelized timing kernel compiled once and reused for every delay
+/// assignment of a design — the plan-reuse fast path behind
 /// [`MultiplierDesign::corner_profiler`].
 ///
 /// Construction pays the full `LevelSim` compile (levelized schedule, CSR
-/// fanout, truth-table LUTs, event arenas, functional init sweep); each
-/// [`retime`](Self::retime) afterwards is an in-place delay swap plus an
-/// `O(nets)` state restore, which is what makes the per-corner marginal
-/// cost an order of magnitude below a from-scratch build.
-/// [`profile`](Self::profile) runs the exact same workload loop as
-/// [`MultiplierDesign::profile_with_delays`], so retimed and from-scratch
-/// profiles are byte-identical (property-pinned in `agemul-netlist`).
+/// fanout, truth-table LUTs, event arenas, functional init sweep). A single
+/// corner is served by [`retime`](Self::retime), an in-place delay swap plus
+/// an `O(nets)` state restore, which is what makes the per-corner marginal
+/// cost an order of magnitude below a from-scratch build, then
+/// [`profile`](Self::profile). A Monte Carlo corner's lifetime points are
+/// served together by `profile_lanes`, which borrows the compiled plan for
+/// a [`LaneSim`] and steps up to [`LaneSim::LANES`] delay assignments per
+/// pattern; a lone point takes `retime` and `profile`
+/// ([`MonteCarloCampaign::run_corner`](crate::MonteCarloCampaign::run_corner)).
+/// Both run the exact same workload loop as
+/// [`MultiplierDesign::profile_with_delays`], so their profiles are
+/// byte-identical to from-scratch ones (property-pinned in
+/// `agemul-netlist`).
 ///
 /// Like `profile_with_delays`, this path skips functional verification: a
 /// delay-only perturbation cannot change any settled product.
 pub struct CornerProfiler<'a> {
     design: &'a MultiplierDesign,
-    sim: TimingKernel<'a>,
+    sim: LevelSim<'a>,
 }
 
 impl CornerProfiler<'_> {
@@ -564,11 +596,7 @@ impl CornerProfiler<'_> {
     /// Panics if `delays` does not cover the design's gates, or if any
     /// delay rounds to zero femtoseconds.
     pub fn retime(&mut self, delays: &DelayAssignment) {
-        match &mut self.sim {
-            TimingKernel::Level(sim) => sim.retime(delays),
-            // corner_profiler only ever builds the Level variant.
-            TimingKernel::Event(_) => unreachable!("CornerProfiler is always levelized"),
-        }
+        self.sim.retime(delays);
     }
 
     /// Profiles `pairs` under the current delay assignment — byte-identical
@@ -578,8 +606,7 @@ impl CornerProfiler<'_> {
     ///
     /// Returns [`CoreError::Circuit`] if an operand overflows the width,
     /// or [`CoreError::Netlist`] wrapping
-    /// [`NetlistError::Cancelled`](agemul_netlist::NetlistError::Cancelled)
-    /// once `cancel` fires.
+    /// [`NetlistError::Cancelled`] once `cancel` fires.
     pub fn profile(
         &mut self,
         pairs: &[(u64, u64)],
@@ -588,10 +615,41 @@ impl CornerProfiler<'_> {
         // Tri-state holds make settled values history-dependent; restoring
         // the construction snapshot keeps back-to-back profiles (with or
         // without an intervening retime) byte-identical to a fresh kernel.
-        if let TimingKernel::Level(sim) = &mut self.sim {
-            sim.reset();
+        self.sim.reset();
+        let profiles =
+            self.design
+                .profile_on(&mut TimingKernel::Level(&mut self.sim), pairs, cancel)?;
+        Ok(only(profiles))
+    }
+
+    /// Profiles `pairs` under each of `delays` (at most
+    /// [`LaneSim::LANES`]) in one lockstep pass, one profile per
+    /// assignment in order — each byte-identical to
+    /// [`MultiplierDesign::profile_with_delays`] for its assignment. The
+    /// assignments are streamed: each is dropped once its lane is loaded.
+    /// The profiler's own delays and settled state are untouched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error `delays` yields, and otherwise
+    /// [`profile`](Self::profile)'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delays` yields more than [`LaneSim::LANES`] assignments,
+    /// or under [`retime`](Self::retime)'s delay contract.
+    pub(crate) fn profile_lanes(
+        &self,
+        pairs: &[(u64, u64)],
+        delays: impl IntoIterator<Item = Result<DelayAssignment, CoreError>>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<PatternProfile>, CoreError> {
+        let mut lanes = LaneSim::new(&self.sim);
+        for d in delays {
+            lanes.push_lane(&d?);
         }
-        self.design.profile_on(&mut self.sim, pairs, cancel)
+        self.design
+            .profile_on(&mut TimingKernel::Lanes(&mut lanes), pairs, cancel)
     }
 }
 

@@ -29,12 +29,16 @@
 //! and kernel construction (levelized schedule, CSR fanout, truth-table
 //! LUTs, arena allocation, functional init sweep) dwarfs the actual
 //! workload replay for the small per-corner pattern sets a yield study
-//! uses. The campaign instead holds one [`CornerProfiler`] and
-//! [`retime`](CornerProfiler::retime)s it for every corner:
-//! an in-place delay swap plus an `O(nets)` state restore, which drops
-//! the per-corner marginal cost an order of magnitude below a
-//! from-scratch build (the `mc/*` benchmark rows pin the ratio, and the
-//! `retime_equiv` property suite in `agemul-netlist` pins bit-identity).
+//! uses. The campaign instead compiles one [`CornerProfiler`] and never
+//! rebuilds it. Within a corner, every lifetime point replays the same
+//! operands and only the delays differ, so the lifetime points step in
+//! lockstep as the lanes of one
+//! [`LaneSim`](agemul_netlist::LaneSim) over the profiler's plan: one
+//! levelized sweep per pattern serves up to
+//! [`LaneSim::LANES`](agemul_netlist::LaneSim::LANES) years, sharing the
+//! gate records, the input decode and the quiet-gate test (the
+//! `mc/corner_*` benchmark rows time one corner; the `level_equiv`
+//! property suite in `agemul-netlist` pins lanes ≡ separate kernels).
 
 use agemul_aging::{aging_factors, BtiModel, VariationModel};
 
@@ -199,8 +203,8 @@ fn corner_seed(base: u64, corner: usize) -> u64 {
 /// Construction pays everything shared across corners exactly once: the
 /// functional verification sweep, the workload's signal statistics, and
 /// one BTI factor vector per lifetime point. After that, corners are
-/// independent and each corner-year costs one
-/// [`CornerProfiler::retime`] plus the workload replay.
+/// independent, and each corner costs one lockstep workload replay per
+/// [`LaneSim::LANES`](agemul_netlist::LaneSim::LANES) lifetime points.
 ///
 /// # Example
 ///
@@ -309,7 +313,8 @@ impl<'a> MonteCarloCampaign<'a> {
         self.composed_factors(&variation, year_idx)
     }
 
-    /// A fresh per-worker profiler, compiled once and retimed per corner.
+    /// A fresh per-worker profiler, compiled once and reused by every
+    /// corner [`run_corner`](Self::run_corner) evaluates.
     ///
     /// # Errors
     ///
@@ -321,8 +326,14 @@ impl<'a> MonteCarloCampaign<'a> {
     }
 
     /// Evaluates one corner across every configured lifetime point,
-    /// reusing `profiler` (retimed per year, never rebuilt). This is the
-    /// unit [`run`](Self::run) repeats per corner on the levelized kernel.
+    /// reusing `profiler`'s compiled plan (never rebuilt). The lifetime
+    /// axis is cut into chunks of at most
+    /// [`LaneSim::LANES`](agemul_netlist::LaneSim::LANES) points, and each
+    /// chunk replays the workload once with one lane per point; each
+    /// point's delay assignment is built and dropped as its lane loads. A
+    /// chunk of one point (a one-point axis, or the last of nine) gains
+    /// nothing from lanes and runs on the profiler itself, retimed to it.
+    /// This is the unit [`run`](Self::run) repeats per corner.
     ///
     /// # Errors
     ///
@@ -339,14 +350,27 @@ impl<'a> MonteCarloCampaign<'a> {
         let variation = self
             .variation
             .factors(self.design.circuit().netlist(), self.seed_of(corner));
+        let delays = |yi| {
+            self.design
+                .delay_assignment(Some(&self.composed_factors(&variation, yi)))
+        };
         let mut outcomes = Vec::with_capacity(self.config.years.len());
-        for (yi, &years) in self.config.years.iter().enumerate() {
-            let delays = self
-                .design
-                .delay_assignment(Some(&self.composed_factors(&variation, yi)))?;
-            profiler.retime(&delays);
-            let profile = profiler.profile(&self.pairs, cancel)?;
-            outcomes.push(self.year_outcome(years, &profile));
+        let lanes = agemul_netlist::LaneSim::LANES;
+        for (first, chunk) in (0..).step_by(lanes).zip(self.config.years.chunks(lanes)) {
+            if let [years] = *chunk {
+                profiler.retime(&delays(first)?);
+                let profile = profiler.profile(&self.pairs, cancel)?;
+                outcomes.push(self.year_outcome(years, &profile));
+                continue;
+            }
+            let profiles = profiler.profile_lanes(
+                &self.pairs,
+                (first..first + chunk.len()).map(delays),
+                cancel,
+            )?;
+            for (&years, profile) in chunk.iter().zip(&profiles) {
+                outcomes.push(self.year_outcome(years, profile));
+            }
         }
         Ok(CornerOutcome {
             corner,
@@ -357,7 +381,7 @@ impl<'a> MonteCarloCampaign<'a> {
 
     /// [`run_corner`](Self::run_corner) without plan reuse: one
     /// from-scratch kernel per lifetime point on the requested `engine`.
-    /// This is the slow reference path — the retimed fast path is
+    /// This is the slow reference path — the lockstep fast path is
     /// byte-identical to it on either engine (asserted in this module's
     /// tests).
     ///
@@ -422,8 +446,8 @@ impl<'a> MonteCarloCampaign<'a> {
     }
 
     /// Runs the whole campaign, polling `cancel` inside every
-    /// corner-year's workload replay. One compiled profiler is re-timed
-    /// across all corners ([`run_corner`](Self::run_corner)).
+    /// corner's workload replays. One compiled profiler serves all corners
+    /// ([`run_corner`](Self::run_corner)).
     ///
     /// # Errors
     ///
@@ -458,25 +482,43 @@ mod tests {
         MonteCarloCampaign::new(design, pairs, &bti, config).unwrap()
     }
 
-    /// The retimed fan-out must reproduce, corner for corner, what the
+    /// The lockstep fan-out must reproduce, corner for corner, what the
     /// slow path computes: a fresh from-scratch profile per (corner,
-    /// year) cell through `profile_with_delays`.
+    /// year) cell through `profile_with_delays`. Three years fit one
+    /// partial chunk of lanes, eight one full chunk, eleven a full chunk
+    /// plus a partial one, and one and nine end in a lone point, which
+    /// runs on the retimed profiler.
     #[test]
     fn campaign_matches_from_scratch_per_cell() {
         let d = MultiplierDesign::new(MultiplierKind::ColumnBypass, 8).unwrap();
         let patterns = PatternSet::uniform(8, 24, 11);
-        let mut config = McConfig::new(6, 0.08, 99);
-        config.years = vec![0.0, 4.0, 7.0];
-        let mc = campaign(&d, patterns.pairs(), config.clone());
+        for years in [
+            vec![0.0, 4.0, 7.0],
+            (0..8).map(f64::from).collect(),
+            (0..11).map(|y| 0.7 * f64::from(y)).collect(),
+            vec![5.0],
+            (0..9).map(|y| 0.8 * f64::from(y)).collect(),
+        ] {
+            let mut config = McConfig::new(6, 0.08, 99);
+            config.years = years;
+            assert_matches_from_scratch(&d, patterns.pairs(), &config);
+        }
+    }
+
+    /// Runs the campaign `config` describes and checks every (corner,
+    /// year) cell against a from-scratch profile of its delays.
+    fn assert_matches_from_scratch(d: &MultiplierDesign, pairs: &[(u64, u64)], config: &McConfig) {
+        let mc = campaign(d, pairs, config.clone());
         let report = mc.run(None).unwrap();
-        assert_eq!(report.corners.len(), 6);
+        assert_eq!(report.corners.len(), config.corners);
 
         for c in &report.corners {
+            assert_eq!(c.outcomes.len(), config.years.len());
             for (yi, o) in c.outcomes.iter().enumerate() {
                 let delays = d
                     .delay_assignment(Some(&mc.cell_factors(c.corner, yi)))
                     .unwrap();
-                let scratch = d.profile_with_delays(patterns.pairs(), &delays).unwrap();
+                let scratch = d.profile_with_delays(pairs, &delays).unwrap();
                 assert_eq!(
                     o.max_delay_ns.to_bits(),
                     scratch.max_delay_ns().to_bits(),
@@ -495,6 +537,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A σ so wide that some corner's delays push a step's event times
+    /// past the 2^30 fs a `u32` lane word holds: that corner runs on
+    /// `u64` words and still reports exactly the from-scratch outcome, on
+    /// either engine.
+    #[test]
+    fn corner_beyond_narrow_timestamps_matches_from_scratch() {
+        let d = MultiplierDesign::new(MultiplierKind::RowBypass, 8).unwrap();
+        let patterns = PatternSet::uniform(8, 16, 3);
+        let mut config = McConfig::new(4, 2.3, 17);
+        config.years = vec![0.0, 3.0, 7.0];
+        let mc = campaign(&d, patterns.pairs(), config);
+        let depth = u64::from(d.topology().max_level());
+        let mut profiler = mc.profiler().unwrap();
+        let mut wide = 0;
+        for corner in 0..4 {
+            let beyond = (0..3).any(|yi| {
+                let delays = d.delay_assignment(Some(&mc.cell_factors(corner, yi)));
+                delays.is_ok_and(|delays| {
+                    let max = (0..delays.len())
+                        .map(|g| delays.delay_fs(agemul_netlist::GateId::from_index(g)))
+                        .max()
+                        .unwrap_or(0);
+                    (depth + 1) * max >= 1 << 30
+                })
+            });
+            let fast = mc.run_corner(&mut profiler, corner, None);
+            for engine in [SimEngine::Level, SimEngine::Event] {
+                let slow = mc.run_corner_from_scratch(corner, engine, None);
+                assert_eq!(fast, slow, "corner {corner} via {engine:?}");
+            }
+            if beyond && fast.is_ok() {
+                wide += 1;
+            }
+        }
+        assert!(wide > 0, "no corner both ran and passed 2^30 fs");
     }
 
     /// Same seed ⇒ byte-identical report; different seed ⇒ different

@@ -38,11 +38,6 @@ pub enum NetlistError {
         /// A gate on the cycle.
         gate: GateId,
     },
-    /// A net was marked as a primary output but has no driver.
-    UndrivenOutput {
-        /// The undriven net.
-        net: NetId,
-    },
     /// Two input/output vectors disagree on width.
     WidthMismatch {
         /// Expected width.
@@ -100,9 +95,6 @@ impl fmt::Display for NetlistError {
             NetlistError::CombinationalCycle { gate } => {
                 write!(f, "combinational cycle through gate {gate}")
             }
-            NetlistError::UndrivenOutput { net } => {
-                write!(f, "primary output {net} has no driver")
-            }
             NetlistError::WidthMismatch { expected, got } => {
                 write!(f, "expected {expected} signals, got {got}")
             }
@@ -140,7 +132,6 @@ mod tests {
             },
             NetlistError::UnknownNet { net: NetId(5) },
             NetlistError::CombinationalCycle { gate: GateId(2) },
-            NetlistError::UndrivenOutput { net: NetId(1) },
             NetlistError::WidthMismatch {
                 expected: 4,
                 got: 3,

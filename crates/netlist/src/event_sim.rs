@@ -321,7 +321,7 @@ impl<'a> EventSim<'a> {
         );
         let mut values = vec![Logic::X; netlist.net_count()];
         for (idx, info) in netlist.nets.iter().enumerate() {
-            if let Some(crate::netlist::Driver::Const(v)) = info.driver {
+            if let crate::netlist::Driver::Const(v) = info.driver {
                 values[idx] = v;
             }
         }
@@ -389,7 +389,7 @@ impl<'a> EventSim<'a> {
     fn reinit_values(&mut self) {
         self.values.fill(Logic::X);
         for (idx, info) in self.netlist.nets.iter().enumerate() {
-            if let Some(crate::netlist::Driver::Const(v)) = info.driver {
+            if let crate::netlist::Driver::Const(v) = info.driver {
                 self.values[idx] = v;
             }
         }

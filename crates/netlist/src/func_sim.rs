@@ -57,7 +57,7 @@ impl<'a> FuncSim<'a> {
         let mut values = vec![Logic::X; netlist.net_count()];
         let mut consts = Vec::new();
         for (idx, info) in netlist.nets.iter().enumerate() {
-            if let Some(crate::netlist::Driver::Const(v)) = info.driver {
+            if let crate::netlist::Driver::Const(v) = info.driver {
                 values[idx] = v;
                 consts.push((idx as u32, v));
             }

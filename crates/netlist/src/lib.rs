@@ -96,7 +96,7 @@ pub use event_sim::{DelayAssignment, EventSim, PatternTiming, TraceEvent};
 pub use fault::{FaultKind, FaultOverlay};
 pub use func_sim::FuncSim;
 pub use ids::{GateId, NetId};
-pub use level_sim::LevelSim;
+pub use level_sim::{LaneSim, LevelSim};
 pub use netlist::{Gate, Netlist};
 pub use report::NetlistReport;
 pub use sta::static_critical_path_ns;

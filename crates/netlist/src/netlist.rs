@@ -72,7 +72,7 @@ pub(crate) enum Driver {
 
 #[derive(Clone, Debug)]
 pub(crate) struct NetInfo {
-    pub(crate) driver: Option<Driver>,
+    pub(crate) driver: Driver,
 }
 
 /// A combinational gate-level netlist.
@@ -128,7 +128,7 @@ impl Netlist {
     /// Input order is significant: the simulators accept input vectors whose
     /// positions correspond to the order of `add_input` calls.
     pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
-        let id = self.alloc_net(Some(name.into()), Some(Driver::Input));
+        let id = self.alloc_net(Some(name.into()), Driver::Input);
         self.inputs.push(id);
         id
     }
@@ -152,7 +152,7 @@ impl Netlist {
             }
         }
         let gate_id = GateId(self.gates.len() as u32);
-        let out = self.alloc_net(None, Some(Driver::Gate(gate_id)));
+        let out = self.alloc_net(None, Driver::Gate(gate_id));
         self.gates.push(Gate {
             kind,
             inputs: Inputs::new(inputs),
@@ -166,7 +166,7 @@ impl Netlist {
         if let Some(id) = self.const_zero {
             return id;
         }
-        let id = self.alloc_net(Some("const0".into()), Some(Driver::Const(Logic::Zero)));
+        let id = self.alloc_net(Some("const0".into()), Driver::Const(Logic::Zero));
         self.const_zero = Some(id);
         id
     }
@@ -176,7 +176,7 @@ impl Netlist {
         if let Some(id) = self.const_one {
             return id;
         }
-        let id = self.alloc_net(Some("const1".into()), Some(Driver::Const(Logic::One)));
+        let id = self.alloc_net(Some("const1".into()), Driver::Const(Logic::One));
         self.const_one = Some(id);
         id
     }
@@ -202,8 +202,7 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::UndrivenOutput`] if a primary output has no
-    /// driver, or [`NetlistError::CombinationalCycle`] if the gate graph is
+    /// Returns [`NetlistError::CombinationalCycle`] if the gate graph is
     /// cyclic (impossible through this builder, but `Topology` re-checks so
     /// the simulators can rely on it).
     pub fn topology(&self) -> Result<Topology, NetlistError> {
@@ -270,7 +269,7 @@ impl Netlist {
     /// The constant level driven onto `net`, if it is a constant net.
     pub fn const_level(&self, net: NetId) -> Option<Logic> {
         match self.nets.get(net.index())?.driver {
-            Some(Driver::Const(v)) => Some(v),
+            Driver::Const(v) => Some(v),
             _ => None,
         }
     }
@@ -278,7 +277,7 @@ impl Netlist {
     /// Returns the gate driving `net`, if it is gate-driven.
     pub fn driver_gate(&self, net: NetId) -> Option<GateId> {
         match self.nets.get(net.index())?.driver {
-            Some(Driver::Gate(g)) => Some(g),
+            Driver::Gate(g) => Some(g),
             _ => None,
         }
     }
@@ -286,7 +285,7 @@ impl Netlist {
     /// Returns `true` if `net` is a primary input.
     pub fn is_input(&self, net: NetId) -> bool {
         matches!(
-            self.nets.get(net.index()).and_then(|n| n.driver.as_ref()),
+            self.nets.get(net.index()).map(|n| &n.driver),
             Some(Driver::Input)
         )
     }
@@ -302,7 +301,7 @@ impl Netlist {
             .sum()
     }
 
-    fn alloc_net(&mut self, name: Option<String>, driver: Option<Driver>) -> NetId {
+    fn alloc_net(&mut self, name: Option<String>, driver: Driver) -> NetId {
         let id = NetId(self.nets.len() as u32);
         self.nets.push(NetInfo { driver });
         if let Some(name) = name {

@@ -12,9 +12,9 @@
 //!   catches every slow operation (no undetected errors) — the
 //!   aging-aware design's whole value proposition, read as a yield curve.
 //!
-//! Each corner reuses one compiled levelized kernel across the lifetime
-//! axis ([`CornerProfiler`](agemul::CornerProfiler) re-timing; see
-//! `agemul::montecarlo`). The campaign polls the context's deadline
+//! Every corner reuses one compiled levelized kernel, and steps its
+//! lifetime points in lockstep as the lanes of one sweep per pattern
+//! (see `agemul::montecarlo`). The campaign polls the context's deadline
 //! token, so a supervised `repro` batch can cancel it like any other
 //! experiment.
 //!

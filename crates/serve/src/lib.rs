@@ -11,7 +11,7 @@
 //! - `sweep` — run a clock-period grid against that profile,
 //! - `campaign` — sample and evaluate a delay-fault campaign,
 //! - `mc` — a seeded Monte Carlo yield campaign over process corners
-//!   (plan-reuse re-timing of one compiled kernel),
+//!   (one compiled kernel, each corner's lifetime points in lockstep),
 //! - `stats` / `shutdown` — cache introspection and graceful stop.
 //!
 //! Three properties distinguish the resident service from the batch path:

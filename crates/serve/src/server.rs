@@ -820,8 +820,8 @@ fn eval_campaign(
 /// Runs a Monte Carlo yield campaign: `corners` sampled dies, each
 /// evaluated at integer lifetime points `0..=floor(query.years)` with the
 /// short cycle anchored to the design's fresh critical path.
-/// [`MonteCarloCampaign::run`] re-times one compiled kernel across
-/// corners and lifetime points.
+/// [`MonteCarloCampaign::run`] reuses one compiled kernel for every
+/// corner and steps each corner's lifetime points in lockstep.
 fn eval_mc(
     state: &ServerState,
     query: &DesignQuery,
